@@ -21,9 +21,9 @@
 //   - RunMemoryRobustness — the §5 crash-failure experiment.
 //
 // Every table and figure of the paper's evaluation can be regenerated via
-// Experiment (or the cmd/figures binary, or `go test -bench Figure`); see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results against the paper's.
+// Experiment (or the cmd/figures binary, or `go test -bench Figure`);
+// ExperimentIDs is the experiment index, and each report's notes say how
+// its measured results stand against the paper's.
 //
 // All experiment execution flows through one scenario-sweep engine
 // (internal/runner): an evaluation grid — algorithm × graph model ×

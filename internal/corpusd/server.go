@@ -40,6 +40,10 @@ type Server struct {
 	mux   *http.ServeMux
 	met   *metricSet
 
+	// load is store.EnsureIndex; a test wraps it to land a write on
+	// either side of the read.
+	load func() (*corpus.Index, error)
+
 	mu    sync.Mutex
 	idx   *corpus.Index
 	stamp indexStamp
@@ -58,7 +62,7 @@ func New(store *corpus.Store, mf *corpus.ManifestFile) (*Server, error) {
 	if _, err := store.EnsureIndex(); err != nil {
 		return nil, err
 	}
-	s := &Server{store: store, mf: mf, met: newMetricSet()}
+	s := &Server{store: store, mf: mf, met: newMetricSet(), load: store.EnsureIndex}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /{$}", s.handleDashboard)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -102,21 +106,24 @@ func (w *statusWriter) WriteHeader(code int) {
 // computed against. The cached snapshot is reused until index.json's
 // stat changes; writers replace the file atomically, so a reload sees
 // either the previous committed index or the next one, never a torn
-// file.
+// file. The cache is stamped with the stat taken before the load: a
+// write that races the load then leaves a stamp older than the file and
+// costs one more reload, where a stat taken after the load would put the
+// new file's stamp on the old index and serve it until the next write.
 func (s *Server) snapshot() (*corpus.Index, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fi, err := os.Stat(s.store.IndexPath())
-	if err == nil && s.idx != nil && fi.Size() == s.stamp.size && fi.ModTime().Equal(s.stamp.mtime) {
+	fi, statErr := os.Stat(s.store.IndexPath())
+	if statErr == nil && s.idx != nil && fi.Size() == s.stamp.size && fi.ModTime().Equal(s.stamp.mtime) {
 		return s.idx, nil
 	}
-	idx, err := s.store.EnsureIndex()
+	idx, err := s.load()
 	if err != nil {
 		return nil, err
 	}
 	s.idx = idx
 	s.stamp = indexStamp{}
-	if fi, err := os.Stat(s.store.IndexPath()); err == nil {
+	if statErr == nil {
 		s.stamp = indexStamp{size: fi.Size(), mtime: fi.ModTime()}
 	}
 	return idx, nil

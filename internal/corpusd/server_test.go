@@ -38,15 +38,21 @@ func runGrid(g runner.Grid) []runner.CellResult {
 // distinct generations (dedupe only collapses same-revision replays).
 func archiveGen(t *testing.T, store *corpus.Store, g runner.Grid, rev string, results []runner.CellResult) *corpus.Appended {
 	t.Helper()
-	a, err := store.Archive(g, corpus.Provenance{
-		Workers:   2,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Revision:  rev,
-	}, results)
+	a, err := archive(store, g, rev, results)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// archive is archiveGen for callers off the test goroutine, which must not
+// call t.Fatal.
+func archive(store *corpus.Store, g runner.Grid, rev string, results []runner.CellResult) (*corpus.Appended, error) {
+	return store.Archive(g, corpus.Provenance{
+		Workers:   2,
+		CreatedAt: time.Now().UTC().Format(time.RFC3339),
+		Revision:  rev,
+	}, results)
 }
 
 // newTestServer builds a store with two generations of one grid and one
@@ -126,6 +132,59 @@ func TestRunsEndpointMatchesFullScan(t *testing.T) {
 	}
 	if body := get(t, ts, "/runs?n=bogus", http.StatusBadRequest); !strings.Contains(string(body), "bad n") {
 		t.Errorf("bad n not diagnosed: %s", body)
+	}
+}
+
+// TestRunsFreshAfterWriteRacesReload lands an Archive inside snapshot's
+// reload, on either side of the index read, and requires the next /runs to
+// list it. A write after the read is the one a stamp taken after the load
+// hid: the old index under the new file's stat, stale until the next write.
+func TestRunsFreshAfterWriteRacesReload(t *testing.T) {
+	store, err := corpus.Open(filepath.Join(t.TempDir(), "corpus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGrid(1)
+	res := runGrid(g)
+	archiveGen(t, store, g, "rev-0", res)
+	srv, err := New(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	get(t, ts, "/runs", http.StatusOK) // fill the cache
+
+	for i, when := range []string{"before", "after"} {
+		// One write makes the stat differ, so the request reloads; the
+		// racing write lands during that reload. The hook runs on the
+		// handler's goroutine under srv.mu, so the test sets it and reads
+		// what it left under srv.mu, and the hook reports instead of failing.
+		archiveGen(t, store, g, fmt.Sprintf("rev-%s-trigger", when), res)
+		raced, raceErr := false, error(nil)
+		srv.mu.Lock()
+		srv.load = func() (*corpus.Index, error) {
+			raced = true
+			if i == 0 {
+				_, raceErr = archive(store, g, "rev-before-read", res)
+			}
+			idx, err := store.EnsureIndex()
+			if i == 1 {
+				_, raceErr = archive(store, g, "rev-after-read", res)
+			}
+			return idx, err
+		}
+		srv.mu.Unlock()
+		get(t, ts, "/runs", http.StatusOK) // the racing request may list either state
+		srv.mu.Lock()
+		srv.load = store.EnsureIndex // the hook has run once, and is done
+		srv.mu.Unlock()
+		if !raced || raceErr != nil {
+			t.Fatalf("write %s the read: reloaded %v, racing Archive: %v", when, raced, raceErr)
+		}
+		if got, want := get(t, ts, "/runs", http.StatusOK), fullScanJSON(t, store, corpus.Filter{}); !bytes.Equal(got, want) {
+			t.Errorf("write %s the read: the next /runs is stale\nhttp: %s\nscan: %s", when, got, want)
+		}
 	}
 }
 

@@ -59,10 +59,13 @@ type Report struct {
 	// LocalSteps[v] is how many steps node v executed.
 	LocalSteps []int32
 	// Dials counts TCP channel openings across the cluster; WireBytes
-	// counts payload-carrying bytes moved through them.
-	Dials     int64
-	WireBytes int64
-	Elapsed   time.Duration
+	// counts payload-carrying bytes moved through them; CallErrors counts
+	// the openings that failed (dial, write or read) while the cluster
+	// was running.
+	Dials      int64
+	WireBytes  int64
+	CallErrors int64
+	Elapsed    time.Duration
 }
 
 // Summary renders a one-line human summary.
@@ -81,8 +84,8 @@ func (r *Report) Summary() string {
 	if !r.Completed {
 		status = "INCOMPLETE"
 	}
-	return fmt.Sprintf("push-pull broadcast %s: %d/%d nodes informed, max %d local steps, %d dials, %d wire bytes, %v",
-		status, informed, r.N, maxStep, r.Dials, r.WireBytes, r.Elapsed.Round(time.Millisecond))
+	return fmt.Sprintf("push-pull broadcast %s: %d/%d nodes informed, max %d local steps, %d dials, %d call errors, %d wire bytes, %v",
+		status, informed, r.N, maxStep, r.Dials, r.CallErrors, r.WireBytes, r.Elapsed.Round(time.Millisecond))
 }
 
 // node is one cluster member: a machine behind a listener, stepped by its
@@ -118,6 +121,7 @@ type cluster struct {
 
 	dials     atomic.Int64
 	wireBytes atomic.Int64
+	callErrs  atomic.Int64
 }
 
 // newCluster opens one loopback listener per node and fills the peer table.
@@ -146,12 +150,21 @@ func newCluster(cfg Config, set machineSet) (*cluster, error) {
 // timeout guard, then shuts the cluster down and returns the elapsed time.
 func (c *cluster) run() time.Duration {
 	start := time.Now() //gossiplint:allow detlint Elapsed reports real network wall time; cluster results are asynchronous, not replayed
+	// No node answers a call before every node has begun its step 1: a
+	// machine stamps what it receives with its current step, and a push
+	// that beat the receiver's first OnStep would inform it "at step 0",
+	// the source's mark. Early callers wait in the listeners' backlogs.
+	var stepping sync.WaitGroup
+	stepping.Add(len(c.nodes))
+	for _, nd := range c.nodes {
+		c.wg.Add(1)
+		go c.stepLoop(nd, sync.OnceFunc(stepping.Done))
+	}
+	stepping.Wait()
 	for _, nd := range c.nodes {
 		c.srvWg.Add(1)
 		//gossiplint:allow golife serveNode itself holds a positive srvWg count, so its per-conn Add can never race Wait
 		go c.serveNode(nd)
-		c.wg.Add(1)
-		go c.stepLoop(nd)
 	}
 
 	allExited := make(chan struct{})
@@ -205,22 +218,29 @@ func Serve(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	elapsed := c.run()
+	return c.broadcast(set), nil
+}
 
+// broadcast runs the cluster and reports on it. It is apart from Serve so
+// that a test can damage the cluster between boot and run.
+func (c *cluster) broadcast(set *core.BroadcastSet) *Report {
+	elapsed := c.run()
+	n := c.cfg.N
 	rep := &Report{
-		N:          cfg.N,
+		N:          n,
 		Completed:  set.Complete(),
-		InformedAt: make([]int32, cfg.N),
-		LocalSteps: make([]int32, cfg.N),
+		InformedAt: make([]int32, n),
+		LocalSteps: make([]int32, n),
 		Dials:      c.dials.Load(),
 		WireBytes:  c.wireBytes.Load(),
+		CallErrors: c.callErrs.Load(),
 		Elapsed:    elapsed,
 	}
-	for v := 0; v < cfg.N; v++ {
+	for v := 0; v < n; v++ {
 		rep.InformedAt[v] = set.InformedAt(int32(v))
 		rep.LocalSteps[v] = c.nodes[v].steps.Load()
 	}
-	return rep, nil
+	return rep
 }
 
 // ElectionConfig configures a ServeElection run.
@@ -256,6 +276,7 @@ type ElectionReport struct {
 	LocalSteps []int32
 	Dials      int64
 	WireBytes  int64
+	CallErrors int64
 	Elapsed    time.Duration
 }
 
@@ -271,8 +292,8 @@ func (r *ElectionReport) Summary() string {
 			maxStep = s
 		}
 	}
-	return fmt.Sprintf("leader election %s: leader=%d unique=%v %d/%d aware, %d candidates, max %d local steps, %d dials, %d wire bytes, %v",
-		status, r.Leader, r.Unique, r.AwareCount, r.N, r.Candidates, maxStep, r.Dials, r.WireBytes, r.Elapsed.Round(time.Millisecond))
+	return fmt.Sprintf("leader election %s: leader=%d unique=%v %d/%d aware, %d candidates, max %d local steps, %d dials, %d call errors, %d wire bytes, %v",
+		status, r.Leader, r.Unique, r.AwareCount, r.N, r.Candidates, maxStep, r.Dials, r.CallErrors, r.WireBytes, r.Elapsed.Round(time.Millisecond))
 }
 
 // ServeElection boots the cluster and runs Algorithm 3 — the same
@@ -323,6 +344,7 @@ func ServeElection(cfg ElectionConfig) (*ElectionReport, error) {
 		LocalSteps: make([]int32, cfg.N),
 		Dials:      c.dials.Load(),
 		WireBytes:  c.wireBytes.Load(),
+		CallErrors: c.callErrs.Load(),
 		Elapsed:    elapsed,
 	}
 	for v := 0; v < cfg.N; v++ {
@@ -344,10 +366,12 @@ func (c *cluster) shutdown() {
 	}
 }
 
-// stepLoop is a node's life: one random phone call per local step.
-func (c *cluster) stepLoop(nd *node) {
+// stepLoop is a node's life: one random phone call per local step. It
+// calls stepping once, when its machine has begun step 1 (or never will).
+func (c *cluster) stepLoop(nd *node, stepping func()) {
 	defer c.wg.Done()
 	defer nd.stopped.Store(true)
+	defer stepping()
 	for step := int32(1); int(step) <= c.cfg.MaxSteps; step++ {
 		select {
 		case <-c.stop:
@@ -358,12 +382,22 @@ func (c *cluster) stepLoop(nd *node) {
 		nd.mu.Lock()
 		dial, push := nd.m.OnStep(step)
 		nd.mu.Unlock()
+		stepping()
 		if dial >= 0 {
 			c.dials.Add(1)
 			// The network I/O runs outside the machine lock, so this
 			// node keeps answering incoming calls while it waits.
 			resp, err := c.call(c.peers[dial], nd.id, push)
-			if err == nil && resp != nil {
+			if err != nil {
+				// A failed call is a lost exchange, which gossip
+				// tolerates; it is counted unless shutdown, which
+				// closes the listeners under in-flight calls, began.
+				select {
+				case <-c.stop:
+				default:
+					c.callErrs.Add(1)
+				}
+			} else if resp != nil {
 				nd.mu.Lock()
 				nd.m.OnReceive(dial, resp)
 				nd.mu.Unlock()

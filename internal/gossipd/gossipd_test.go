@@ -3,9 +3,14 @@ package gossipd
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"gossip/internal/core"
+	"gossip/internal/graph"
+	"gossip/internal/phone"
 )
 
 // TestServeBroadcastCompletes boots a small loopback cluster and checks
@@ -38,6 +43,30 @@ func TestServeBroadcastCompletes(t *testing.T) {
 	}
 	if s := rep.Summary(); !strings.Contains(s, "completed") {
 		t.Fatalf("summary = %q", s)
+	}
+}
+
+// TestCallErrorsCounted closes one peer's listener before the run: every
+// call to it is refused, which the report must count, and the run must
+// still end cleanly. The deaf node keeps dialing out, so it can still pull
+// the rumor and the broadcast may well complete.
+func TestCallErrorsCounted(t *testing.T) {
+	cfg := Config{N: 8, Payload: []byte("rumor"), Seed: 7, MaxSteps: 64 * ceilLog2(8), StepDelay: 50 * time.Microsecond, Timeout: 20 * time.Second}
+	set := core.NewBroadcastSet(phone.NewNet(graph.Complete(cfg.N), cfg.Seed), 0, core.PushAndPull, cfg.Payload)
+	c, err := newCluster(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.nodes[3].ln.Close()
+	rep := c.broadcast(set)
+	if rep.CallErrors == 0 || rep.CallErrors > rep.Dials {
+		t.Fatalf("CallErrors = %d of %d dials with node 3 deaf: %s", rep.CallErrors, rep.Dials, rep.Summary())
+	}
+	if want := fmt.Sprintf("%d call errors", rep.CallErrors); !strings.Contains(rep.Summary(), want) {
+		t.Fatalf("summary %q lacks %q", rep.Summary(), want)
+	}
+	if !rep.Completed && rep.Elapsed >= cfg.Timeout {
+		t.Fatalf("run ended on the timeout guard, not on completion or the step cap: %s", rep.Summary())
 	}
 }
 

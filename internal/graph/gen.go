@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"gossip/internal/par"
 	"gossip/internal/xrand"
 )
 
@@ -36,33 +37,105 @@ func PLogPow(n int, e float64) float64 {
 	return p
 }
 
+// erBlock is how many skips ErdosRenyi draws before it converts them: large
+// enough to amortise one par.For, small enough (128 KB) to stay in L2
+// between the draw, the logarithms and the walk.
+const erBlock = 1 << 14
+
 // ErdosRenyi samples G(n, p): every unordered pair {u, v}, u != v, is an
 // edge independently with probability p. The sampler walks the pair space
-// with geometric skips, so it runs in O(n + m) expected time rather than
-// O(n²).
+// row-major with geometric skips, so it runs in O(n + m) expected time
+// rather than O(n²).
+//
+// Draw contract: the walk is the scalar one — for each row u, v starts at u
+// and advances by 1 + rng.Geometric(p) until it leaves the row — so it
+// costs one Uint64 per skip, m + n - 1 in all (none at p = 1), and rng is
+// left exactly where that scalar walk leaves it. Only the schedule differs:
+// the words are drawn in blocks and turned into skips under par.For
+// (xrand.GeometricSkips), and the draws a last block made beyond the end of
+// the walk are given back.
+//
+// The graph is built in place in two phases. The walk appends each row's
+// upper neighbours (v > u, ascending) to adj, marks where the row ends and
+// counts lower degrees in off. After the prefix sum over off, every upper
+// block moves up to the tail of its final row, last row first (a
+// destination is never below its source, so nothing unread is overwritten),
+// and one ascending pass over the rows writes u into the head of each upper
+// neighbour's row. Adjacency lists therefore come out sorted ascending,
+// the layout FromEdges gives the same row-major edge list.
 func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	if n < 0 {
 		panic("graph: negative n")
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // in this form NaN fails too
 		panic("graph: p out of [0,1]")
 	}
-	var edges []Edge
-	if p > 0 && n > 1 {
-		expected := p * float64(n) * float64(n-1) / 2
-		edges = make([]Edge, 0, int(expected*1.1)+16)
-		for u := int32(0); int(u) < n-1; u++ {
-			v := int(u) // candidate column; next edge is v + 1 + skip
-			for {
-				v += 1 + rng.Geometric(p)
-				if v >= n {
-					break
+	off := make([]int64, n+1)
+	if p == 0 || n < 2 {
+		return &Graph{n: n, off: off, adj: []int32{}}
+	}
+	if p == 1 {
+		scratch := *rng // Geometric(1) is 0 without a draw: walk on a copy
+		rng = &scratch
+	}
+	mean := p * float64(n) * float64(n-1) / 2
+	// Final capacity, both directions, with 8σ of room; append copes beyond.
+	adj := make([]int32, 0, 2*(int(mean+8*math.Sqrt(mean*(1-p)))+16))
+	end := make([]int64, n) // adj[:end[u]] holds rows 0..u; later the scatter cursor
+	// A block holds the expected draws left at (u, v), p per pair ahead plus
+	// one overshoot per row, and a margin, so that small graphs and the last
+	// block compute few spare logs. That only falls as the walk advances, so
+	// the first block sizes the buffer.
+	block := func(u, v int) int {
+		rows := float64(n - 1 - u)
+		return min(erBlock, int(1.1*(p*(float64(n-1-v)+rows*(rows-1)/2)+rows))+16)
+	}
+	buf := make([]uint64, block(0, 0))
+	for u, v := 0, 0; u < n-1; {
+		blk := buf[:block(u, v)]
+		start := *rng
+		for i := range blk {
+			blk[i] = rng.Uint64()
+		}
+		par.For(len(blk), func(lo, hi int) { xrand.GeometricSkips(blk[lo:hi], p) })
+		for i, skip := range blk {
+			if v += 1 + int(skip); v < n {
+				adj = append(adj, int32(v))
+				off[v+1]++
+				continue
+			}
+			end[u] = int64(len(adj))
+			u++
+			v = u
+			if u == n-1 { // done: rewind to the i+1 draws the walk consumed
+				*rng = start
+				for ; i >= 0; i-- {
+					rng.Uint64()
 				}
-				edges = append(edges, Edge{U: u, V: int32(v)})
+				break
 			}
 		}
 	}
-	return FromEdges(n, edges)
+	m := len(adj)
+	adj = slices.Grow(adj, m)[:2*m]
+	end[n-1] = int64(m)
+	prev := int64(0)
+	for u := 0; u < n; u++ { // off[u+1] holds u's lower degree; add the upper
+		off[u+1] += off[u] + end[u] - prev
+		prev = end[u]
+	}
+	for u := n - 1; u > 0; u-- { // row 0 has no lower half and is in place
+		copy(adj[off[u+1]-(end[u]-end[u-1]):off[u+1]], adj[end[u-1]:end[u]])
+		end[u] = off[u]
+	}
+	end[0] = 0
+	for u := 0; u < n-1; u++ { // end[u] has reached u's upper block by now
+		for _, v := range adj[end[u]:off[u+1]] {
+			adj[end[v]] = int32(u)
+			end[v]++
+		}
+	}
+	return &Graph{n: n, off: off, adj: adj}
 }
 
 // ConfigStats reports the defect edges of a configuration-model pairing.

@@ -4,6 +4,14 @@
 // configuration model), a Chung–Lu power-law generator (the extension the
 // paper's reference [1] suggests), and the analysis tools used to validate
 // model assumptions (connectivity, degree concentration, spectral gap).
+//
+// Generators are pure functions of their parameters and the stream they are
+// handed. ErdosRenyi's contract is the strictest, because every archived
+// G(n,p) run depends on it: one Uint64 per geometric skip, the stream left
+// where the scalar row-major walk leaves it, and adjacency lists sorted
+// ascending. It builds its CSR in place in two phases (upper neighbours
+// during the walk, lower ones scattered after the prefix sum) rather than
+// through an edge list and FromEdges, which the other generators use.
 package graph
 
 import (

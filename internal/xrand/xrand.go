@@ -155,7 +155,12 @@ func (r *RNG) Bernoulli(p float64) bool {
 // Geometric returns the number of failures before the first success in
 // independent Bernoulli(p) trials, i.e. a sample from the geometric
 // distribution on {0, 1, 2, ...}. It is the skip length used by the G(n,p)
-// edge sampler. p must be in (0, 1].
+// edge sampler. p must be in (0, 1]. It costs one Uint64, or none at p = 1.
+//
+// The sample is the inverse CDF floor(log(U) / log(1-p)), and the division
+// must stay a division: multiplying by a hoisted 1/log(1-p) rounds the
+// quotient differently for some U, floor turns that into a different skip,
+// and every seeded graph and archived run downstream changes with it.
 func (r *RNG) Geometric(p float64) int {
 	if p >= 1 {
 		return 0
@@ -163,16 +168,37 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		panic("xrand: Geometric with non-positive p")
 	}
-	// Inverse-CDF: floor(log(U) / log(1-p)) with U in (0,1].
-	u := 1.0 - r.Float64() // in (0, 1]
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	return int(geometricSkip(r.Uint64(), math.Log1p(-p)))
+}
+
+// geometricSkip is Geometric's arithmetic on one drawn word w, of which
+// Float64 makes the U in (0, 1], with logq = log(1-p); shared with
+// GeometricSkips so that both round alike.
+func geometricSkip(w uint64, logq float64) uint64 {
+	u := 1.0 - float64(w>>11)*0x1p-53
+	g := math.Floor(math.Log(u) / logq)
 	if g < 0 {
 		return 0
 	}
 	if g > math.MaxInt32 {
 		return math.MaxInt32
 	}
-	return int(g)
+	return uint64(g)
+}
+
+// GeometricSkips is the batch form of Geometric: it replaces every word of
+// dst, r.Uint64() outputs in the order drawn, by the skip Geometric(p)
+// returns when it draws that word (0 at p = 1, where Geometric draws
+// none). It reads no generator and log(1-p) is computed once, so disjoint
+// pieces of a block of draws can be converted concurrently.
+func GeometricSkips(dst []uint64, p float64) {
+	if !(p > 0 && p <= 1) {
+		panic("xrand: GeometricSkips with p outside (0,1]")
+	}
+	logq := math.Log1p(-p)
+	for i, w := range dst {
+		dst[i] = geometricSkip(w, logq)
+	}
 }
 
 // Perm returns a uniformly random permutation of [0, n) as int32 values

@@ -144,6 +144,49 @@ func TestGeometricEdge(t *testing.T) {
 	}
 }
 
+// TestGeometricSkipsMatchesScalar converts 10⁶ drawn words in one batch and
+// requires, word for word, the skip a scalar Geometric call makes of the
+// same draw, and the same stream position afterwards.
+func TestGeometricSkipsMatchesScalar(t *testing.T) {
+	const n = 1_000_000
+	dst := make([]uint64, n)
+	for _, p := range []float64{1e-9, 1e-3, 0.3, 1} {
+		scalar, batch := New(21), New(21)
+		for i := range dst {
+			dst[i] = batch.Uint64()
+		}
+		GeometricSkips(dst, p)
+		clamped := 0
+		for i, got := range dst {
+			if want := scalar.Geometric(p); got != uint64(want) {
+				t.Fatalf("p=%g: skip %d is %d, scalar Geometric gives %d", p, i, got, want)
+			}
+			if got == math.MaxInt32 {
+				clamped++
+			}
+		}
+		if p < 1 && *scalar != *batch {
+			t.Errorf("p=%g: %d scalar calls and %d drawn words leave different streams", p, n, n)
+		}
+		if p == 1 && *scalar != *New(21) {
+			t.Errorf("Geometric(1) consumed a draw")
+		}
+		if p == 1e-9 && clamped == 0 {
+			t.Errorf("p=1e-9 never reached the MaxInt32 clamp")
+		}
+	}
+	for _, p := range []float64{0, -0.5, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GeometricSkips(p=%g) did not panic", p)
+				}
+			}()
+			GeometricSkips(dst[:1], p)
+		}()
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	for _, n := range []int{0, 1, 2, 10, 257} {
