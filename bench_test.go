@@ -1,7 +1,7 @@
 package gossip
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation section plus the DESIGN.md ablations. Each benchmark runs the
+// evaluation section plus the internal/exp ablations. Each benchmark runs the
 // real experiment at a bench-sized scale and reports the paper's metric
 // via b.ReportMetric, so `go test -bench .` regenerates the headline
 // numbers. The full-scale figures come from `go run ./cmd/figures`.

@@ -1,5 +1,5 @@
 // Command figures regenerates the tables and figures of the paper's
-// evaluation section (plus the DESIGN.md ablations) as aligned text
+// evaluation section (plus the internal/exp ablations) as aligned text
 // tables, ASCII plots and optional CSV files.
 //
 // Examples:

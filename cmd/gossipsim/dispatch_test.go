@@ -103,7 +103,7 @@ func TestDispatchMainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := corpusStore.Load(id)
+	stored, err := corpusStore.Resolve(id)
 	if err != nil {
 		t.Fatalf("archived run not in corpus: %v", err)
 	}

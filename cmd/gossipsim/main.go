@@ -164,7 +164,7 @@ func runOne(w io.Writer, g *gossip.Graph, algo string, n int, seed uint64, trees
 		}[algo]
 		res := gossip.RunBroadcast(g, 0, mode, seed, 0)
 		fmt.Fprintf(w, "broadcast %-9s rounds=%-3d completed=%-5v transmissions/node=%.2f\n",
-			mode, res.Steps, res.Completed, float64(res.Transmissions)/float64(res.N))
+			mode, res.Steps, res.Completed, res.TransmissionsPerNode())
 	default:
 		return fmt.Errorf("unknown -algo %q", algo)
 	}

@@ -132,6 +132,9 @@ func TestParseGrid(t *testing.T) {
 		{"pushpull", "nope", "256", "1", "0"},
 		{"pushpull", "er", "x", "1", "0"},
 		{"pushpull", "er", "256", "zero", "0"},
+		{"pushpull", "er", "256", "NaN", "0"},
+		{"pushpull", "er", "256", "+Inf", "0"},
+		{"memory", "er", "256", "1", "NaN%"},
 		{"pushpull", "er", "256", "1", "many"},
 	} {
 		if _, err := parseGrid(flags(bad[0], bad[1], bad[2], bad[3], bad[4], 1, 1)); err == nil {
@@ -159,6 +162,7 @@ func TestParseGridKnobAxes(t *testing.T) {
 		{algos: "memory", models: "er", sizes: "256", densities: "1", failures: "0", trees: "x", reps: 1, seed: 1},
 		{algos: "memory", models: "er", sizes: "256", densities: "1", failures: "0", memslots: "-2", reps: 1, seed: 1},
 		{algos: "fast", models: "er", sizes: "256", densities: "1", failures: "0", walkprobs: "1.5", reps: 1, seed: 1},
+		{algos: "fast", models: "er", sizes: "256", densities: "1", failures: "0", walkprobs: "NaN", reps: 1, seed: 1},
 	} {
 		if _, err := parseGrid(bad); err == nil {
 			t.Errorf("parseGrid(%+v) accepted", bad)

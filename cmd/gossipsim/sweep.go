@@ -145,12 +145,9 @@ func runStreaming(grid gossip.SweepGrid, cr gossip.SweepCellRange, workers int, 
 		sink(r)
 		return nil
 	}
-	stream := gossip.NewSweepRecordStream(emit)
-	if !cr.IsAll() {
-		// A shard's owned indices, not 0,1,2,…, are the stream's
-		// expected order.
-		stream = gossip.NewSweepRecordStreamSeq(cr.Indices(len(grid.Scenarios())), emit)
-	}
+	// The shard's owned indices (every index for a full run) are the
+	// stream's expected order.
+	stream := gossip.NewSweepRecordStream(cr.Indices(len(grid.Scenarios())), emit)
 	results := gossip.RunSweepShardStream(grid, cr, workers, stream.Add)
 	if err := closeSink(); err != nil {
 		return nil, err

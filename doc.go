@@ -97,7 +97,7 @@
 // append.
 //
 // Selectors name generations everywhere a stored run is read
-// (Corpus.Resolve/Load, `gossipsim compare -dir`, `gossipsim trend`):
+// (Corpus.Resolve, `gossipsim compare -dir`, `gossipsim trend`):
 // "id" is the latest generation, "id@latest" and "id@prev" are
 // relative, "id@0" is the oldest (ordinals count up from 0), and
 // "id@<fragment>" pins by any unique fragment of the generation name —
@@ -262,19 +262,26 @@
 // (spanning-tree construction, gather-edge replay, and tree broadcast —
 // Algorithm 2 end to end), and leader election (NewLeaderMachines,
 // Algorithm 3). Run*Over variants accept a TransportFactory to pick the
-// executor. The seam grew two primitives for the memory model: an
-// open-avoid dial (a random neighbor from N(v) \ l_v, remembered on
-// success) and per-node dial plans that replay Phase I gather edges on
-// a fixed schedule; both are local to the dialing node, so no transport
-// needs extra coordination. Protocols whose receipt handling is
-// commutative — which now includes the memory model's idempotent
-// informs and the election's minimum folds — produce identical results
-// under every transport (the conformance suite in internal/core pins
-// exact equality for each of them); fast-gossiping's walk routing is
-// order-sensitive, so under the async transport only its completion
-// semantics are preserved. MachineDriver steps any transport until a
-// completion predicate; see examples/asyncbroadcast for the 50-line
-// version.
+// executor; MachineDriver steps any transport until a completion
+// predicate (see examples/asyncbroadcast for the 50-line version).
+//
+// # Adding an algorithm
+//
+// An algorithm is a machine set in internal/core plus one entry in
+// internal/runner/algos.go — its sweep name, the Scenario knobs it
+// reads, and a closure from (graph, scenario, seed) to metrics. The
+// table is the only declaration: `gossipsim sweep -algos`, grid
+// validation, the collapse of knob axes the algorithm ignores, and
+// corpus join keys all follow from the entry. A machine dials through
+// its own node's state only — a uniform neighbor drawn from its private
+// stream, the memory model's open-avoid dial (a random neighbor from
+// N(v) \ l_v, remembered on success), or a per-node dial plan replaying
+// recorded edges on a fixed schedule — so no transport needs extra
+// coordination. Keep receipt handling commutative (idempotent informs,
+// minimum folds) and the results are identical under every transport;
+// the conformance suite in internal/core pins exact equality for each
+// such protocol. Fast-gossiping's walk routing is order-sensitive, so
+// under the async transport only its completion semantics are preserved.
 //
 // All entry points take explicit seeds and produce bit-identical results
 // for a seed, independent of GOMAXPROCS.

@@ -688,35 +688,21 @@ func WriteSweepRecordJSONL(w io.Writer, recs []SweepRecord) error {
 }
 
 // NewSweepStream returns a writer that accepts completed cells in any
-// order (wire it as the RunSweepStream callback) and emits them to w as
-// JSON lines in strict cell order, as each becomes contiguous.
-func NewSweepStream(w io.Writer) *SweepStream { return runner.NewOrderedJSONL(w, 0) }
+// order (wire it as the RunSweepShardStream callback) and emits them to
+// w as JSON lines in strict cell order, as each becomes contiguous. seq
+// lists the cells to expect, ascending — a SweepCellRange's Indices, or
+// nil for every cell; cells outside it are ignored.
+func NewSweepStream(w io.Writer, seq []int) *SweepStream { return runner.NewOrderedJSONL(w, seq, 0) }
 
 // SweepRecordStream re-orders a parallel sweep's completion order back
 // into cell order, handing each record to a consumer callback — the
 // generalization of SweepStream to sinks that are not io.Writers.
 type SweepRecordStream = runner.OrderedCells
 
-// NewSweepRecordStream returns a reorderer over the identity cell
-// order invoking emit once per cell, in cell-index order (wire Add as
-// the RunSweepStream callback).
-func NewSweepRecordStream(emit func(SweepRecord) error) *SweepRecordStream {
-	return runner.NewOrderedCells(0, emit)
-}
-
-// NewSweepRecordStreamSeq is NewSweepRecordStream for a shard: the
-// stream expects exactly the cell indices in seq (ascending — a
-// SweepCellRange's Indices), in that order, and ignores cells outside
-// it.
-func NewSweepRecordStreamSeq(seq []int, emit func(SweepRecord) error) *SweepRecordStream {
-	return runner.NewOrderedCellsSeq(seq, 0, emit)
-}
-
-// NewSweepStreamSeq is NewSweepStream for a shard: the stream expects
-// exactly the cell indices in seq (ascending — a SweepCellRange's
-// Indices), in that order, and ignores cells outside it.
-func NewSweepStreamSeq(w io.Writer, seq []int) *SweepStream {
-	return runner.NewOrderedJSONLSeq(w, seq, 0)
+// NewSweepRecordStream is NewSweepStream invoking emit once per cell of
+// seq, in that order.
+func NewSweepRecordStream(seq []int, emit func(SweepRecord) error) *SweepRecordStream {
+	return runner.NewOrderedCells(seq, 0, emit)
 }
 
 // The shard dispatcher (internal/dispatch): run a grid as m shard
@@ -765,7 +751,7 @@ func RunSweepStream(g SweepGrid, workers int, onCell func(SweepCellResult)) []Sw
 }
 
 // RunSweepShardStream is RunSweepShard with an on-completion callback
-// (pair with NewSweepStreamSeq over the shard's owned indices to
+// (pair with NewSweepStream over the shard's owned indices to
 // re-establish cell order).
 func RunSweepShardStream(g SweepGrid, cr SweepCellRange, workers int, onCell func(SweepCellResult)) []SweepCellResult {
 	r := &runner.Runner{Workers: workers, OnCell: onCell}

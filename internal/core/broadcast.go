@@ -56,6 +56,11 @@ type BroadcastResult struct {
 	InformedAt []int32
 }
 
+// TransmissionsPerNode is copies of the message sent, divided by n.
+func (r *BroadcastResult) TransmissionsPerNode() float64 {
+	return phone.PerNode(r.Transmissions, r.N)
+}
+
 // broadcastMachine is the single-message broadcast as a node state
 // machine. Every healthy node dials a uniformly random neighbor each
 // step; an informed node pushes the rumor (push modes) and answers

@@ -13,20 +13,8 @@ import (
 // walks over several rounds, and Phase III finishes with push–pull until
 // every node knows every message.
 func FastGossip(g *graph.Graph, p FastGossipParams, seed uint64) *Result {
-	res, _ := FastGossipTracked(g, p, seed)
+	res, _ := FastGossipOver(phone.NewNet(g, seed), p, SyncTransport)
 	return res
-}
-
-// FastGossipTracked is FastGossip returning the final message tracker.
-func FastGossipTracked(g *graph.Graph, p FastGossipParams, seed uint64) (*Result, *msg.Full) {
-	return FastGossipOn(phone.NewNet(g, seed), p)
-}
-
-// FastGossipOn runs Algorithm 1 on a prepared substrate, letting callers
-// inject crash failures (nt.Failed) before the run. Failed nodes never
-// dial, never forward walks and never store messages.
-func FastGossipOn(nt *phone.Net, p FastGossipParams) (*Result, *msg.Full) {
-	return FastGossipOver(nt, p, SyncTransport)
 }
 
 // fgMode selects what one logical step of the fast-gossiping machine
@@ -154,13 +142,16 @@ func (m *fgMachine) OnReceive(from int32, payload any) {
 
 func (m *fgMachine) OnStepEnd(step int32) {}
 
-// FastGossipOver runs Algorithm 1's node machines on the given transport.
-// Under SyncTransport results are bit-identical to the historic substrate
-// loops: walk tokens pushed in a step are merged into their hosts within
-// that step (receivers in increasing id, senders in increasing id within
-// a receiver), which is exactly when the old loop's start-of-next-step
-// delivery pass observed them. Under Async the walks may interleave
-// differently but the completion semantics are unchanged.
+// FastGossipOver runs Algorithm 1's node machines on the given transport,
+// over a prepared substrate so callers can inject crash failures
+// (nt.Failed) first: failed nodes never dial, never forward walks and
+// never store messages. Under SyncTransport results are bit-identical to
+// the historic substrate loops: walk tokens pushed in a step are merged
+// into their hosts within that step (receivers in increasing id, senders
+// in increasing id within a receiver), which is exactly when the old
+// loop's start-of-next-step delivery pass observed them. Under Async the
+// walks may interleave differently but the completion semantics are
+// unchanged.
 func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Result, *msg.Full) {
 	n := nt.G.N()
 	tr := msg.NewFull(n)

@@ -33,7 +33,7 @@ func TestFastGossipCompletesTheory(t *testing.T) {
 func TestFastGossipFullKnowledge(t *testing.T) {
 	n := 256
 	g := testGraph(n, 6)
-	res, tr := FastGossipTracked(g, TunedFastGossipParams(n), 3)
+	res, tr := FastGossipOver(phone.NewNet(g, 3), TunedFastGossipParams(n), SyncTransport)
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
@@ -179,7 +179,7 @@ func TestFastGossipFailedNodesStaySilent(t *testing.T) {
 	for _, v := range failedSet {
 		nt.Failed[v] = true
 	}
-	res, tr := FastGossipOn(nt, TunedFastGossipParams(n))
+	res, tr := FastGossipOver(nt, TunedFastGossipParams(n), SyncTransport)
 	if res.Completed {
 		t.Error("run with crashed nodes cannot reach all-pairs completion")
 	}

@@ -51,7 +51,7 @@ func TestMedianCounterDensityInsensitiveAtSimulableScale(t *testing.T) {
 	// moderate degree. That separation lives in ω(·) territory: at
 	// simulable sizes the measured costs coincide within noise, and THAT
 	// is the property this test pins (so a regression that silently makes
-	// one topology much more expensive is caught). EXPERIMENTS.md
+	// one topology much more expensive is caught). exp.AblationMedianCounter
 	// discusses the asymptotic claim.
 	n := 4096
 	sparse := testGraph(n, 71)

@@ -412,7 +412,7 @@ func MemoryRobustness(g *graph.Graph, params MemoryParams, seed uint64, failures
 		complete = complete && trees[i].Completed
 	}
 
-	// Fail F nodes uniformly at random, excluding the leader (DESIGN.md §3).
+	// Fail F nodes uniformly at random, excluding the leader (the §5 setting).
 	rng := xrand.New(xrand.SeedFor(seed, seedTagFail))
 	failed := make([]bool, n)
 	for _, idx := range rng.SampleK(n-1, failures) {

@@ -38,7 +38,7 @@ func (r *Result) addPhase(name string, m phone.Meter) {
 }
 
 // TransmissionsPerNode is the Figure 1/4 metric: data-carrying channel
-// uses divided by n (a push–pull exchange counts once; see DESIGN.md §3).
+// uses divided by n (a push–pull exchange counts once; see phone.Meter).
 func (r *Result) TransmissionsPerNode() float64 {
 	return phone.PerNode(r.Meter.Transmissions, r.N)
 }

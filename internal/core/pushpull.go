@@ -13,27 +13,17 @@ import (
 //
 // maxSteps caps the run (0 means 64·log n, far beyond completion on the
 // connected graphs of the study). The returned tracker state is discarded;
-// use PushPullTracked to inspect it.
+// use PushPullOver to inspect it.
 func PushPull(g *graph.Graph, seed uint64, maxSteps int) *Result {
-	res, _ := PushPullTracked(g, seed, maxSteps)
+	res, _ := PushPullOver(phone.NewNet(g, seed), maxSteps, SyncTransport)
 	return res
 }
 
-// PushPullTracked is PushPull returning the final message tracker.
-func PushPullTracked(g *graph.Graph, seed uint64, maxSteps int) (*Result, *msg.Full) {
-	return PushPullOn(phone.NewNet(g, seed), maxSteps)
-}
-
-// PushPullOn runs the baseline on a prepared substrate, letting callers
-// inject crash failures first. The completion predicate stays "every node
-// knows every message", so runs with failed nodes end at the cap.
-func PushPullOn(nt *phone.Net, maxSteps int) (*Result, *msg.Full) {
-	return PushPullOver(nt, maxSteps, SyncTransport)
-}
-
-// PushPullOver runs the baseline's node machines on the given transport.
-// Under SyncTransport results are bit-identical to PushPullOn's historic
-// substrate loop; under other transports the delivered state matches
+// PushPullOver runs the baseline's node machines on the given transport,
+// over a prepared substrate so callers can inject crash failures first.
+// The completion predicate stays "every node knows every message", so
+// runs with failed nodes end at the cap. SyncTransport gives the
+// reference results; under other transports the delivered state matches
 // while step-internal scheduling may differ.
 //
 // Meter conventions per step (see exchangeTally): every open channel is

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gossip/internal/graph"
+	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
 
@@ -28,7 +29,7 @@ func TestPushPullCompletes(t *testing.T) {
 func TestPushPullTrackedFullKnowledge(t *testing.T) {
 	n := 256
 	g := testGraph(n, 7)
-	res, tr := PushPullTracked(g, 2, 0)
+	res, tr := PushPullOver(phone.NewNet(g, 2), 0, SyncTransport)
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
@@ -122,5 +123,21 @@ func TestPushPullOnRandomRegular(t *testing.T) {
 	res := PushPull(g, 2, 0)
 	if !res.Completed {
 		t.Error("push-pull on random regular graph did not complete")
+	}
+}
+
+// Crashed nodes keep their channel closed: the uniform dial's failure
+// check lives in the machine, not in phone.Net.
+func TestFailedMachinesDoNotDial(t *testing.T) {
+	nt := phone.NewNet(testGraph(64, 5), 2)
+	nt.Failed[3] = true
+	for v, m := range exchangeMachines(nt, nil) {
+		dial, push := m.OnStep(1)
+		if failed := v == 3; failed != (dial == phone.NoDial) || failed != (push == nil) {
+			t.Errorf("node %d (failed=%v) dialed %d with push %v", v, failed, dial, push)
+		}
+	}
+	if a, b := nt.RNG(3).Uint64(), phone.NewNet(nt.G, 2).RNG(3).Uint64(); a != b {
+		t.Error("failed node's stream was consumed")
 	}
 }

@@ -387,13 +387,10 @@ type Damaged struct {
 	Err error
 }
 
-// Load resolves a run selector — "id", "id@latest", "id@prev", an
+// Resolve resolves a run selector — "id", "id@latest", "id@prev", an
 // ordinal "id@0" (oldest first), or "id@<name>" pinning a generation
 // by its name or a unique fragment of it — and opens that generation.
 // A bare ID resolves to the latest generation.
-func (s *Store) Load(sel string) (*Run, error) { return s.Resolve(sel) }
-
-// Resolve opens the generation a selector names; see Load.
 func (s *Store) Resolve(sel string) (*Run, error) {
 	id, gen := SplitSelector(sel)
 	gens, damaged, err := s.Generations(id)
@@ -858,7 +855,7 @@ func (s *Store) Select(f Filter) ([]*Run, []Damaged, error) {
 // into place only once fully written, replacing any previous content,
 // so an interrupted or failed write never leaves dir holding a valid
 // manifest over truncated cells. (Checkpointed runs are the opposite
-// case — intentionally partial — and go through CreateRun/ResumeRun.)
+// case — intentionally partial — and go through CreateRun/ResumeRunShard.)
 func WriteRun(dir string, m Manifest, records []runner.CellRecord) (*Run, error) {
 	parent := filepath.Dir(dir)
 	if err := os.MkdirAll(parent, 0o755); err != nil {
@@ -1020,16 +1017,13 @@ type Key struct {
 // the same computation join: density 0 joins density 1, and a sampled
 // cell without an explicit k joins one declared at DefaultSampleK.
 func KeyOf(s runner.Scenario) Key {
-	k := s.SampleK
-	if runner.AlgoUsesSampleK(s.Algo) && k <= 0 {
-		k = runner.DefaultSampleK
-	}
+	s = s.Canonical()
 	return Key{
 		Algo: s.Algo, Model: s.Model, N: s.N,
-		Density:  effectiveDensity(s),
+		Density:  s.Density,
 		Failures: s.Failures,
 		Trees:    s.Trees, MemSlots: s.MemSlots,
-		WalkProb: s.WalkProb, SampleK: k,
+		WalkProb: s.WalkProb, SampleK: s.SampleK,
 	}
 }
 

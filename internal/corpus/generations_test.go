@@ -262,7 +262,7 @@ func TestFlatLayoutMigration(t *testing.T) {
 	}
 
 	// Read path: the flat run is generation 0.
-	r, err := store.Load(m.ID)
+	r, err := store.Resolve(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

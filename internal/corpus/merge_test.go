@@ -209,7 +209,7 @@ func TestShardResumeRejectsDifferentShard(t *testing.T) {
 	if _, err := ResumeRunShard(dir, g, shardRange(1, 2)); err == nil {
 		t.Error("resume under a different shard accepted")
 	}
-	if _, err := ResumeRun(dir, g); err == nil {
+	if _, err := ResumeRunShard(dir, g, runner.CellRange{}); err == nil {
 		t.Error("shard checkpoint resumed as a full run")
 	}
 	// The right shard resumes fine (a complete one is a no-op).
@@ -278,7 +278,7 @@ func TestResumeAndMergeRejectForeignScenarios(t *testing.T) {
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeRun(dir, g); err == nil || !strings.Contains(err.Error(), "expands it to") {
+	if _, err := ResumeRunShard(dir, g, runner.CellRange{}); err == nil || !strings.Contains(err.Error(), "expands it to") {
 		t.Errorf("resume over a foreign scenario: %v", err)
 	}
 	run, err := OpenRun(dir)

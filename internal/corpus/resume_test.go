@@ -106,7 +106,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 	dir := killAt(t, refDir, g, cut)
 
-	w, err := ResumeRun(dir, g)
+	w, err := ResumeRunShard(dir, g, runner.CellRange{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +260,12 @@ func TestResumeRejectsDifferentConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := testGrid(24) // different seed = different configuration
-	if _, err := ResumeRun(dir, other); err == nil {
+	if _, err := ResumeRunShard(dir, other, runner.CellRange{}); err == nil {
 		t.Error("resume under a different seed accepted")
 	}
 	other = testGrid(23)
 	other.Sizes = []int{64}
-	if _, err := ResumeRun(dir, other); err == nil {
+	if _, err := ResumeRunShard(dir, other, runner.CellRange{}); err == nil {
 		t.Error("resume under a different grid accepted")
 	}
 }

@@ -25,13 +25,8 @@ type Writer struct {
 // newWriter assembles a Writer over an open cells file positioned
 // after the done-cell prefix.
 func newWriter(r *Run, f *os.File, prefix []runner.CellRecord) *Writer {
-	w := &Writer{run: r, f: f, prefix: prefix}
-	if seq := r.Manifest.CellIndices(); seq != nil {
-		w.ord = runner.NewOrderedJSONLSeq(f, seq, len(prefix))
-	} else {
-		w.ord = runner.NewOrderedJSONL(f, len(prefix))
-	}
-	return w
+	return &Writer{run: r, f: f, prefix: prefix,
+		ord: runner.NewOrderedJSONL(f, r.Manifest.CellIndices(), len(prefix))}
 }
 
 // CreateRun initializes dir as a fresh run for m (a full run, or a
@@ -64,20 +59,14 @@ func CreateRun(dir string, m Manifest) (*Writer, error) {
 	return newWriter(&Run{Dir: dir, Manifest: m}, f, nil), nil
 }
 
-// ResumeRun reopens dir's checkpoint to continue a full run of g; see
-// ResumeRunShard.
-func ResumeRun(dir string, g runner.Grid) (*Writer, error) {
-	return ResumeRunShard(dir, g, runner.CellRange{})
-}
-
-// ResumeRunShard reopens dir's checkpoint to continue cr's shard of g.
-// It verifies that the stored run records the same configuration
-// (equal content-addressed grid IDs — same grid, same master seed) and
-// the same shard (same owned cells), truncates any torn final line,
-// and positions the writer after the completed prefix. The sweep then
-// skips Done cells and appends the rest; because per-cell seeds derive
-// from grid cell indices, the finished cells.jsonl is bit-identical to
-// an uninterrupted run's.
+// ResumeRunShard reopens dir's checkpoint to continue cr's shard of g
+// (the zero CellRange: a full run). It verifies that the stored run
+// records the same configuration (equal content-addressed grid IDs —
+// same grid, same master seed) and the same shard (same owned cells),
+// truncates any torn final line, and positions the writer after the
+// completed prefix. The sweep then skips Done cells and appends the
+// rest; because per-cell seeds derive from grid cell indices, the
+// finished cells.jsonl is bit-identical to an uninterrupted run's.
 func ResumeRunShard(dir string, g runner.Grid, cr runner.CellRange) (*Writer, error) {
 	r, err := OpenRun(dir)
 	if err != nil {
@@ -302,12 +291,7 @@ func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int
 			onRecord(rec)
 			return nil
 		}
-		var tee *runner.OrderedCells
-		if seq := w.run.Manifest.CellIndices(); seq != nil {
-			tee = runner.NewOrderedCellsSeq(seq, w.Done(), emit)
-		} else {
-			tee = runner.NewOrderedCells(w.Done(), emit)
-		}
+		tee := runner.NewOrderedCells(w.run.Manifest.CellIndices(), w.Done(), emit)
 		onCell = func(c runner.CellResult) {
 			w.OnCell(c)
 			tee.Add(c)

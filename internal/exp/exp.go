@@ -1,8 +1,8 @@
 // Package exp defines the reproduction experiments: one constructor per
 // table and figure of the paper's evaluation section (§5, Appendix C) plus
-// the ablation studies listed in DESIGN.md. Each experiment declares its
-// evaluation grid as a list of cells and executes them through the
-// internal/runner sweep engine (cells in parallel on a bounded pool,
+// the ablation studies; gossip.ExperimentIDs lists them. Each experiment
+// declares its evaluation grid as a list of cells and executes them through
+// the internal/runner sweep engine (cells in parallel on a bounded pool,
 // repetitions sequential within a cell, all randomness derived from the
 // master seed), then assembles the results — in declaration order, so
 // output is byte-identical at any worker count — into a Report that
@@ -21,8 +21,8 @@ import (
 )
 
 // Config scales and seeds an experiment. The zero value (plus a Seed) is
-// the laptop-default scale documented in DESIGN.md §5; Quick shrinks the
-// grids for benchmarks and smoke tests.
+// the laptop-default scale (the first list of each experiment's cfg.sizes
+// call); Quick shrinks the grids for benchmarks and smoke tests.
 type Config struct {
 	// Seed is the master seed; every graph and run derives its stream from
 	// it, so a Config reproduces bit-identical numbers.

@@ -13,8 +13,8 @@ import (
 // node for the simple push–pull baseline, Algorithm 1 (fast-gossiping) and
 // Algorithm 2 (memory model), on G(n, log²n/n), as a function of the graph
 // size. The paper sweeps 10³–10⁶; the exact n² message tracking bounds the
-// default grid at 32768 (see DESIGN.md §4 — the claims are about shape,
-// which is established well before that point). Algorithm 2 runs with a
+// default grid at 32768 (the claims are about shape, which is
+// established well before that point). Algorithm 2 runs with a
 // given leader, matching the flat ≈5-messages series of the paper.
 func Figure1(cfg Config) *Report {
 	sizes := cfg.sizes(

@@ -12,9 +12,6 @@ import (
 // Log2 is the paper's logarithm: log n denotes log base 2 (§1, footnote 1).
 func Log2(x float64) float64 { return math.Log2(x) }
 
-// LogLog2 is log2(log2(x)), the loglog n that appears in every phase length.
-func LogLog2(x float64) float64 { return math.Log2(math.Log2(x)) }
-
 // PLogSquared returns the edge probability p = log²n / n used throughout
 // the paper's empirical section (§5), clamped to 1 on degenerate tiny n.
 func PLogSquared(n int) float64 {

@@ -6,9 +6,6 @@
 // model's m_v(t) = ∪_{i<t} m_v^{(in)}(i) semantics (§2). It maintains the
 // global count of (node, message) pairs incrementally, so completion
 // detection ("run until the entire graph is informed", §5) is O(1).
-//
-// Single tracks a single message (broadcast processes, Algorithm 2's
-// infrastructure, leader election).
 package msg
 
 import (
@@ -19,7 +16,7 @@ import (
 )
 
 // Full is the exact message tracker. Memory is 2·n²/8 bytes; the experiment
-// harness documents the resulting practical bound on n (DESIGN.md §4).
+// harness documents the resulting practical bound on n (exp.Figure1).
 type Full struct {
 	n         int
 	cur, next *bitset.Matrix
@@ -79,20 +76,6 @@ func (f *Full) Transfer(src, dst int32) int {
 	return added
 }
 
-// TransferSet delivers an explicit packet (e.g. a random-walk payload
-// frozen earlier) to dst's next state, under the same concurrency rules as
-// Transfer.
-func (f *Full) TransferSet(s *bitset.Set, dst int32) int {
-	if !f.inRound {
-		panic("msg: TransferSet outside a round")
-	}
-	added := f.next.UnionSet(int(dst), s)
-	if added != 0 {
-		f.total.Add(int64(added))
-	}
-	return added
-}
-
 // MergeNow merges s into dst's live state immediately (no round open).
 // This is the random-walk arrival rule of Algorithm 1 Phase II
 // (m_v ← m_v ∪ m'), where the merged set is first transmitted in a later
@@ -139,50 +122,3 @@ func (f *Full) InformedOf(m int32) int {
 // CheckTotal recomputes the pair count from scratch and reports whether it
 // matches the incremental counter (test hook).
 func (f *Full) CheckTotal() bool { return f.cur.TotalCount() == f.total.Load() }
-
-// Single tracks the spread of one message: which nodes are informed and
-// when each became informed.
-type Single struct {
-	informed   []bool
-	informedAt []int32
-	count      int
-}
-
-// NewSingle returns a tracker with all n nodes uninformed.
-func NewSingle(n int) *Single {
-	s := &Single{
-		informed:   make([]bool, n),
-		informedAt: make([]int32, n),
-	}
-	for i := range s.informedAt {
-		s.informedAt[i] = -1
-	}
-	return s
-}
-
-// Inform marks v informed at the given step (idempotent; the first step
-// wins). Returns true if v was newly informed.
-func (s *Single) Inform(v int32, step int32) bool {
-	if s.informed[v] {
-		return false
-	}
-	s.informed[v] = true
-	s.informedAt[v] = step
-	s.count++
-	return true
-}
-
-// IsInformed reports whether v is informed.
-func (s *Single) IsInformed(v int32) bool { return s.informed[v] }
-
-// InformedAt returns the step at which v was informed, or -1.
-func (s *Single) InformedAt(v int32) int32 { return s.informedAt[v] }
-
-// Count returns the number of informed nodes.
-func (s *Single) Count() int { return s.count }
-
-// Complete reports whether all nodes are informed.
-func (s *Single) Complete() bool { return s.count == len(s.informed) }
-
-// N returns the number of nodes.
-func (s *Single) N() int { return len(s.informed) }

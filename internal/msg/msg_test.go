@@ -93,22 +93,6 @@ func TestCompleteDetection(t *testing.T) {
 	}
 }
 
-func TestTransferSet(t *testing.T) {
-	f := NewFull(4)
-	payload := bitset.FromIndices(4, 0, 3)
-	f.BeginRound()
-	if added := f.TransferSet(payload, 1); added != 2 {
-		t.Errorf("TransferSet added %d", added)
-	}
-	f.EndRound()
-	if !f.Row(1).Contains(0) || !f.Row(1).Contains(3) {
-		t.Error("TransferSet payload lost")
-	}
-	if !f.CheckTotal() {
-		t.Error("counter out of sync")
-	}
-}
-
 func TestMergeNowImmediate(t *testing.T) {
 	f := NewFull(3)
 	payload := bitset.FromIndices(3, 2)
@@ -194,33 +178,5 @@ func TestQuickMonotoneGrowth(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSingleTracker(t *testing.T) {
-	s := NewSingle(4)
-	if s.Count() != 0 || s.Complete() {
-		t.Error("fresh Single wrong")
-	}
-	if !s.Inform(2, 7) {
-		t.Error("first Inform should report new")
-	}
-	if s.Inform(2, 9) {
-		t.Error("repeat Inform should report not-new")
-	}
-	if s.InformedAt(2) != 7 {
-		t.Errorf("InformedAt = %d, want first step", s.InformedAt(2))
-	}
-	if s.InformedAt(0) != -1 {
-		t.Error("uninformed InformedAt should be -1")
-	}
-	for v := int32(0); v < 4; v++ {
-		s.Inform(v, 10)
-	}
-	if !s.Complete() || s.Count() != 4 {
-		t.Error("Single completion wrong")
-	}
-	if s.N() != 4 {
-		t.Error("N wrong")
 	}
 }

@@ -3,30 +3,26 @@
 //
 // A simulation proceeds in synchronous steps. In each step every node may
 // open a channel to one neighbor — uniformly random, or uniformly random
-// avoiding a short list of remembered links (the §4 memory model). The
-// package provides two layers:
+// avoiding a short list of remembered links (the §4 memory model). Every
+// algorithm is a set of per-node protocol state machines (Machine)
+// executed by a pluggable Transport — Sync, the canonical in-memory
+// implementation whose delivery order defines the reference results, and
+// Async, a goroutine-per-node transport with channel-based delivery that
+// proves the protocol code is transport-independent. internal/gossipd
+// drives the same machines over loopback TCP.
 //
-//   - The substrate: the per-round dial table with an inverted incoming-
-//     channel index (Round), the per-node RNG streams and failure mask
-//     (Net), the bounded link memory used by open-avoid (LinkMemory), and
-//     the transmission meter whose counting conventions are spelled out
-//     in DESIGN.md (Meter). Algorithms that need full control of a step
-//     (the §4 memory model's long-steps) drive this layer directly.
-//
-//   - The transport seam: per-node protocol state machines (Machine)
-//     executed by a pluggable Transport — Sync, the canonical in-memory
-//     implementation whose delivery order makes runs bit-identical to
-//     the substrate loops it replaced, and Async, a goroutine-per-node
-//     transport with channel-based delivery that proves the protocol
-//     code is transport-independent. internal/gossipd drives the same
-//     machines over loopback TCP.
+// What the machines and transports share lives here too: the per-node
+// RNG streams, failure mask and open-avoid dial (Net), the bounded link
+// memory behind it (LinkMemory), per-node replay schedules (DialPlan),
+// the per-step dial table with its inverted incoming-channel index
+// (Round, which Sync steps on), and the transmission meter with its
+// counting conventions (Meter).
 //
 // The algorithms themselves live in internal/core.
 package phone
 
 import (
 	"gossip/internal/graph"
-	"gossip/internal/par"
 	"gossip/internal/xrand"
 )
 
@@ -66,9 +62,6 @@ func (r *Round) Reset() {
 	}
 	r.built = false
 }
-
-// N returns the number of nodes.
-func (r *Round) N() int { return len(r.Out) }
 
 // BuildIncoming constructs the caller index with a counting sort over the
 // dial table. O(n), deterministic (callers of v are listed in increasing
@@ -143,25 +136,6 @@ func NewNet(g *graph.Graph, seed uint64) *Net {
 // RNG returns node v's private stream.
 func (nt *Net) RNG(v int32) *xrand.RNG { return &nt.rngs[v] }
 
-// Dial opens a channel from v to a uniformly random neighbor, recording it
-// in r. It is a no-op for failed or isolated nodes.
-func (nt *Net) Dial(r *Round, v int32) {
-	if nt.Failed[v] {
-		return
-	}
-	r.Out[v] = nt.G.RandomNeighbor(v, &nt.rngs[v])
-}
-
-// DialAvoid opens a channel from v to a uniformly random neighbor outside
-// v's remembered links (open-avoid, §4). No-op for failed nodes; if every
-// neighbor is remembered the channel stays closed.
-func (nt *Net) DialAvoid(r *Round, v int32) {
-	if nt.Failed[v] {
-		return
-	}
-	r.Out[v] = nt.G.RandomNeighborAvoid(v, &nt.rngs[v], nt.Memory[v].Links())
-}
-
 // OpenAvoid draws the open-avoid dial for v — uniform over N(v) \ l_v,
 // the §4 memory-model primitive — and records the chosen link in v's
 // memory. It returns NoDial for failed nodes and when every neighbor is
@@ -188,17 +162,6 @@ func (nt *Net) InitMemory(c int) {
 	for i := range nt.Memory {
 		nt.Memory[i] = NewLinkMemory(c)
 	}
-}
-
-// DialAll has every node dial a uniformly random neighbor, in parallel, and
-// builds the incoming index.
-func (nt *Net) DialAll(r *Round) {
-	par.For(len(r.Out), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nt.Dial(r, int32(v))
-		}
-	})
-	r.BuildIncoming()
 }
 
 // FailCount returns the number of failed nodes.
@@ -286,7 +249,7 @@ func (lm *LinkMemory) Clear() {
 }
 
 // Meter counts the communication complexity of a run under the conventions
-// of Berenbrink et al. [5], which the paper adopts (see DESIGN.md §3):
+// of Berenbrink et al. [5], which the paper adopts:
 //
 //   - Transmissions: data-carrying channel uses. Sending one combined
 //     packet through an open channel counts once no matter how many

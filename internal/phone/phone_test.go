@@ -60,11 +60,22 @@ func TestRoundIncomingCallersSorted(t *testing.T) {
 	}
 }
 
+// dialAll has every node of nt draw its uniform dial from its own
+// stream — what the push–pull, broadcast and fast-gossip machines do in
+// OnStep — and inverts the round the way Sync.Step does.
+func dialAll(nt *Net, r *Round) {
+	r.Reset()
+	for v := int32(0); int(v) < len(r.Out); v++ {
+		r.Out[v] = nt.G.RandomNeighbor(v, nt.RNG(v))
+	}
+	r.BuildIncoming()
+}
+
 func TestNetDialStaysOnGraph(t *testing.T) {
 	g := ring(10)
 	nt := NewNet(g, 1)
 	r := NewRound(10)
-	nt.DialAll(r)
+	dialAll(nt, r)
 	for v := int32(0); v < 10; v++ {
 		u := r.Out[v]
 		if u == NoDial {
@@ -81,27 +92,37 @@ func TestNetDeterministicAcrossInstances(t *testing.T) {
 	a, b := NewNet(g, 99), NewNet(g, 99)
 	ra, rb := NewRound(64), NewRound(64)
 	for step := 0; step < 10; step++ {
-		ra.Reset()
-		rb.Reset()
-		a.DialAll(ra)
-		b.DialAll(rb)
-		for v := 0; v < 64; v++ {
+		dialAll(a, ra)
+		dialAll(b, rb)
+		for v := int32(0); v < 64; v++ {
 			if ra.Out[v] != rb.Out[v] {
 				t.Fatalf("step %d node %d: dials differ", step, v)
+			}
+			if ra.InDegree(v) != rb.InDegree(v) {
+				t.Fatalf("step %d node %d: incoming indexes differ", step, v)
 			}
 		}
 	}
 }
 
+// The uniform dial's failure check lives in the machines (see
+// core.TestFailedMachinesDoNotDial); the one dial Net draws itself is
+// open-avoid, and it must stay closed for a failed node without
+// consuming its stream or its memory.
 func TestFailedNodesDoNotDial(t *testing.T) {
-	g := ring(10)
-	nt := NewNet(g, 2)
+	nt := NewNet(ring(10), 2)
 	nt.Failed[3] = true
 	nt.Failed[7] = true
-	r := NewRound(10)
-	nt.DialAll(r)
-	if r.Out[3] != NoDial || r.Out[7] != NoDial {
-		t.Error("failed node dialed")
+	for _, v := range []int32{3, 7} {
+		if u := nt.OpenAvoid(v); u != NoDial {
+			t.Errorf("failed node %d dialed %d", v, u)
+		}
+		if nt.Memory[v].Len() != 0 {
+			t.Errorf("failed node %d remembered a link", v)
+		}
+	}
+	if a, b := nt.RNG(3).Uint64(), NewNet(ring(10), 2).RNG(3).Uint64(); a != b {
+		t.Error("failed node's stream was consumed")
 	}
 	if nt.FailCount() != 2 {
 		t.Errorf("FailCount = %d", nt.FailCount())
@@ -113,15 +134,13 @@ func TestDialAvoidRespectsMemory(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 0, V: 5}}
 	g := graph.FromEdges(6, edges)
 	nt := NewNet(g, 3)
-	for _, u := range []int32{1, 2, 3, 4} {
-		nt.Memory[0].Remember(u)
-	}
-	r := NewRound(6)
 	for i := 0; i < 50; i++ {
-		r.Reset()
-		nt.DialAvoid(r, 0)
-		if r.Out[0] != 5 {
-			t.Fatalf("DialAvoid dialed %d, want 5", r.Out[0])
+		nt.Memory[0].Clear()
+		for _, u := range []int32{1, 2, 3, 4} {
+			nt.Memory[0].Remember(u)
+		}
+		if u := nt.OpenAvoid(0); u != 5 {
+			t.Fatalf("OpenAvoid dialed %d, want 5", u)
 		}
 	}
 }
@@ -216,13 +235,10 @@ func TestDialDistributionUniform(t *testing.T) {
 	// should be dialed about half the time.
 	g := ring(8)
 	nt := NewNet(g, 7)
-	r := NewRound(8)
 	left := 0
 	const steps = 4000
 	for i := 0; i < steps; i++ {
-		r.Reset()
-		nt.Dial(r, 0)
-		if r.Out[0] == 7 {
+		if g.RandomNeighbor(0, nt.RNG(0)) == 7 {
 			left++
 		}
 	}

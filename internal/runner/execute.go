@@ -2,8 +2,9 @@ package runner
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"gossip/internal/core"
 	"gossip/internal/graph"
 	"gossip/internal/xrand"
 )
@@ -21,36 +22,10 @@ const (
 // documents while costing Θ(n·64) bits instead of Θ(n²).
 const DefaultSampleK = 64
 
-// Algos lists the algorithm names Execute understands, in menu order.
-// "sampled" is the push–pull baseline observed through the Θ(n·k)
-// sampled tracker, for sizes beyond the exact tracker's n² memory wall.
-func Algos() []string {
-	return []string{"pushpull", "sampled", "fast", "fast-theory", "memory",
-		"broadcast-push", "broadcast-pull", "broadcast-pushpull"}
-}
-
 // Models lists the graph-model names Execute understands, in menu order.
 func Models() []string {
 	return []string{"er", "regular", "powerlaw", "complete"}
 }
-
-// AlgoUsesFailures reports whether the algorithm models crash failures
-// (only the memory model runs the §5 robustness experiment).
-func AlgoUsesFailures(algo string) bool { return algo == "memory" }
-
-// AlgoUsesMemoryKnobs reports whether the algorithm reads the Trees and
-// MemSlots knobs (the memory model builds that many gather trees over
-// that much per-node link memory).
-func AlgoUsesMemoryKnobs(algo string) bool { return algo == "memory" }
-
-// AlgoUsesWalkProb reports whether the algorithm reads the WalkProb
-// knob (fast-gossip's Phase II walk start probability).
-func AlgoUsesWalkProb(algo string) bool {
-	return algo == "fast" || algo == "fast-theory"
-}
-
-// AlgoUsesSampleK reports whether the algorithm reads the SampleK knob.
-func AlgoUsesSampleK(algo string) bool { return algo == "sampled" }
 
 // BuildGraph samples the scenario's topology from the given seed. The
 // density knob scales the expected degree relative to the paper's log²n
@@ -100,117 +75,44 @@ func Execute(s Scenario, rep int, seed uint64) Metrics {
 	if err != nil {
 		panic(err)
 	}
-	run := xrand.SeedFor(seed, tagRun)
-	b := func(x bool) float64 {
-		if x {
-			return 1
-		}
-		return 0
-	}
-	gossipMetrics := func(res *core.Result) Metrics {
-		return Metrics{
-			"msgs_per_node": res.TransmissionsPerNode(),
-			"steps":         float64(res.Steps),
-			"completed":     b(res.Completed),
-		}
-	}
-	switch s.Algo {
-	case "pushpull":
-		return gossipMetrics(core.PushPull(g, run, 0))
-	case "sampled":
-		k := s.SampleK
-		if k <= 0 {
-			k = DefaultSampleK
-		}
-		res := core.PushPullSampled(g, run, k, 0)
-		return Metrics{
-			"msgs_per_node": res.TransmissionsPerNode(),
-			"steps":         float64(res.Steps),
-			"completed":     b(res.Completed),
-		}
-	case "fast", "fast-theory":
-		params := core.TunedFastGossipParams(s.N)
-		if s.Algo == "fast-theory" {
-			params = core.TheoryFastGossipParams(s.N)
-		}
-		if s.WalkProb > 0 {
-			params.WalkProb = s.WalkProb
-		}
-		return gossipMetrics(core.FastGossip(g, params, run))
-	case "memory":
-		params := core.TunedMemoryParams(s.N)
-		if s.MemSlots > 0 {
-			params.MemSlots = s.MemSlots
-		}
-		if s.Trees > 0 {
-			params.Trees = s.Trees
-		}
-		if s.Failures > 0 {
-			if s.Trees <= 0 {
-				// The §5 robustness setting: 3 independent gather trees.
-				params.Trees = 3
-			}
-			res := core.MemoryRobustness(g, params, run, s.Failures)
-			return Metrics{
-				"ratio":           res.Ratio,
-				"lost_additional": float64(res.LostAdditional),
-				"failed":          float64(res.Failed),
-			}
-		}
-		return gossipMetrics(core.MemoryGossip(g, params, run, -1))
-	case "broadcast-push", "broadcast-pull", "broadcast-pushpull":
-		mode := map[string]core.BroadcastMode{
-			"broadcast-push":     core.PushOnly,
-			"broadcast-pull":     core.PullOnly,
-			"broadcast-pushpull": core.PushAndPull,
-		}[s.Algo]
-		res := core.Broadcast(g, 0, mode, run, 0)
-		return Metrics{
-			"msgs_per_node": float64(res.Transmissions) / float64(res.N),
-			"steps":         float64(res.Steps),
-			"completed":     b(res.Completed),
-		}
-	default:
+	a, ok := lookupAlgo(s.Algo)
+	if !ok {
 		panic(fmt.Errorf("runner: unknown algo %q (known: %v)", s.Algo, Algos()))
 	}
+	return a.run(g, s, xrand.SeedFor(seed, tagRun))
 }
 
 // Validate rejects grids whose algorithm or model names Execute would
 // panic on, before any cell runs.
 func (g Grid) Validate() error {
-	known := func(list []string, v string) bool {
-		for _, k := range list {
-			if k == v {
-				return true
-			}
-		}
-		return false
-	}
-	for _, a := range g.algos() {
-		if !known(Algos(), a) {
+	c := g.Canonical()
+	for _, a := range c.Algos {
+		if _, ok := lookupAlgo(a); !ok {
 			return fmt.Errorf("runner: unknown algo %q (known: %v)", a, Algos())
 		}
 	}
-	for _, m := range g.models() {
-		if !known(Models(), m) {
+	for _, m := range c.Models {
+		if !slices.Contains(Models(), m) {
 			return fmt.Errorf("runner: unknown model %q (known: %v)", m, Models())
 		}
 	}
-	for _, n := range g.sizes() {
+	for _, n := range c.Sizes {
 		if n < 2 {
 			return fmt.Errorf("runner: graph size %d out of range", n)
 		}
 	}
-	for _, d := range g.densities() {
-		if d <= 0 {
-			return fmt.Errorf("runner: density %g out of range (need > 0)", d)
+	// The float axes are written as negated in-range tests so that NaN,
+	// which compares false to everything, is rejected too.
+	for _, d := range c.Densities {
+		if !(d > 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("runner: density %g out of range (need finite > 0)", d)
 		}
 	}
 	// A failure count must leave at least the leader standing, for every
 	// size it will be resolved against (the robustness simulator crashes
 	// f random non-leader nodes).
-	for _, f := range g.failures() {
-		for _, n := range g.sizes() {
+	for _, f := range c.Failures {
+		for _, n := range c.Sizes {
 			if got := f.Resolve(n); got >= n {
 				return fmt.Errorf("runner: failure count %s resolves to %d of n=%d nodes (need < n)", f, got, n)
 			}
@@ -218,18 +120,18 @@ func (g Grid) Validate() error {
 	}
 	// For the knob axes, 0 means "schedule default" and is always legal;
 	// explicit values must be usable by the simulators that read them.
-	for _, t := range g.trees() {
+	for _, t := range c.Trees {
 		if t < 0 {
 			return fmt.Errorf("runner: tree count %d out of range (need >= 0)", t)
 		}
 	}
-	for _, m := range g.memSlots() {
+	for _, m := range c.MemSlots {
 		if m < 0 {
 			return fmt.Errorf("runner: memory slots %d out of range (need >= 0)", m)
 		}
 	}
-	for _, p := range g.walkProbs() {
-		if p < 0 || p > 1 {
+	for _, p := range c.WalkProbs {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("runner: walk probability %g out of range (need 0 <= p <= 1)", p)
 		}
 	}

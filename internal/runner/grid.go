@@ -12,8 +12,7 @@ type Scenario struct {
 	// Index is the cell's position in its grid; per-rep seeds derive from
 	// the master seed and this index.
 	Index int `json:"index"`
-	// Algo selects the protocol: pushpull | fast | fast-theory | memory |
-	// broadcast-push | broadcast-pull | broadcast-pushpull.
+	// Algo selects the protocol, by one of the names Algos lists.
 	Algo string `json:"algo"`
 	// Model selects the topology: er | regular | powerlaw | complete.
 	Model string `json:"model"`
@@ -71,6 +70,18 @@ func (s Scenario) density() float64 {
 	return s.Density
 }
 
+// Canonical returns s with its defaulted values made explicit, like
+// Grid.Canonical: density 0 becomes 1, and SampleK 0 becomes
+// DefaultSampleK for an algorithm that reads it. Scenarios naming the
+// same computation have equal canonical forms.
+func (s Scenario) Canonical() Scenario {
+	s.Density = s.density()
+	if a, _ := lookupAlgo(s.Algo); a.knobs&knobSampleK != 0 {
+		s.SampleK = sampleK(s.SampleK)
+	}
+	return s
+}
+
 // FailureSpec is a failure count, absolute or relative to the graph size.
 type FailureSpec struct {
 	Count int     `json:"count,omitempty"` // absolute count, used when Frac == 0
@@ -100,7 +111,7 @@ func ParseFailureSpec(s string) (FailureSpec, error) {
 	s = strings.TrimSpace(s)
 	if frac, ok := strings.CutSuffix(s, "%"); ok {
 		v, err := strconv.ParseFloat(frac, 64)
-		if err != nil || v < 0 || v > 100 {
+		if err != nil || !(v >= 0 && v <= 100) { // negated: NaN fails it too
 			return FailureSpec{}, fmt.Errorf("runner: bad failure percentage %q", s)
 		}
 		return FailureSpec{Frac: v / 100}, nil
@@ -116,8 +127,8 @@ func ParseFailureSpec(s string) (FailureSpec, error) {
 // default to a single neutral value (model "er", density 1, zero
 // failures), so only the axes under study need declaring.
 //
-// The dimension accessors below apply those defaults; Scenarios and
-// Validate share them so what is validated is what runs.
+// Canonical applies those defaults; Scenarios and Validate both start
+// from it, so what is validated is what runs.
 type Grid struct {
 	Algos     []string      `json:"algos,omitempty"`
 	Models    []string      `json:"models,omitempty"`
@@ -141,81 +152,56 @@ type Grid struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-func (g Grid) algos() []string {
-	if len(g.Algos) == 0 {
-		return []string{"pushpull"}
+// orNeutral returns a declared axis as is, an undeclared one as its
+// single neutral value.
+func orNeutral[T any](axis []T, neutral T) []T {
+	if len(axis) == 0 {
+		return []T{neutral}
 	}
-	return g.Algos
+	return axis
 }
 
-func (g Grid) models() []string {
-	if len(g.Models) == 0 {
-		return []string{"er"}
-	}
-	return g.Models
-}
-
-func (g Grid) sizes() []int {
-	if len(g.Sizes) == 0 {
-		return []int{1024}
-	}
-	return g.Sizes
-}
-
-func (g Grid) densities() []float64 {
-	if len(g.Densities) == 0 {
-		return []float64{1}
-	}
-	return g.Densities
-}
-
-func (g Grid) failures() []FailureSpec {
-	if len(g.Failures) == 0 {
-		return []FailureSpec{{}}
-	}
-	return g.Failures
-}
-
-func (g Grid) trees() []int {
-	if len(g.Trees) == 0 {
-		return []int{0}
-	}
-	return g.Trees
-}
-
-func (g Grid) memSlots() []int {
-	if len(g.MemSlots) == 0 {
-		return []int{0}
-	}
-	return g.MemSlots
-}
-
-func (g Grid) walkProbs() []float64 {
-	if len(g.WalkProbs) == 0 {
-		return []float64{0}
-	}
-	return g.WalkProbs
-}
-
-// Canonical returns g with every defaulted dimension made explicit, in
-// the exact form the dimension accessors produce (SampleK included:
-// 0 and DefaultSampleK run the same computation). Two grids that expand
-// to the same scenario list under the same seed have the same canonical
-// form — the property the corpus relies on to content-address run IDs.
+// Canonical returns g with every defaulted dimension made explicit
+// (SampleK included: 0 and DefaultSampleK run the same computation). Two
+// grids that expand to the same scenario list under the same seed have
+// the same canonical form — the property the corpus relies on to
+// content-address run IDs.
 func (g Grid) Canonical() Grid {
-	g.Algos = g.algos()
-	g.Models = g.models()
-	g.Sizes = g.sizes()
-	g.Densities = g.densities()
-	g.Failures = g.failures()
-	g.Trees = g.trees()
-	g.MemSlots = g.memSlots()
-	g.WalkProbs = g.walkProbs()
-	if g.SampleK <= 0 {
-		g.SampleK = DefaultSampleK
-	}
+	g.Algos = orNeutral(g.Algos, algoTable[0].name)
+	g.Models = orNeutral(g.Models, "er")
+	g.Sizes = orNeutral(g.Sizes, 1024)
+	g.Densities = orNeutral(g.Densities, 1)
+	g.Failures = orNeutral(g.Failures, FailureSpec{})
+	g.Trees = orNeutral(g.Trees, 0)
+	g.MemSlots = orNeutral(g.MemSlots, 0)
+	g.WalkProbs = orNeutral(g.WalkProbs, 0)
+	g.SampleK = sampleK(g.SampleK)
 	if g.Reps <= 0 {
 		g.Reps = 1
+	}
+	return g
+}
+
+// collapseFor returns g's canonical form as the named algorithm sees
+// it: every knob axis the algorithm does not read is its single
+// schedule-default value. SampleK is stamped with its default where it
+// is read, so a cell's scenario names the exact computation — grids
+// declared with and without -k produce identical records and join
+// across runs. Unknown names read no knob; Validate rejects them.
+func (g Grid) collapseFor(name string) Grid {
+	a, _ := lookupAlgo(name)
+	if a.knobs&knobFailures == 0 {
+		g.Failures = nil
+	}
+	if a.knobs&knobMemory == 0 {
+		g.Trees, g.MemSlots = nil, nil
+	}
+	if a.knobs&knobWalkProb == 0 {
+		g.WalkProbs = nil
+	}
+	g = g.Canonical()
+	if a.knobs&knobSampleK == 0 {
+		g.SampleK = 0
 	}
 	return g
 }
@@ -225,67 +211,28 @@ func (g Grid) Canonical() Grid {
 // walkprob (walkprob innermost), and cell indices follow that order, so
 // a grid's seed assignment is reproducible from its declaration alone.
 // Each knob axis collapses to a single neutral cell for algorithms that
-// ignore it (failures/trees/memslots: only the memory model; walkprob:
-// only fast-gossip), so a mixed grid never reports cells whose knobs
-// were silently ignored.
+// do not read it (see collapseFor).
 func (g Grid) Scenarios() []Scenario {
-	algos := g.algos()
-	models := g.models()
-	sizes := g.sizes()
-	densities := g.densities()
-	reps := g.Reps
-	if reps <= 0 {
-		reps = 1
-	}
+	g = g.Canonical()
 	// The capacity accounts for every axis, including the per-algorithm
 	// collapse of the knob axes, so the expansion never reallocates and
 	// wastes nothing (len == cap on return).
+	per := make([]Grid, len(g.Algos))
 	perDim := 0
-	for _, algo := range algos {
-		nf, nt, nm, nw := len(g.failures()), len(g.trees()), len(g.memSlots()), len(g.walkProbs())
-		if !AlgoUsesFailures(algo) {
-			nf = 1
-		}
-		if !AlgoUsesMemoryKnobs(algo) {
-			nt, nm = 1, 1
-		}
-		if !AlgoUsesWalkProb(algo) {
-			nw = 1
-		}
-		perDim += nf * nt * nm * nw
+	for i, algo := range g.Algos {
+		per[i] = g.collapseFor(algo)
+		perDim += len(per[i].Failures) * len(per[i].Trees) * len(per[i].MemSlots) * len(per[i].WalkProbs)
 	}
-	out := make([]Scenario, 0, perDim*len(models)*len(sizes)*len(densities))
-	for _, algo := range algos {
-		fs := g.failures()
-		trees := g.trees()
-		slots := g.memSlots()
-		if !AlgoUsesFailures(algo) {
-			fs = []FailureSpec{{}}
-		}
-		if !AlgoUsesMemoryKnobs(algo) {
-			trees = []int{0}
-			slots = []int{0}
-		}
-		wps := g.walkProbs()
-		if !AlgoUsesWalkProb(algo) {
-			wps = []float64{0}
-		}
-		k := 0
-		if AlgoUsesSampleK(algo) {
-			// Stamp the default so a cell's scenario names the exact
-			// computation — grids declared with and without -k produce
-			// identical records and join across runs.
-			if k = g.SampleK; k <= 0 {
-				k = DefaultSampleK
-			}
-		}
-		for _, model := range models {
-			for _, n := range sizes {
-				for _, d := range densities {
-					for _, f := range fs {
-						for _, tr := range trees {
-							for _, ms := range slots {
-								for _, wp := range wps {
+	out := make([]Scenario, 0, perDim*len(g.Models)*len(g.Sizes)*len(g.Densities))
+	for i, algo := range g.Algos {
+		ag := per[i]
+		for _, model := range g.Models {
+			for _, n := range g.Sizes {
+				for _, d := range g.Densities {
+					for _, f := range ag.Failures {
+						for _, tr := range ag.Trees {
+							for _, ms := range ag.MemSlots {
+								for _, wp := range ag.WalkProbs {
 									out = append(out, Scenario{
 										Index:    len(out),
 										Algo:     algo,
@@ -296,8 +243,8 @@ func (g Grid) Scenarios() []Scenario {
 										Trees:    tr,
 										MemSlots: ms,
 										WalkProb: wp,
-										SampleK:  k,
-										Reps:     reps,
+										SampleK:  ag.SampleK,
+										Reps:     g.Reps,
 									})
 								}
 							}

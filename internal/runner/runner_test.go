@@ -1,9 +1,12 @@
 package runner
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gossip/internal/stats"
 )
 
 func TestMapOrderAndCoverage(t *testing.T) {
@@ -103,7 +106,7 @@ func TestParseFailureSpec(t *testing.T) {
 			t.Errorf("ParseFailureSpec(%q).Resolve(%d) = %d, want %d", tc.in, tc.n, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-3", "101%", "12%%"} {
+	for _, bad := range []string{"", "x", "-3", "101%", "12%%", "NaN%"} {
 		if _, err := ParseFailureSpec(bad); err == nil {
 			t.Errorf("ParseFailureSpec(%q) accepted", bad)
 		}
@@ -119,6 +122,13 @@ func TestGridValidate(t *testing.T) {
 		{Models: []string{"nope"}},
 		{Sizes: []int{1}},
 		{Densities: []float64{0}},
+		// Non-finite floats compare false to every bound; they must not
+		// slip through to graph.ErdosRenyi or the corpus's JSON encoder.
+		{Densities: []float64{math.NaN()}},
+		{Densities: []float64{math.Inf(1)}},
+		{Densities: []float64{math.Inf(-1)}},
+		{WalkProbs: []float64{math.NaN()}},
+		{WalkProbs: []float64{math.Inf(1)}},
 		// Failure counts that would crash every node (the robustness
 		// simulator needs a surviving leader), absolute and relative —
 		// including against the defaulted size axis.
@@ -177,23 +187,31 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// Every table entry, on every model, emits exactly the accounting keys —
+// or, for an entry that reads the failures knob and is given failures,
+// exactly the robustness keys.
 func TestExecuteAlgosAndModels(t *testing.T) {
-	for _, algo := range Algos() {
+	keys := func(s Scenario) string {
+		c := CellResult{Metrics: map[string]*stats.Acc{}}
+		for k := range Execute(s, 0, CellSeed(1, 0, 0)) {
+			c.Metrics[k] = nil
+		}
+		return strings.Join(c.MetricKeys(), ",")
+	}
+	for _, a := range algoTable {
 		for _, model := range Models() {
-			s := Scenario{Algo: algo, Model: model, N: 128, Reps: 1}
-			m := Execute(s, 0, CellSeed(1, 0, 0))
-			if len(m) == 0 {
-				t.Fatalf("%s/%s: empty metrics", algo, model)
-			}
-			if _, ok := m["msgs_per_node"]; !ok {
-				t.Errorf("%s/%s: missing msgs_per_node", algo, model)
+			s := Scenario{Algo: a.name, Model: model, N: 64, Reps: 1}
+			if got, want := keys(s), "completed,msgs_per_node,steps"; got != want {
+				t.Errorf("%s/%s emits %s, want %s", a.name, model, got, want)
 			}
 		}
-	}
-	// memory + failures switches to the robustness metrics.
-	m := Execute(Scenario{Algo: "memory", Model: "er", N: 256, Failures: 10}, 0, CellSeed(1, 0, 0))
-	if _, ok := m["ratio"]; !ok {
-		t.Errorf("robustness run missing ratio: %v", m)
+		if a.knobs&knobFailures == 0 {
+			continue
+		}
+		s := Scenario{Algo: a.name, Model: "er", N: 256, Failures: 10}
+		if got, want := keys(s), "failed,lost_additional,ratio"; got != want {
+			t.Errorf("%s with failures emits %s, want %s", a.name, got, want)
+		}
 	}
 }
 

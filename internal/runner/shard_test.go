@@ -127,7 +127,7 @@ func TestRunGridShardMatchesFullRun(t *testing.T) {
 // already-done prefix.
 func TestOrderedCellsSeq(t *testing.T) {
 	var got []int
-	o := NewOrderedCellsSeq([]int{1, 4, 7, 10}, 0, func(r CellRecord) error {
+	o := NewOrderedCells([]int{1, 4, 7, 10}, 0, func(r CellRecord) error {
 		got = append(got, r.Index)
 		return nil
 	})
@@ -145,7 +145,7 @@ func TestOrderedCellsSeq(t *testing.T) {
 
 	// A resumed shard: the first done cells are already on disk.
 	got = nil
-	o = NewOrderedCellsSeq([]int{1, 4, 7}, 2, func(r CellRecord) error {
+	o = NewOrderedCells([]int{1, 4, 7}, 2, func(r CellRecord) error {
 		got = append(got, r.Index)
 		return nil
 	})

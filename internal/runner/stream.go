@@ -23,40 +23,31 @@ import (
 type OrderedCells struct {
 	mu      sync.Mutex
 	emit    func(CellRecord) error
-	seq     []int              // expected cell indices in emit order; nil = identity
-	posOf   map[int]int        // cell index → emit position; nil when seq is
+	posOf   map[int]int        // cell index → emit position; nil = identity
 	pos     int                // next emit position
 	pending map[int]CellRecord // completed cells keyed by emit position
 	err     error
 }
 
-// NewOrderedCells returns a reorderer over the identity order expecting
-// cell index next first — 0 for a fresh sweep, the completed-cell count
-// for a resumed one — and invoking emit once per cell, in index order.
-func NewOrderedCells(next int, emit func(CellRecord) error) *OrderedCells {
-	return &OrderedCells{
+// NewOrderedCells returns a reorderer expecting exactly the cell indices
+// in seq, in that order (a shard's owned cells; nil means the identity
+// order of a full sweep), with the first done of them already emitted
+// — 0 for a fresh sweep, the completed-cell count for a resumed one —
+// and invoking emit once per remaining cell, in that order. Cells
+// outside seq are ignored.
+func NewOrderedCells(seq []int, done int, emit func(CellRecord) error) *OrderedCells {
+	o := &OrderedCells{
 		emit:    emit,
-		pos:     next,
-		pending: make(map[int]CellRecord),
-	}
-}
-
-// NewOrderedCellsSeq returns a reorderer expecting exactly the cell
-// indices in seq, in that order, with the first done of them already
-// emitted (a resumed shard's completed prefix). Cells outside seq are
-// ignored.
-func NewOrderedCellsSeq(seq []int, done int, emit func(CellRecord) error) *OrderedCells {
-	posOf := make(map[int]int, len(seq))
-	for p, i := range seq {
-		posOf[i] = p
-	}
-	return &OrderedCells{
-		emit:    emit,
-		seq:     seq,
-		posOf:   posOf,
 		pos:     done,
 		pending: make(map[int]CellRecord),
 	}
+	if seq != nil {
+		o.posOf = make(map[int]int, len(seq))
+		for p, i := range seq {
+			o.posOf[i] = p
+		}
+	}
+	return o
 }
 
 // position maps a cell index to its emit position; ok is false for
@@ -139,17 +130,11 @@ type OrderedJSONL struct {
 	*OrderedCells
 }
 
-// NewOrderedJSONL returns a writer over the identity order expecting
-// cell index next first.
-func NewOrderedJSONL(w io.Writer, next int) *OrderedJSONL {
-	return &OrderedJSONL{NewOrderedCells(next, jsonlEmit(w))}
-}
-
-// NewOrderedJSONLSeq returns a writer expecting exactly the cell
-// indices in seq, with the first done already on disk — the shard
+// NewOrderedJSONL is NewOrderedCells writing each cell to w as one JSON
+// line — with a seq and the on-disk cell count as done, the shard
 // checkpoint writer.
-func NewOrderedJSONLSeq(w io.Writer, seq []int, done int) *OrderedJSONL {
-	return &OrderedJSONL{NewOrderedCellsSeq(seq, done, jsonlEmit(w))}
+func NewOrderedJSONL(w io.Writer, seq []int, done int) *OrderedJSONL {
+	return &OrderedJSONL{NewOrderedCells(seq, done, jsonlEmit(w))}
 }
 
 func jsonlEmit(w io.Writer) func(CellRecord) error {

@@ -1,6 +1,6 @@
-// Package sweep is the experiment harness: it runs repeated simulations
-// (optionally in parallel), aggregates them with internal/stats, and
-// renders results as aligned text tables and CSV.
+// Package sweep is the experiment harness: it runs repeated simulations,
+// aggregates them with internal/stats, and renders results as aligned
+// text tables and CSV.
 package sweep
 
 import (
@@ -9,9 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"gossip/internal/stats"
 )
@@ -24,42 +22,6 @@ func Repeat(reps int, fn func(rep int) float64) stats.Acc {
 	for r := 0; r < reps; r++ {
 		acc.Add(fn(r))
 	}
-	return acc
-}
-
-// RepeatParallel is Repeat with a bounded worker pool. workers <= 0 uses
-// GOMAXPROCS. fn must be safe for concurrent use with distinct rep values
-// (the simulators are: each run builds its own substrate). The aggregation
-// is order-independent, so the result is deterministic.
-func RepeatParallel(reps, workers int, fn func(rep int) float64) stats.Acc {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
-	if workers <= 1 {
-		return Repeat(reps, fn)
-	}
-	vals := make([]float64, reps)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range next {
-				vals[r] = fn(r)
-			}
-		}()
-	}
-	for r := 0; r < reps; r++ {
-		next <- r
-	}
-	close(next)
-	wg.Wait()
-	var acc stats.Acc
-	acc.AddAll(vals)
 	return acc
 }
 

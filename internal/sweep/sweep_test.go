@@ -14,25 +14,6 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-func TestRepeatParallelMatchesSequential(t *testing.T) {
-	fn := func(rep int) float64 { return float64(rep * rep) }
-	seq := Repeat(20, fn)
-	par := RepeatParallel(20, 4, fn)
-	if seq.N() != par.N() || seq.Mean() != par.Mean() {
-		t.Errorf("parallel (%v) != sequential (%v)", par.Mean(), seq.Mean())
-	}
-	if seq.StdDev() != par.StdDev() {
-		t.Error("spread differs")
-	}
-}
-
-func TestRepeatParallelSingleWorker(t *testing.T) {
-	acc := RepeatParallel(3, 1, func(rep int) float64 { return 1 })
-	if acc.N() != 3 {
-		t.Error("single worker path wrong")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "demo", Columns: []string{"n", "value"}}
 	tb.AddRow(1024, 3.14159)
