@@ -71,6 +71,19 @@ func buildConfig(seed uint64, reps int, quick bool, workers int, sizes, failures
 	if err != nil {
 		return gossip.ExperimentConfig{}, err
 	}
+	// The sweep path's bounds (runner.Grid.Validate). A failure count is
+	// not held to < n here: the robustness figures skip the counts
+	// inadmissible for a size, and one list serves several sizes.
+	for _, n := range ns {
+		if n < 2 {
+			return gossip.ExperimentConfig{}, fmt.Errorf("-sizes: graph size %d out of range (need >= 2)", n)
+		}
+	}
+	for _, f := range fs {
+		if f < 0 {
+			return gossip.ExperimentConfig{}, fmt.Errorf("-failures: failure count %d out of range (need >= 0)", f)
+		}
+	}
 	return gossip.ExperimentConfig{
 		Seed:     seed,
 		Reps:     reps,

@@ -42,6 +42,15 @@ func TestBuildConfig(t *testing.T) {
 	if _, err := buildConfig(1, 0, false, 0, "", "bad"); err == nil {
 		t.Error("bad failures accepted")
 	}
+	// Sizes and failure counts the simulators would panic on.
+	for _, sizes := range []string{"0", "512,1", "-4"} {
+		if _, err := buildConfig(1, 0, false, 0, sizes, ""); err == nil {
+			t.Errorf("sizes %q accepted", sizes)
+		}
+	}
+	if _, err := buildConfig(1, 0, false, 0, "", "10,-3"); err == nil {
+		t.Error("negative failure count accepted")
+	}
 }
 
 // TestExperimentWorkerIndependence pins the engine guarantee the command

@@ -6,7 +6,7 @@ import (
 	"io"
 	"strings"
 
-	"gossip"
+	"gossip/internal/corpus"
 )
 
 // archiveMain runs `gossipsim archive`: it lists a corpus's stored runs
@@ -34,7 +34,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	store, err := gossip.OpenCorpus(*dir)
+	store, err := corpus.Open(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -46,14 +46,14 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		decisions = stderr
 	}
 	for _, src := range adds {
-		run, err := gossip.OpenCorpusRun(src)
+		run, err := corpus.OpenRun(src)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		effRev := *rev
 		if effRev == "" && run.Manifest.Revision == "" {
-			effRev = gossip.BuildRevision()
+			effRev = corpus.BuildRevision()
 		}
 		a, err := store.Import(run, effRev)
 		if err != nil {
@@ -76,7 +76,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	f := gossip.CorpusFilter{Algo: *algo, Model: *model, N: *n, Density: *density}
+	f := corpus.Filter{Algo: *algo, Model: *model, N: *n, Density: *density}
 	if *jsonOut {
 		// The full-scan listing in the corpus's shared JSON shape —
 		// byte-identical to the index-backed GET /runs for the same
@@ -89,7 +89,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		for _, d := range damaged {
 			fmt.Fprintf(stderr, "skipping unreadable entry %s: %v\n", d.Dir, d.Err)
 		}
-		if err := gossip.WriteCorpusJSON(stdout, sums); err != nil {
+		if err := corpus.WriteJSON(stdout, sums); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -104,7 +104,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	var runs []*gossip.CorpusRun
+	var runs []*corpus.Run
 	for _, r := range all {
 		if f.MatchRun(r.Manifest) {
 			runs = append(runs, r)
@@ -119,7 +119,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		m := r.Manifest
 		// Completeness from the cheap line count — listing a corpus of
 		// large runs must not JSON-parse every cell of every run.
-		done, err := gossip.SweepCellsDone(r.Dir)
+		done, err := corpus.CellsDone(r.Dir)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -145,7 +145,7 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 
 // provenance renders a manifest's generation provenance for decisions
 // and listings.
-func provenance(m gossip.CorpusManifest) string {
+func provenance(m corpus.Manifest) string {
 	rev := m.Revision
 	if rev == "" {
 		rev = "unversioned"
@@ -158,7 +158,7 @@ func provenance(m gossip.CorpusManifest) string {
 }
 
 // gridSummary renders a manifest's grid compactly for listings.
-func gridSummary(m gossip.CorpusManifest) string {
+func gridSummary(m corpus.Manifest) string {
 	g := m.Grid
 	parts := []string{
 		"algos=" + strings.Join(g.Algos, ","),
@@ -188,7 +188,7 @@ func compareMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	abs := fs.Float64("abs", 0, "absolute tolerance per metric mean")
 	rel := fs.Float64("rel", 0, "relative tolerance per metric mean (|new-ref| <= abs + rel*|ref|)")
-	profile := fs.String("profile", "", "per-metric tolerance profile ("+strings.Join(gossip.SweepProfileNames(), ", ")+", or @manifest-file[:name]); overrides -abs/-rel")
+	profile := fs.String("profile", "", "per-metric tolerance profile ("+strings.Join(corpus.ProfileNames(), ", ")+", or @manifest-file[:name]); overrides -abs/-rel")
 	dir := fs.String("dir", "", "resolve arguments as id[@gen] selectors in this corpus instead of run directories")
 	quiet := fs.Bool("q", false, "suppress the per-metric table, print only the summary")
 	jsonOut := fs.Bool("json", false, "emit the verdict and full comparison as JSON — the same bytes corpusd's GET /compare answers")
@@ -200,24 +200,24 @@ func compareMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "       gossipsim compare -dir corpus [-profile name] <id[@gen]> [<id[@gen]>]")
 		return 2
 	}
-	prof := gossip.UniformSweepProfile(gossip.SweepTolerance{Abs: *abs, Rel: *rel})
+	prof := corpus.UniformProfile(corpus.Tolerance{Abs: *abs, Rel: *rel})
 	if *profile != "" {
 		if *abs != 0 || *rel != 0 {
 			fmt.Fprintln(stderr, "gossipsim compare: -profile and -abs/-rel are mutually exclusive")
 			return 2
 		}
 		var err error
-		if prof, err = gossip.ResolveSweepProfile(*profile); err != nil {
+		if prof, err = corpus.ResolveProfile(*profile); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
 
-	var ref, cand *gossip.CorpusRun
+	var ref, cand *corpus.Run
 	var err error
 	switch {
 	case *dir != "" && (fs.NArg() == 1 || fs.NArg() == 2):
-		store, oerr := gossip.OpenCorpus(*dir)
+		store, oerr := corpus.Open(*dir)
 		if oerr != nil {
 			fmt.Fprintln(stderr, oerr)
 			return 1
@@ -241,11 +241,11 @@ func compareMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case *dir == "" && fs.NArg() == 2:
-		if ref, err = gossip.OpenCorpusRun(fs.Arg(0)); err != nil {
+		if ref, err = corpus.OpenRun(fs.Arg(0)); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if cand, err = gossip.OpenCorpusRun(fs.Arg(1)); err != nil {
+		if cand, err = corpus.OpenRun(fs.Arg(1)); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -253,13 +253,13 @@ func compareMain(args []string, stdout, stderr io.Writer) int {
 		return usage()
 	}
 
-	cmp, err := gossip.CompareRunsProfile(ref, cand, prof)
+	cmp, err := corpus.CompareRunsProfile(ref, cand, prof)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *jsonOut {
-		if err := gossip.WriteCorpusJSON(stdout, gossip.NewCorpusCompareResult(cmp)); err != nil {
+		if err := corpus.WriteJSON(stdout, corpus.NewCompareResult(cmp)); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -298,36 +298,36 @@ func reportMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var (
-		run *gossip.CorpusRun
+		run *corpus.Run
 		err error
 	)
 	if *dir != "" {
-		store, oerr := gossip.OpenCorpus(*dir)
+		store, oerr := corpus.Open(*dir)
 		if oerr != nil {
 			fmt.Fprintln(stderr, oerr)
 			return 1
 		}
 		run, err = store.Resolve(fs.Arg(0))
 	} else {
-		run, err = gossip.OpenCorpusRun(fs.Arg(0))
+		run, err = corpus.OpenRun(fs.Arg(0))
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *jsonOut {
-		v, verr := gossip.NewCorpusReportView(run)
+		v, verr := corpus.NewReportView(run)
 		if verr != nil {
 			fmt.Fprintln(stderr, verr)
 			return 1
 		}
-		if werr := gossip.WriteCorpusJSON(stdout, v); werr != nil {
+		if werr := corpus.WriteJSON(stdout, v); werr != nil {
 			fmt.Fprintln(stderr, werr)
 			return 1
 		}
 		return 0
 	}
-	if err := gossip.ReportRun(stdout, run); err != nil {
+	if err := corpus.Report(stdout, run); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"gossip"
+	"gossip/internal/corpus"
 )
 
 // writeRun executes a tiny checkpointed sweep and returns its directory.
@@ -19,7 +19,7 @@ func writeRun(t *testing.T, seed uint64) string {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "run")
-	if _, _, err := gossip.ExecuteSweepRun(dir, grid, 2, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(dir, grid, 2, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -123,7 +123,7 @@ func TestGenerationWorkflowCLI(t *testing.T) {
 		t.Errorf("second revision did not append a listed generation:\n%s", out.String())
 	}
 
-	store, err := gossip.OpenCorpus(corpusDir)
+	store, err := corpus.Open(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestArchiveListingFlagsIncompleteRuns(t *testing.T) {
 		t.Fatalf("archive exited %d: %s", code, errw.String())
 	}
 
-	store, err := gossip.OpenCorpus(corpusDir)
+	store, err := corpus.Open(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSweepResumeCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := filepath.Join(t.TempDir(), "ref")
-	if _, _, err := gossip.ExecuteSweepRun(refDir, grid, 3, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(refDir, grid, 3, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := os.ReadFile(filepath.Join(refDir, "cells.jsonl"))
@@ -326,7 +326,7 @@ func TestSweepResumeCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := gossip.ExecuteSweepRun(killed, grid, 3, true, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(killed, grid, 3, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(killed, "cells.jsonl"))
@@ -338,7 +338,7 @@ func TestSweepResumeCLI(t *testing.T) {
 	}
 
 	// Without -resume the existing run is protected.
-	if _, _, err := gossip.ExecuteSweepRun(refDir, grid, 3, false, nil); err == nil {
+	if _, _, err := corpus.ExecuteRun(refDir, grid, 3, false, nil); err == nil {
 		t.Error("re-running into an existing run dir without resume succeeded")
 	}
 }

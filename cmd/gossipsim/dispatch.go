@@ -8,7 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/dispatch"
 )
 
 // dispatchMain runs `gossipsim dispatch`: the sharded sweep workflow —
@@ -64,7 +65,7 @@ func dispatchMain(args []string, stdout, stderr io.Writer) int {
 	if scratch == "" {
 		scratch = *out + ".shards"
 	}
-	cfg := gossip.SweepDispatch{
+	cfg := dispatch.Config{
 		Grid:       grid,
 		Shards:     *shards,
 		Procs:      *procs,
@@ -77,7 +78,7 @@ func dispatchMain(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		cfg.Progress = stderr
 	}
-	run, shardStatus, err := gossip.DispatchSweep(cfg)
+	run, shardStatus, err := dispatch.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -89,12 +90,12 @@ func dispatchMain(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "dispatched %d shard(s), %d restart(s): run %s: %d cells in %s\n",
 		*shards, restarts, run.Manifest.ID, run.Manifest.Cells, *out)
 	if *archive != "" {
-		store, err := gossip.OpenCorpus(*archive)
+		store, err := corpus.Open(*archive)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		a, err := store.Import(run, gossip.BuildRevision())
+		a, err := store.Import(run, corpus.BuildRevision())
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

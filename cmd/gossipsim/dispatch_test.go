@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/dispatch"
+	"gossip/internal/runner"
 )
 
 // newTestFlagSet declares the shared grid flags on a fresh FlagSet.
@@ -40,7 +42,7 @@ var dispatchGridArgs = []string{
 	"-sizes", "64,128", "-densities", "1,2", "-reps", "2", "-seed", "51",
 }
 
-func dispatchTestGrid(t *testing.T) gossip.SweepGrid {
+func dispatchTestGrid(t *testing.T) runner.Grid {
 	t.Helper()
 	grid, err := parseGrid(flags("pushpull,sampled", "er", "64,128", "1,2", "0", 2, 51))
 	if err != nil {
@@ -51,10 +53,10 @@ func dispatchTestGrid(t *testing.T) gossip.SweepGrid {
 
 // singleProcessCells runs the grid uninterrupted in-process and returns
 // its cells.jsonl bytes — the byte-identity oracle for every dispatch.
-func singleProcessCells(t *testing.T, grid gossip.SweepGrid) []byte {
+func singleProcessCells(t *testing.T, grid runner.Grid) []byte {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ref")
-	if _, _, err := gossip.ExecuteSweepRun(dir, grid, 3, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(dir, grid, 3, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, "cells.jsonl"))
@@ -98,8 +100,8 @@ func TestDispatchMainEndToEnd(t *testing.T) {
 	if !strings.Contains(out.String(), "archived run") {
 		t.Errorf("archive not reported:\n%s", out.String())
 	}
-	id := gossip.SweepRunID(dispatchTestGrid(t))
-	corpusStore, err := gossip.OpenCorpus(corpusDir)
+	id := corpus.GridID(dispatchTestGrid(t))
+	corpusStore, err := corpus.Open(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestDispatchMainEndToEnd(t *testing.T) {
 	// The merged run passes the zero-tolerance regression gate against a
 	// single-process replay — the CI gate's exact verdict.
 	refDir := filepath.Join(root, "gate-ref")
-	if _, _, err := gossip.ExecuteSweepRun(refDir, dispatchTestGrid(t), 2, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(refDir, dispatchTestGrid(t), 2, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -141,7 +143,7 @@ func TestDispatchKilledShardRetriedByteIdentical(t *testing.T) {
 	if err := fs.Parse(dispatchGridArgs); err != nil {
 		t.Fatal(err)
 	}
-	cfg := gossip.SweepDispatch{
+	cfg := dispatch.Config{
 		Grid:       grid,
 		Shards:     3,
 		Retries:    2,
@@ -160,7 +162,7 @@ func TestDispatchKilledShardRetriedByteIdentical(t *testing.T) {
 			}
 		},
 	}
-	run, statuses, err := gossip.DispatchSweep(cfg)
+	run, statuses, err := dispatch.Run(cfg)
 	if err != nil {
 		t.Fatalf("dispatch with killed shard: %v", err)
 	}
@@ -168,7 +170,7 @@ func TestDispatchKilledShardRetriedByteIdentical(t *testing.T) {
 		t.Errorf("killed shard restarted %d times, want >= 1", statuses[1].Restarts)
 	}
 	for _, st := range statuses {
-		if st.State != gossip.ShardDone {
+		if st.State != dispatch.StateDone {
 			t.Errorf("shard %d ended %s, want done", st.Shard, st.State)
 		}
 	}
@@ -179,8 +181,8 @@ func TestDispatchKilledShardRetriedByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, singleProcessCells(t, grid)) {
 		t.Error("killed-and-retried dispatch differs from single-process sweep")
 	}
-	if run.Manifest.ID != gossip.SweepRunID(grid) {
-		t.Errorf("merged run ID %s, want %s", run.Manifest.ID, gossip.SweepRunID(grid))
+	if run.Manifest.ID != corpus.GridID(grid) {
+		t.Errorf("merged run ID %s, want %s", run.Manifest.ID, corpus.GridID(grid))
 	}
 }
 
@@ -194,7 +196,7 @@ func TestDispatchRetryExhaustionReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	cfg := gossip.SweepDispatch{
+	cfg := dispatch.Config{
 		Grid:       dispatchTestGrid(t),
 		Shards:     2,
 		Retries:    1,
@@ -205,7 +207,7 @@ func TestDispatchRetryExhaustionReporting(t *testing.T) {
 		Interval:   20 * time.Millisecond,
 		RetryDelay: 10 * time.Millisecond,
 	}
-	_, statuses, err := gossip.DispatchSweep(cfg)
+	_, statuses, err := dispatch.Run(cfg)
 	if err == nil {
 		t.Fatal("dispatch of unrunnable shards succeeded")
 	}
@@ -217,7 +219,7 @@ func TestDispatchRetryExhaustionReporting(t *testing.T) {
 	}
 	failed := false
 	for _, st := range statuses {
-		failed = failed || st.State == gossip.ShardFailed
+		failed = failed || st.State == dispatch.StateFailed
 	}
 	if !failed {
 		t.Error("no shard status reports failure")
@@ -264,9 +266,9 @@ func TestSweepArgsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gossip.SweepRunID(reparsed) != gossip.SweepRunID(grid) {
+	if corpus.GridID(reparsed) != corpus.GridID(grid) {
 		t.Errorf("re-serialized grid maps to run %s, dispatcher grid to %s",
-			gossip.SweepRunID(reparsed), gossip.SweepRunID(grid))
+			corpus.GridID(reparsed), corpus.GridID(grid))
 	}
 	if *workers != 2 || !*quiet {
 		t.Errorf("workers/quiet flags lost: workers=%d q=%v", *workers, *quiet)

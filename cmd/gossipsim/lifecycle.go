@@ -6,7 +6,7 @@ import (
 	"io"
 	"time"
 
-	"gossip"
+	"gossip/internal/corpus"
 )
 
 // trendMain runs `gossipsim trend`: the corpus-lifecycle view of one
@@ -33,7 +33,7 @@ func trendMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: gossipsim trend -dir corpus [-algo a] [-model m] [-n n] [-density d] <run-id>")
 		return 2
 	}
-	store, err := gossip.OpenCorpus(*dir)
+	store, err := corpus.Open(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -50,13 +50,13 @@ func trendMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gossipsim trend: run %s has no readable generations in %s\n", fs.Arg(0), *dir)
 		return 1
 	}
-	tr, err := gossip.CorpusTrendOf(gens, gossip.CorpusFilter{Algo: *algo, Model: *model, N: *n, Density: *density})
+	tr, err := corpus.TrendOf(gens, corpus.Filter{Algo: *algo, Model: *model, N: *n, Density: *density})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *jsonOut {
-		if err := gossip.WriteCorpusJSON(stdout, tr); err != nil {
+		if err := corpus.WriteJSON(stdout, tr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -93,12 +93,12 @@ func pruneMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "gossipsim prune: nothing to prune by — pass -keep, -age and/or -damaged")
 		return 2
 	}
-	store, err := gossip.OpenCorpus(*dir)
+	store, err := corpus.Open(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	plan, err := store.Prune(gossip.CorpusPruneOptions{
+	plan, err := store.Prune(corpus.PruneOptions{
 		Keep:    *keep,
 		MaxAge:  *age,
 		Now:     time.Now(), //gossiplint:allow detlint prune ages against operator wall time, not simulation state

@@ -67,6 +67,7 @@ import (
 	"os"
 
 	"gossip"
+	"gossip/internal/runner"
 )
 
 func main() {
@@ -108,6 +109,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// The sweep path's bounds, applied to the single-run flags: input the
+	// simulators cannot run is a usage error, not a panic.
+	bounds := runner.Grid{Sizes: []int{*n}, Trees: []int{*trees}, Failures: []runner.FailureSpec{{Count: *failures}}}
+	if err := bounds.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	for rep := 0; rep < *reps; rep++ {
 		s := *seed + uint64(rep)
 		g, err := buildGraph(*model, *n, *p, *degree, *beta, s)

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"gossip"
+	"gossip/internal/runner"
 )
 
 func TestBuildGraphModels(t *testing.T) {
@@ -72,6 +74,36 @@ func TestRunOneSmoke(t *testing.T) {
 	}
 	if err := runOne(&b, g, "nope", 256, 1, 1, 0, false); err == nil {
 		t.Error("unknown algo accepted")
+	}
+}
+
+// TestSingleRunRejectsOutOfRange drives the real main() (through
+// TestMain's re-exec) with flag values the simulators cannot run: each is
+// a usage error — exit 2, one line on stderr — never a goroutine dump.
+func TestSingleRunRejectsOutOfRange(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-algo", "memory", "-n", "64", "-failures", "64"},
+		{"-algo", "memory", "-n", "64", "-failures", "-3"},
+		{"-algo", "memory", "-n", "64", "-trees", "-1"},
+		{"-algo", "memory", "-n", "0"},
+		{"-algo", "broadcast-push", "-n", "0"},
+		{"-n", "-5"},
+	} {
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), reexecEnv+"=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("gossipsim %v: %v, want exit 2", args, err)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+			t.Errorf("gossipsim %v: stderr is not one line:\n%s", args, msg)
+		}
 	}
 }
 
@@ -175,19 +207,19 @@ func TestSweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := gossip.RunSweep(grid, 4)
+	results := (&runner.Runner{Workers: 4}).RunGrid(grid)
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
 	var b strings.Builder
-	if err := gossip.WriteSweepJSONL(&b, results); err != nil {
+	if err := runner.WriteJSONL(&b, results); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(b.String(), "\n"); n != 2 {
 		t.Fatalf("JSONL lines = %d, want 2", n)
 	}
 	var tb strings.Builder
-	gossip.SweepTable("t", results).Render(&tb)
+	runner.Table("t", results).Render(&tb)
 	if !strings.Contains(tb.String(), "pushpull") {
 		t.Errorf("sweep table missing algo:\n%s", tb.String())
 	}
@@ -202,7 +234,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.jsonl")
-	recs, err := runStreaming(grid, gossip.SweepCellRange{}, 2, path)
+	recs, err := runStreaming(grid, runner.CellRange{}, 2, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +243,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := gossip.WriteSweepRecordJSONL(&buf, recs); err != nil {
+	if err := runner.WriteRecordJSONL(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != buf.String() {
@@ -222,7 +254,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 	}
 
 	// A shard streams its owned cells only.
-	cr, err := gossip.ParseSweepCellRange("1/2")
+	cr, err := runner.ParseCellRange("1/2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +268,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 	}
 
 	// Sink open errors surface immediately; nothing runs.
-	if _, err := runStreaming(grid, gossip.SweepCellRange{}, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
+	if _, err := runStreaming(grid, runner.CellRange{}, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
 		t.Error("unwritable sink path accepted")
 	}
 }

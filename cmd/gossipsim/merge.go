@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"gossip"
+	"gossip/internal/corpus"
 )
 
 // mergeMain runs `gossipsim merge`: it interleaves completed shard runs
@@ -31,16 +31,16 @@ func mergeMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: gossipsim merge -out <merged-run-dir> <shard-run-dir>...")
 		return 2
 	}
-	runs := make([]*gossip.CorpusRun, 0, fs.NArg())
+	runs := make([]*corpus.Run, 0, fs.NArg())
 	for _, dir := range fs.Args() {
-		r, err := gossip.OpenCorpusRun(dir)
+		r, err := corpus.OpenRun(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		runs = append(runs, r)
 	}
-	merged, err := gossip.MergeRuns(*out, runs)
+	merged, err := corpus.MergeRuns(*out, runs)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -6,21 +6,22 @@ import (
 	"strings"
 	"testing"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/runner"
 )
 
 // writeShards executes the grid as m shard runs and returns their
 // directories.
-func writeShards(t *testing.T, grid gossip.SweepGrid, m int) []string {
+func writeShards(t *testing.T, grid runner.Grid, m int) []string {
 	t.Helper()
 	dirs := make([]string, m)
 	for s := 0; s < m; s++ {
-		cr, err := gossip.ParseSweepCellRange(strings.Join([]string{itoa(s), itoa(m)}, "/"))
+		cr, err := runner.ParseCellRange(strings.Join([]string{itoa(s), itoa(m)}, "/"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dirs[s] = filepath.Join(t.TempDir(), "shard")
-		if _, _, err := gossip.ExecuteSweepShard(dirs[s], grid, cr, 2, false, nil); err != nil {
+		if _, _, err := corpus.ExecuteRunShard(dirs[s], grid, cr, 2, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +39,7 @@ func TestMergeMainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := filepath.Join(t.TempDir(), "ref")
-	if _, _, err := gossip.ExecuteSweepRun(refDir, grid, 3, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRun(refDir, grid, 3, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := os.ReadFile(filepath.Join(refDir, "cells.jsonl"))
@@ -135,12 +136,12 @@ func TestShardSweepKillResumeCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := gossip.ParseSweepCellRange("1/2")
+	cr, err := runner.ParseCellRange("1/2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	refDir := filepath.Join(t.TempDir(), "ref")
-	if _, _, err := gossip.ExecuteSweepShard(refDir, grid, cr, 2, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRunShard(refDir, grid, cr, 2, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := os.ReadFile(filepath.Join(refDir, "cells.jsonl"))
@@ -162,7 +163,7 @@ func TestShardSweepKillResumeCLI(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(killed, "cells.jsonl"), ref[:len(ref)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gossip.ExecuteSweepShard(killed, grid, cr, 3, true, nil); err != nil {
+	if _, _, err := corpus.ExecuteRunShard(killed, grid, cr, 3, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(killed, "cells.jsonl"))
@@ -173,12 +174,12 @@ func TestShardSweepKillResumeCLI(t *testing.T) {
 		t.Error("resumed shard cells.jsonl differs from uninterrupted shard")
 	}
 
-	other, err := gossip.ParseSweepCellRange("0/2")
+	other, err := runner.ParseCellRange("0/2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	otherDir := filepath.Join(t.TempDir(), "other")
-	if _, _, err := gossip.ExecuteSweepShard(otherDir, grid, other, 1, false, nil); err != nil {
+	if _, _, err := corpus.ExecuteRunShard(otherDir, grid, other, 1, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out, errw strings.Builder

@@ -10,7 +10,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/corpusd"
 )
 
 // serveMain runs `gossipsim serve`: the corpus HTTP daemon. It opens
@@ -43,19 +44,24 @@ func serveCorpus(ctx context.Context, args []string, ready func(net.Addr), stdou
 		fmt.Fprintln(stderr, "usage: gossipsim serve [-dir corpus] [-addr host:port] [-manifest corpus.manifest.json]")
 		return 2
 	}
-	store, err := gossip.OpenCorpus(*dir)
+	store, err := corpus.Open(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	var mf *gossip.CorpusManifestFile
+	var mf *corpus.ManifestFile
 	if *manifest != "" {
-		if mf, err = gossip.LoadCorpusManifestFile(*manifest); err != nil {
+		if mf, err = corpus.LoadManifestFile(*manifest); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
-	err = gossip.ServeCorpus(ctx, *addr, store, mf, func(a net.Addr) {
+	srv, err := corpusd.New(store, mf)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	err = corpusd.ListenAndServe(ctx, *addr, srv, func(a net.Addr) {
 		fmt.Fprintf(stdout, "corpusd: serving %s on http://%s\n", *dir, a)
 		if ready != nil {
 			ready(a)

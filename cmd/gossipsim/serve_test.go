@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"gossip"
+	"gossip/internal/corpus"
 )
 
 // archiveTwoGens imports run into a fresh corpus twice under two fake
@@ -27,7 +27,7 @@ func archiveTwoGens(t *testing.T, run string) (string, string) {
 			t.Fatalf("archive -rev %s exited %d: %s", rev, code, errw.String())
 		}
 	}
-	r, err := gossip.OpenCorpusRun(run)
+	r, err := corpus.OpenRun(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestServeMatchesCLIBytes(t *testing.T) {
 func TestServeManifestFlag(t *testing.T) {
 	run := writeRun(t, 7)
 	corpusDir, id := archiveTwoGens(t, run)
-	r, err := gossip.OpenCorpusRun(run)
+	r, err := corpus.OpenRun(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +163,14 @@ func TestServeManifestFlag(t *testing.T) {
 	}
 	base := startServe(t, []string{"-dir", corpusDir, "-manifest", mfPath})
 
-	var d gossip.CorpusRunDetail
+	var d corpus.RunDetail
 	if err := json.Unmarshal(httpGet(t, base+"/runs/nightly"), &d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Summary.ID != id {
 		t.Errorf("named grid resolved to %s, want %s", d.Summary.ID, id)
 	}
-	var cr gossip.CorpusCompareResult
+	var cr corpus.CompareResult
 	if err := json.Unmarshal(httpGet(t, base+"/compare?id=nightly&profile=house"), &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestArchiveJSONListsDamageOnStderr(t *testing.T) {
 	if code := archiveMain([]string{"-dir", corpusDir, "-json"}, &out, &errw); code != 0 {
 		t.Fatalf("archive -json exited %d: %s", code, errw.String())
 	}
-	var sums []gossip.CorpusRunSummary
+	var sums []corpus.RunSummary
 	if err := json.Unmarshal([]byte(out.String()), &sums); err != nil {
 		t.Fatalf("stdout is not one JSON document: %v\n%s", err, out.String())
 	}

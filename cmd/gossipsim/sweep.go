@@ -8,7 +8,8 @@ import (
 	"strconv"
 	"strings"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/runner"
 )
 
 // gridFlags holds the raw flag values a sweep grid is parsed from.
@@ -23,8 +24,8 @@ type gridFlags struct {
 // sweep` and `gossipsim dispatch` accept the same grid surface, and the
 // dispatcher re-serializes the raw values for its shard subprocesses.
 func registerGridFlags(fs *flag.FlagSet, gf *gridFlags) {
-	fs.StringVar(&gf.algos, "algos", "pushpull", "comma-separated algorithms ("+strings.Join(gossip.SweepAlgos(), ", ")+")")
-	fs.StringVar(&gf.models, "models", "er", "comma-separated graph models ("+strings.Join(gossip.SweepModels(), ", ")+")")
+	fs.StringVar(&gf.algos, "algos", "pushpull", "comma-separated algorithms ("+strings.Join(runner.Algos(), ", ")+")")
+	fs.StringVar(&gf.models, "models", "er", "comma-separated graph models ("+strings.Join(runner.Models(), ", ")+")")
 	fs.StringVar(&gf.sizes, "sizes", "1024", "graph sizes: comma-separated values and lo..hi doubling ranges (e.g. 1024..65536)")
 	fs.StringVar(&gf.densities, "densities", "1", "comma-separated density factors scaling the log²n operating point")
 	fs.StringVar(&gf.failures, "failures", "0", "comma-separated failure counts, absolute or % of n (e.g. 0,1%,5%); algorithms without a crash model (all but memory) run once at 0")
@@ -61,7 +62,7 @@ func sweepMain(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cr, err := gossip.ParseSweepCellRange(*shard)
+	cr, err := runner.ParseCellRange(*shard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -71,7 +72,7 @@ func sweepMain(args []string) {
 		os.Exit(2)
 	}
 
-	var records []gossip.SweepRecord
+	var records []runner.CellRecord
 	if *out != "" {
 		// -json alongside -out tees the checkpoint stream: each cell
 		// goes to the JSON sink in cell order as it completes (a
@@ -82,7 +83,7 @@ func sweepMain(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		run, recs, err := gossip.ExecuteSweepShard(*out, grid, cr, *workers, *resume, sink)
+		run, recs, err := corpus.ExecuteRunShard(*out, grid, cr, *workers, *resume, sink)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -106,8 +107,8 @@ func sweepMain(args []string) {
 			os.Exit(1)
 		}
 	} else {
-		results := gossip.RunSweepShard(grid, cr, *workers)
-		records = make([]gossip.SweepRecord, len(results))
+		results := (&runner.Runner{Workers: *workers}).RunGridShard(grid, cr)
+		records = make([]runner.CellRecord, len(results))
 		for i, r := range results {
 			records[i] = r.Record()
 		}
@@ -117,7 +118,7 @@ func sweepMain(args []string) {
 	if !cr.IsAll() {
 		title += fmt.Sprintf(", shard %s", cr)
 	}
-	table := gossip.SweepRecordTable(title, records)
+	table := runner.RecordTable(title, records)
 	if !*quiet {
 		table.Render(os.Stdout)
 	}
@@ -136,23 +137,23 @@ func sweepMain(args []string) {
 // checkpointed path uses, so write, flush and close errors surface
 // exactly once through the close function instead of being dropped on
 // the error path.
-func runStreaming(grid gossip.SweepGrid, cr gossip.SweepCellRange, workers int, path string) ([]gossip.SweepRecord, error) {
+func runStreaming(grid runner.Grid, cr runner.CellRange, workers int, path string) ([]runner.CellRecord, error) {
 	sink, closeSink, err := openJSONSink(path)
 	if err != nil {
 		return nil, err
 	}
-	emit := func(r gossip.SweepRecord) error {
+	emit := func(r runner.CellRecord) error {
 		sink(r)
 		return nil
 	}
 	// The shard's owned indices (every index for a full run) are the
 	// stream's expected order.
-	stream := gossip.NewSweepRecordStream(cr.Indices(len(grid.Scenarios())), emit)
-	results := gossip.RunSweepShardStream(grid, cr, workers, stream.Add)
+	stream := runner.NewOrderedCells(cr.Indices(len(grid.Scenarios())), 0, emit)
+	results := (&runner.Runner{Workers: workers, OnCell: stream.Add}).RunGridShard(grid, cr)
 	if err := closeSink(); err != nil {
 		return nil, err
 	}
-	records := make([]gossip.SweepRecord, len(results))
+	records := make([]runner.CellRecord, len(results))
 	for i, r := range results {
 		records[i] = r.Record()
 	}
@@ -162,7 +163,7 @@ func runStreaming(grid gossip.SweepGrid, cr gossip.SweepCellRange, workers int, 
 // openJSONSink returns a per-record JSONL emitter for path ("" = none,
 // "-" = stdout) and a close function reporting any write error — a
 // failed flush-on-close included.
-func openJSONSink(path string) (func(gossip.SweepRecord), func() error, error) {
+func openJSONSink(path string) (func(runner.CellRecord), func() error, error) {
 	if path == "" {
 		return nil, func() error { return nil }, nil
 	}
@@ -176,9 +177,9 @@ func openJSONSink(path string) (func(gossip.SweepRecord), func() error, error) {
 		sink = f
 	}
 	var writeErr error
-	emit := func(r gossip.SweepRecord) {
+	emit := func(r runner.CellRecord) {
 		if writeErr == nil {
-			writeErr = gossip.WriteSweepRecordJSONL(sink, []gossip.SweepRecord{r})
+			writeErr = runner.WriteRecordJSONL(sink, []runner.CellRecord{r})
 		}
 	}
 	finish := func() error {
@@ -193,36 +194,36 @@ func openJSONSink(path string) (func(gossip.SweepRecord), func() error, error) {
 }
 
 // parseGrid assembles and validates a sweep grid from the flag values.
-func parseGrid(gf gridFlags) (gossip.SweepGrid, error) {
+func parseGrid(gf gridFlags) (runner.Grid, error) {
 	ns, err := parseSizes(gf.sizes)
 	if err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
 	ds, err := parseFloats(gf.densities)
 	if err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
-	var fs []gossip.SweepFailureSpec
+	var fs []runner.FailureSpec
 	for _, part := range splitList(gf.failures) {
-		f, err := gossip.ParseSweepFailureSpec(part)
+		f, err := runner.ParseFailureSpec(part)
 		if err != nil {
-			return gossip.SweepGrid{}, err
+			return runner.Grid{}, err
 		}
 		fs = append(fs, f)
 	}
 	trees, err := parseInts(gf.trees)
 	if err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
 	memslots, err := parseInts(gf.memslots)
 	if err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
 	walkprobs, err := parseFloatList(gf.walkprobs)
 	if err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
-	grid := gossip.SweepGrid{
+	grid := runner.Grid{
 		Algos:     splitList(gf.algos),
 		Models:    splitList(gf.models),
 		Sizes:     ns,
@@ -236,7 +237,7 @@ func parseGrid(gf gridFlags) (gossip.SweepGrid, error) {
 		Seed:      gf.seed,
 	}
 	if err := grid.Validate(); err != nil {
-		return gossip.SweepGrid{}, err
+		return runner.Grid{}, err
 	}
 	return grid, nil
 }

@@ -25,6 +25,16 @@
 // ExperimentIDs is the experiment index, and each report's notes say how
 // its measured results stand against the paper's.
 //
+// The package exports the single-run library and nothing else: the graph
+// constructors (New*), the parameter schedules, the Run* entry points
+// above, the machine and transport aliases of the transport seam, and
+// Experiment / ExperimentIDs. Sweeps, the corpus, its HTTP service,
+// shards and the dispatcher have no names here: they are the `gossipsim`
+// subcommands, and each calls the internal package that does the work
+// (internal/runner, internal/corpus, internal/corpusd, internal/dispatch)
+// by its own name. The sections below describe those commands and the
+// formats they read and write.
+//
 // All experiment execution flows through one scenario-sweep engine
 // (internal/runner): an evaluation grid — algorithm × graph model ×
 // density × size × failure count × algorithm knobs (gather trees, link
@@ -32,16 +42,16 @@
 // seeds — expands into cells that run on a bounded worker pool, with
 // per-cell seeds derived from the master seed and the cell index so
 // results are bit-identical at any parallelism. The paper experiments
-// declare their grids on it, and RunSweep / SweepGrid (command line:
-// `gossipsim sweep`) expose it directly for custom sweeps — wider
+// declare their grids on it, and `gossipsim sweep` (runner.Grid,
+// runner.Runner) exposes it directly for custom sweeps — wider
 // density ranges, larger sizes (the "sampled" estimator reaches n = 10⁶
 // in Θ(n·k) tracker memory), failure-rate scans — with aligned-table,
 // CSV, and JSON-lines output.
 //
 // # The sweep corpus
 //
-// Sweep results persist as runs (OpenCorpusRun, ExecuteSweepRun,
-// `gossipsim sweep -out`): a run is a directory holding
+// Sweep results persist as runs (`gossipsim sweep -out`;
+// corpus.ExecuteRun, corpus.OpenRun): a run is a directory holding
 //
 //	manifest.json   {"id", "grid", "cells", optional "shard", "workers",
 //	                 "created_at", "revision", "version"} — the
@@ -53,7 +63,7 @@
 //	                 content-addressed run ID:
 //	                 hex(SHA-256(canonical grid JSON))[:16], so
 //	                 identical configurations map to identical IDs.
-//	cells.jsonl     one SweepRecord JSON object per line, in cell-index
+//	cells.jsonl     one runner.CellRecord JSON object per line, in cell-index
 //	                 order: the full scenario ("index", "algo", "model",
 //	                 "n", "density", "failures", optional knobs, "reps")
 //	                 plus "metrics", a name → {"mean", "ci95", "min",
@@ -63,20 +73,20 @@
 // fsynced on close, with the manifest and its directory fsynced on
 // create — so at every instant, including after a kill or power loss,
 // the file is a valid prefix of the full sweep. `gossipsim sweep -out
-// dir -resume` (ExecuteSweepRun with resume) verifies the stored grid
+// dir -resume` (corpus.ExecuteRun with resume) verifies the stored grid
 // hash, truncates a torn final line, skips the completed prefix, and
 // appends the missing suffix; because per-cell seeds derive from cell
 // indices, the finished file is bit-identical to an uninterrupted
-// run's. CompareRuns (`gossipsim compare`, nonzero exit on regression)
-// joins two stored runs on their grid coordinates and diffs every
-// metric under absolute+relative tolerances; ReportRun (`gossipsim
-// report`) renders a stored run as a table plus ASCII
+// run's. `gossipsim compare` (corpus.CompareRunsProfile, nonzero exit on
+// regression) joins two stored runs on their grid coordinates and diffs
+// every metric under absolute+relative tolerances; `gossipsim report`
+// (corpus.Report) renders a stored run as a table plus ASCII
 // density-vs-rounds plots. See examples/regressiongate for the
 // archive→compare CI gate.
 //
 // # The generational corpus
 //
-// A corpus (OpenCorpus, `gossipsim archive -dir`) holds each run ID as
+// A corpus (`gossipsim archive -dir`; corpus.Open) holds each run ID as
 // an ordered set of generations:
 //
 //	<corpus>/<id>/<gen>/manifest.json
@@ -91,13 +101,13 @@
 // re-archive whose cells are bit-identical to the current latest
 // generation at the same revision — same code, same deterministic
 // results — which dedupes, with the decision and both generations'
-// provenance reported (CorpusAppended), never silently. Flat
+// provenance reported (corpus.Appended), never silently. Flat
 // pre-generational stores (<corpus>/<id>/manifest.json) are read as a
 // single generation 0 and migrated into the layout above on the first
 // append.
 //
 // Selectors name generations everywhere a stored run is read
-// (Corpus.Resolve, `gossipsim compare -dir`, `gossipsim trend`):
+// (`gossipsim compare -dir`, `gossipsim trend`; Store.Resolve):
 // "id" is the latest generation, "id@latest" and "id@prev" are
 // relative, "id@0" is the oldest (ordinals count up from 0), and
 // "id@<fragment>" pins by any unique fragment of the generation name —
@@ -105,7 +115,7 @@
 // bare ID compares the latest generation against the previous one.
 //
 // Comparisons gate per-metric via tolerance profiles
-// (NamedSweepProfile, `gossipsim compare -profile`) instead of one
+// (`gossipsim compare -profile`; corpus.ResolveProfile) instead of one
 // global abs/rel pair:
 //
 //	exact   zero tolerance everywhere: only bit-equal means pass — the
@@ -119,7 +129,7 @@
 // `gossipsim trend -dir corpus <id>` renders one configuration
 // family's history — each metric's mean across every generation,
 // oldest first, with per-generation provenance, deltas, and an ASCII
-// plot of metric vs generation (CorpusTrendOf). `gossipsim prune -dir
+// plot of metric vs generation (corpus.TrendOf). `gossipsim prune -dir
 // corpus [-keep n] [-age d] [-damaged] [-dry-run]` garbage-collects
 // generations beyond the newest n and/or older than d; the newest
 // readable generation of every run always survives, -damaged also
@@ -140,13 +150,13 @@
 // byte-identical to full-scan answers. Archive, Import and Prune keep
 // the index current incrementally; every write replaces index.json
 // atomically; and the index is entirely derived state —
-// Corpus.RebuildIndex (or OpenIndexedCorpus on a stale schema)
+// Store.RebuildIndex (or Store.EnsureIndex on a stale schema)
 // reconstructs it from the run directories, which is also the repair
 // path after a non-index-aware tool mutates the store.
 //
-// corpusd (NewCorpusServer, ServeCorpus; `gossipsim serve -dir corpus
-// [-addr :8477] [-manifest corpus.manifest.json]`) serves the store
-// over HTTP:
+// corpusd (`gossipsim serve -dir corpus [-addr :8477] [-manifest
+// corpus.manifest.json]`; corpusd.New, corpusd.ListenAndServe) serves
+// the store over HTTP:
 //
 //	GET /runs                   the filtered run listing (?algo=, ?model=,
 //	                            ?n=, ?density=, ?rev=), from the index
@@ -170,8 +180,8 @@
 // the server snapshots the index per request and can never observe a
 // torn generation or stream a torn cell line.
 //
-// A checked-in corpus manifest (LoadCorpusManifestFile,
-// corpus.manifest.json) declares named tolerance profiles and named
+// A checked-in corpus manifest (corpus.manifest.json, read by
+// corpus.LoadManifestFile) declares named tolerance profiles and named
 // grids in one JSON document. Declared profiles are usable wherever a
 // built-in name is (`compare -profile @file[:name]`, GET
 // /compare?profile=); a declared grid content-addresses to its run ID,
@@ -180,8 +190,8 @@
 // # Sharded sweeps
 //
 // Grids too big for one process shard across any number of machines
-// (ExecuteSweepShard; `gossipsim sweep -shard s/m -out dir`). A shard
-// is a SweepCellRange — the modular deal "s/m" (cells i with
+// (`gossipsim sweep -shard s/m -out dir`; corpus.ExecuteRunShard). A
+// shard is a runner.CellRange — the modular deal "s/m" (cells i with
 // i mod m == s) or an explicit index range "lo..hi" — and a shard run
 // is an ordinary run directory whose manifest carries, under the full
 // grid's run ID, a shard stanza:
@@ -193,8 +203,9 @@
 // seeds derive from grid cell indices, so every shard record is
 // bit-identical to the same cell of a single-process sweep, and each
 // shard checkpoints and resumes independently with the same torn-tail
-// rules as a full run. MergeRuns (`gossipsim merge -out run shard...`)
-// validates that completed shards share one configuration and cover
+// rules as a full run. `gossipsim merge -out run shard...`
+// (corpus.MergeRuns) validates that completed shards share one
+// configuration and cover
 // the grid's cells exactly once — overlaps, gaps, mismatched
 // configurations and torn tails are rejected, never silently shortened
 // — and interleaves them into a full run whose cells.jsonl is
@@ -202,7 +213,7 @@
 //
 // # Dispatched sweeps
 //
-// The dispatcher (DispatchSweep; `gossipsim dispatch`) runs that whole
+// The dispatcher (`gossipsim dispatch`; dispatch.Run) runs that whole
 // shard/monitor/merge workflow from one invocation:
 //
 //	gossipsim dispatch -shards 8 -sizes 1024..1048576 -algos sampled \
@@ -222,7 +233,7 @@
 // the dispatch with exit 1 and that shard's stderr tail, leaving the
 // partial shard runs in the scratch directory (-dir, default
 // <out>.shards) so re-running the same dispatch resumes them. When all
-// shards complete, the dispatcher merges them (MergeRuns) into a full
+// shards complete, the dispatcher merges them (corpus.MergeRuns) into a full
 // run at -out — byte-identical to a single-process sweep — and with
 // -archive imports it into a corpus under its content-addressed ID.
 //
@@ -242,27 +253,27 @@
 //
 // Three transports execute the same machines:
 //
-//	NewSyncTransport   the simulator's canonical executor: synchronous
-//	                   rounds, parallel phases sharded by receiving
-//	                   node, results bit-identical to the historic
-//	                   substrate loops at any GOMAXPROCS.
+//	phone.Sync         the simulator's canonical executor, under every
+//	                   Run* entry point: synchronous rounds, parallel
+//	                   phases sharded by receiving node, results
+//	                   bit-identical to the historic substrate loops
+//	                   at any GOMAXPROCS.
 //	NewAsyncTransport  one goroutine per node with channel-based
 //	                   delivery and a logical-step barrier — the
 //	                   concurrency shape of a real deployment with the
 //	                   repeatability of logical steps.
-//	ServeGossipd       the same machines behind per-node loopback TCP
+//	cmd/gossipd serve  the same machines behind per-node loopback TCP
 //	                   listeners with a static peer table and no global
-//	                   step barrier at all (cmd/gossipd serve;
-//	                   ServeGossipdElection / cmd/gossipd elect runs the
-//	                   leader election the same way).
+//	                   step barrier at all (internal/gossipd; cmd/gossipd
+//	                   elect runs the leader election the same way).
 //
 // All seven algorithms run on the seam: the push–pull baseline, the
 // sampled estimator, single-rumor broadcast (NewBroadcastMachines), the
 // median-counter broadcast, fast-gossiping, the memory-model algorithm
 // (spanning-tree construction, gather-edge replay, and tree broadcast —
-// Algorithm 2 end to end), and leader election (NewLeaderMachines,
-// Algorithm 3). Run*Over variants accept a TransportFactory to pick the
-// executor; MachineDriver steps any transport until a completion
+// Algorithm 2 end to end), and leader election (Algorithm 3). Inside
+// internal/core each has an …Over variant taking a TransportFactory to
+// pick the executor; MachineDriver steps any transport until a completion
 // predicate (see examples/asyncbroadcast for the 50-line version).
 //
 // # Adding an algorithm

@@ -25,7 +25,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"gossip"
+	"gossip/internal/corpus"
+	"gossip/internal/runner"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 	}
 	defer os.RemoveAll(work)
 
-	grid := gossip.SweepGrid{
+	grid := runner.Grid{
 		Algos:     []string{"pushpull", "sampled"},
 		Models:    []string{"er"},
 		Sizes:     []int{256, 512},
@@ -46,11 +47,11 @@ func main() {
 
 	// 1. Archive the baseline. The run ID is content-addressed from the
 	// configuration, so the corpus would dedupe a re-archive.
-	baseline, recs, err := gossip.ExecuteSweepRun(filepath.Join(work, "baseline"), grid, 0, false, nil)
+	baseline, recs, err := corpus.ExecuteRun(filepath.Join(work, "baseline"), grid, 0, false, nil)
 	if err != nil {
 		fatal(err)
 	}
-	store, err := gossip.OpenCorpus(filepath.Join(work, "corpus"))
+	store, err := corpus.Open(filepath.Join(work, "corpus"))
 	if err != nil {
 		fatal(err)
 	}
@@ -63,11 +64,11 @@ func main() {
 
 	// 2. The candidate build replays the same configuration. Zero
 	// tolerance: only bit-equal means pass — and they do.
-	candidate, _, err := gossip.ExecuteSweepRun(filepath.Join(work, "candidate"), grid, 0, false, nil)
+	candidate, _, err := corpus.ExecuteRun(filepath.Join(work, "candidate"), grid, 0, false, nil)
 	if err != nil {
 		fatal(err)
 	}
-	cmp, err := gossip.CompareRuns(stored, candidate, gossip.SweepTolerance{})
+	cmp, err := corpus.CompareRuns(stored, candidate, corpus.Tolerance{})
 	if err != nil {
 		fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 	// dynamics. The gate prints its verdict table and would exit 1.
 	drifted := grid
 	drifted.Seed = 2
-	bad, _, err := gossip.ExecuteSweepRun(filepath.Join(work, "drifted"), drifted, 0, false, nil)
+	bad, _, err := corpus.ExecuteRun(filepath.Join(work, "drifted"), drifted, 0, false, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -93,7 +94,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cmp = gossip.CompareSweepRecords(baseRecs, badRecs, gossip.SweepTolerance{Rel: 0.02})
+	cmp = corpus.Compare(baseRecs, badRecs, corpus.Tolerance{Rel: 0.02})
 	fmt.Println("gate 2 — changed dynamics at 2% relative tolerance:")
 	cmp.Table().Render(os.Stdout)
 	fmt.Printf("  %s\n", cmp.Summary())

@@ -163,23 +163,6 @@ func TunedMemoryParams(n int) MemoryParams {
 	}
 }
 
-// TheoryMemoryParams returns the pseudocode schedule of Algorithm 2 with
-// the constant rho set to the given value (the theory requires rho > 64;
-// anything above ~2 already completes on simulable sizes, so benches use
-// small rho and the parameter is explicit).
-func TheoryMemoryParams(n int, rho float64) MemoryParams {
-	l, ll := Logn(n), LogLogn(n)
-	log4n := l / 2 // log_4 n = log_2 n / 2
-	return MemoryParams{
-		PushSteps:          roundUp4(ceil(4*log4n + 4*rho*ll)),
-		PullSteps:          ceil(rho * ll),
-		Phase3PushSteps:    roundUp4(ceil(4*log4n + 4*rho*ll)),
-		Phase3MaxPullSteps: 8 * ceil(l),
-		MemSlots:           4,
-		Trees:              1,
-	}
-}
-
 // LeaderParams is the schedule of Algorithm 3.
 type LeaderParams struct {
 	// CandidateProb is the probability that a node declares itself a

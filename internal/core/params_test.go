@@ -77,10 +77,6 @@ func TestTheoryParamsScale(t *testing.T) {
 		if th.Rounds < tu.Rounds || th.WalkSteps < tu.WalkSteps {
 			t.Errorf("n=%d: theory Phase II shorter than tuned", n)
 		}
-		mth := TheoryMemoryParams(n, 1)
-		if mth.PushSteps%4 != 0 {
-			t.Errorf("n=%d: theory push steps not a long-step multiple", n)
-		}
 	}
 }
 

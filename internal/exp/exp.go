@@ -1,6 +1,6 @@
 // Package exp defines the reproduction experiments: one constructor per
 // table and figure of the paper's evaluation section (§5, Appendix C) plus
-// the ablation studies; gossip.ExperimentIDs lists them. Each experiment
+// the ablation studies; the Experiments table lists them. Each experiment
 // declares its evaluation grid as a list of cells and executes them through
 // the internal/runner sweep engine (cells in parallel on a bounded pool,
 // repetitions sequential within a cell, all randomness derived from the
@@ -77,6 +77,28 @@ func paperGraph(cfg Config, n, rep int) *graph.Graph {
 // runSeed derives the algorithm seed for (n, rep, variant).
 func runSeed(cfg Config, n, rep, variant int) uint64 {
 	return xrand.SeedFor(cfg.Seed, tagRun, uint64(n), uint64(rep), uint64(variant))
+}
+
+// Experiments declares every experiment once, in the order `figures -exp
+// all` runs them: the paper's table and figures first, then the ablations.
+var Experiments = []struct {
+	ID  string
+	Run func(Config) *Report
+}{
+	{"table1", Table1},
+	{"figure1", Figure1},
+	{"figure2", Figure2},
+	{"figure3", Figure3},
+	{"figure4", Figure4},
+	{"figure5", Figure5},
+	{"ablation_density", AblationDensity},
+	{"ablation_walkprob", AblationWalkProb},
+	{"ablation_memslots", AblationMemorySlots},
+	{"ablation_trees", AblationTrees},
+	{"ablation_broadcast", AblationBroadcast},
+	{"ablation_complete", AblationComplete},
+	{"ablation_mediancounter", AblationMedianCounter},
+	{"ablation_tradeoff", AblationTradeoff},
 }
 
 // Report is a rendered experiment.

@@ -30,16 +30,21 @@ import (
 	"gossip/internal/phone"
 )
 
-// Config configures a Serve run.
+// Config configures a Serve or ServeElection run.
 type Config struct {
 	// N is the number of nodes (>= 2).
 	N int
 	// Payload is the rumor the source node (id 0) disseminates. Empty
-	// defaults to "hello, gossip".
+	// defaults to "hello, gossip". ServeElection ignores it.
 	Payload []byte
-	// Seed drives the per-node peer-choice streams.
+	// Seed drives the per-node peer-choice streams and, in an election,
+	// the candidate coins.
 	Seed uint64
-	// MaxSteps caps each node's local step count (0 = 64·log₂ n).
+	// MaxSteps caps each node's local step count. 0 = 64·log₂ n for Serve;
+	// for ServeElection, the Algorithm 3 schedule plus 64·log₂ n extra
+	// pull steps — past the scheduled pull stage the machines simply keep
+	// pulling, which is exactly what an asynchronous cluster needs to
+	// finish spreading the winner's ID.
 	MaxSteps int
 	// StepDelay is the pause between a node's steps (0 = 200µs — keeps
 	// the loopback cluster from busy-spinning while staying far faster
@@ -49,13 +54,16 @@ type Config struct {
 	Timeout time.Duration
 }
 
-// Report describes a finished Serve run.
-type Report struct {
-	N         int
+// ElectionConfig configures a ServeElection run.
+type ElectionConfig = Config
+
+// Stats is what every cluster run reports, whatever the protocol.
+type Stats struct {
+	N int
+	// Completed reports that the protocol's completion predicate held when
+	// the cluster stopped: every node informed, or every node's current
+	// minimum the eventual winner's ID.
 	Completed bool
-	// InformedAt[v] is the local step at which node v first held the
-	// rumor (0 for the source, -1 if never informed).
-	InformedAt []int32
 	// LocalSteps[v] is how many steps node v executed.
 	LocalSteps []int32
 	// Dials counts TCP channel openings across the cluster; WireBytes
@@ -68,24 +76,58 @@ type Report struct {
 	Elapsed    time.Duration
 }
 
+// summary renders the one line both reports print: the protocol and its
+// status, the protocol's own outcome, then the traffic every run has.
+func (s *Stats) summary(protocol, outcome string) string {
+	status := "completed"
+	if !s.Completed {
+		status = "INCOMPLETE"
+	}
+	var maxStep int32
+	for _, n := range s.LocalSteps {
+		if n > maxStep {
+			maxStep = n
+		}
+	}
+	return fmt.Sprintf("%s %s: %s, max %d local steps, %d dials, %d call errors, %d wire bytes, %v",
+		protocol, status, outcome, maxStep, s.Dials, s.CallErrors, s.WireBytes, s.Elapsed.Round(time.Millisecond))
+}
+
+// Report describes a finished Serve run.
+type Report struct {
+	Stats
+	// InformedAt[v] is the local step at which node v first held the
+	// rumor (0 for the source, -1 if never informed).
+	InformedAt []int32
+}
+
 // Summary renders a one-line human summary.
 func (r *Report) Summary() string {
 	informed := 0
-	var maxStep int32
-	for v := range r.InformedAt {
-		if r.InformedAt[v] >= 0 {
+	for _, at := range r.InformedAt {
+		if at >= 0 {
 			informed++
 		}
-		if r.LocalSteps[v] > maxStep {
-			maxStep = r.LocalSteps[v]
-		}
 	}
-	status := "completed"
-	if !r.Completed {
-		status = "INCOMPLETE"
-	}
-	return fmt.Sprintf("push-pull broadcast %s: %d/%d nodes informed, max %d local steps, %d dials, %d call errors, %d wire bytes, %v",
-		status, informed, r.N, maxStep, r.Dials, r.CallErrors, r.WireBytes, r.Elapsed.Round(time.Millisecond))
+	return r.summary("push-pull broadcast", fmt.Sprintf("%d/%d nodes informed", informed, r.N))
+}
+
+// ElectionReport describes a finished ServeElection run.
+type ElectionReport struct {
+	Stats
+	// Leader, Candidates, Unique and AwareCount are Algorithm 3's outcome
+	// as resolved from the machines' final state (Leader is -1 if the
+	// election failed).
+	Leader     int32
+	Candidates int
+	Unique     bool
+	AwareCount int
+}
+
+// Summary renders a one-line human summary.
+func (r *ElectionReport) Summary() string {
+	return r.summary("leader election", fmt.Sprintf("leader=%d unique=%v %d/%d aware, %d candidates",
+		r.Leader, r.Unique, r.AwareCount, r.N, r.Candidates))
 }
 
 // node is one cluster member: a machine behind a listener, stepped by its
@@ -147,8 +189,8 @@ func newCluster(cfg Config, set machineSet) (*cluster, error) {
 
 // run starts every node's listener and step loop, waits for completion
 // (polled via the set), for every node to hit its step cap, or for the
-// timeout guard, then shuts the cluster down and returns the elapsed time.
-func (c *cluster) run() time.Duration {
+// timeout guard, then shuts the cluster down and reports on it.
+func (c *cluster) run() Stats {
 	start := time.Now() //gossiplint:allow detlint Elapsed reports real network wall time; cluster results are asynchronous, not replayed
 	// No node answers a call before every node has begun its step 1: a
 	// machine stamps what it receives with its current step, and a push
@@ -189,21 +231,36 @@ wait:
 	c.shutdown()
 	c.wg.Wait()
 	c.srvWg.Wait()
-	return time.Since(start) //gossiplint:allow detlint Elapsed reports real network wall time; cluster results are asynchronous, not replayed
+	st := Stats{
+		N:          c.cfg.N,
+		Completed:  c.set.Complete(),
+		LocalSteps: make([]int32, c.cfg.N),
+		Dials:      c.dials.Load(),
+		WireBytes:  c.wireBytes.Load(),
+		CallErrors: c.callErrs.Load(),
+		Elapsed:    time.Since(start), //gossiplint:allow detlint Elapsed reports real network wall time; cluster results are asynchronous, not replayed
+	}
+	for v, nd := range c.nodes {
+		st.LocalSteps[v] = nd.steps.Load()
+	}
+	return st
 }
 
-// Serve boots the cluster, runs the push–pull broadcast of cfg.Payload
-// from node 0 to completion (or cfg.MaxSteps / cfg.Timeout), shuts the
-// nodes down, and reports per-node informed times.
-func Serve(cfg Config) (*Report, error) {
+// newNet checks the cluster size and returns the complete-graph substrate
+// the machine sets draw their peer choices from.
+func newNet(cfg Config) (*phone.Net, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("gossipd: need at least 2 nodes, got %d", cfg.N)
 	}
-	if len(cfg.Payload) == 0 {
-		cfg.Payload = []byte("hello, gossip")
-	}
+	return phone.NewNet(graph.Complete(cfg.N), cfg.Seed), nil
+}
+
+// serve is the one path both protocols take: fill cfg's defaults, boot
+// the cluster over set's machines, run it to completion (or the step cap
+// or the timeout) and shut it down.
+func serve(cfg Config, defaultMaxSteps int, set machineSet) (Stats, error) {
 	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 64 * ceilLog2(cfg.N)
+		cfg.MaxSteps = defaultMaxSteps
 	}
 	if cfg.StepDelay <= 0 {
 		cfg.StepDelay = 200 * time.Microsecond
@@ -211,89 +268,34 @@ func Serve(cfg Config) (*Report, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-
-	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
-	set := core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload)
 	c, err := newCluster(cfg, set)
+	if err != nil {
+		return Stats{}, err
+	}
+	return c.run(), nil
+}
+
+// Serve boots the cluster, runs the push–pull broadcast of cfg.Payload
+// from node 0 to completion (or cfg.MaxSteps / cfg.Timeout), shuts the
+// nodes down, and reports per-node informed times.
+func Serve(cfg Config) (*Report, error) {
+	nt, err := newNet(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return c.broadcast(set), nil
-}
-
-// broadcast runs the cluster and reports on it. It is apart from Serve so
-// that a test can damage the cluster between boot and run.
-func (c *cluster) broadcast(set *core.BroadcastSet) *Report {
-	elapsed := c.run()
-	n := c.cfg.N
-	rep := &Report{
-		N:          n,
-		Completed:  set.Complete(),
-		InformedAt: make([]int32, n),
-		LocalSteps: make([]int32, n),
-		Dials:      c.dials.Load(),
-		WireBytes:  c.wireBytes.Load(),
-		CallErrors: c.callErrs.Load(),
-		Elapsed:    elapsed,
+	if len(cfg.Payload) == 0 {
+		cfg.Payload = []byte("hello, gossip")
 	}
-	for v := 0; v < n; v++ {
+	set := core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload)
+	st, err := serve(cfg, 64*ceilLog2(cfg.N), set)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Stats: st, InformedAt: make([]int32, cfg.N)}
+	for v := range rep.InformedAt {
 		rep.InformedAt[v] = set.InformedAt(int32(v))
-		rep.LocalSteps[v] = c.nodes[v].steps.Load()
 	}
-	return rep
-}
-
-// ElectionConfig configures a ServeElection run.
-type ElectionConfig struct {
-	// N is the number of nodes (>= 2).
-	N int
-	// Seed drives the candidate coins and the per-node peer-choice streams.
-	Seed uint64
-	// MaxSteps caps each node's local step count (0 = the Algorithm 3
-	// schedule plus 64·log₂ n extra pull steps — past the scheduled pull
-	// stage the machines simply keep pulling, which is exactly what an
-	// asynchronous cluster needs to finish spreading the winner's ID).
-	MaxSteps int
-	// StepDelay is the pause between a node's steps (0 = 200µs).
-	StepDelay time.Duration
-	// Timeout aborts a run that does not complete (0 = 30s).
-	Timeout time.Duration
-}
-
-// ElectionReport describes a finished ServeElection run.
-type ElectionReport struct {
-	N int
-	// Leader, Candidates, Unique and AwareCount are Algorithm 3's outcome
-	// as resolved from the machines' final state (Leader is -1 if the
-	// election failed).
-	Leader     int32
-	Candidates int
-	Unique     bool
-	AwareCount int
-	// Completed reports that every node's current minimum was the eventual
-	// winner's ID when the cluster stopped.
-	Completed  bool
-	LocalSteps []int32
-	Dials      int64
-	WireBytes  int64
-	CallErrors int64
-	Elapsed    time.Duration
-}
-
-// Summary renders a one-line human summary.
-func (r *ElectionReport) Summary() string {
-	status := "completed"
-	if !r.Completed {
-		status = "INCOMPLETE"
-	}
-	var maxStep int32
-	for _, s := range r.LocalSteps {
-		if s > maxStep {
-			maxStep = s
-		}
-	}
-	return fmt.Sprintf("leader election %s: leader=%d unique=%v %d/%d aware, %d candidates, max %d local steps, %d dials, %d call errors, %d wire bytes, %v",
-		status, r.Leader, r.Unique, r.AwareCount, r.N, r.Candidates, maxStep, r.Dials, r.CallErrors, r.WireBytes, r.Elapsed.Round(time.Millisecond))
+	return rep, nil
 }
 
 // ServeElection boots the cluster and runs Algorithm 3 — the same
@@ -305,52 +307,24 @@ func (r *ElectionReport) Summary() string {
 // cap / timeout), and the election is resolved from the machines' final
 // state.
 func ServeElection(cfg ElectionConfig) (*ElectionReport, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("gossipd: need at least 2 nodes, got %d", cfg.N)
-	}
-	p := core.DefaultLeaderParams(cfg.N)
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = p.PushSteps + p.PullSteps + 64*ceilLog2(cfg.N)
-	}
-	if cfg.StepDelay <= 0 {
-		cfg.StepDelay = 200 * time.Microsecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-
-	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
-	set := core.NewLeaderSet(nt, p)
-	c, err := newCluster(Config{
-		N:         cfg.N,
-		Seed:      cfg.Seed,
-		MaxSteps:  cfg.MaxSteps,
-		StepDelay: cfg.StepDelay,
-		Timeout:   cfg.Timeout,
-	}, set)
+	nt, err := newNet(cfg)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := c.run()
-
+	p := core.DefaultLeaderParams(cfg.N)
+	set := core.NewLeaderSet(nt, p)
+	st, err := serve(cfg, p.PushSteps+p.PullSteps+64*ceilLog2(cfg.N), set)
+	if err != nil {
+		return nil, err
+	}
 	res := set.Resolve()
-	rep := &ElectionReport{
-		N:          cfg.N,
+	return &ElectionReport{
+		Stats:      st,
 		Leader:     res.Leader,
 		Candidates: res.Candidates,
 		Unique:     res.Unique,
 		AwareCount: res.AwareCount,
-		Completed:  set.Complete(),
-		LocalSteps: make([]int32, cfg.N),
-		Dials:      c.dials.Load(),
-		WireBytes:  c.wireBytes.Load(),
-		CallErrors: c.callErrs.Load(),
-		Elapsed:    elapsed,
-	}
-	for v := 0; v < cfg.N; v++ {
-		rep.LocalSteps[v] = c.nodes[v].steps.Load()
-	}
-	return rep, nil
+	}, nil
 }
 
 func (c *cluster) shutdown() {

@@ -58,7 +58,7 @@ func TestCallErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.nodes[3].ln.Close()
-	rep := c.broadcast(set)
+	rep := &Report{Stats: c.run()}
 	if rep.CallErrors == 0 || rep.CallErrors > rep.Dials {
 		t.Fatalf("CallErrors = %d of %d dials with node 3 deaf: %s", rep.CallErrors, rep.Dials, rep.Summary())
 	}

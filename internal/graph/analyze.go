@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"math"
-
-	"gossip/internal/stats"
-	"gossip/internal/xrand"
-)
+import "gossip/internal/stats"
 
 // BFS returns the hop distance from src to every node (-1 for unreachable).
 func BFS(g *Graph, src int32) []int32 {
@@ -42,29 +37,6 @@ func IsConnected(g *Graph) bool {
 	return true
 }
 
-// EccentricityLowerBound estimates the diameter with a double BFS sweep
-// (a classical lower bound that is exact on trees and tight in practice on
-// random graphs).
-func EccentricityLowerBound(g *Graph) int32 {
-	if g.N() == 0 {
-		return 0
-	}
-	far := func(src int32) (int32, int32) {
-		dist := BFS(g, src)
-		best, bd := src, int32(0)
-		for v, d := range dist {
-			if d > bd {
-				bd = d
-				best = int32(v)
-			}
-		}
-		return best, bd
-	}
-	a, _ := far(0)
-	_, d := far(a)
-	return d
-}
-
 // DegreeStats summarizes the degree sequence. The paper's models rely on
 // degree concentration d_v = d(1 ± o(1)); tests assert it.
 func DegreeStats(g *Graph) stats.Summary {
@@ -73,163 +45,4 @@ func DegreeStats(g *Graph) stats.Summary {
 		xs[v] = float64(g.Degree(int32(v)))
 	}
 	return stats.Summarize(xs)
-}
-
-// SpectralGapEstimate estimates lambda_2, the second-largest eigenvalue (in
-// absolute value) of the lazy random-walk transition matrix
-// P = (I + D^{-1}A)/2, via power iteration with deflation against the
-// stationary distribution pi_v = d_v / 2m. The mixing time of the
-// random-walk phase of Algorithm 1 is O(log n / (1 - lambda_2)); on the
-// random graphs the paper considers the gap is 1 - O(1/sqrt(d)), which the
-// validation tests check.
-//
-// The laziness makes the spectrum non-negative so the power iteration
-// converges to lambda_2 rather than |lambda_n|; the reported value is for
-// the lazy walk (lazy lambda = (1 + non-lazy lambda) / 2).
-func SpectralGapEstimate(g *Graph, iters int, rng *xrand.RNG) float64 {
-	n := g.N()
-	if n < 2 {
-		return 0
-	}
-	var twoM float64
-	for v := 0; v < n; v++ {
-		twoM += float64(g.Degree(int32(v)))
-	}
-	if twoM == 0 {
-		return 0
-	}
-	pi := make([]float64, n)
-	for v := 0; v < n; v++ {
-		pi[v] = float64(g.Degree(int32(v))) / twoM
-	}
-	x := make([]float64, n)
-	for v := range x {
-		x[v] = rng.Float64() - 0.5
-	}
-	y := make([]float64, n)
-	deflate := func(z []float64) {
-		// Remove the component along the right eigenvector 1 of P with
-		// respect to the pi-weighted inner product: z -= <z, 1>_pi * 1.
-		var dot float64
-		for v := range z {
-			dot += z[v] * pi[v]
-		}
-		for v := range z {
-			z[v] -= dot
-		}
-	}
-	norm := func(z []float64) float64 {
-		var s float64
-		for v := range z {
-			s += z[v] * z[v] * pi[v]
-		}
-		return math.Sqrt(s)
-	}
-	deflate(x)
-	if nm := norm(x); nm > 0 {
-		for v := range x {
-			x[v] /= nm
-		}
-	}
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		for v := 0; v < n; v++ {
-			d := g.Degree(int32(v))
-			if d == 0 {
-				y[v] = x[v] // isolated node: lazy walk stays put
-				continue
-			}
-			var s float64
-			for _, u := range g.Neighbors(int32(v)) {
-				s += x[u]
-			}
-			y[v] = 0.5*x[v] + 0.5*s/float64(d)
-		}
-		deflate(y)
-		nm := norm(y)
-		if nm == 0 {
-			return 0
-		}
-		lambda = nm // Rayleigh growth factor of the deflated iterate
-		for v := range y {
-			y[v] /= nm
-		}
-		x, y = y, x
-	}
-	return lambda
-}
-
-// ConductanceOfSet returns the conductance phi(S) = cut(S, V\S) /
-// min(vol(S), vol(V\S)) of the node set marked by inS.
-func ConductanceOfSet(g *Graph, inS []bool) float64 {
-	var cut, volS, volC float64
-	for v := 0; v < g.N(); v++ {
-		d := float64(g.Degree(int32(v)))
-		if inS[v] {
-			volS += d
-		} else {
-			volC += d
-		}
-		for _, u := range g.Neighbors(int32(v)) {
-			if inS[v] != inS[u] {
-				cut++
-			}
-		}
-	}
-	cut /= 2
-	minVol := math.Min(volS, volC)
-	if minVol == 0 {
-		return 0
-	}
-	return cut / minVol
-}
-
-// EstimateConductance samples random balanced bisections and sweep sets from
-// BFS orderings, returning the smallest conductance observed. It is an
-// upper bound on the true conductance; on the expander-like random graphs
-// of the paper it concentrates near a constant, which tests assert.
-func EstimateConductance(g *Graph, samples int, rng *xrand.RNG) float64 {
-	n := g.N()
-	if n < 2 {
-		return 0
-	}
-	best := math.Inf(1)
-	inS := make([]bool, n)
-	for s := 0; s < samples; s++ {
-		perm := rng.Perm(n)
-		for i := range inS {
-			inS[i] = false
-		}
-		for _, v := range perm[:n/2] {
-			inS[v] = true
-		}
-		if phi := ConductanceOfSet(g, inS); phi < best {
-			best = phi
-		}
-		// Sweep-set from a BFS frontier: frequently finds low-conductance
-		// cuts when they exist.
-		dist := BFS(g, int32(rng.Intn(n)))
-		var maxd int32
-		for _, d := range dist {
-			if d > maxd {
-				maxd = d
-			}
-		}
-		for r := int32(0); r < maxd; r++ {
-			cnt := 0
-			for v, d := range dist {
-				inS[v] = d >= 0 && d <= r
-				if inS[v] {
-					cnt++
-				}
-			}
-			if cnt == 0 || cnt == n {
-				continue
-			}
-			if phi := ConductanceOfSet(g, inS); phi < best {
-				best = phi
-			}
-		}
-	}
-	return best
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"testing"
 
 	"gossip/internal/xrand"
@@ -73,8 +74,11 @@ func TestHypercube(t *testing.T) {
 			}
 		}
 	}
-	if d := EccentricityLowerBound(g); d != 4 {
-		t.Errorf("Q4 diameter = %d, want 4", d)
+	// Diameter 4: the antipode 15 is the one node 4 hops from 0.
+	for v, d := range BFS(g, 0) {
+		if want := int32(bits.OnesCount(uint(v))); d != want {
+			t.Errorf("Q4 dist(0, %d) = %d, want %d", v, d, want)
+		}
 	}
 	if g := Hypercube(0); g.N() != 1 {
 		t.Error("Q0 wrong")

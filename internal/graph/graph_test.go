@@ -366,67 +366,6 @@ func TestBFSPath(t *testing.T) {
 	}
 }
 
-func TestEccentricityLowerBound(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	if d := EccentricityLowerBound(g); d != 4 {
-		t.Errorf("path diameter estimate = %d, want 4", d)
-	}
-}
-
-func TestSpectralGap(t *testing.T) {
-	rng := xrand.New(15)
-	// Expander-like random graph: lazy lambda2 should be well below 1.
-	g := ErdosRenyi(600, PLogSquared(600), rng)
-	l2 := SpectralGapEstimate(g, 60, rng)
-	if l2 <= 0 || l2 >= 0.9 {
-		t.Errorf("lambda2 = %v, want in (0, 0.9) for an expander", l2)
-	}
-	// A long cycle mixes slowly: lambda2 close to 1.
-	cyc := make([]Edge, 200)
-	for i := range cyc {
-		cyc[i] = Edge{int32(i), int32((i + 1) % 200)}
-	}
-	slow := SpectralGapEstimate(FromEdges(200, cyc), 200, rng)
-	if slow < 0.98 {
-		t.Errorf("cycle lambda2 = %v, want ~1", slow)
-	}
-	if slow <= l2 {
-		t.Errorf("cycle should mix slower than expander: %v vs %v", slow, l2)
-	}
-}
-
-func TestConductance(t *testing.T) {
-	// Two cliques joined by one edge: low conductance; detectable.
-	var edges []Edge
-	k := 12
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			edges = append(edges, Edge{int32(i), int32(j)})
-			edges = append(edges, Edge{int32(k + i), int32(k + j)})
-		}
-	}
-	edges = append(edges, Edge{0, int32(k)})
-	g := FromEdges(2*k, edges)
-	inS := make([]bool, 2*k)
-	for i := 0; i < k; i++ {
-		inS[i] = true
-	}
-	phi := ConductanceOfSet(g, inS)
-	if phi <= 0 || phi > 0.02 {
-		t.Errorf("barbell conductance = %v", phi)
-	}
-	rng := xrand.New(16)
-	est := EstimateConductance(g, 4, rng)
-	if est > 0.1 {
-		t.Errorf("EstimateConductance = %v, expected to find the bottleneck", est)
-	}
-	// Random graph: no bottleneck.
-	exp := ErdosRenyi(400, PLogSquared(400), rng)
-	if est := EstimateConductance(exp, 2, rng); est < 0.05 {
-		t.Errorf("expander conductance estimate = %v, suspiciously low", est)
-	}
-}
-
 func TestQuickHandshakeLemma(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)

@@ -8,12 +8,11 @@ import (
 // viewenc enforces the byte-identity invariant behind the CLI/daemon
 // no-drift guarantee: corpus view types (RunSummary, RunDetail,
 // ReportView, CompareResult, Trend, …) are serialized by exactly one
-// encoder — corpus.WriteJSON (exported as gossip.WriteCorpusJSON) —
-// so `gossipsim … -json` and the corpusd HTTP endpoints can never
-// disagree about bytes. Any other json.Marshal / json.MarshalIndent /
-// (*json.Encoder).Encode of a view type is a second encoder waiting
-// to drift (indentation, trailing newline, HTML escaping) and is
-// flagged.
+// encoder — corpus.WriteJSON — so `gossipsim … -json` and the corpusd
+// HTTP endpoints can never disagree about bytes. Any other
+// json.Marshal / json.MarshalIndent / (*json.Encoder).Encode of a view
+// type is a second encoder waiting to drift (indentation, trailing
+// newline, HTML escaping) and is flagged.
 //
 // The check looks through pointers, slices, arrays, and map values to
 // the named type, so encoding []RunSummary or *RunDetail is caught
@@ -84,7 +83,7 @@ func checkViewEncode(p *Pass, call *ast.CallExpr) {
 		return
 	}
 	if name, ok := viewTypeOf(p.TypeOf(call.Args[0])); ok {
-		p.Reportf(call.Pos(), "%s of corpus view type %s bypasses the canonical encoder; route it through corpus.WriteJSON (gossip.WriteCorpusJSON) so CLI and daemon bytes cannot drift", how, name)
+		p.Reportf(call.Pos(), "%s of corpus view type %s bypasses the canonical encoder; route it through corpus.WriteJSON so CLI and daemon bytes cannot drift", how, name)
 	}
 }
 

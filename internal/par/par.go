@@ -1,8 +1,7 @@
-// Package par contains the small data-parallel helpers the simulators use:
-// a chunked parallel-for over node ranges and a deterministic reduction.
-// All parallelism in this module flows through these helpers, and all
-// randomness comes from per-node streams, so simulation results are
-// identical for any GOMAXPROCS.
+// Package par contains the small data-parallel helper the simulators use:
+// a chunked parallel-for over node ranges. All parallelism in this module
+// flows through it, and all randomness comes from per-node streams, so
+// simulation results are identical for any GOMAXPROCS.
 package par
 
 import (
@@ -48,46 +47,4 @@ func For(n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// SumInt64 runs fn over disjoint subranges and returns the sum of the
-// per-range partial results. The reduction order does not affect the sum,
-// so the result is deterministic.
-func SumInt64(n int, fn func(lo, hi int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > (n+minChunk-1)/minChunk {
-		workers = (n + minChunk - 1) / minChunk
-	}
-	if workers <= 1 {
-		return fn(0, n)
-	}
-	partial := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	used := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		used++
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partial[w] = fn(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total int64
-	for _, p := range partial[:used] {
-		total += p
-	}
-	return total
 }

@@ -32,27 +32,3 @@ func TestForRangesDisjointAndOrdered(t *testing.T) {
 		t.Error("For dispatched empty ranges")
 	}
 }
-
-func TestSumInt64(t *testing.T) {
-	n := 12345
-	got := SumInt64(n, func(lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += int64(i)
-		}
-		return s
-	})
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Errorf("SumInt64 = %d, want %d", got, want)
-	}
-	if SumInt64(0, func(lo, hi int) int64 { return 99 }) != 0 {
-		t.Error("SumInt64(0) != 0")
-	}
-}
-
-func TestSumInt64Small(t *testing.T) {
-	if got := SumInt64(3, func(lo, hi int) int64 { return int64(hi - lo) }); got != 3 {
-		t.Errorf("small SumInt64 = %d", got)
-	}
-}

@@ -63,9 +63,6 @@ func (p *DialPlan) TakeStep(v int32, step int32) []PlannedDial {
 	return es[lo:c]
 }
 
-// NodeLen returns the total number of dials scheduled for v.
-func (p *DialPlan) NodeLen(v int32) int { return len(p.entries[v]) }
-
 // Reset rewinds every cursor so the plan can be replayed.
 func (p *DialPlan) Reset() {
 	for i := range p.cursor {

@@ -34,8 +34,8 @@ func TestDialPlanTakeStep(t *testing.T) {
 	if ds := p.TakeStep(1, 2); len(ds) != 2 || ds[0].Tag != 1 {
 		t.Fatalf("node 1 step 2: %v", ds)
 	}
-	if p.NodeLen(1) != 2 || p.NodeLen(2) != 0 {
-		t.Fatal("NodeLen wrong")
+	if ds := p.TakeStep(2, 2); len(ds) != 0 {
+		t.Fatalf("node 2 was given no dials: %v", ds)
 	}
 }
 

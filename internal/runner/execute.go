@@ -113,7 +113,11 @@ func (g Grid) Validate() error {
 	// f random non-leader nodes).
 	for _, f := range c.Failures {
 		for _, n := range c.Sizes {
-			if got := f.Resolve(n); got >= n {
+			got := f.Resolve(n)
+			if got < 0 {
+				return fmt.Errorf("runner: failure count %s out of range (need >= 0)", f)
+			}
+			if got >= n {
 				return fmt.Errorf("runner: failure count %s resolves to %d of n=%d nodes (need < n)", f, got, n)
 			}
 		}

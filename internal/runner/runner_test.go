@@ -135,6 +135,9 @@ func TestGridValidate(t *testing.T) {
 		{Sizes: []int{128}, Failures: []FailureSpec{{Count: 128}}},
 		{Sizes: []int{128, 4096}, Failures: []FailureSpec{{Frac: 1}}},
 		{Failures: []FailureSpec{{Count: 1 << 20}}},
+		// A negative count is reachable from a manifest file's named grid
+		// and from `gossipsim -failures`; xrand.SampleK would panic on it.
+		{Failures: []FailureSpec{{Count: -1}}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid grid %+v accepted", bad)

@@ -196,53 +196,3 @@ func Summarize(xs []float64) Summary {
 		Max:    a.Max(),
 	}
 }
-
-// Histogram is a fixed-width histogram over [Lo, Hi); observations outside
-// the range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	total   int64
-}
-
-// NewHistogram returns a histogram with k buckets over [lo, hi).
-func NewHistogram(lo, hi float64, k int) *Histogram {
-	if k <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, k)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	k := len(h.Buckets)
-	i := int(float64(k) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= k {
-		i = k - 1
-	}
-	h.Buckets[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// FractionAbove returns the fraction of observations in buckets whose lower
-// edge is >= x.
-func (h *Histogram) FractionAbove(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	k := len(h.Buckets)
-	width := (h.Hi - h.Lo) / float64(k)
-	var c int64
-	for i, b := range h.Buckets {
-		if h.Lo+float64(i)*width >= x {
-			c += b
-		}
-	}
-	return float64(c) / float64(h.total)
-}

@@ -166,45 +166,6 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, b := range h.Buckets {
-		if b != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, b)
-		}
-	}
-	h.Add(-5) // clamps into first bucket
-	h.Add(99) // clamps into last bucket
-	if h.Buckets[0] != 2 || h.Buckets[9] != 2 {
-		t.Error("clamping failed")
-	}
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramFractionAbove(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if got := h.FractionAbove(5); !almost(got, 0.5, 1e-12) {
-		t.Errorf("FractionAbove(5) = %v", got)
-	}
-	if got := h.FractionAbove(0); got != 1 {
-		t.Errorf("FractionAbove(0) = %v", got)
-	}
-	var empty Histogram
-	empty.Buckets = make([]int64, 1)
-	empty.Hi = 1
-	if empty.FractionAbove(0) != 0 {
-		t.Error("empty histogram FractionAbove != 0")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var small, big Acc

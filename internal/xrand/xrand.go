@@ -240,48 +240,3 @@ func (r *RNG) SampleK(n, k int) []int32 {
 	}
 	return out
 }
-
-// Binomial returns a sample from Binomial(n, p). For the small n·p regime it
-// uses geometric skipping; otherwise it falls back to a normal approximation
-// with continuity correction, which is accurate far beyond the needs of the
-// sanity checks that use it (the simulators themselves never approximate).
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	if mean < 64 {
-		// Count successes by jumping between them geometrically.
-		count := 0
-		i := r.Geometric(p)
-		for i < n {
-			count++
-			i += 1 + r.Geometric(p)
-		}
-		return count
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	x := math.Round(mean + sd*r.Normal())
-	if x < 0 {
-		x = 0
-	}
-	if x > float64(n) {
-		x = float64(n)
-	}
-	return int(x)
-}
-
-// Normal returns a standard normal sample (Box–Muller, one value per call).
-func (r *RNG) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}

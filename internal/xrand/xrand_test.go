@@ -259,59 +259,6 @@ func TestSampleKCoverage(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(15)
-	cases := []struct {
-		n int
-		p float64
-	}{{100, 0.05}, {1000, 0.3}, {50, 0.9}}
-	for _, c := range cases {
-		sum := 0.0
-		const reps = 20000
-		for i := 0; i < reps; i++ {
-			sum += float64(r.Binomial(c.n, c.p))
-		}
-		mean := sum / reps
-		want := float64(c.n) * c.p
-		sd := math.Sqrt(want * (1 - c.p))
-		if math.Abs(mean-want) > 5*sd/math.Sqrt(reps)+0.5 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want ~%v", c.n, c.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(16)
-	if r.Binomial(0, 0.5) != 0 {
-		t.Error("Binomial(0, p) != 0")
-	}
-	if r.Binomial(10, 0) != 0 {
-		t.Error("Binomial(n, 0) != 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Error("Binomial(n, 1) != n")
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := New(17)
-	sum, sumsq := 0.0, 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		x := r.Normal()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("Normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("Normal variance = %v", variance)
-	}
-}
-
 func TestSeedForDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
 	for run := uint64(0); run < 30; run++ {
