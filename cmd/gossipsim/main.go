@@ -116,6 +116,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *model == "regular" && *degree >= *n {
+		fmt.Fprintf(os.Stderr, "gossipsim: -degree %d for -model regular (need < n=%d)\n", *degree, *n)
+		os.Exit(2)
+	}
 	for rep := 0; rep < *reps; rep++ {
 		s := *seed + uint64(rep)
 		g, err := buildGraph(*model, *n, *p, *degree, *beta, s)
@@ -190,14 +194,13 @@ func buildGraph(model string, n int, p float64, degree int, beta float64, seed u
 		}
 		return gossip.NewErdosRenyi(n, p, seed), nil
 	case "regular":
-		d := degree
-		if d <= 0 {
-			d = int(gossip.PaperEdgeProbability(n) * float64(n))
+		if degree <= 0 { // log²n, kept below n where it clamps (n ≤ 16), as runner.BuildGraph keeps it
+			degree = min(int(gossip.PaperEdgeProbability(n)*float64(n)), n-1)
 		}
-		if n*d%2 == 1 {
-			d++
+		if n*degree%2 == 1 {
+			degree++
 		}
-		return gossip.NewRandomRegular(n, d, seed), nil
+		return gossip.NewRandomRegular(n, degree, seed), nil
 	case "powerlaw":
 		return gossip.NewPowerLaw(n, beta, 8, seed), nil
 	default:

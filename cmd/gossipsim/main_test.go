@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +31,18 @@ func TestBuildGraphModels(t *testing.T) {
 		if g.N() != 256 {
 			t.Errorf("buildGraph(%q): n = %d, want 256", tc.model, g.N())
 		}
+	}
+}
+
+// TestBuildGraphDefaultDegreeBelowN: at n ≤ 16 log²n/n clamps to 1, and the
+// defaulted degree must be n-1, not n.
+func TestBuildGraphDefaultDegreeBelowN(t *testing.T) {
+	got, err := buildGraph("regular", 16, 0, 0, 2.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := buildGraph("regular", 16, 0, 15, 2.5, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("default degree at n=16: m = %d, -degree 15 gives m = %d", got.M(), want.M())
 	}
 }
 
@@ -92,6 +105,7 @@ func TestSingleRunRejectsOutOfRange(t *testing.T) {
 		{"-algo", "memory", "-n", "0"},
 		{"-algo", "broadcast-push", "-n", "0"},
 		{"-n", "-5"},
+		{"-model", "regular", "-n", "64", "-degree", "64"},
 	} {
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(), reexecEnv+"=1")

@@ -57,8 +57,8 @@ func NewPaperGraph(n int, seed uint64) *Graph {
 	return graph.ErdosRenyi(n, graph.PLogSquared(n), xrand.New(seed))
 }
 
-// NewRandomRegular samples a simple d-regular graph (configuration model
-// with rejection/repair). n·d must be even.
+// NewRandomRegular samples a simple graph with degrees d (d ≤ 5 or so) or
+// at most d (an erased pairing; see graph.RandomRegular). n·d must be even.
 func NewRandomRegular(n, d int, seed uint64) *Graph {
 	return graph.RandomRegular(n, d, xrand.New(seed))
 }

@@ -149,135 +149,99 @@ type ConfigStats struct {
 // even. Self-loops and multi-edges are kept — the model the paper analyzes
 // keeps them too — and reported in stats.
 func ConfigurationModel(n, d int, rng *xrand.RNG) (*Graph, ConfigStats) {
-	if n < 0 || d < 0 {
-		panic("graph: negative configuration-model parameter")
-	}
-	if n*d%2 != 0 {
-		panic("graph: n*d must be even in the configuration model")
-	}
-	stubs := make([]int32, n*d)
-	for v := 0; v < n; v++ {
-		for k := 0; k < d; k++ {
-			stubs[v*d+k] = int32(v)
-		}
-	}
-	// A uniformly random permutation paired off consecutively is a uniformly
-	// random perfect matching of the stubs.
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	edges := make([]Edge, 0, len(stubs)/2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		edges = append(edges, Edge{U: stubs[i], V: stubs[i+1]})
-	}
-	g := FromEdges(n, edges)
-	return g, countDefects(edges)
+	stubs := newStubs(n, d)
+	shuffleStubs(stubs, d, rng, false)
+	edges := pairUp(stubs, nil)
+	return FromEdges(n, edges), countDefects(edges, make([]uint64, 0, len(edges)))
 }
 
-// RandomRegular samples a simple d-regular graph by re-drawing
-// configuration-model pairings until one has no loops or multi-edges
-// (rejection is the classical exact sampler; acceptance probability is
-// bounded away from 0 for d = O(√log n), and for larger d we fall back to
-// local repair — erased configuration model — which the analysis also
-// tolerates since only O(1) edges differ w.h.p.). maxTries bounds the
-// rejection phase.
-// The rejection loop reuses one stub buffer, one edge buffer, and one
-// defect-scan scratch slice across all tries, and builds the CSR graph
-// only for the accepted pairing. Each try consumes exactly one
-// Shuffle(n·d) from rng — the same draws ConfigurationModel would make —
-// so the sampled graph is bit-identical to rejecting over full
-// ConfigurationModel calls.
+// RandomRegular samples a d-regular graph by rejection over configuration-
+// model pairings, the classical exact sampler: the first of up to maxTries
+// pairings without loops or multi-edges is returned. One is simple with
+// probability ≈ exp(-(d²-1)/4) — 0.14 at d = 3, e⁻²²⁵ at d = 30 — so above
+// d ≈ 5 the result is in practice always the erased fallback, the pairing of
+// shuffle maxTries+1 with loops dropped and parallels collapsed: simple,
+// degrees at most d, and ≈ (d²-1)/4 edges short or more (at n = 2048,
+// d = 242 it keeps ≈ 233.7 k of 247.8 k, 5.7 % erased).
+//
+// Draw contract: every try and the fallback consume exactly one
+// rng.Shuffle(n·d) over the node-major stubs, so graph and stream position
+// are those of rejecting over whole ConfigurationModel calls. A try that
+// closes a self-loop stops there and only draws the rest (shuffleStubs);
+// edge and key buffers appear with the first loop-free try and are reused.
 func RandomRegular(n, d int, rng *xrand.RNG) *Graph {
-	if n < 0 || d < 0 {
-		panic("graph: negative configuration-model parameter")
-	}
-	if n*d%2 != 0 {
-		panic("graph: n*d must be even in the configuration model")
-	}
 	const maxTries = 40
-	stubs := make([]int32, n*d)
-	edges := make([]Edge, len(stubs)/2)
-	keys := make([]uint64, 0, len(edges))
+	stubs := newStubs(n, d)
+	var edges []Edge
+	var keys []uint64
 	for try := 0; try < maxTries; try++ {
-		for v := 0; v < n; v++ {
-			for k := 0; k < d; k++ {
-				stubs[v*d+k] = int32(v)
+		if shuffleStubs(stubs, d, rng, true) {
+			edges, keys = pairUp(stubs, edges), slices.Grow(keys, len(stubs)/2)
+			if countDefects(edges, keys) == (ConfigStats{}) {
+				return FromEdges(n, edges)
 			}
 		}
-		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		for i := range edges {
-			edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
-		}
-		if pairingIsSimple(edges, keys) {
-			return FromEdges(n, edges)
-		}
 	}
-	// Erased fallback: drop loops, collapse parallels.
-	g, _ := ConfigurationModel(n, d, rng)
-	return Simplify(g)
+	shuffleStubs(stubs, d, rng, false)
+	return Simplify(FromEdges(n, pairUp(stubs, edges)))
 }
 
-// pairingIsSimple reports whether a stub pairing has no self-loops and no
-// parallel edges. keys is caller-provided scratch (resliced to zero
-// length) so the rejection loop in RandomRegular allocates nothing per
-// try.
-func pairingIsSimple(edges []Edge, keys []uint64) bool {
-	keys = keys[:0]
-	for _, e := range edges {
-		if e.U == e.V {
-			return false
-		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		keys = append(keys, uint64(uint32(u))<<32|uint64(uint32(v)))
+// newStubs checks the pairing model's parameters and allocates its stubs.
+func newStubs(n, d int) []int32 {
+	if n < 0 || d < 0 || n*d%2 != 0 {
+		panic("graph: the configuration model needs n, d >= 0 and n*d even")
 	}
-	slices.Sort(keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
+	return make([]int32, n*d)
+}
+
+// shuffleStubs lays the stubs out node-major, d to a node, and runs
+// rng.Shuffle over them: stubs 2k and 2k+1 are then pair k of a uniformly
+// random perfect matching. Fisher–Yates fixes position i at step i, top
+// down, so pair i/2 is final after an even step. With rejectLoops the first
+// such pair that is a self-loop ends the swapping, rng skips the draws the
+// rest of the shuffle owes, and the result is false; pair 0, final only
+// after the last step, is left to countDefects.
+func shuffleStubs(stubs []int32, d int, rng *xrand.RNG, rejectLoops bool) bool {
+	for v := 0; v*d < len(stubs); v++ {
+		row := stubs[v*d : v*d+d]
+		for k := range row {
+			row[k] = int32(v)
+		}
+	}
+	for i := len(stubs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		stubs[i], stubs[j] = stubs[j], stubs[i]
+		if rejectLoops && i&1 == 0 && stubs[i] == stubs[i+1] {
+			rng.SkipShuffle(i)
 			return false
 		}
 	}
 	return true
 }
 
-// Simplify returns a copy of g with self-loops removed and parallel edges
-// collapsed.
-func Simplify(g *Graph) *Graph {
-	var edges []Edge
-	seen := make(map[[2]int32]bool)
-	for v := int32(0); int(v) < g.N(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if u <= v { // keep each undirected edge once, drop loops (u==v)
-				if u == v {
-					continue
-				}
-				key := [2]int32{u, v}
-				if !seen[key] {
-					seen[key] = true
-					edges = append(edges, Edge{U: u, V: v})
-				}
-			}
-		}
+// pairUp reads the pairing off shuffled stubs into edges, grown to fit.
+func pairUp(stubs []int32, edges []Edge) []Edge {
+	edges = slices.Grow(edges[:0], len(stubs)/2)[:len(stubs)/2]
+	for i := range edges {
+		edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
 	}
-	return FromEdges(g.N(), edges)
+	return edges
 }
 
-func countDefects(edges []Edge) ConfigStats {
+// countDefects counts a pairing's self-loops and its surplus parallel
+// edges. One key per other edge is sorted into keys[:0], the caller's
+// scratch, so that parallels are adjacent: c equal keys contribute c-1.
+func countDefects(edges []Edge, keys []uint64) ConfigStats {
 	var st ConfigStats
-	keys := make([]uint64, 0, len(edges))
+	keys = keys[:0]
 	for _, e := range edges {
 		if e.U == e.V {
 			st.SelfLoops++
 			continue
 		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
+		u, v := min(e.U, e.V), max(e.U, e.V)
 		keys = append(keys, uint64(uint32(u))<<32|uint64(uint32(v)))
 	}
-	// Sorted adjacent-duplicate scan: a run of c equal keys contributes
-	// c-1 surplus edges, exactly the map-based count it replaces.
 	slices.Sort(keys)
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
@@ -285,6 +249,22 @@ func countDefects(edges []Edge) ConfigStats {
 		}
 	}
 	return st
+}
+
+// Simplify returns a copy of g with self-loops removed and parallel edges
+// collapsed, each edge {u, v}, u < v, taken where u first appears in v's list.
+func Simplify(g *Graph) *Graph {
+	edges := make([]Edge, 0, g.M())
+	last := make([]int32, g.N()) // last[u] = v once {u, v} is kept; u < v, so never 0
+	for v := int32(0); int(v) < g.N(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if u < v && last[u] != v {
+				last[u] = v
+				edges = append(edges, Edge{U: u, V: v})
+			}
+		}
+	}
+	return FromEdges(g.N(), edges)
 }
 
 // ChungLu samples a graph where edge {u,v} (u != v) appears independently

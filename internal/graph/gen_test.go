@@ -76,6 +76,94 @@ func TestErdosRenyiMatchesReference(t *testing.T) {
 	}
 }
 
+// randomRegularReference is the RandomRegular this package had before a
+// rejected try stopped at its first loop, kept as the specification of its
+// draws and its result: 40 whole closure shuffles, each paired off and
+// scanned, then ConfigurationModel's shuffle erased through a map. It also
+// reports which try was accepted (0: the erased fallback) and whether some
+// rejected try had pair 0 as its only loop, the one a shuffle closes last.
+func randomRegularReference(n, d int, rng *xrand.RNG) (g *Graph, accepted int, pair0Only bool) {
+	pairing := func() []Edge {
+		stubs := make([]int32, n*d)
+		for v := 0; v < n; v++ {
+			for k := 0; k < d; k++ {
+				stubs[v*d+k] = int32(v)
+			}
+		}
+		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		edges := make([]Edge, len(stubs)/2)
+		for i := range edges {
+			edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
+		}
+		return edges
+	}
+	const maxTries = 40
+	for try := 1; try <= maxTries; try++ {
+		edges := pairing()
+		loops := 0
+		for _, e := range edges {
+			if e.U == e.V {
+				loops++
+			}
+		}
+		pair0Only = pair0Only || loops == 1 && edges[0].U == edges[0].V
+		if loops > 0 {
+			continue
+		}
+		seen := make(map[[2]int32]bool, len(edges))
+		for _, e := range edges {
+			seen[[2]int32{min(e.U, e.V), max(e.U, e.V)}] = true
+		}
+		if len(seen) == len(edges) {
+			return FromEdges(n, edges), try, pair0Only
+		}
+	}
+	multi := FromEdges(n, pairing())
+	var edges []Edge
+	seen := make(map[[2]int32]bool)
+	for v := int32(0); int(v) < n; v++ {
+		for _, u := range multi.Neighbors(v) {
+			if key := [2]int32{u, v}; u < v && !seen[key] {
+				seen[key] = true
+				edges = append(edges, Edge{U: u, V: v})
+			}
+		}
+	}
+	return FromEdges(n, edges), 0, pair0Only
+}
+
+// TestRandomRegularMatchesReference requires the reference's graph and
+// stream position from degrees that accept on the first tries up to the
+// sweep's densest, which never accept, and that the cases reach every way a
+// try can end: accepted late, rejected on pair 0 alone, and the fallback.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	var late, pair0, fallback bool
+	check := func(n, d int, seed uint64) {
+		t.Helper()
+		wantRNG, gotRNG := xrand.New(seed), xrand.New(seed)
+		want, accepted, pair0Only := randomRegularReference(n, d, wantRNG)
+		got := RandomRegular(n, d, gotRNG)
+		if got.n != want.n || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || got.adj == nil {
+			t.Fatalf("n=%d d=%d seed=%d: graph differs from the reference (m %d vs %d)", n, d, seed, got.M(), want.M())
+		}
+		if *gotRNG != *wantRNG {
+			t.Fatalf("n=%d d=%d seed=%d: rng left at a different stream position", n, d, seed)
+		}
+		late, pair0, fallback = late || accepted > 1, pair0 || pair0Only, fallback || accepted == 0
+	}
+	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 4}, {64, 3}, {1000, 3}, {100, 6}, {512, 128}, {2048, 30}, {2048, 242}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			if c[0]*c[1] > 1e4 && seed > 1 && testing.Short() { // 41 closure shuffles of n·d stubs: once
+				break
+			}
+			check(c[0], c[1], seed)
+		}
+	}
+	if !late || !pair0 || !fallback {
+		t.Fatalf("cases miss a path: accepted after try 1 %v, rejected on pair 0 alone %v, fallback %v", late, pair0, fallback)
+	}
+}
+
 // TestErdosRenyiRejectsBadP wants the named panic for every p outside
 // [0, 1], NaN included, which no ordered comparison with a bound catches.
 func TestErdosRenyiRejectsBadP(t *testing.T) {

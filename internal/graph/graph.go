@@ -12,6 +12,8 @@
 // ascending. It builds its CSR in place in two phases (upper neighbours
 // during the walk, lower ones scattered after the prefix sum) rather than
 // through an edge list and FromEdges, which the other generators use.
+// RandomRegular's is one rng.Shuffle(n·d) of the stubs per pairing it draws,
+// kept or rejected: up to 40 tries and, above d ≈ 5 always, an erased 41st.
 package graph
 
 import (

@@ -11,7 +11,10 @@
 // generation).
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256++ generator. The zero value is not a valid generator;
 // use New or Split. RNG is a value type: copying it forks the stream
@@ -98,42 +101,49 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (r *RNG) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("xrand: Int31n with non-positive n")
-	}
-	return int32(r.Uint64n(uint64(n)))
-}
-
 // Uint64n returns a uniform uint64 in [0, n). It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
 	}
 	// Lemire: multiply-shift with rejection in the low word.
-	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, n)
-		}
+		return r.uint64nSlow(n, hi, lo)
 	}
 	return hi
 }
 
-// mul64 computes the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
+// uint64nSlow finishes Uint64n once the first product's low word is below
+// n (probability n/2⁶⁴): it redraws while lo is under the exact threshold.
+func (r *RNG) uint64nSlow(n, hi, lo uint64) uint64 {
+	for thresh := -n % n; lo < thresh; {
+		hi, lo = bits.Mul64(r.Uint64(), n)
+	}
+	return hi
+}
+
+// skipUint64n advances r as Uint64n(from), Uint64n(from-1), …, Uint64n(to)
+// would and discards the values; to must be at least 1. The state stays in
+// locals between draws and goes back to r only for the slow path.
+func (r *RNG) skipUint64n(from, to uint64) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for n := from; n >= to; n-- {
+		x := rotl(s0+s3, 23) + s0 // Uint64, on the locals
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if hi, lo := bits.Mul64(x, n); lo < n {
+			*r = RNG{s0, s1, s2, s3}
+			r.uint64nSlow(n, hi, lo)
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		}
+	}
+	*r = RNG{s0, s1, s2, s3}
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
@@ -220,6 +230,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
+
+// SkipShuffle leaves r where Shuffle(n, swap) leaves it and swaps nothing:
+// what a caller done with the permutation still owes the stream.
+func (r *RNG) SkipShuffle(n int) { r.skipUint64n(uint64(max(n, 0)), 2) }
 
 // SampleK returns k distinct values drawn uniformly from [0, n) using
 // Floyd's algorithm. The result order is not uniform (callers who need a

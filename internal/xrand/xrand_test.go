@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -302,6 +303,80 @@ func TestUint64nBounds(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := r.Uint64n(1 << 40); v >= 1<<40 {
 			t.Fatalf("Uint64n(2^40) = %d", v)
+		}
+	}
+}
+
+// limbMul64 is the 32-bit-limb 128-bit product Uint64n used before
+// math/bits.Mul64.
+func limbMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+func TestMul64MatchesLimbProduct(t *testing.T) {
+	edge := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	r := New(5)
+	for i := 0; i < 64; i++ {
+		edge = append(edge, r.Uint64())
+	}
+	for _, a := range edge {
+		for _, b := range edge {
+			hi, lo := bits.Mul64(a, b)
+			if whi, wlo := limbMul64(a, b); hi != whi || lo != wlo {
+				t.Fatalf("%#x * %#x = (%#x, %#x), limb product (%#x, %#x)", a, b, hi, lo, whi, wlo)
+			}
+		}
+	}
+}
+
+// TestSkipUint64nMatchesUint64n compares the draw-only core, Uint64n and
+// the Lemire loop as it was written before the slow path moved out, at
+// small bounds and at two where nearly every first product's low word is
+// under the bound: 2⁶⁴-1, whose threshold is 1, and 2⁶³+1, whose threshold
+// of 2⁶³-1 redraws about every second one.
+func TestSkipUint64nMatchesUint64n(t *testing.T) {
+	for _, n := range []uint64{1, 2, 7, 495616, 1<<63 + 1, math.MaxUint64} {
+		ref, got, skip := New(n), New(n), New(n)
+		slow, redraws := 0, 0
+		for i := 0; i < 1000; i++ {
+			hi, lo := limbMul64(ref.Uint64(), n)
+			if lo < n {
+				slow++
+				for thresh := -n % n; lo < thresh; redraws++ {
+					hi, lo = limbMul64(ref.Uint64(), n)
+				}
+			}
+			if v := got.Uint64n(n); v != hi || *got != *ref {
+				t.Fatalf("Uint64n(%d) draw %d = %d, want %d, or stream position differs", n, i, v, hi)
+			}
+			if skip.skipUint64n(n, n); *skip != *ref {
+				t.Fatalf("skipUint64n(%d, %d) draw %d left another stream position", n, n, i)
+			}
+		}
+		if n > 1<<63 && (slow < 400 || n == 1<<63+1 && redraws < 100) {
+			t.Fatalf("bound %d took the slow path %d times in 1000 and redrew %d: not exercised", n, slow, redraws)
+		}
+	}
+}
+
+func TestSkipShuffleMatchesShuffle(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 2, 3, 17, 495616} {
+		want, got := New(uint64(n)+9), New(uint64(n)+9)
+		draws := 0
+		want.Shuffle(n, func(i, j int) { draws++ })
+		got.SkipShuffle(n)
+		if *got != *want {
+			t.Fatalf("SkipShuffle(%d) left another stream position than Shuffle's %d draws", n, draws)
+		}
+		if n > 1 && draws != n-1 {
+			t.Fatalf("Shuffle(%d) made %d draws", n, draws)
 		}
 	}
 }
