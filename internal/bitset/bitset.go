@@ -69,13 +69,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Clear clears all bits.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Fill sets all n bits (and leaves the tail of the last word clear).
 func (s *Set) Fill() {
 	for i := range s.words {

@@ -9,7 +9,6 @@ import "math/bits"
 type Matrix struct {
 	words []uint64
 	wpr   int // words per row
-	rows  int
 	width int
 }
 
@@ -22,35 +21,13 @@ func NewMatrix(rows, width int) *Matrix {
 	return &Matrix{
 		words: make([]uint64, rows*wpr),
 		wpr:   wpr,
-		rows:  rows,
 		width: width,
 	}
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Width returns the bit width of each row.
-func (m *Matrix) Width() int { return m.width }
-
 // Row returns a Set view of row i. Mutating the view mutates the matrix.
 func (m *Matrix) Row(i int) *Set {
 	return &Set{words: m.words[i*m.wpr : (i+1)*m.wpr : (i+1)*m.wpr], n: m.width}
-}
-
-// RowInto repoints the preallocated view s at row i, avoiding allocation in
-// hot loops. The view must not outlive the matrix.
-func (m *Matrix) RowInto(s *Set, i int) {
-	s.words = m.words[i*m.wpr : (i+1)*m.wpr : (i+1)*m.wpr]
-	s.n = m.width
-}
-
-// CopyFrom overwrites m with o. Dimensions must match.
-func (m *Matrix) CopyFrom(o *Matrix) {
-	if m.rows != o.rows || m.width != o.width {
-		panic("bitset: matrix dimension mismatch in CopyFrom")
-	}
-	copy(m.words, o.words)
 }
 
 // CopyRowsFrom copies rows [lo, hi) from o into m. Used to parallelize the
@@ -64,7 +41,8 @@ func (m *Matrix) CopyRowsFrom(o *Matrix, lo, hi int) {
 
 // UnionRow ors src's row j into m's row i and returns the number of newly
 // set bits. m and src may be the same matrix (i != j required in that case
-// for a meaningful result, though i == j is harmless and returns 0).
+// for a meaningful result, though i == j is harmless and returns 0). It
+// stores only the words that change, which suits rows of a word or two.
 func (m *Matrix) UnionRow(i int, src *Matrix, j int) int {
 	dst := m.words[i*m.wpr : (i+1)*m.wpr]
 	s := src.words[j*src.wpr : (j+1)*src.wpr]
@@ -80,17 +58,29 @@ func (m *Matrix) UnionRow(i int, src *Matrix, j int) int {
 	return added
 }
 
+// SetRowUnion overwrites m's row i with a's row j | b's row k and returns
+// the number of bits b's row adds to a's: a copy of a's row and a UnionRow
+// from b's in one pass, or, with a's row the destination itself, a UnionRow
+// for long rows. The store is unconditional: on rows that are about half
+// full a "did this word change" branch mispredicts and costs more than the
+// store it saves.
+func (m *Matrix) SetRowUnion(i int, a *Matrix, j int, b *Matrix, k int) int {
+	dst := m.words[i*m.wpr : (i+1)*m.wpr]
+	x, y := a.words[j*a.wpr:][:len(dst)], b.words[k*b.wpr:][:len(dst)]
+	added := 0
+	for w := range dst {
+		old := x[w]
+		nw := old | y[w]
+		dst[w] = nw
+		added += popcount(nw &^ old)
+	}
+	return added
+}
+
 // UnionSet ors the standalone set s into row i and returns newly set bits.
 func (m *Matrix) UnionSet(i int, s *Set) int {
 	row := m.Row(i)
 	return row.UnionWith(s)
-}
-
-// Clear zeroes the whole matrix.
-func (m *Matrix) Clear() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
 }
 
 // TotalCount returns the total number of set bits in the matrix.

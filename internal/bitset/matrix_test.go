@@ -20,20 +20,6 @@ func TestMatrixRowViews(t *testing.T) {
 	}
 }
 
-func TestMatrixRowInto(t *testing.T) {
-	m := NewMatrix(3, 70)
-	m.Row(1).Add(69)
-	var view Set
-	m.RowInto(&view, 1)
-	if !view.Contains(69) {
-		t.Error("RowInto view missing bit")
-	}
-	view.Add(5)
-	if !m.Row(1).Contains(5) {
-		t.Error("RowInto view does not share storage")
-	}
-}
-
 func TestMatrixUnionRow(t *testing.T) {
 	m := NewMatrix(3, 128)
 	m.Row(0).Add(1)
@@ -62,21 +48,6 @@ func TestMatrixUnionRowAcrossMatrices(t *testing.T) {
 	}
 	if !b.Row(1).Contains(3) || !b.Row(1).Contains(89) {
 		t.Error("cross-matrix UnionRow result wrong")
-	}
-}
-
-func TestMatrixCopy(t *testing.T) {
-	a := NewMatrix(3, 64)
-	a.Row(0).Add(0)
-	a.Row(2).Add(63)
-	b := NewMatrix(3, 64)
-	b.CopyFrom(a)
-	if b.TotalCount() != 2 || !b.Row(2).Contains(63) {
-		t.Error("CopyFrom incomplete")
-	}
-	b.Row(1).Add(7)
-	if a.Row(1).Contains(7) {
-		t.Error("CopyFrom shares storage")
 	}
 }
 
@@ -146,6 +117,37 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 		wantAdded := want.UnionWith(m.Row(0))
 		gotAdded := m.UnionRow(1, m, 0)
 		return gotAdded == wantAdded && m.Row(1).Equal(want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		width := 1 + r.Intn(200)
+		a, b := NewMatrix(2, width), NewMatrix(3, width)
+		for j := 0; j < width; j++ {
+			if r.Intn(3) == 0 {
+				a.Row(0).Add(j)
+			}
+			if r.Intn(3) == 0 {
+				a.Row(1).Add(j)
+			}
+			if r.Intn(3) == 0 {
+				b.Row(2).Add(j)
+			}
+			b.Row(0).Add(j) // stale contents the kernel must overwrite
+		}
+		want := a.Row(1).Clone()
+		wantAdded := want.UnionWith(b.Row(2))
+		if got := b.SetRowUnion(0, a, 1, b, 2); got != wantAdded || !b.Row(0).Equal(want) || b.Row(1).Any() {
+			return false
+		}
+		// With the destination as the first operand it is UnionRow.
+		wantAdded = want.UnionWith(a.Row(0))
+		return b.SetRowUnion(0, b, 0, a, 0) == wantAdded && b.Row(0).Equal(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,9 +3,7 @@ package core
 import (
 	"math"
 
-	"gossip/internal/bitset"
 	"gossip/internal/graph"
-	"gossip/internal/msg"
 	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
@@ -269,30 +267,6 @@ func planFromRealized(tree *Tree, realized []GatherEdge, failed []bool, meter ph
 	}
 	plan.Meter = meter
 	return plan
-}
-
-// gatherExact replays the realized Phase II transfers with explicit
-// message sets (snapshot semantics per gather step) and returns the root's
-// gathered set. It is quadratic in memory and exists as ground truth for
-// tests and for the exact small-n gossip runs.
-func gatherExact(tree *Tree, failed []bool, dedup bool) (*bitset.Set, phone.Meter) {
-	n := tree.N
-	realized, meter := realizeGather(tree, failed, dedup)
-	tr := msg.NewFull(n)
-
-	for lo := 0; lo < len(realized); {
-		hi := lo + 1
-		for hi < len(realized) && realized[hi].T == realized[lo].T {
-			hi++
-		}
-		tr.BeginRound()
-		for _, e := range realized[lo:hi] {
-			tr.Transfer(e.Child, e.Parent)
-		}
-		tr.EndRound()
-		lo = hi
-	}
-	return tr.Row(tree.Root).Clone(), meter
 }
 
 // MemoryGossip runs Algorithm 2 on g with the given leader (pass -1 to

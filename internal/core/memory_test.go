@@ -4,9 +4,34 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gossip/internal/bitset"
+	"gossip/internal/msg"
 	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
+
+// gatherExact replays the realized Phase II transfers with explicit
+// message sets (snapshot semantics per gather step) and returns the root's
+// gathered set. It is quadratic in memory: ground truth for the tests.
+func gatherExact(tree *Tree, failed []bool, dedup bool) (*bitset.Set, phone.Meter) {
+	n := tree.N
+	realized, meter := realizeGather(tree, failed, dedup)
+	tr := msg.NewFull(n)
+
+	for lo := 0; lo < len(realized); {
+		hi := lo + 1
+		for hi < len(realized) && realized[hi].T == realized[lo].T {
+			hi++
+		}
+		tr.BeginRound()
+		for _, e := range realized[lo:hi] {
+			tr.Transfer(e.Child, e.Parent)
+		}
+		tr.EndRound()
+		lo = hi
+	}
+	return tr.Row(tree.Root).Clone(), meter
+}
 
 func buildTestTree(t *testing.T, n int, seed uint64) (*phone.Net, *Tree) {
 	t.Helper()

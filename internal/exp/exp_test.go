@@ -86,6 +86,12 @@ func TestFigure5Tiny(t *testing.T) {
 			t.Errorf("zero failures row reports losses: %v", row)
 		}
 	}
+	// The default failure grid steps by n/40, which must not be 0 below 40.
+	small := Figure5(Config{Seed: 5, Quick: true, Reps: 1, Sizes: []int{32}})
+	renderOK(t, small)
+	if len(small.Table.Rows) != 9 { // F = 0..8 = n/4
+		t.Errorf("n=32 default grid has %d rows, want 9", len(small.Table.Rows))
+	}
 }
 
 func TestTable1(t *testing.T) {

@@ -165,7 +165,7 @@ func Figure5(cfg Config) *Report {
 			// A fine grid through the transition region: the >0 series
 			// saturates around F ≈ n/20 with 3 trees while >100 stays at
 			// zero much longer (the paper's Figure 5 contrast).
-			step := n / 40
+			step := max(1, n/40)
 			for f := 0; f <= n/4; f += step {
 				failures = append(failures, f)
 			}

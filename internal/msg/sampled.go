@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"gossip/internal/bitset"
@@ -33,13 +34,7 @@ func NewSampled(n, k int, seed uint64) *Sampled {
 	}
 	rng := xrand.New(seed)
 	ids := rng.SampleK(n, k)
-	// Sort ascending for deterministic iteration (SampleK order is not
-	// uniform anyway).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids) // deterministic iteration; SampleK's order is not uniform anyway
 	s := &Sampled{
 		n:    n,
 		ids:  ids,
@@ -55,16 +50,13 @@ func NewSampled(n, k int, seed uint64) *Sampled {
 	return s
 }
 
-// N returns the node count; K the sample size.
-func (s *Sampled) N() int { return s.n }
-
 // K returns the number of tracked messages.
 func (s *Sampled) K() int { return len(s.ids) }
 
 // IDs returns the sampled message ids (ascending). Do not modify.
 func (s *Sampled) IDs() []int32 { return s.ids }
 
-// BeginRound snapshots the state, exactly as Full.BeginRound.
+// BeginRound snapshots the whole state; rows are a word or two, so it is cheap.
 func (s *Sampled) BeginRound() {
 	if s.inRound {
 		panic("msg: BeginRound while a round is open")

@@ -9,8 +9,8 @@ import (
 
 func TestSampledInitialState(t *testing.T) {
 	s := NewSampled(100, 10, 1)
-	if s.N() != 100 || s.K() != 10 {
-		t.Fatalf("N/K = %d/%d", s.N(), s.K())
+	if s.K() != 10 {
+		t.Fatalf("K = %d", s.K())
 	}
 	if s.TotalKnown() != 10 {
 		t.Errorf("TotalKnown = %d", s.TotalKnown())

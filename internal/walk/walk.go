@@ -68,12 +68,13 @@ type Pool struct {
 // NewPool returns a pool of tokens with width-bit payloads.
 func NewPool(width int) *Pool { return &Pool{width: width} }
 
-// Get returns a token with a cleared payload and zero move count.
+// Get returns a token with zero move count. A recycled token still carries
+// its last payload: the contents are unspecified until the caller writes
+// every word (Payload.CopyFrom).
 func (p *Pool) Get() *Token {
 	if n := len(p.free); n > 0 {
 		t := p.free[n-1]
 		p.free = p.free[:n-1]
-		t.Payload.Clear()
 		t.Moves = 0
 		return t
 	}

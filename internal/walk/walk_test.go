@@ -92,8 +92,8 @@ func TestPoolRecycles(t *testing.T) {
 	if b != a {
 		t.Error("pool did not recycle")
 	}
-	if b.Moves != 0 || b.Payload.Any() {
-		t.Error("recycled token not reset")
+	if b.Moves != 0 || b.Payload.Len() != 64 {
+		t.Error("recycled token: moves not reset or payload width changed")
 	}
 }
 
