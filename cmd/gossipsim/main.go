@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gossip"
@@ -189,7 +190,7 @@ func buildGraph(model string, n int, p float64, degree int, beta float64, seed u
 	case "er":
 		return gossip.NewPaperGraph(n, seed), nil
 	case "er-p":
-		if p <= 0 || p > 1 {
+		if !(p > 0 && p <= 1) { // negated in-range test: rejects NaN too
 			return nil, fmt.Errorf("-model er-p requires -p in (0, 1]")
 		}
 		return gossip.NewErdosRenyi(n, p, seed), nil
@@ -202,6 +203,9 @@ func buildGraph(model string, n int, p float64, degree int, beta float64, seed u
 		}
 		return gossip.NewRandomRegular(n, degree, seed), nil
 	case "powerlaw":
+		if !(beta > 1) || math.IsInf(beta, 1) {
+			return nil, fmt.Errorf("-model powerlaw requires a finite -beta > 1")
+		}
 		return gossip.NewPowerLaw(n, beta, 8, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown -model %q", model)

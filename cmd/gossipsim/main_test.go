@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,6 +57,14 @@ func TestBuildGraphErrors(t *testing.T) {
 	if _, err := buildGraph("er-p", 256, 1.5, 0, 2.5, 1); err == nil {
 		t.Error("er-p with p > 1 accepted")
 	}
+	if _, err := buildGraph("er-p", 256, math.NaN(), 0, 2.5, 1); err == nil {
+		t.Error("er-p with p = NaN accepted")
+	}
+	for _, beta := range []float64{1, 0.5, -2, math.NaN(), math.Inf(1)} {
+		if _, err := buildGraph("powerlaw", 256, 0, 0, beta, 1); err == nil {
+			t.Errorf("powerlaw with beta = %v accepted", beta)
+		}
+	}
 }
 
 func TestRunOneSmoke(t *testing.T) {
@@ -92,21 +101,31 @@ func TestRunOneSmoke(t *testing.T) {
 
 // TestSingleRunRejectsOutOfRange drives the real main() (through
 // TestMain's re-exec) with flag values the simulators cannot run: each is
-// a usage error — exit 2, one line on stderr — never a goroutine dump.
+// a usage error — exit 2, one line on stderr (plus the flag usage where
+// main prints it) — never a goroutine dump.
 func TestSingleRunRejectsOutOfRange(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"-algo", "memory", "-n", "64", "-failures", "64"},
-		{"-algo", "memory", "-n", "64", "-failures", "-3"},
-		{"-algo", "memory", "-n", "64", "-trees", "-1"},
-		{"-algo", "memory", "-n", "0"},
-		{"-algo", "broadcast-push", "-n", "0"},
-		{"-n", "-5"},
-		{"-model", "regular", "-n", "64", "-degree", "64"},
+	// usage: the value is rejected by buildGraph, whose errors main follows
+	// with the flag usage.
+	for _, tc := range []struct {
+		usage bool
+		args  []string
+	}{
+		{false, []string{"-algo", "memory", "-n", "64", "-failures", "64"}},
+		{false, []string{"-algo", "memory", "-n", "64", "-failures", "-3"}},
+		{false, []string{"-algo", "memory", "-n", "64", "-trees", "-1"}},
+		{false, []string{"-algo", "memory", "-n", "0"}},
+		{false, []string{"-algo", "broadcast-push", "-n", "0"}},
+		{false, []string{"-n", "-5"}},
+		{false, []string{"-model", "regular", "-n", "64", "-degree", "64"}},
+		{true, []string{"-model", "er-p", "-n", "64", "-p", "NaN"}},
+		{true, []string{"-model", "powerlaw", "-n", "64", "-beta", "1"}},
+		{true, []string{"-model", "powerlaw", "-n", "64", "-beta", "NaN"}},
 	} {
+		args := tc.args
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(), reexecEnv+"=1")
 		var stderr strings.Builder
@@ -115,8 +134,12 @@ func TestSingleRunRejectsOutOfRange(t *testing.T) {
 		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("gossipsim %v: %v, want exit 2", args, err)
 		}
-		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+		msg := stderr.String()
+		if !tc.usage && strings.Count(msg, "\n") != 1 {
 			t.Errorf("gossipsim %v: stderr is not one line:\n%s", args, msg)
+		}
+		if strings.Contains(msg, "panic:") || strings.Contains(msg, "fatal error:") {
+			t.Errorf("gossipsim %v crashed:\n%s", args, msg)
 		}
 	}
 }

@@ -21,9 +21,9 @@
 //   - RunMemoryRobustness — the §5 crash-failure experiment.
 //
 // Every table and figure of the paper's evaluation can be regenerated via
-// Experiment (or the cmd/figures binary, or `go test -bench Figure`);
-// ExperimentIDs is the experiment index, and each report's notes say how
-// its measured results stand against the paper's.
+// Experiment (or the cmd/figures binary); ExperimentIDs is the experiment
+// index, and each report's notes say how its measured results stand
+// against the paper's.
 //
 // The package exports the single-run library and nothing else: the graph
 // constructors (New*), the parameter schedules, the Run* entry points
@@ -35,18 +35,20 @@
 // by its own name. The sections below describe those commands and the
 // formats they read and write.
 //
-// All experiment execution flows through one scenario-sweep engine
-// (internal/runner): an evaluation grid — algorithm × graph model ×
-// density × size × failure count × algorithm knobs (gather trees, link
-// memory slots, walk probability, sampled-tracker size), replicated over
-// seeds — expands into cells that run on a bounded worker pool, with
-// per-cell seeds derived from the master seed and the cell index so
-// results are bit-identical at any parallelism. The paper experiments
-// declare their grids on it, and `gossipsim sweep` (runner.Grid,
-// runner.Runner) exposes it directly for custom sweeps — wider
-// density ranges, larger sizes (the "sampled" estimator reaches n = 10⁶
-// in Θ(n·k) tracker memory), failure-rate scans — with aligned-table,
-// CSV, and JSON-lines output.
+// Sweeps run on one scenario-sweep engine (internal/runner): an
+// evaluation grid — algorithm × graph model × density × size × failure
+// count × algorithm knobs (gather trees, link memory slots, walk
+// probability, sampled-tracker size), replicated over seeds — expands
+// into cells that run on a bounded worker pool, with per-cell seeds
+// derived from the master seed and the cell index so results are
+// bit-identical at any parallelism. `gossipsim sweep` (runner.Grid,
+// runner.Runner) exposes it for custom sweeps — wider density ranges,
+// larger sizes (the "sampled" estimator reaches n = 10⁶ in Θ(n·k)
+// tracker memory), failure-rate scans — with aligned-table, CSV, and
+// JSON-lines output. The paper experiments (internal/exp) share its
+// worker pool and its per-cell repetition loop but not its grids: each
+// builds a repetition's graph once, runs every algorithm of a table row
+// on it, and seeds from (seed, n, rep).
 //
 // # The sweep corpus
 //
@@ -101,10 +103,10 @@
 // re-archive whose cells are bit-identical to the current latest
 // generation at the same revision — same code, same deterministic
 // results — which dedupes, with the decision and both generations'
-// provenance reported (corpus.Appended), never silently. Flat
-// pre-generational stores (<corpus>/<id>/manifest.json) are read as a
-// single generation 0 and migrated into the layout above on the first
-// append.
+// provenance reported (corpus.Appended), never silently. A directory
+// still in the flat pre-generational layout (<corpus>/<id>/manifest.json)
+// is not read: listings flag it as damaged and `prune -damaged` clears
+// it.
 //
 // Selectors name generations everywhere a stored run is read
 // (`gossipsim compare -dir`, `gossipsim trend`; Store.Resolve):

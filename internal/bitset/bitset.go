@@ -205,27 +205,6 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
-// NextSet returns the smallest set bit >= from, or -1 if none.
-func (s *Set) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return -1
-	}
-	wi := from / wordBits
-	w := s.words[wi] >> (uint(from) % wordBits)
-	if w != 0 {
-		return from + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
 // Indices returns all set bits in increasing order.
 func (s *Set) Indices() []int {
 	out := make([]int, 0, s.Count())

@@ -123,18 +123,6 @@ func TestForEachAndIndices(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	s := FromIndices(200, 3, 64, 130)
-	cases := []struct{ from, want int }{
-		{0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 130}, {131, -1}, {-5, 3}, {500, -1},
-	}
-	for _, c := range cases {
-		if got := s.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := FromIndices(100, 1, 2)
 	b := a.Clone()

@@ -83,13 +83,4 @@ func (m *Matrix) UnionSet(i int, s *Set) int {
 	return row.UnionWith(s)
 }
 
-// TotalCount returns the total number of set bits in the matrix.
-func (m *Matrix) TotalCount() int64 {
-	var c int64
-	for _, w := range m.words {
-		c += int64(popcount(w))
-	}
-	return c
-}
-
 func popcount(w uint64) int { return bits.OnesCount64(w) }

@@ -142,10 +142,8 @@ func TestConformanceMemoryGossip(t *testing.T) {
 		MemoryGossipOver(g, p, confSeed, -1, SyncTransport),
 		MemoryGossipOver(g, p, confSeed, -1, AsyncTransport))
 
-	// Multiple trees with gather dedup: the dirty-flag snapshot semantics
-	// must also be phasing-invisible.
+	// Multiple trees, a given leader.
 	p.Trees = 3
-	p.DedupGather = true
 	sameResult(t,
 		MemoryGossipOver(g, p, 99, 5, SyncTransport),
 		MemoryGossipOver(g, p, 99, 5, AsyncTransport))

@@ -13,7 +13,7 @@ func TestGatherEmptyTree(t *testing.T) {
 	// A tree with no edges (isolated root): only the root's own message
 	// is "gathered".
 	tree := &Tree{Root: 0, N: 3, Steps: 5, InformedAt: []int32{0, -1, -1}}
-	plan := gatherStructural(tree, make([]bool, 3), false)
+	plan := gatherStructural(tree, make([]bool, 3))
 	if plan.Count != 1 || !plan.Reached[0] || plan.Reached[1] {
 		t.Errorf("empty tree plan: %+v", plan)
 	}
@@ -33,7 +33,7 @@ func TestGatherAllChildrenFailed(t *testing.T) {
 		},
 	}
 	failed := []bool{false, true, true}
-	plan := gatherStructural(tree, failed, false)
+	plan := gatherStructural(tree, failed)
 	if plan.Count != 1 {
 		t.Errorf("Count = %d, want 1", plan.Count)
 	}
@@ -56,11 +56,11 @@ func TestGatherFailedIntermediateCutsChain(t *testing.T) {
 		},
 	}
 	failed := []bool{false, true, false}
-	plan := gatherStructural(tree, failed, false)
+	plan := gatherStructural(tree, failed)
 	if plan.Reached[2] {
 		t.Error("message behind a failed node reached the root")
 	}
-	rootSet, _ := gatherExact(tree, failed, false)
+	rootSet, _ := gatherExact(tree, failed)
 	if rootSet.Contains(2) || !rootSet.Contains(0) {
 		t.Errorf("exact root set = %v", rootSet)
 	}
@@ -83,18 +83,18 @@ func TestGatherTimingRespectedStrictly(t *testing.T) {
 	}
 	healthy := make([]bool, 3)
 
-	same := gatherStructural(mk(3), healthy, false) // a->root also step 5
+	same := gatherStructural(mk(3), healthy) // a->root also step 5
 	if same.Reached[2] {
 		t.Error("same-step relay should not deliver")
 	}
-	later := gatherStructural(mk(2), healthy, false) // a->root at step 6
+	later := gatherStructural(mk(2), healthy) // a->root at step 6
 	if !later.Reached[2] {
 		t.Error("next-step relay should deliver")
 	}
 
 	// Exact replay agrees on both.
-	rootSame, _ := gatherExact(mk(3), healthy, false)
-	rootLater, _ := gatherExact(mk(2), healthy, false)
+	rootSame, _ := gatherExact(mk(3), healthy)
+	rootLater, _ := gatherExact(mk(2), healthy)
 	if rootSame.Contains(2) || !rootLater.Contains(2) {
 		t.Errorf("exact disagrees: same=%v later=%v", rootSame, rootLater)
 	}
@@ -110,7 +110,7 @@ func TestGatherPullInformOpenerIsChild(t *testing.T) {
 			{Child: 1, Parent: 0, T: 1, Kind: PullInform},
 		},
 	}
-	plan := gatherStructural(tree, []bool{false, true}, false)
+	plan := gatherStructural(tree, []bool{false, true})
 	if plan.Meter.Opened != 0 {
 		t.Errorf("failed pull-inform child opened a channel: %+v", plan.Meter)
 	}

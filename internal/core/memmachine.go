@@ -175,7 +175,6 @@ func (s *treeSet) drainEdges() {
 type gatherSet struct {
 	tree   *Tree
 	failed []bool
-	dedup  bool
 	out    *phone.DialPlan // per-opener channel schedule; Tag = EdgeKind
 	polls  *phone.DialPlan // per-child expected polls (PushContact only)
 	nodes  []*gatherMachine
@@ -183,17 +182,11 @@ type gatherSet struct {
 }
 
 type gatherMachine struct {
-	set  *gatherSet
-	id   int32
-	step int32
-	// dirty: the node holds content it has not yet answered with. Only
-	// mutated in OnStepEnd, so OnOpen reads step-start state for free.
-	dirty bool
-	// Per-step scratch, reset in OnStep.
-	pollers    []phone.PlannedDial
-	pushedData bool
-	gotContent bool
-	pending    []GatherEdge // realized transfers, recorded by the parent
+	set     *gatherSet
+	id      int32
+	step    int32
+	pollers []phone.PlannedDial // this step's polls to answer, set in OnStep
+	pending []GatherEdge        // realized transfers, recorded by the parent
 }
 
 // gatherPlans builds the replay schedules from the recorded edges
@@ -216,13 +209,13 @@ func gatherPlans(tree *Tree) (out, polls *phone.DialPlan) {
 	return out, polls
 }
 
-func newGatherSet(tree *Tree, failed []bool, dedup bool) *gatherSet {
+func newGatherSet(tree *Tree, failed []bool) *gatherSet {
 	out, polls := gatherPlans(tree)
-	s := &gatherSet{tree: tree, failed: failed, dedup: dedup, out: out, polls: polls}
+	s := &gatherSet{tree: tree, failed: failed, out: out, polls: polls}
 	s.nodes = make([]*gatherMachine, tree.N)
 	s.ms = make([]phone.Machine, tree.N)
 	for v := 0; v < tree.N; v++ {
-		s.nodes[v] = &gatherMachine{set: s, id: int32(v), dirty: !failed[v]}
+		s.nodes[v] = &gatherMachine{set: s, id: int32(v)}
 		s.ms[v] = s.nodes[v]
 	}
 	return s
@@ -233,8 +226,6 @@ func (m *gatherMachine) OnStep(step int32) (int32, any) {
 	s := m.set
 	// Advance both cursors every step so failed nodes stay aligned.
 	m.pollers = s.polls.TakeStep(m.id, step)
-	m.pushedData = false
-	m.gotContent = false
 	ds := s.out.TakeStep(m.id, step)
 	if s.failed[m.id] || len(ds) == 0 {
 		return phone.NoDial, nil
@@ -246,9 +237,8 @@ func (m *gatherMachine) OnStep(step int32) (int32, any) {
 	if EdgeKind(d.Tag) == PullInform {
 		// The child re-opens the channel it was informed through and
 		// pushes its content up — unless the parent failed (the channel
-		// still opens, no data crosses) or dedup finds nothing new.
-		if !s.failed[d.Peer] && (!s.dedup || m.dirty) {
-			m.pushedData = true
+		// still opens, no data crosses).
+		if !s.failed[d.Peer] {
 			return d.Peer, gatherPushUp
 		}
 		return d.Peer, nil
@@ -266,10 +256,7 @@ func (m *gatherMachine) OnOpen(from int32) any {
 	// channel (where this node is the parent) pulls nothing.
 	for _, pd := range m.pollers {
 		if pd.Peer == from {
-			if !s.dedup || m.dirty {
-				return gatherResp
-			}
-			return nil
+			return gatherResp
 		}
 	}
 	return nil
@@ -280,7 +267,6 @@ func (m *gatherMachine) OnReceive(from int32, payload any) {
 	if payload == gatherPushUp {
 		kind = PullInform
 	}
-	m.gotContent = true
 	m.pending = append(m.pending, GatherEdge{
 		Child: from, Parent: m.id,
 		T:    m.set.tree.Steps - m.step + 1,
@@ -288,26 +274,7 @@ func (m *gatherMachine) OnReceive(from int32, payload any) {
 	})
 }
 
-func (m *gatherMachine) OnStepEnd(step int32) {
-	s := m.set
-	if s.failed[m.id] {
-		return
-	}
-	// Snapshot semantics of the dirty flag: all of this step's polls saw
-	// the step-start state; answering clears, receiving sets, sets win
-	// (a node that both answered and received still holds unforwarded
-	// content).
-	answered := m.pushedData
-	if !answered && (!s.dedup || m.dirty) {
-		for _, pd := range m.pollers {
-			if !s.failed[pd.Peer] {
-				answered = true
-				break
-			}
-		}
-	}
-	m.dirty = m.gotContent || (m.dirty && !answered)
-}
+func (m *gatherMachine) OnStepEnd(step int32) {}
 
 // drainRealized collects the step's realized transfers in ascending
 // parent id (order within a step is immaterial to the backward
@@ -326,8 +293,8 @@ func (s *gatherSet) drainRealized(dst []GatherEdge) []GatherEdge {
 // returns the gather outcome. Under SyncTransport it is bit-identical to
 // the pure replay analysis (gatherStructural); the conformance suite
 // additionally pins AsyncTransport to the same results.
-func gatherOver(tree *Tree, failed []bool, dedup bool, tf TransportFactory) *GatherPlan {
-	set := newGatherSet(tree, failed, dedup)
+func gatherOver(tree *Tree, failed []bool, tf TransportFactory) *GatherPlan {
+	set := newGatherSet(tree, failed)
 	t := tf(set.ms)
 	defer t.Close()
 

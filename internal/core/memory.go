@@ -156,57 +156,28 @@ type GatherPlan struct {
 // data. It returns the realized transfers in ascending gather-step order
 // together with the communication meter.
 //
-// Failed nodes neither open channels nor answer them. With dedup, a node
-// answers a poll only if it is "dirty" — it holds content it has not yet
-// answered with. Dirty flags use step-snapshot semantics: all polls within
-// one gather step see the dirty state from the step's start, then clears
-// (answered children) and sets (parents that received) are applied, sets
-// winning, because a node that both answered and received in one step
-// still holds unforwarded content.
-func realizeGather(tree *Tree, failed []bool, dedup bool) ([]GatherEdge, phone.Meter) {
+// Failed nodes neither open channels nor answer them; every poll between
+// two healthy endpoints carries data.
+func realizeGather(tree *Tree, failed []bool) ([]GatherEdge, phone.Meter) {
 	var m phone.Meter
 	realized := make([]GatherEdge, 0, len(tree.Edges))
-	dirty := make([]bool, tree.N)
-	for i := range dirty {
-		dirty[i] = !failed[i] // every healthy node starts with its own message pending
-	}
-	var clears, sets []int32
-
 	// Edges are recorded in ascending Phase I step T; ascending gather
-	// step is descending T, and edges with equal T (one gather step) are
-	// contiguous.
-	for hi := len(tree.Edges); hi > 0; {
-		lo := hi - 1
-		for lo > 0 && tree.Edges[lo-1].T == tree.Edges[hi-1].T {
-			lo--
+	// step is descending T.
+	for i := len(tree.Edges) - 1; i >= 0; i-- {
+		e := tree.Edges[i]
+		opener := e.Parent // PushContact: the parent polls
+		if e.Kind == PullInform {
+			opener = e.Child // the child pushes up
 		}
-		clears, sets = clears[:0], sets[:0]
-		for _, e := range tree.Edges[lo:hi] {
-			opener := e.Parent // PushContact: the parent polls
-			if e.Kind == PullInform {
-				opener = e.Child // the child pushes up
-			}
-			if failed[opener] {
-				continue
-			}
-			m.Open(1)
-			if failed[e.Child] || failed[e.Parent] {
-				continue // no data crosses a channel with a failed endpoint
-			}
-			if !dedup || dirty[e.Child] {
-				m.Push(1)
-				realized = append(realized, e)
-				clears = append(clears, e.Child)
-				sets = append(sets, e.Parent)
-			}
+		if failed[opener] {
+			continue
 		}
-		for _, v := range clears {
-			dirty[v] = false
+		m.Open(1)
+		if failed[e.Child] || failed[e.Parent] {
+			continue // no data crosses a channel with a failed endpoint
 		}
-		for _, v := range sets {
-			dirty[v] = true
-		}
-		hi = lo
+		m.Push(1)
+		realized = append(realized, e)
 	}
 	m.Steps = int(tree.Steps) // Phase II mirrors Phase I step for step
 	return realized, m
@@ -217,8 +188,8 @@ func realizeGather(tree *Tree, failed []bool, dedup bool) ([]GatherEdge, phone.M
 // followed by the backward reachability pass. The robustness experiments
 // use it to re-analyze one built tree under many failure masks without
 // re-running any communication.
-func gatherStructural(tree *Tree, failed []bool, dedup bool) *GatherPlan {
-	realized, meter := realizeGather(tree, failed, dedup)
+func gatherStructural(tree *Tree, failed []bool) *GatherPlan {
+	realized, meter := realizeGather(tree, failed)
 	return planFromRealized(tree, realized, failed, meter)
 }
 
@@ -306,7 +277,7 @@ func memoryGossipOver(nt *phone.Net, params MemoryParams, seed uint64, leader in
 	var m2 phone.Meter
 	gathered := make([]bool, n)
 	for _, t := range trees {
-		plan := gatherOver(t, nt.Failed, params.DedupGather, tf)
+		plan := gatherOver(t, nt.Failed, tf)
 		m2.Add(plan.Meter)
 		for v, r := range plan.Reached {
 			if r {
@@ -403,7 +374,7 @@ func MemoryRobustness(g *graph.Graph, params MemoryParams, seed uint64, failures
 	}
 	reached := make([]bool, n)
 	for i, t := range trees {
-		plan := gatherStructural(t, failed, params.DedupGather)
+		plan := gatherStructural(t, failed)
 		healthy := n - failures
 		res.PerTreeLost[i] = healthy - plan.Count
 		for v, r := range plan.Reached {

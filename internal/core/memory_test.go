@@ -13,9 +13,9 @@ import (
 // gatherExact replays the realized Phase II transfers with explicit
 // message sets (snapshot semantics per gather step) and returns the root's
 // gathered set. It is quadratic in memory: ground truth for the tests.
-func gatherExact(tree *Tree, failed []bool, dedup bool) (*bitset.Set, phone.Meter) {
+func gatherExact(tree *Tree, failed []bool) (*bitset.Set, phone.Meter) {
 	n := tree.N
-	realized, meter := realizeGather(tree, failed, dedup)
+	realized, meter := realizeGather(tree, failed)
 	tr := msg.NewFull(n)
 
 	for lo := 0; lo < len(realized); {
@@ -104,7 +104,7 @@ func TestBuildTreePushBudget(t *testing.T) {
 
 func TestGatherNoFailuresReachesAllInformed(t *testing.T) {
 	nt, tree := buildTestTree(t, 512, 5)
-	plan := gatherStructural(tree, nt.Failed, false)
+	plan := gatherStructural(tree, nt.Failed)
 	for v, at := range tree.InformedAt {
 		if (at >= 0) != plan.Reached[v] {
 			t.Fatalf("node %d: informed=%v reached=%v", v, at >= 0, plan.Reached[v])
@@ -117,8 +117,8 @@ func TestGatherNoFailuresReachesAllInformed(t *testing.T) {
 
 func TestGatherExactMatchesStructuralNoFailures(t *testing.T) {
 	nt, tree := buildTestTree(t, 256, 6)
-	rootSet, meter := gatherExact(tree, nt.Failed, false)
-	plan := gatherStructural(tree, nt.Failed, false)
+	rootSet, meter := gatherExact(tree, nt.Failed)
+	plan := gatherStructural(tree, nt.Failed)
 	if rootSet.Count() != plan.Count {
 		t.Errorf("exact gathered %d, structural %d", rootSet.Count(), plan.Count)
 	}
@@ -133,9 +133,9 @@ func TestGatherExactMatchesStructuralNoFailures(t *testing.T) {
 }
 
 func TestQuickGatherStructuralMatchesExactUnderFailures(t *testing.T) {
-	// The load-bearing equivalence: for random graphs, random failure sets
-	// and both dedup settings, the O(n) structural gather must agree with
-	// the exact set-based replay on BOTH the reached set and the meter.
+	// The load-bearing equivalence: for random graphs and random failure
+	// sets, the O(n) structural gather must agree with the exact set-based
+	// replay on BOTH the reached set and the meter.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 64 + rng.Intn(192)
@@ -151,9 +151,8 @@ func TestQuickGatherStructuralMatchesExactUnderFailures(t *testing.T) {
 				failed[v] = true
 			}
 		}
-		dedup := rng.Bernoulli(0.5)
-		rootSet, meter := gatherExact(tree, failed, dedup)
-		plan := gatherStructural(tree, failed, dedup)
+		rootSet, meter := gatherExact(tree, failed)
+		plan := gatherStructural(tree, failed)
 		for v := 0; v < n; v++ {
 			if rootSet.Contains(v) != plan.Reached[v] {
 				return false
@@ -164,19 +163,6 @@ func TestQuickGatherStructuralMatchesExactUnderFailures(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGatherDedupReducesTransmissions(t *testing.T) {
-	nt, tree := buildTestTree(t, 512, 7)
-	loud := gatherStructural(tree, nt.Failed, false)
-	quiet := gatherStructural(tree, nt.Failed, true)
-	if quiet.Meter.Transmissions > loud.Meter.Transmissions {
-		t.Errorf("dedup increased transmissions: %d > %d",
-			quiet.Meter.Transmissions, loud.Meter.Transmissions)
-	}
-	if quiet.Count != loud.Count {
-		t.Error("dedup changed which messages reach the root")
 	}
 }
 

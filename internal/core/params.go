@@ -137,12 +137,6 @@ type MemoryParams struct {
 	// The robustness simulation of §5 uses 3; a single tree suffices
 	// without failures.
 	Trees int
-	// DedupGather, when set, suppresses a gather response if the polled
-	// node has nothing it has not already sent to the poller. It reduces
-	// Phase II transmissions and is one of the tuning knobs the ablation
-	// benches explore; the default (false) answers every poll as the
-	// pseudocode is written.
-	DedupGather bool
 }
 
 // TunedMemoryParams returns the Table 1 constants:

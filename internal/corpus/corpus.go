@@ -198,8 +198,8 @@ func NewShardManifest(g runner.Grid, cr runner.CellRange) (Manifest, error) {
 type Run struct {
 	Dir      string
 	Manifest Manifest
-	// Gen is the run's generation name within its Store ("0" for a
-	// pre-generational flat run), empty for a run opened outside one.
+	// Gen is the run's generation name within its Store, empty for a run
+	// opened outside one.
 	Gen string
 }
 
@@ -428,10 +428,8 @@ func pickGen(id string, gens []*Run, sel string) (*Run, error) {
 	return gens[i], nil
 }
 
-// pickGenName is the selector core shared by the store (over opened
-// runs) and the index (over recorded generation names): it resolves
-// "", "latest", "prev", an ordinal, or a unique name fragment against
-// an ordered (oldest first) name list.
+// pickGenName resolves "", "latest", "prev", an ordinal, or a unique
+// name fragment against an ordered (oldest first) name list.
 func pickGenName(id string, names []string, sel string) (int, error) {
 	switch sel {
 	case "", "latest":
@@ -472,19 +470,14 @@ func containsTmp(name string) bool { return strings.Contains(name, ".tmp-") }
 
 // Generations opens every readable generation of the identified run,
 // oldest first, along with the generation directories that failed to
-// open. A flat pre-generational run directory is returned as the
-// single generation "0". A run ID with no directory at all errors
-// (os.ErrNotExist).
+// open. A directory still in the pre-generational flat layout —
+// manifest.json directly under the ID — is not read: the whole entry is
+// reported as damaged, so listings flag it and Prune can clear it. A run
+// ID with no directory at all errors (os.ErrNotExist).
 func (s *Store) Generations(id string) ([]*Run, []Damaged, error) {
 	dir := s.Path(id)
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		// Flat legacy layout: the run files live directly under the ID.
-		r, oerr := OpenRun(dir)
-		if oerr != nil {
-			return nil, []Damaged{{Dir: dir, Err: oerr}}, nil
-		}
-		r.Gen = "0"
-		return []*Run{r}, nil, nil
+		return nil, []Damaged{{Dir: dir, Err: errors.New("pre-generational flat run; clear it with `prune -damaged` and re-archive the run with `archive -add`")}}, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("corpus: probe run %s: %w", id, err)
 	}
@@ -498,8 +491,8 @@ func (s *Store) Generations(id string) ([]*Run, []Damaged, error) {
 	)
 	for _, e := range entries {
 		if !e.IsDir() || strings.Contains(e.Name(), ".tmp-") {
-			// Not a generation, or an uncommitted WriteRun/migration
-			// staging directory left by a crash.
+			// Not a generation, or an uncommitted WriteRun staging
+			// directory left by a crash.
 			continue
 		}
 		gd := filepath.Join(dir, e.Name())
@@ -622,8 +615,7 @@ func (s *Store) Import(src *Run, rev string) (*Appended, error) {
 }
 
 // appendGen is the shared Archive/Import core: dedupe against the
-// latest generation, migrate a flat legacy run out of the way, and
-// write the new generation.
+// latest generation and write the new one.
 func (s *Store) appendGen(m Manifest, recs []runner.CellRecord) (*Appended, error) {
 	if m.CreatedAt == "" {
 		// A generation needs a creation instant for its name and for
@@ -645,9 +637,6 @@ func (s *Store) appendGen(m Manifest, recs []runner.CellRecord) (*Appended, erro
 	}
 	if prev != nil && prev.Manifest.Revision == m.Revision && fileEquals(prev.CellsPath(), buf.Bytes()) {
 		return &Appended{Run: prev, Prev: prev, Incoming: m}, nil
-	}
-	if err := s.migrateFlat(m.ID); err != nil {
-		return nil, err
 	}
 	name, err := s.freshGenName(m)
 	if err != nil {
@@ -747,107 +736,6 @@ func (s *Store) freshGenName(m Manifest) (string, error) {
 		}
 		name = fmt.Sprintf("%s-%d", base, i)
 	}
-}
-
-// migrateFlat moves a flat pre-generational run — manifest.json
-// directly under <store>/<id> — into a generation subdirectory named
-// from its own provenance, so it stays generation 0 of the ID it
-// already anchors. The migration is lossless at every instant: the
-// files are *copied* into a ".tmp-" sibling (which every listing
-// skips), committed with one rename, and only then are the flat
-// originals removed — so a crash or failed rename anywhere leaves the
-// flat run intact (still read as generation 0), and a crash after the
-// commit leaves both copies, which the next append reconciles by
-// finishing the removal. An unreadable flat run is cleared instead,
-// matching the pre-generational behavior of replacing a broken stored
-// run rather than deduping against it.
-func (s *Store) migrateFlat(id string) error {
-	dir := s.Path(id)
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("corpus: probe run %s: %w", id, err)
-	}
-	r, err := OpenRun(dir)
-	if err != nil {
-		for _, name := range []string{ManifestName, CellsName} {
-			if rerr := os.Remove(filepath.Join(dir, name)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return fmt.Errorf("corpus: clear unreadable flat run %s: %w", id, rerr)
-			}
-		}
-		return syncDir(dir)
-	}
-	target := filepath.Join(dir, GenName(r.Manifest))
-	if _, serr := os.Stat(target); errors.Is(serr, os.ErrNotExist) {
-		tmp, err := os.MkdirTemp(dir, ".tmp-migrate-")
-		if err != nil {
-			return fmt.Errorf("corpus: migrate flat run %s: %w", id, err)
-		}
-		defer os.RemoveAll(tmp)
-		for _, name := range []string{ManifestName, CellsName} {
-			if err := copyFile(filepath.Join(dir, name), filepath.Join(tmp, name)); err != nil {
-				return fmt.Errorf("corpus: migrate flat run %s: %w", id, err)
-			}
-		}
-		if err := os.Rename(tmp, target); err != nil {
-			return fmt.Errorf("corpus: migrate flat run %s: %w", id, err)
-		}
-	} else if serr != nil {
-		return fmt.Errorf("corpus: migrate flat run %s: %w", id, serr)
-	}
-	// The generation directory is committed (now, or by an earlier
-	// migration that died before this point); the flat originals are
-	// redundant and must go, or they would keep shadowing the
-	// generational layout.
-	for _, name := range []string{ManifestName, CellsName} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("corpus: migrate flat run %s: %w", id, err)
-		}
-	}
-	return syncDir(dir)
-}
-
-// copyFile copies src to dst (fsynced): migration staging must not
-// move the only copy of a run's data.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// Select opens the latest generations whose grid contains at least one
-// cell matching f, sorted by ID. Damaged store entries are skipped
-// consistently — their manifests are never opened, let alone matched —
-// and reported alongside the hits, exactly as Runs reports them, so a
-// filtered listing can no longer silently hide that part of the store
-// is unreadable.
-func (s *Store) Select(f Filter) ([]*Run, []Damaged, error) {
-	runs, damaged, err := s.Runs()
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []*Run
-	for _, r := range runs {
-		if f.MatchRun(r.Manifest) {
-			out = append(out, r)
-		}
-	}
-	return out, damaged, nil
 }
 
 // WriteRun writes a complete run directory in one shot, atomically:

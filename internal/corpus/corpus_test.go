@@ -210,19 +210,20 @@ func TestStoreImportAndSelect(t *testing.T) {
 		t.Error("re-import did not dedupe")
 	}
 
-	hits, _, err := store.Select(Filter{Algo: "sampled", N: 128})
+	// Selection by filter, through the filtered listing.
+	hits, _, err := store.Summaries(Filter{Algo: "sampled", N: 128})
 	if err != nil || len(hits) != 1 {
-		t.Fatalf("Select(sampled, 128) = %d runs, err %v; want 1", len(hits), err)
+		t.Fatalf("Summaries(sampled, 128) = %d runs, err %v; want 1", len(hits), err)
 	}
-	miss, _, err := store.Select(Filter{Algo: "memory"})
+	miss, _, err := store.Summaries(Filter{Algo: "memory"})
 	if err != nil || len(miss) != 0 {
-		t.Fatalf("Select(memory) = %d runs, err %v; want 0", len(miss), err)
+		t.Fatalf("Summaries(memory) = %d runs, err %v; want 0", len(miss), err)
 	}
-	if hits, _, _ = store.Select(Filter{Density: 2}); len(hits) != 1 {
-		t.Errorf("Select(density=2) = %d runs, want 1", len(hits))
+	if hits, _, _ = store.Summaries(Filter{Density: 2}); len(hits) != 1 {
+		t.Errorf("Summaries(density=2) = %d runs, want 1", len(hits))
 	}
-	if miss, _, _ = store.Select(Filter{Density: 3}); len(miss) != 0 {
-		t.Errorf("Select(density=3) = %d runs, want 0", len(miss))
+	if miss, _, _ = store.Summaries(Filter{Density: 3}); len(miss) != 0 {
+		t.Errorf("Summaries(density=3) = %d runs, want 0", len(miss))
 	}
 }
 

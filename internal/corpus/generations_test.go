@@ -171,138 +171,65 @@ func TestNumericFragmentSelector(t *testing.T) {
 	}
 }
 
-// TestMigrationCrashRecovery: the flat→generational migration is
-// lossless across its crash windows — a committed generation left
-// beside the flat originals (death after commit, before removal) is
-// reconciled by the next append, and a stranded staging directory
-// neither shadows the store nor survives prune -damaged.
-func TestMigrationCrashRecovery(t *testing.T) {
+// TestStrandedStagingPruned: a ".tmp-" staging directory left inside a
+// run by a crashed write neither shadows the run's generations nor
+// survives prune -damaged.
+func TestStrandedStagingPruned(t *testing.T) {
 	g := testGrid(28)
-	recs := runner.Records(runGrid(t, g, 2))
 	store, err := Open(filepath.Join(t.TempDir(), "corpus"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManifest(g)
-	m.CreatedAt = "2026-07-01T00:00:00Z"
-	if _, err := WriteRun(store.Path(m.ID), m, recs); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a migration that died after committing the generation
-	// directory but before removing the flat originals.
-	gen := filepath.Join(store.Path(m.ID), GenName(m))
-	if err := os.MkdirAll(gen, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{ManifestName, CellsName} {
-		b, err := os.ReadFile(filepath.Join(store.Path(m.ID), name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(gen, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// And a staging directory from a migration that died mid-copy.
-	stranded := filepath.Join(store.Path(m.ID), ".tmp-migrate-dead")
+	a := archiveAt(t, store, g, runner.Records(runGrid(t, g, 2)), "rev", 1)
+	id := a.Run.Manifest.ID
+	stranded := filepath.Join(store.Path(id), ".tmp-write-dead")
 	if err := os.MkdirAll(stranded, 0o755); err != nil {
 		t.Fatal(err)
 	}
-
-	// The flat run still reads as generation 0 (the committed copy is
-	// shadowed, not doubled).
-	if gens, _, err := store.Generations(m.ID); err != nil || len(gens) != 1 || gens[0].Gen != "0" {
-		t.Fatalf("half-migrated run mis-listed: %v, %v", gens, err)
+	if gens, damaged, err := store.Generations(id); err != nil || len(gens) != 1 || len(damaged) != 0 {
+		t.Fatalf("run with a stranded staging dir mis-listed: %d gens, %d damaged, %v", len(gens), len(damaged), err)
 	}
-	// The next append reconciles: flat originals removed, committed
-	// generation adopted, new generation added — nothing lost.
-	a := archiveAt(t, store, g, drift(recs, 1), "after", 10)
-	if !a.Added {
-		t.Fatalf("append over half-migrated run deduped: %+v", a)
-	}
-	gens, damaged, err := store.Generations(m.ID)
-	if err != nil || len(damaged) != 0 || len(gens) != 2 {
-		t.Fatalf("after reconcile: %d gens, %d damaged, %v", len(gens), len(damaged), err)
-	}
-	if got, err := gens[0].Records(); err != nil || len(got) != len(recs) {
-		t.Fatalf("generation 0 lost cells across the crash window: %d, %v", len(got), err)
-	}
-	// The stranded staging directory is invisible to listing and
-	// cleared by prune -damaged.
 	plan, err := store.Prune(PruneOptions{Damaged: true})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(plan.Victims) != 1 || plan.Victims[0].Dir != stranded {
+		t.Fatalf("damaged prune = %+v, %v", plan, err)
 	}
-	found := false
-	for _, v := range plan.Victims {
-		if v.Dir == stranded {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("stranded staging dir not pruned: %+v", plan.Victims)
+	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+		t.Error("stranded staging dir survived the prune")
 	}
 }
 
-// TestFlatLayoutMigration: a pre-generational store — run files
-// directly under <store>/<id> — reads as generation 0, and the first
-// append migrates it into the generational layout.
-func TestFlatLayoutMigration(t *testing.T) {
+// TestFlatLayoutReportedDamaged: the pre-generational layout — run files
+// directly under <store>/<id> — is no longer read or migrated, but it
+// must not become invisible: listings flag the entry as damaged, saying
+// what it is, and prune -damaged clears it.
+func TestFlatLayoutReportedDamaged(t *testing.T) {
 	g := testGrid(22)
-	results := runner.Records(runGrid(t, g, 2))
 	store, err := Open(filepath.Join(t.TempDir(), "corpus"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write the legacy layout by hand: what PR-2-era Archive produced.
 	m := NewManifest(g)
 	m.CreatedAt = "2026-07-01T00:00:00Z"
-	if _, err := WriteRun(store.Path(m.ID), m, results); err != nil {
+	if _, err := WriteRun(store.Path(m.ID), m, runner.Records(runGrid(t, g, 2))); err != nil {
 		t.Fatal(err)
 	}
 
-	// Read path: the flat run is generation 0.
-	r, err := store.Resolve(m.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Gen != "0" || r.Dir != store.Path(m.ID) {
-		t.Fatalf("flat run read as gen %q in %s", r.Gen, r.Dir)
-	}
-	if r2, err := store.Resolve(m.ID + "@0"); err != nil || r2.Dir != r.Dir {
-		t.Fatalf("@0 did not resolve the flat run: %v", err)
-	}
 	runs, damaged, err := store.Runs()
-	if err != nil || len(damaged) != 0 || len(runs) != 1 {
-		t.Fatalf("Runs over flat store = %d, %d damaged, %v", len(runs), len(damaged), err)
+	if err != nil || len(runs) != 0 {
+		t.Fatalf("Runs over a flat store = %d runs, %v", len(runs), err)
 	}
-
-	// Append path: a new generation migrates the flat files into a
-	// generation subdirectory; both generations stay readable.
-	a := archiveAt(t, store, g, drift(results, 2), "newrev", 10)
-	if !a.Added {
-		t.Fatalf("append over flat run deduped: %+v", a)
+	if len(damaged) != 1 || damaged[0].Dir != store.Path(m.ID) || !strings.Contains(damaged[0].Err.Error(), "pre-generational flat run") {
+		t.Fatalf("flat run not flagged: %+v", damaged)
 	}
-	if a.Prev == nil || a.Prev.Manifest.CreatedAt != "2026-07-01T00:00:00Z" {
-		t.Errorf("append lost the flat run's provenance: %+v", a.Prev)
+	if _, err := store.Resolve(m.ID); err == nil || !strings.Contains(err.Error(), "pre-generational flat run") {
+		t.Errorf("Resolve of a flat run = %v, want the flat-run error", err)
 	}
-	if _, err := os.Stat(filepath.Join(store.Path(m.ID), ManifestName)); !os.IsNotExist(err) {
-		t.Error("flat manifest still shadows the generational layout")
+	plan, err := store.Prune(PruneOptions{Damaged: true})
+	if err != nil || len(plan.Victims) != 1 || plan.Victims[0].Dir != store.Path(m.ID) {
+		t.Fatalf("damaged prune = %+v, %v", plan, err)
 	}
-	gens, damaged, err := store.Generations(m.ID)
-	if err != nil || len(damaged) != 0 {
-		t.Fatal(err, damaged)
-	}
-	if len(gens) != 2 {
-		t.Fatalf("after migration: %d generations, want 2", len(gens))
-	}
-	if gens[0].Manifest.CreatedAt != "2026-07-01T00:00:00Z" || gens[1].Manifest.Revision != "newrev" {
-		t.Errorf("migration reordered generations: %+v", gens)
-	}
-	// The migrated generation 0 still holds the original cells.
-	recs, err := gens[0].Records()
-	if err != nil || len(recs) != len(results) {
-		t.Fatalf("migrated generation lost cells: %d, %v", len(recs), err)
+	if _, damaged, _ := store.Runs(); len(damaged) != 0 {
+		t.Errorf("store still damaged after prune: %+v", damaged)
 	}
 }
 
@@ -337,15 +264,15 @@ func TestRunsSkipsDamaged(t *testing.T) {
 	if len(damaged) != 1 || damaged[0].Dir != torn {
 		t.Fatalf("torn run not reported: %+v", damaged)
 	}
-	// Select still works over the damaged store: the torn run's
-	// manifest is never touched, the hit list excludes it, and the
+	// The filtered listing still works over the damaged store: the torn
+	// run's manifest is never touched, the hit list excludes it, and the
 	// damage is reported rather than silently dropped.
-	hits, selDamaged, err := store.Select(Filter{Algo: "pushpull"})
+	hits, selDamaged, err := store.Summaries(Filter{Algo: "pushpull"})
 	if err != nil || len(hits) != 1 {
-		t.Fatalf("Select over damaged store = %d, %v", len(hits), err)
+		t.Fatalf("Summaries over damaged store = %d, %v", len(hits), err)
 	}
 	if len(selDamaged) != 1 || selDamaged[0].Dir != torn {
-		t.Fatalf("Select did not report the damaged run: %+v", selDamaged)
+		t.Fatalf("Summaries did not report the damaged run: %+v", selDamaged)
 	}
 	// Prune -damaged deletes the wreck (and only it).
 	plan, err := store.Prune(PruneOptions{Damaged: true})

@@ -302,21 +302,6 @@ func (idx *Index) Summaries(f Filter) []RunSummary {
 	return out
 }
 
-// PickGen resolves a generation selector ("", "latest", "prev", an
-// ordinal, or a name fragment — the Store.Resolve rules) against the
-// entry's generation list, returning the resolved GenInfo.
-func (e *IndexEntry) PickGen(sel string) (GenInfo, error) {
-	names := make([]string, len(e.Generations))
-	for i, g := range e.Generations {
-		names[i] = g.Name
-	}
-	i, err := pickGenName(e.ID, names, sel)
-	if err != nil {
-		return GenInfo{}, err
-	}
-	return e.Generations[i], nil
-}
-
 // Gens counts the index's readable generations across all runs.
 func (idx *Index) Gens() int {
 	n := 0

@@ -201,48 +201,6 @@ func TestIndexSkipsAndFlagsDamage(t *testing.T) {
 	requireIndexMatchesScan(t, store)
 }
 
-func TestIndexEntryPickGen(t *testing.T) {
-	store, err := Open(filepath.Join(t.TempDir(), "corpus"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGrid(1)
-	res := runGrid(t, g, 4)
-	a1 := archiveResults(t, store, g, "rev-a", res)
-	a2 := archiveResults(t, store, g, "rev-b", res)
-	idx, err := store.LoadIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := idx.Entries[a1.Run.Manifest.ID]
-	if e == nil {
-		t.Fatal("run not indexed")
-	}
-	for _, tc := range []struct{ sel, want string }{
-		{"", a2.Run.Gen},
-		{"latest", a2.Run.Gen},
-		{"prev", a1.Run.Gen},
-		{"0", a1.Run.Gen},
-		{"1", a2.Run.Gen},
-		{"rev-a", a1.Run.Gen},
-	} {
-		gi, err := e.PickGen(tc.sel)
-		if err != nil {
-			t.Errorf("PickGen(%q): %v", tc.sel, err)
-			continue
-		}
-		if gi.Name != tc.want {
-			t.Errorf("PickGen(%q) = %s, want %s", tc.sel, gi.Name, tc.want)
-		}
-	}
-	if _, err := e.PickGen("rev"); err == nil {
-		t.Error("ambiguous fragment resolved")
-	}
-	if _, err := e.PickGen("nope"); err == nil {
-		t.Error("unknown generation resolved")
-	}
-}
-
 func TestReadCellsFilteredStreamsVerbatimSubsequence(t *testing.T) {
 	g := testGrid(3)
 	dir := filepath.Join(t.TempDir(), "run")

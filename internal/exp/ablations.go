@@ -19,13 +19,7 @@ import (
 // gossiping's message complexity does not deteriorate on sparse random
 // graphs — shows up as near-flat rows.
 func AblationDensity(cfg Config) *Report {
-	n := 16384
-	if cfg.Quick {
-		n = 4096
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(16384, 4096)
 	reps := cfg.reps(3, 2)
 	exponents := []float64{1.5, 2.0, 2.5, 3.0}
 
@@ -45,10 +39,6 @@ func AblationDensity(cfg Config) *Report {
 			"paper claim: gossiping message complexity is density-insensitive once d = Ω(log^{2+ε} n) — compare against the broadcast ablation where density matters",
 		},
 	}
-
-	pp := asciiplot.Series{Name: "PushPull"}
-	fg := asciiplot.Series{Name: "FastGossiping"}
-	mm := asciiplot.Series{Name: "Memory"}
 
 	// Grid: one cell per density point (four G(n,p) exponents plus the
 	// configuration-model comparison at the paper's density).
@@ -77,40 +67,20 @@ func AblationDensity(cfg Config) *Report {
 		return g
 	}})
 
-	type cell struct {
-		row        []any
-		pp, fg, mm float64
-	}
-	cells := runner.Map(cfg.Workers, grid, func(_ int, pt point) cell {
-		var ppS, fgS float64
-		ppAcc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.PushPull(pt.mk(rep), runSeed(cfg, n, rep, 70), 0)
-			ppS += float64(res.Steps) / float64(reps)
-			return res.TransmissionsPerNode()
-		})
-		fgAcc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.FastGossip(pt.mk(rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 71))
-			fgS += float64(res.Steps) / float64(reps)
-			return res.TransmissionsPerNode()
-		})
-		mmAcc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.MemoryGossip(pt.mk(rep), core.TunedMemoryParams(n), runSeed(cfg, n, rep, 72), -1)
-			return res.TransmissionsPerNode()
-		})
-		return cell{
-			row: []any{pt.model, pt.degree, ppAcc.Mean(), fgAcc.Mean(), mmAcc.Mean(), ppS, fgS},
-			pp:  ppAcc.Mean(), fg: fgAcc.Mean(), mm: mmAcc.Mean(),
-		}
+	cells := measure(cfg, grid, reps, func(pt point, rep int) runner.Metrics {
+		return gossipTrio(cfg, pt.mk(rep), rep, 70)
 	})
+	xs := make([]float64, len(grid))
 	for i, pt := range grid {
 		c := cells[i]
-		r.Table.AddRow(c.row...)
-		pp.Xs, pp.Ys = append(pp.Xs, pt.degree), append(pp.Ys, c.pp)
-		fg.Xs, fg.Ys = append(fg.Xs, pt.degree), append(fg.Ys, c.fg)
-		mm.Xs, mm.Ys = append(mm.Xs, pt.degree), append(mm.Ys, c.mm)
+		r.Table.AddRow(pt.model, pt.degree, c.mean("pp"), c.mean("fg"), c.mean("mm"), c.mean("pp_steps"), c.mean("fg_steps"))
+		xs[i] = pt.degree
 	}
-
-	r.Series = []asciiplot.Series{pp, fg, mm}
+	r.Series = []asciiplot.Series{
+		series("PushPull", "pp", xs, cells),
+		series("FastGossiping", "fg", xs, cells),
+		series("Memory", "mm", xs, cells),
+	}
 	return r
 }
 
@@ -118,13 +88,7 @@ func AblationDensity(cfg Config) *Report {
 // Algorithm 1 Phase II. More walks cost more Phase II messages but shrink
 // the Phase III cleanup; the tuned ℓ = 1 sits near the knee.
 func AblationWalkProb(cfg Config) *Report {
-	n := 16384
-	if cfg.Quick {
-		n = 4096
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(16384, 4096)
 	reps := cfg.reps(3, 2)
 	factors := []float64{0.25, 0.5, 1, 2, 4}
 
@@ -143,30 +107,22 @@ func AblationWalkProb(cfg Config) *Report {
 			"the Table 1 tuning uses ℓ = 1; the message/time trade-off bends on both sides",
 		},
 	}
-	series := asciiplot.Series{Name: "FastGossiping"}
-	type cell struct {
-		row  []any
-		mean float64
-	}
-	cells := runner.Map(cfg.Workers, factors, func(_ int, ell float64) cell {
-		var walkMsgs, p3Steps, totSteps float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			params := core.TunedFastGossipParams(n)
-			params.WalkProb = ell / core.Logn(n)
-			res := core.FastGossip(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 80))
-			walkMsgs += float64(res.Phases[1].Meter.Transmissions) / float64(n) / float64(reps)
-			p3Steps += float64(res.Phases[2].Meter.Steps) / float64(reps)
-			totSteps += float64(res.Steps) / float64(reps)
-			return res.TransmissionsPerNode()
-		})
-		return cell{row: []any{ell, acc.Mean(), walkMsgs, p3Steps, totSteps}, mean: acc.Mean()}
+	cells := measure(cfg, factors, reps, func(ell float64, rep int) runner.Metrics {
+		params := core.TunedFastGossipParams(n)
+		params.WalkProb = ell / core.Logn(n)
+		res := core.FastGossip(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 80))
+		return runner.Metrics{
+			"msgs":      res.TransmissionsPerNode(),
+			"walk_msgs": float64(res.Phases[1].Meter.Transmissions) / float64(n),
+			"p3_steps":  float64(res.Phases[2].Meter.Steps),
+			"steps":     float64(res.Steps),
+		}
 	})
 	for i, ell := range factors {
-		r.Table.AddRow(cells[i].row...)
-		series.Xs = append(series.Xs, ell)
-		series.Ys = append(series.Ys, cells[i].mean)
+		c := cells[i]
+		r.Table.AddRow(ell, c.mean("msgs"), c.mean("walk_msgs"), c.mean("p3_steps"), c.mean("steps"))
 	}
-	r.Series = []asciiplot.Series{series}
+	r.Series = []asciiplot.Series{series("FastGossiping", "msgs", factors, cells)}
 	return r
 }
 
@@ -174,13 +130,7 @@ func AblationWalkProb(cfg Config) *Report {
 // (the paper fixes 4 slots; §4 notes even avoiding 3 previous choices
 // suffices for the broadcast lemmas it reuses).
 func AblationMemorySlots(cfg Config) *Report {
-	n := 16384
-	if cfg.Quick {
-		n = 4096
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(16384, 4096)
 	reps := cfg.reps(3, 2)
 
 	r := &Report{
@@ -193,21 +143,15 @@ func AblationMemorySlots(cfg Config) *Report {
 			"fewer slots allow repeat contacts during a long-step, wasting pushes; 4 slots guarantee 4 distinct children",
 		},
 	}
-	rows := runner.Map(cfg.Workers, []int{1, 2, 3, 4}, func(_ int, slots int) []any {
-		completed := true
-		var opened float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			params := core.TunedMemoryParams(n)
-			params.MemSlots = slots
-			res := core.MemoryGossip(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 90), -1)
-			completed = completed && res.Completed
-			opened += res.OpenedPerNode() / float64(reps)
-			return res.TransmissionsPerNode()
-		})
-		return []any{slots, acc.Mean(), opened, completed}
+	slots := []int{1, 2, 3, 4}
+	cells := measure(cfg, slots, reps, func(m, rep int) runner.Metrics {
+		params := core.TunedMemoryParams(n)
+		params.MemSlots = m
+		res := core.MemoryGossip(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 90), -1)
+		return runner.Metrics{"msgs": res.TransmissionsPerNode(), "opened": res.OpenedPerNode(), "completed": flag(res.Completed)}
 	})
-	for _, row := range rows {
-		r.Table.AddRow(row...)
+	for i, m := range slots {
+		r.Table.AddRow(m, cells[i].mean("msgs"), cells[i].mean("opened"), cells[i].all("completed"))
 	}
 	return r
 }
@@ -215,13 +159,7 @@ func AblationMemorySlots(cfg Config) *Report {
 // AblationTrees varies the number of independent gather trees against a
 // fixed failure count — the redundancy knob of the §5 robustness study.
 func AblationTrees(cfg Config) *Report {
-	n := 20000
-	if cfg.Quick {
-		n = 5000
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(20000, 5000)
 	reps := cfg.reps(5, 3)
 	f := n / 20
 
@@ -235,22 +173,15 @@ func AblationTrees(cfg Config) *Report {
 			"the paper's robustness simulation uses 3 trees; Theorem 3 proves two independent runs already bound losses to |f|(1+o(1))",
 		},
 	}
-	rows := runner.Map(cfg.Workers, []int{1, 2, 3, 4}, func(_ int, trees int) []any {
-		var lost, ratioMax float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			params := core.TunedMemoryParams(n)
-			params.Trees = trees
-			res := core.MemoryRobustness(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 100), f)
-			lost += float64(res.LostAdditional) / float64(reps)
-			if res.Ratio > ratioMax {
-				ratioMax = res.Ratio
-			}
-			return res.Ratio
-		})
-		return []any{trees, lost, acc.Mean(), ratioMax}
+	trees := []int{1, 2, 3, 4}
+	cells := measure(cfg, trees, reps, func(t, rep int) runner.Metrics {
+		params := core.TunedMemoryParams(n)
+		params.Trees = t
+		res := core.MemoryRobustness(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, 100), f)
+		return runner.Metrics{"lost": float64(res.LostAdditional), "ratio": res.Ratio}
 	})
-	for _, row := range rows {
-		r.Table.AddRow(row...)
+	for i, t := range trees {
+		r.Table.AddRow(t, cells[i].mean("lost"), cells[i].mean("ratio"), cells[i]["ratio"].Max())
 	}
 	return r
 }
@@ -260,13 +191,7 @@ func AblationTrees(cfg Config) *Report {
 // against which the paper positions gossiping: for broadcasting, density
 // does matter.
 func AblationBroadcast(cfg Config) *Report {
-	n := 16384
-	if cfg.Quick {
-		n = 4096
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(16384, 4096)
 	reps := cfg.reps(3, 2)
 	exponents := []float64{1.5, 2.0, 3.0}
 
@@ -291,20 +216,14 @@ func AblationBroadcast(cfg Config) *Report {
 			grid = append(grid, point{e, mode})
 		}
 	}
-	rows := runner.Map(cfg.Workers, grid, func(_ int, pt point) []any {
-		p := graph.PLogPow(n, pt.e)
-		var rounds float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			seed := xrand.SeedFor(cfg.Seed, tagGraph, uint64(n), uint64(rep), uint64(pt.e*100))
-			g := graph.ErdosRenyi(n, p, xrand.New(seed))
-			res := core.Broadcast(g, 0, pt.mode, runSeed(cfg, n, rep, 110+int(pt.mode)), 0)
-			rounds += float64(res.Steps) / float64(reps)
-			return float64(res.Transmissions) / float64(n)
-		})
-		return []any{fmt.Sprintf("log^%.1f n", pt.e), pt.mode.String(), rounds, acc.Mean()}
+	cells := measure(cfg, grid, reps, func(pt point, rep int) runner.Metrics {
+		seed := xrand.SeedFor(cfg.Seed, tagGraph, uint64(n), uint64(rep), uint64(pt.e*100))
+		g := graph.ErdosRenyi(n, graph.PLogPow(n, pt.e), xrand.New(seed))
+		res := core.Broadcast(g, 0, pt.mode, runSeed(cfg, n, rep, 110+int(pt.mode)), 0)
+		return runner.Metrics{"rounds": float64(res.Steps), "msgs": float64(res.Transmissions) / float64(n)}
 	})
-	for _, row := range rows {
-		r.Table.AddRow(row...)
+	for i, pt := range grid {
+		r.Table.AddRow(fmt.Sprintf("log^%.1f n", pt.e), pt.mode.String(), cells[i].mean("rounds"), cells[i].mean("msgs"))
 	}
 	return r
 }

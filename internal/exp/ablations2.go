@@ -40,27 +40,15 @@ func AblationComplete(cfg Config) *Report {
 			grid = append(grid, point{n, topo})
 		}
 	}
-	rows := runner.Map(cfg.Workers, grid, func(_ int, pt point) []any {
-		n := pt.n
-		mk := func(rep int) *graph.Graph {
-			if pt.topo == "complete" {
-				return graph.Complete(n)
-			}
-			return paperGraph(cfg, n, rep)
+	cells := measure(cfg, grid, reps, func(pt point, rep int) runner.Metrics {
+		g := graph.Complete(pt.n)
+		if pt.topo != "complete" {
+			g = paperGraph(cfg, pt.n, rep)
 		}
-		pp := sweep.Repeat(reps, func(rep int) float64 {
-			return core.PushPull(mk(rep), runSeed(cfg, n, rep, 120), 0).TransmissionsPerNode()
-		})
-		fg := sweep.Repeat(reps, func(rep int) float64 {
-			return core.FastGossip(mk(rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 121)).TransmissionsPerNode()
-		})
-		mm := sweep.Repeat(reps, func(rep int) float64 {
-			return core.MemoryGossip(mk(rep), core.TunedMemoryParams(n), runSeed(cfg, n, rep, 122), -1).TransmissionsPerNode()
-		})
-		return []any{n, pt.topo, pp.Mean(), fg.Mean(), mm.Mean()}
+		return gossipTrio(cfg, g, rep, 120)
 	})
-	for _, row := range rows {
-		r.Table.AddRow(row...)
+	for i, pt := range grid {
+		r.Table.AddRow(pt.n, pt.topo, cells[i].mean("pp"), cells[i].mean("fg"), cells[i].mean("mm"))
 	}
 	return r
 }
@@ -91,39 +79,23 @@ func AblationMedianCounter(cfg Config) *Report {
 			"per-node cost ≈ c·loglog n on both topologies; the sparse-graph lower bound of [19] separates only asymptotically",
 		},
 	}
-	com := asciiplot.Series{Name: "complete"}
-	er := asciiplot.Series{Name: "G(n,log²n/n)"}
-	type cell struct {
-		row     []any
-		com, er float64
-	}
-	cells := runner.Map(cfg.Workers, sizes, func(_ int, n int) cell {
+	cells := measure(cfg, sizes, reps, func(n, rep int) runner.Metrics {
 		params := core.DefaultMedianCounterParams(n)
-		quiesced := true
-		var rounds float64
-		cAcc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.MedianCounterBroadcast(graph.Complete(n), 0, params, runSeed(cfg, n, rep, 130))
-			quiesced = quiesced && res.Quiesced
-			return float64(res.Transmissions) / float64(n)
-		})
-		eAcc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.MedianCounterBroadcast(paperGraph(cfg, n, rep), 0, params, runSeed(cfg, n, rep, 131))
-			quiesced = quiesced && res.Quiesced
-			rounds += float64(res.Steps) / float64(reps)
-			return float64(res.Transmissions) / float64(n)
-		})
-		return cell{
-			row: []any{n, core.LogLogn(n), cAcc.Mean(), eAcc.Mean(), rounds, quiesced},
-			com: cAcc.Mean(), er: eAcc.Mean(),
+		com := core.MedianCounterBroadcast(graph.Complete(n), 0, params, runSeed(cfg, n, rep, 130))
+		er := core.MedianCounterBroadcast(paperGraph(cfg, n, rep), 0, params, runSeed(cfg, n, rep, 131))
+		return runner.Metrics{
+			"complete": float64(com.Transmissions) / float64(n),
+			"er":       float64(er.Transmissions) / float64(n),
+			"rounds":   float64(er.Steps),
+			"quiesced": flag(com.Quiesced && er.Quiesced),
 		}
 	})
 	for i, n := range sizes {
 		c := cells[i]
-		r.Table.AddRow(c.row...)
-		com.Xs, com.Ys = append(com.Xs, float64(n)), append(com.Ys, c.com)
-		er.Xs, er.Ys = append(er.Xs, float64(n)), append(er.Ys, c.er)
+		r.Table.AddRow(n, core.LogLogn(n), c.mean("complete"), c.mean("er"), c.mean("rounds"), c.all("quiesced"))
 	}
-	r.Series = []asciiplot.Series{com, er}
+	xs := floats(sizes)
+	r.Series = []asciiplot.Series{series("complete", "complete", xs, cells), series("G(n,log²n/n)", "er", xs, cells)}
 	return r
 }
 
@@ -133,13 +105,7 @@ func AblationMedianCounter(cfg Config) *Report {
 // modified-model Algorithm 2, including the memory-broadcast and median-
 // counter building blocks for context.
 func AblationTradeoff(cfg Config) *Report {
-	n := 16384
-	if cfg.Quick {
-		n = 4096
-	}
-	if len(cfg.Sizes) > 0 {
-		n = cfg.Sizes[0]
-	}
+	n := cfg.size(16384, 4096)
 	reps := cfg.reps(3, 2)
 
 	r := &Report{
@@ -153,59 +119,47 @@ func AblationTradeoff(cfg Config) *Report {
 		},
 	}
 
-	// Grid: one cell per protocol row; the gossip rows share one body, the
-	// broadcast building blocks bring their own.
-	gossipRow := func(name string, run func(rep int) *core.Result) func() []any {
-		return func() []any {
-			var rounds, opened float64
-			acc := sweep.Repeat(reps, func(rep int) float64 {
-				res := run(rep)
-				rounds += float64(res.Steps) / float64(reps)
-				opened += res.OpenedPerNode() / float64(reps)
-				return res.TransmissionsPerNode()
-			})
-			return []any{name, "gossip", rounds, acc.Mean(), opened}
+	// Grid: one cell per protocol row, each observing its rounds, messages
+	// per node and openings per node on the repetition's graph.
+	type protocol struct {
+		name, task string
+		run        func(g *graph.Graph, rep int) (steps int, transmissions, opened int64)
+	}
+	gossip := func(res *core.Result) (int, int64, int64) {
+		return res.Steps, res.Meter.Transmissions, res.Meter.Opened
+	}
+	grid := []protocol{
+		{"push-pull (Alg 4)", "gossip", func(g *graph.Graph, rep int) (int, int64, int64) {
+			return gossip(core.PushPull(g, runSeed(cfg, n, rep, 140), 0))
+		}},
+		{"fast-gossiping (Alg 1, tuned)", "gossip", func(g *graph.Graph, rep int) (int, int64, int64) {
+			return gossip(core.FastGossip(g, core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 141)))
+		}},
+		{"fast-gossiping (Alg 1, theory)", "gossip", func(g *graph.Graph, rep int) (int, int64, int64) {
+			return gossip(core.FastGossip(g, core.TheoryFastGossipParams(n), runSeed(cfg, n, rep, 142)))
+		}},
+		{"memory (Alg 2)", "gossip", func(g *graph.Graph, rep int) (int, int64, int64) {
+			return gossip(core.MemoryGossip(g, core.TunedMemoryParams(n), runSeed(cfg, n, rep, 143), -1))
+		}},
+		{"memory broadcast ([20])", "broadcast", func(g *graph.Graph, rep int) (int, int64, int64) {
+			res := core.MemoryBroadcast(g, core.TunedMemoryParams(n), 0, runSeed(cfg, n, rep, 144))
+			return res.Steps, res.Transmissions, res.Opened
+		}},
+		{"median-counter ([34])", "broadcast", func(g *graph.Graph, rep int) (int, int64, int64) {
+			res := core.MedianCounterBroadcast(g, 0, core.DefaultMedianCounterParams(n), runSeed(cfg, n, rep, 145))
+			return res.Steps, res.Transmissions, res.Opened
+		}},
+	}
+	cells := measure(cfg, grid, reps, func(p protocol, rep int) runner.Metrics {
+		steps, transmissions, opened := p.run(paperGraph(cfg, n, rep), rep)
+		return runner.Metrics{
+			"rounds": float64(steps),
+			"msgs":   float64(transmissions) / float64(n),
+			"opened": float64(opened) / float64(n),
 		}
-	}
-	grid := []func() []any{
-		gossipRow("push-pull (Alg 4)", func(rep int) *core.Result {
-			return core.PushPull(paperGraph(cfg, n, rep), runSeed(cfg, n, rep, 140), 0)
-		}),
-		gossipRow("fast-gossiping (Alg 1, tuned)", func(rep int) *core.Result {
-			return core.FastGossip(paperGraph(cfg, n, rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 141))
-		}),
-		gossipRow("fast-gossiping (Alg 1, theory)", func(rep int) *core.Result {
-			return core.FastGossip(paperGraph(cfg, n, rep), core.TheoryFastGossipParams(n), runSeed(cfg, n, rep, 142))
-		}),
-		gossipRow("memory (Alg 2)", func(rep int) *core.Result {
-			return core.MemoryGossip(paperGraph(cfg, n, rep), core.TunedMemoryParams(n), runSeed(cfg, n, rep, 143), -1)
-		}),
-		func() []any {
-			var mbRounds, mbOpen float64
-			mb := sweep.Repeat(reps, func(rep int) float64 {
-				res := core.MemoryBroadcast(paperGraph(cfg, n, rep), core.TunedMemoryParams(n), 0, runSeed(cfg, n, rep, 144))
-				mbRounds += float64(res.Steps) / float64(reps)
-				mbOpen += float64(res.Opened) / float64(n) / float64(reps)
-				return float64(res.Transmissions) / float64(n)
-			})
-			return []any{"memory broadcast ([20])", "broadcast", mbRounds, mb.Mean(), mbOpen}
-		},
-		func() []any {
-			var mcRounds, mcOpen float64
-			mc := sweep.Repeat(reps, func(rep int) float64 {
-				res := core.MedianCounterBroadcast(paperGraph(cfg, n, rep), 0, core.DefaultMedianCounterParams(n), runSeed(cfg, n, rep, 145))
-				mcRounds += float64(res.Steps) / float64(reps)
-				mcOpen += float64(res.Opened) / float64(n) / float64(reps)
-				return float64(res.Transmissions) / float64(n)
-			})
-			return []any{"median-counter ([34])", "broadcast", mcRounds, mc.Mean(), mcOpen}
-		},
-	}
-	rows := runner.Map(cfg.Workers, grid, func(_ int, mk func() []any) []any {
-		return mk()
 	})
-	for _, row := range rows {
-		r.Table.AddRow(row...)
+	for i, p := range grid {
+		r.Table.AddRow(p.name, p.task, cells[i].mean("rounds"), cells[i].mean("msgs"), cells[i].mean("opened"))
 	}
 	return r
 }

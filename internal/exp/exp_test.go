@@ -3,8 +3,12 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"gossip/internal/runner"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -131,14 +135,53 @@ func TestReportWriteCSV(t *testing.T) {
 	}
 }
 
+// Every experiment renders the same bytes at any worker count (and so on
+// every run): cells come back in point order and each draws its
+// randomness from (Seed, n, rep) alone.
 func TestDeterministicReports(t *testing.T) {
-	cfg := Config{Seed: 7, Quick: true, Reps: 1, Sizes: []int{512}}
-	a, b := Figure1(cfg), Figure1(cfg)
-	var sa, sb strings.Builder
-	a.Render(&sa)
-	b.Render(&sb)
-	if sa.String() != sb.String() {
-		t.Error("same config produced different reports")
+	for _, e := range Experiments {
+		render := func(workers int) string {
+			var b strings.Builder
+			e.Run(Config{Seed: 7, Quick: true, Reps: 2, Sizes: []int{192, 256}, Failures: []int{0, 8}, Workers: workers}).Render(&b)
+			return b.String()
+		}
+		if serial, parallel := render(1), render(4); serial != parallel {
+			t.Errorf("%s depends on Workers:\n-- 1 --\n%s\n-- 4 --\n%s", e.ID, serial, parallel)
+		}
+	}
+}
+
+func TestMeasure(t *testing.T) {
+	points := []int{30, 10, 20, 40, 50}
+	run := func(workers int) ([]cell, map[int][]int) {
+		var mu sync.Mutex
+		visited := map[int][]int{}
+		cells := measure(Config{Workers: workers}, points, 3, func(pt, rep int) runner.Metrics {
+			mu.Lock()
+			visited[pt] = append(visited[pt], rep)
+			mu.Unlock()
+			return runner.Metrics{"sum": float64(pt + rep), "point": float64(pt)}
+		})
+		return cells, visited
+	}
+	for _, workers := range []int{1, 4} {
+		cells, visited := run(workers)
+		if len(cells) != len(points) {
+			t.Fatalf("workers=%d: %d cells for %d points", workers, len(cells), len(points))
+		}
+		for i, pt := range points {
+			c := cells[i]
+			if !slices.Equal(visited[pt], []int{0, 1, 2}) {
+				t.Errorf("workers=%d: point %d visited repetitions %v, want 0 1 2", workers, pt, visited[pt])
+			}
+			// Cells are in point order, one accumulator per name.
+			if len(c) != 2 || c["point"].N() != 3 || c.mean("point") != float64(pt) || c.ci("point", 2) != "0.00" {
+				t.Errorf("workers=%d: cell %d is not point %d: %v", workers, i, pt, c["point"])
+			}
+			if c.mean("sum") != float64(pt+1) || c["sum"].Min() != float64(pt) || c["sum"].Max() != float64(pt+2) {
+				t.Errorf("workers=%d: point %d sum = %v", workers, pt, c["sum"])
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"gossip/internal/asciiplot"
 	"gossip/internal/core"
 	"gossip/internal/runner"
@@ -41,50 +39,20 @@ func Figure1(cfg Config) *Report {
 		},
 	}
 
-	pp := asciiplot.Series{Name: "PushPull"}
-	fg := asciiplot.Series{Name: "FastGossiping"}
-	mm := asciiplot.Series{Name: "Memory"}
-
-	// Grid: one cell per graph size, three algorithm variants per cell.
-	type cell struct {
-		row        []any
-		pp, fg, mm float64
-	}
-	cells := runner.Map(cfg.Workers, sizes, func(_ int, n int) cell {
-		var ppSteps, fgSteps, mmSteps float64
-		run := func(algo int, fn func(rep int) *core.Result) (mean, ci float64, steps float64) {
-			acc := sweep.Repeat(reps, func(rep int) float64 {
-				res := fn(rep)
-				steps += float64(res.Steps) / float64(reps)
-				return res.TransmissionsPerNode()
-			})
-			return acc.Mean(), acc.CI95(), steps
-		}
-		var ppm, ppc, fgm, fgc, mmm, mmc float64
-		ppm, ppc, ppSteps = run(0, func(rep int) *core.Result {
-			return core.PushPull(paperGraph(cfg, n, rep), runSeed(cfg, n, rep, 0), 0)
-		})
-		fgm, fgc, fgSteps = run(1, func(rep int) *core.Result {
-			return core.FastGossip(paperGraph(cfg, n, rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 1))
-		})
-		mmm, mmc, mmSteps = run(2, func(rep int) *core.Result {
-			return core.MemoryGossip(paperGraph(cfg, n, rep), core.TunedMemoryParams(n), runSeed(cfg, n, rep, 2), -1)
-		})
-		return cell{
-			row: []any{n, ppm, fmt.Sprintf("%.2f", ppc), fgm, fmt.Sprintf("%.2f", fgc),
-				mmm, fmt.Sprintf("%.2f", mmc), ppSteps, fgSteps, mmSteps},
-			pp: ppm, fg: fgm, mm: mmm,
-		}
+	cells := measure(cfg, sizes, reps, func(n, rep int) runner.Metrics {
+		return gossipTrio(cfg, paperGraph(cfg, n, rep), rep, 0)
 	})
 	for i, n := range sizes {
 		c := cells[i]
-		r.Table.AddRow(c.row...)
-		x := float64(n)
-		pp.Xs, pp.Ys = append(pp.Xs, x), append(pp.Ys, c.pp)
-		fg.Xs, fg.Ys = append(fg.Xs, x), append(fg.Ys, c.fg)
-		mm.Xs, mm.Ys = append(mm.Xs, x), append(mm.Ys, c.mm)
+		r.Table.AddRow(n, c.mean("pp"), c.ci("pp", 2), c.mean("fg"), c.ci("fg", 2), c.mean("mm"), c.ci("mm", 2),
+			c.mean("pp_steps"), c.mean("fg_steps"), c.mean("mm_steps"))
 	}
-	r.Series = []asciiplot.Series{pp, fg, mm}
+	xs := floats(sizes)
+	r.Series = []asciiplot.Series{
+		series("PushPull", "pp", xs, cells),
+		series("FastGossiping", "fg", xs, cells),
+		series("Memory", "mm", xs, cells),
+	}
 	return r
 }
 
@@ -120,30 +88,14 @@ func Figure4(cfg Config) *Report {
 			"paper: sawtooth — jumps when a ⌈·⌉ schedule length increments, decline in between as the walk population n/log n thins per node",
 		},
 	}
-	fg := asciiplot.Series{Name: "FastGossiping"}
-	type cell struct {
-		row  []any
-		mean float64
-	}
-	cells := runner.Map(cfg.Workers, sizes, func(_ int, n int) cell {
-		var steps float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			res := core.FastGossip(paperGraph(cfg, n, rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 1))
-			steps += float64(res.Steps) / float64(reps)
-			return res.TransmissionsPerNode()
-		})
-		p := core.TunedFastGossipParams(n)
-		return cell{
-			row: []any{n, acc.Mean(), fmt.Sprintf("%.2f", acc.CI95()), steps,
-				p.WalkProb * float64(p.Rounds)},
-			mean: acc.Mean(),
-		}
+	cells := measure(cfg, sizes, reps, func(n, rep int) runner.Metrics {
+		res := core.FastGossip(paperGraph(cfg, n, rep), core.TunedFastGossipParams(n), runSeed(cfg, n, rep, 1))
+		return runner.Metrics{"fg": res.TransmissionsPerNode(), "steps": float64(res.Steps)}
 	})
 	for i, n := range sizes {
-		r.Table.AddRow(cells[i].row...)
-		fg.Xs = append(fg.Xs, float64(n))
-		fg.Ys = append(fg.Ys, cells[i].mean)
+		c, p := cells[i], core.TunedFastGossipParams(n)
+		r.Table.AddRow(n, c.mean("fg"), c.ci("fg", 2), c.mean("steps"), p.WalkProb*float64(p.Rounds))
 	}
-	r.Series = []asciiplot.Series{fg}
+	r.Series = []asciiplot.Series{series("FastGossiping", "fg", floats(sizes), cells)}
 	return r
 }

@@ -20,44 +20,44 @@ func defaultFailureGrid(n, points int) []int {
 	return sweep.LogSpacedSizes(lo, n/2, points)
 }
 
-// robustnessSweep runs the Figure 2/3 experiment for one graph size:
+// failureSweep runs the §5 robustness experiment at one graph size:
 // construct 3 independent gather trees, fail F random non-leader nodes
-// before Phase II, and report the ratio of additionally lost healthy
-// messages to F.
-func robustnessSweep(cfg Config, r *Report, n, reps int, failures []int) asciiplot.Series {
-	series := asciiplot.Series{Name: fmt.Sprintf("n=%d", n)}
-	params := core.TunedMemoryParams(n)
-	params.Trees = 3
-	// Grid: one cell per admissible failure count.
-	grid := failures[:0:0]
+// before Phase II, and observe the additionally lost healthy messages —
+// their count, their ratio to F, and whether they exceed each threshold of
+// Figure 5. The failure counts are cfg.Failures, or def when that is unset;
+// counts that do not leave a healthy node are skipped. Run seeds are
+// variant+F.
+func failureSweep(cfg Config, n, reps, variant int, def []int) (grid []int, cells []cell) {
+	failures := cfg.Failures
+	if len(failures) == 0 {
+		failures = def
+	}
 	for _, f := range failures {
 		if f < n {
 			grid = append(grid, f)
 		}
 	}
-	type cell struct {
-		row  []any
-		mean float64
-	}
-	cells := runner.Map(cfg.Workers, grid, func(_ int, f int) cell {
-		var lost float64
-		acc := sweep.Repeat(reps, func(rep int) float64 {
-			g := paperGraph(cfg, n, rep)
-			res := core.MemoryRobustness(g, params, runSeed(cfg, n, rep, 30+f), f)
-			lost += float64(res.LostAdditional) / float64(reps)
-			return res.Ratio
-		})
-		return cell{
-			row:  []any{n, f, acc.Mean(), fmt.Sprintf("%.3f", acc.CI95()), lost},
-			mean: acc.Mean(),
+	params := core.TunedMemoryParams(n)
+	params.Trees = 3
+	return grid, measure(cfg, grid, reps, func(f, rep int) runner.Metrics {
+		res := core.MemoryRobustness(paperGraph(cfg, n, rep), params, runSeed(cfg, n, rep, variant+f), f)
+		return runner.Metrics{
+			"ratio": res.Ratio, "lost": float64(res.LostAdditional),
+			">0": flag(res.LostAdditional > 0), ">10": flag(res.LostAdditional > 10), ">100": flag(res.LostAdditional > 100),
 		}
 	})
-	for i, f := range grid {
-		r.Table.AddRow(cells[i].row...)
-		series.Xs = append(series.Xs, float64(f))
-		series.Ys = append(series.Ys, cells[i].mean)
+}
+
+// lossRatio fills the table and the series of Figures 2 and 3: one
+// failure sweep per graph size, on a log-spaced grid of points counts.
+func lossRatio(cfg Config, r *Report, sizes []int, points int) {
+	for _, n := range sizes {
+		grid, cells := failureSweep(cfg, n, cfg.reps(3, 2), 30, defaultFailureGrid(n, points))
+		for i, f := range grid {
+			r.Table.AddRow(n, f, cells[i].mean("ratio"), cells[i].ci("ratio", 3), cells[i].mean("lost"))
+		}
+		r.Series = append(r.Series, series(fmt.Sprintf("n=%d", n), "ratio", floats(grid), cells))
 	}
-	return series
 }
 
 // Figure2 reproduces Figure 2: the relative number of additional message
@@ -67,17 +67,7 @@ func robustnessSweep(cfg Config, r *Report, n, reps int, failures []int) asciipl
 // shape is size-stable (Figure 3 is the same study at smaller n, which the
 // paper itself uses to make that point). Pass Sizes to raise n.
 func Figure2(cfg Config) *Report {
-	sizes := cfg.sizes([]int{100000}, []int{20000})
-	n := sizes[0]
-	reps := cfg.reps(3, 2)
-	failures := cfg.Failures
-	if len(failures) == 0 {
-		points := 10
-		if cfg.Quick {
-			points = 6
-		}
-		failures = defaultFailureGrid(n, points)
-	}
+	n := cfg.size(100000, 20000)
 
 	r := &Report{
 		ID:    "figure2",
@@ -95,16 +85,13 @@ func Figure2(cfg Config) *Report {
 			"failures are injected after Phase I and before Phase II, leader excluded (DESIGN.md §3)",
 		},
 	}
-	r.Series = []asciiplot.Series{robustnessSweep(cfg, r, n, reps, failures)}
+	lossRatio(cfg, r, []int{n}, cfg.pick(10, 6))
 	return r
 }
 
 // Figure3 reproduces Figure 3: the Figure 2 study at two smaller graph
 // sizes (paper: 10⁵ and 5·10⁵; defaults here 2·10⁴ and 5·10⁴).
 func Figure3(cfg Config) *Report {
-	sizes := cfg.sizes([]int{20000, 50000}, []int{5000, 10000})
-	reps := cfg.reps(3, 2)
-
 	r := &Report{
 		ID:    "figure3",
 		Title: "additional node failures in the memory model at two graph sizes, 3 trees",
@@ -120,17 +107,7 @@ func Figure3(cfg Config) *Report {
 			"paper: same envelope as Figure 2 at both sizes — the loss ratio is insensitive to n",
 		},
 	}
-	for _, n := range sizes {
-		failures := cfg.Failures
-		if len(failures) == 0 {
-			points := 8
-			if cfg.Quick {
-				points = 5
-			}
-			failures = defaultFailureGrid(n, points)
-		}
-		r.Series = append(r.Series, robustnessSweep(cfg, r, n, reps, failures))
-	}
+	lossRatio(cfg, r, cfg.sizes([]int{20000, 50000}, []int{5000, 10000}), cfg.pick(8, 5))
 	return r
 }
 
@@ -141,7 +118,6 @@ func Figure3(cfg Config) *Report {
 func Figure5(cfg Config) *Report {
 	sizes := cfg.sizes([]int{20000, 50000}, []int{5000, 10000})
 	reps := cfg.reps(5, 3)
-	thresholds := []int{0, 10, 100}
 
 	r := &Report{
 		ID:    "figure5",
@@ -160,45 +136,18 @@ func Figure5(cfg Config) *Report {
 	}
 
 	for _, n := range sizes {
-		failures := cfg.Failures
-		if len(failures) == 0 {
-			// A fine grid through the transition region: the >0 series
-			// saturates around F ≈ n/20 with 3 trees while >100 stays at
-			// zero much longer (the paper's Figure 5 contrast).
-			step := max(1, n/40)
-			for f := 0; f <= n/4; f += step {
-				failures = append(failures, f)
-			}
+		// A fine grid through the transition region: the >0 series
+		// saturates around F ≈ n/20 with 3 trees while >100 stays at
+		// zero much longer (the paper's Figure 5 contrast).
+		var linear []int
+		for f := 0; f <= n/4; f += max(1, n/40) {
+			linear = append(linear, f)
 		}
-		params := core.TunedMemoryParams(n)
-		params.Trees = 3
-		series := asciiplot.Series{Name: fmt.Sprintf("n=%d T=0", n)}
-		grid := failures[:0:0]
-		for _, f := range failures {
-			if f < n {
-				grid = append(grid, f)
-			}
-		}
-		fracs := runner.Map(cfg.Workers, grid, func(_ int, f int) [3]float64 {
-			exceed := make([]int, len(thresholds))
-			for rep := 0; rep < reps; rep++ {
-				g := paperGraph(cfg, n, rep)
-				res := core.MemoryRobustness(g, params, runSeed(cfg, n, rep, 50+f), f)
-				for ti, T := range thresholds {
-					if res.LostAdditional > T {
-						exceed[ti]++
-					}
-				}
-			}
-			frac := func(ti int) float64 { return float64(exceed[ti]) / float64(reps) }
-			return [3]float64{frac(0), frac(1), frac(2)}
-		})
+		grid, cells := failureSweep(cfg, n, reps, 50, linear)
 		for i, f := range grid {
-			r.Table.AddRow(n, f, fracs[i][0], fracs[i][1], fracs[i][2])
-			series.Xs = append(series.Xs, float64(f))
-			series.Ys = append(series.Ys, fracs[i][0])
+			r.Table.AddRow(n, f, cells[i].mean(">0"), cells[i].mean(">10"), cells[i].mean(">100"))
 		}
-		r.Series = append(r.Series, series)
+		r.Series = append(r.Series, series(fmt.Sprintf("n=%d T=0", n), ">0", floats(grid), cells))
 	}
 	return r
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gossip/internal/core"
-	"gossip/internal/runner"
 	"gossip/internal/sweep"
 )
 
@@ -28,55 +27,32 @@ func Table1(cfg Config) *Report {
 		},
 	}
 
-	// Grid: one cell per table row, evaluated at every size.
-	type rowSpec struct {
-		algo, phase, limit, formula string
-		eval                        func(n int) string
-	}
-	var specs []rowSpec
-	row := func(algo, phase, limit, formula string, eval func(n int) string) {
-		specs = append(specs, rowSpec{algo, phase, limit, formula, eval})
-	}
-
-	row("Algorithm 1", "I", "number of steps", "⌈1.2·loglog n⌉", func(n int) string {
-		return fmt.Sprint(core.TunedFastGossipParams(n).DistributionSteps)
-	})
-	row("Algorithm 1", "II", "number of rounds", "⌈log n / loglog n⌉", func(n int) string {
-		return fmt.Sprint(core.TunedFastGossipParams(n).Rounds)
-	})
-	row("Algorithm 1", "II", "random walk probability", "1 / log n", func(n int) string {
-		return fmt.Sprintf("%.4f", core.TunedFastGossipParams(n).WalkProb)
-	})
-	row("Algorithm 1", "II", "number of random walk steps", "⌈log n / loglog n + 2⌉", func(n int) string {
-		return fmt.Sprint(core.TunedFastGossipParams(n).WalkSteps)
-	})
-	row("Algorithm 1", "II", "number of broadcast steps", "⌈0.5·loglog n⌉", func(n int) string {
-		return fmt.Sprint(core.TunedFastGossipParams(n).BroadcastSteps)
-	})
-	row("Algorithm 2", "I", "first loop, number of steps", "2.0·log n (multiple of 4)", func(n int) string {
-		return fmt.Sprint(core.TunedMemoryParams(n).PushSteps)
-	})
-	row("Algorithm 2", "I", "second loop, number of steps", "⌊2.0·loglog n⌋", func(n int) string {
-		return fmt.Sprint(core.TunedMemoryParams(n).PullSteps)
-	})
-	row("Algorithm 2", "II", "number of steps", "corresponds to Phase I", func(n int) string {
-		p := core.TunedMemoryParams(n)
-		return fmt.Sprint(p.PushSteps + p.PullSteps)
-	})
-	row("Algorithm 2", "III", "number of push steps", "⌊log n⌋ (multiple of 4)", func(n int) string {
-		return fmt.Sprint(core.TunedMemoryParams(n).Phase3PushSteps)
-	})
-
-	rows := runner.Map(cfg.Workers, specs, func(_ int, s rowSpec) []any {
-		cells := []any{s.algo, s.phase, s.limit, s.formula}
+	row := func(algo, phase, limit, formula string, eval func(n int) any) {
+		cells := []any{algo, phase, limit, formula}
 		for _, n := range sizes {
-			cells = append(cells, s.eval(n))
+			cells = append(cells, eval(n))
 		}
-		return cells
-	})
-	for _, cells := range rows {
 		r.Table.AddRow(cells...)
 	}
+	fg, mm := core.TunedFastGossipParams, core.TunedMemoryParams
+	row("Algorithm 1", "I", "number of steps", "⌈1.2·loglog n⌉",
+		func(n int) any { return fg(n).DistributionSteps })
+	row("Algorithm 1", "II", "number of rounds", "⌈log n / loglog n⌉",
+		func(n int) any { return fg(n).Rounds })
+	row("Algorithm 1", "II", "random walk probability", "1 / log n",
+		func(n int) any { return fmt.Sprintf("%.4f", fg(n).WalkProb) })
+	row("Algorithm 1", "II", "number of random walk steps", "⌈log n / loglog n + 2⌉",
+		func(n int) any { return fg(n).WalkSteps })
+	row("Algorithm 1", "II", "number of broadcast steps", "⌈0.5·loglog n⌉",
+		func(n int) any { return fg(n).BroadcastSteps })
+	row("Algorithm 2", "I", "first loop, number of steps", "2.0·log n (multiple of 4)",
+		func(n int) any { return mm(n).PushSteps })
+	row("Algorithm 2", "I", "second loop, number of steps", "⌊2.0·loglog n⌋",
+		func(n int) any { return mm(n).PullSteps })
+	row("Algorithm 2", "II", "number of steps", "corresponds to Phase I",
+		func(n int) any { return mm(n).PushSteps + mm(n).PullSteps })
+	row("Algorithm 2", "III", "number of push steps", "⌊log n⌋ (multiple of 4)",
+		func(n int) any { return mm(n).Phase3PushSteps })
 	return r
 }
 

@@ -222,6 +222,7 @@ func (f *refFull) Complete() bool { return f.total == int64(f.n)*int64(f.n) }
 // reference.
 func assertSameState(t *testing.T, f *Full, ref *refFull, when string) {
 	t.Helper()
+	var refBits int64
 	for v := 0; v < ref.n; v++ {
 		want := ref.cur.Row(v)
 		if !f.Row(int32(v)).Equal(want) {
@@ -230,8 +231,9 @@ func assertSameState(t *testing.T, f *Full, ref *refFull, when string) {
 		if got := f.Known(int32(v)); got != want.Count() {
 			t.Fatalf("%s: Known(%d) = %d, want %d", when, v, got, want.Count())
 		}
+		refBits += int64(want.Count())
 	}
-	if f.TotalKnown() != ref.total || ref.cur.TotalCount() != ref.total {
+	if f.TotalKnown() != ref.total || refBits != ref.total {
 		t.Fatalf("%s: TotalKnown = %d, reference %d", when, f.TotalKnown(), ref.total)
 	}
 	if f.Complete() != ref.Complete() {

@@ -8,11 +8,11 @@
 // aggregate into stats.Acc per named metric and render as sweep.Tables,
 // CSV, or a JSON-lines stream for downstream tooling.
 //
-// The engine has two layers. Map is the substrate: a deterministic
-// parallel map over arbitrary cells that internal/exp uses to run its
-// figure and ablation grids without bespoke loops. Runner/Grid/Scenario is
-// the declarative layer that `gossipsim sweep` exposes on the command
-// line.
+// The engine has two layers. Map (a deterministic parallel map over
+// arbitrary cells) and Accumulate (a cell's repetition loop) are the
+// substrate, which internal/exp's measure also runs its figure and
+// ablation grids on. Runner/Grid/Scenario is the declarative layer that
+// `gossipsim sweep` exposes on the command line.
 package runner
 
 import (
@@ -74,6 +74,24 @@ func Map[C, R any](workers int, cells []C, fn func(index int, cell C) R) []R {
 // Metrics is one repetition's named observations (e.g. "msgs_per_node",
 // "steps"). Keys must not vary across repetitions of the same scenario.
 type Metrics map[string]float64
+
+// Accumulate runs fn(rep) for rep = 0…reps-1, in that order, and folds
+// each repetition's observations into one accumulator per name. It is the
+// repetition loop of every cell, the sweep's and the figures' alike.
+func Accumulate(reps int, fn func(rep int) Metrics) map[string]*stats.Acc {
+	accs := map[string]*stats.Acc{}
+	for rep := 0; rep < reps; rep++ {
+		for k, v := range fn(rep) {
+			a, ok := accs[k]
+			if !ok {
+				a = &stats.Acc{}
+				accs[k] = a
+			}
+			a.Add(v)
+		}
+	}
+	return accs
+}
 
 // ExecFunc runs one repetition of one scenario. seed is the derived
 // per-(cell, rep) seed; implementations must draw all randomness from it.
@@ -162,21 +180,9 @@ func (r *Runner) run(cells []Scenario) []CellResult {
 		if r.Skip != nil && r.Skip(s) {
 			return CellResult{Scenario: s}
 		}
-		res := CellResult{Scenario: s, Metrics: map[string]*stats.Acc{}}
-		reps := s.Reps
-		if reps <= 0 {
-			reps = 1
-		}
-		for rep := 0; rep < reps; rep++ {
-			for k, v := range exec(s, rep, CellSeed(r.Seed, s.Index, rep)) {
-				a, ok := res.Metrics[k]
-				if !ok {
-					a = &stats.Acc{}
-					res.Metrics[k] = a
-				}
-				a.Add(v)
-			}
-		}
+		res := CellResult{Scenario: s, Metrics: Accumulate(max(s.Reps, 1), func(rep int) Metrics {
+			return exec(s, rep, CellSeed(r.Seed, s.Index, rep))
+		})}
 		if r.OnCell != nil {
 			mu.Lock()
 			r.OnCell(res)

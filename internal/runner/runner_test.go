@@ -2,6 +2,8 @@ package runner
 
 import (
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,6 +174,67 @@ func sweepJSONL(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// The repetition loop visits rep 0…reps-1 in order and keeps one
+// accumulator per observation name, including a name only some
+// repetitions report.
+func TestAccumulate(t *testing.T) {
+	var order []int
+	accs := Accumulate(4, func(rep int) Metrics {
+		order = append(order, rep)
+		m := Metrics{"x": float64(rep), "y": 10}
+		if rep == 2 {
+			m["rare"] = 7
+		}
+		return m
+	})
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("repetitions visited as %v, want 0 1 2 3", order)
+	}
+	if len(accs) != 3 {
+		t.Fatalf("got %d accumulators, want 3", len(accs))
+	}
+	if x := accs["x"]; x.N() != 4 || x.Mean() != 1.5 || x.Min() != 0 || x.Max() != 3 {
+		t.Errorf("x = %v, want n=4 mean=1.5 in [0,3]", x)
+	}
+	if y := accs["y"]; y.N() != 4 || y.Mean() != 10 || y.CI95() != 0 {
+		t.Errorf("y = %v, want four observations of 10", y)
+	}
+	if r := accs["rare"]; r.N() != 1 || r.Mean() != 7 {
+		t.Errorf("rare = %v, want one observation of 7", r)
+	}
+	if got := Accumulate(0, func(int) Metrics { panic("called") }); len(got) != 0 {
+		t.Errorf("zero repetitions gave %v", got)
+	}
+}
+
+// Runner.run on the committed reference grid must render the committed
+// cells.jsonl byte for byte: the seed derivation, the repetition loop and
+// the record encoding all sit on this path (CI's regression gate checks
+// the same bytes through the gossipsim binary).
+func TestRunnerMatchesReferenceRun(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/reference-run/cells.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{
+		Algos:     []string{"pushpull", "sampled", "memory"},
+		Models:    []string{"er"},
+		Sizes:     []int{64, 128},
+		Densities: []float64{1, 2},
+		Reps:      2,
+		Seed:      1,
+	}
+	for _, workers := range []int{1, 4} {
+		var b strings.Builder
+		if err := WriteJSONL(&b, (&Runner{Workers: workers}).RunGrid(g)); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("workers=%d: run differs from testdata/reference-run/cells.jsonl:\n%s", workers, b.String())
+		}
+	}
 }
 
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {

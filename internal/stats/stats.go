@@ -77,28 +77,6 @@ func (a *Acc) StdErr() float64 {
 // interval for the mean.
 func (a *Acc) CI95() float64 { return 1.96 * a.StdErr() }
 
-// Merge folds o into a (parallel-sweep reduction).
-func (a *Acc) Merge(o *Acc) {
-	if o.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *o
-		return
-	}
-	n := a.n + o.n
-	d := o.mean - a.mean
-	a.m2 += o.m2 + d*d*float64(a.n)*float64(o.n)/float64(n)
-	a.mean += d * float64(o.n) / float64(n)
-	if o.min < a.min {
-		a.min = o.min
-	}
-	if o.max > a.max {
-		a.max = o.max
-	}
-	a.n = n
-}
-
 // String renders "mean ± ci95 (n=..)"; used by the harness tables.
 func (a *Acc) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", a.Mean(), a.CI95(), a.n)

@@ -46,46 +46,6 @@ func TestAccSingle(t *testing.T) {
 	}
 }
 
-func TestAccMergeMatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n1, n2 := 1+r.Intn(50), 1+r.Intn(50)
-		var whole, a, b Acc
-		for i := 0; i < n1; i++ {
-			x := r.NormFloat64()*3 + 1
-			whole.Add(x)
-			a.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := r.NormFloat64()*3 + 1
-			whole.Add(x)
-			b.Add(x)
-		}
-		a.Merge(&b)
-		return a.N() == whole.N() &&
-			almost(a.Mean(), whole.Mean(), 1e-9) &&
-			almost(a.Variance(), whole.Variance(), 1e-9) &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccMergeEmpty(t *testing.T) {
-	var a, b Acc
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Error("merge with empty changed N")
-	}
-	var c Acc
-	c.Merge(&a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 1 {
-		t.Error("merge into empty wrong")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almost(Mean(xs), 5, 1e-12) {

@@ -1,6 +1,7 @@
-// Package sweep is the experiment harness: it runs repeated simulations,
-// aggregates them with internal/stats, and renders results as aligned
-// text tables and CSV.
+// Package sweep renders experiment results: Table is the aligned-text
+// and CSV form of a report or a sweep summary, and LogSpacedSizes builds
+// the geometric x grids of the paper's figures. It runs nothing; the
+// loops live in internal/runner and internal/exp.
 package sweep
 
 import (
@@ -10,20 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"gossip/internal/stats"
 )
-
-// Repeat runs fn(rep) for rep = 0..reps-1 and accumulates the returned
-// values. Repetitions are independent simulations keyed by rep, so results
-// do not depend on scheduling.
-func Repeat(reps int, fn func(rep int) float64) stats.Acc {
-	var acc stats.Acc
-	for r := 0; r < reps; r++ {
-		acc.Add(fn(r))
-	}
-	return acc
-}
 
 // Table is a rendered experiment result.
 type Table struct {

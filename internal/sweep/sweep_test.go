@@ -7,13 +7,6 @@ import (
 	"testing"
 )
 
-func TestRepeat(t *testing.T) {
-	acc := Repeat(5, func(rep int) float64 { return float64(rep) })
-	if acc.N() != 5 || acc.Mean() != 2 {
-		t.Errorf("Repeat acc: n=%d mean=%v", acc.N(), acc.Mean())
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "demo", Columns: []string{"n", "value"}}
 	tb.AddRow(1024, 3.14159)

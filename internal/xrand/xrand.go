@@ -211,18 +211,6 @@ func GeometricSkips(dst []uint64, p float64) {
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n) as int32 values
-// (int32 because simulations index nodes with int32).
-func (r *RNG) Perm(n int) []int32 {
-	p := make([]int32, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = int32(i)
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using swap, Fisher–Yates style.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -185,42 +184,6 @@ func TestGeometricSkipsMatchesScalar(t *testing.T) {
 			}()
 			GeometricSkips(dst[:1], p)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(12)
-	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has len %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || int(v) >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestQuickPermValid(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + r.Intn(100)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || int(v) >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
