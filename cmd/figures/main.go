@@ -33,6 +33,10 @@ func main() {
 		workers  = flag.Int("workers", 0, "grid-cell worker pool (0 = GOMAXPROCS; output is identical for any value)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "figures: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cfg, err := buildConfig(*seed, *reps, *quick, *workers, *sizes, *failures)
 	if err != nil {

@@ -1,11 +1,47 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"gossip"
 )
+
+// reexecEnv diverts a re-execed test binary into main(), so tests can
+// drive the real command line.
+const reexecEnv = "FIGURES_TEST_REEXEC"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(reexecEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStrayOperandIsUsageError: flag parsing stops at the first operand,
+// so `figures -quick 7 -exp figure1` would drop -exp and render every
+// experiment. It is a usage error that renders nothing.
+func TestStrayOperandIsUsageError(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-quick", "7", "-exp", "figure1")
+	cmd.Env = append(os.Environ(), reexecEnv+"=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("figures with a stray operand: %v, want exit 2", err)
+	}
+	if stdout.Len() != 0 || strings.Contains(stderr.String(), "panic:") {
+		t.Errorf("stdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+	}
+}
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts(" 1, 2,3 ")

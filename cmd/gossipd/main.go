@@ -58,6 +58,10 @@ func runServe(argv []string) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gossipd serve: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	rep, err := gossipd.Serve(gossipd.Config{
 		N:         *n,
@@ -92,6 +96,10 @@ func runElect(argv []string) int {
 	delay := fs.Duration("delay", 0, "pause between a node's steps (0 = 200µs)")
 	timeout := fs.Duration("timeout", 30*time.Second, "abort guard")
 	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gossipd elect: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 

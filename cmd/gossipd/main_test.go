@@ -21,4 +21,11 @@ func TestRunUsage(t *testing.T) {
 	if code := run([]string{"bogus"}); code != 2 {
 		t.Fatalf("unknown subcommand exited %d, want 2", code)
 	}
+	// A stray operand would otherwise end flag parsing and drop the
+	// flags after it; it is a usage error before any node boots.
+	for _, cmd := range []string{"serve", "elect"} {
+		if code := run([]string{cmd, "-n", "6", "stray", "-seed", "2"}); code != 2 {
+			t.Errorf("%s with a stray operand exited %d, want 2", cmd, code)
+		}
+	}
 }

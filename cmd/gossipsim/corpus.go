@@ -33,6 +33,10 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "gossipsim archive: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	store, err := corpus.Open(*dir)
 	if err != nil {
@@ -125,8 +129,8 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		state := "complete"
-		if done != m.ExpectedCells() {
-			state = fmt.Sprintf("%d/%d cells", done, m.ExpectedCells())
+		if done != m.Cells {
+			state = fmt.Sprintf("%d/%d cells", done, m.Cells)
 		}
 		gens, _, err := store.Generations(m.ID)
 		if err != nil {

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gossip/internal/corpus"
 )
@@ -235,7 +241,7 @@ func TestArchiveListingFlagsIncompleteRuns(t *testing.T) {
 	if code := archiveMain([]string{"-dir", corpusDir}, &out, &errw); code != 0 {
 		t.Fatalf("listing exited %d: %s", code, errw.String())
 	}
-	want := fmt.Sprintf("1/%d cells", runs[0].Manifest.ExpectedCells())
+	want := fmt.Sprintf("1/%d cells", runs[0].Manifest.Cells)
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("listing does not flag the incomplete run (want %q):\n%s", want, out.String())
 	}
@@ -340,5 +346,154 @@ func TestSweepResumeCLI(t *testing.T) {
 	// Without -resume the existing run is protected.
 	if _, _, err := corpus.ExecuteRun(refDir, grid, 3, false, nil); err == nil {
 		t.Error("re-running into an existing run dir without resume succeeded")
+	}
+}
+
+// readManifest decodes dir's manifest.json as a generic JSON object.
+func readManifest(t *testing.T, dir string) map[string]any {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, corpus.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSweepKillResume: a real `gossipsim sweep -out` child process
+// SIGKILLed once its first cell is on disk, then continued with
+// `sweep -resume`, leaves a cells.jsonl byte-equal to an uninterrupted
+// in-process run and a manifest equal apart from provenance.
+func TestSweepKillResume(t *testing.T) {
+	gridArgs := []string{"-algos", "pushpull", "-models", "er",
+		"-sizes", "256..4096", "-densities", "1,2", "-reps", "3", "-seed", "5", "-q"}
+	grid, err := parseGrid(flags("pushpull", "er", "256..4096", "1,2", "0", 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDir := filepath.Join(t.TempDir(), "ref")
+	if _, _, err := corpus.ExecuteRun(refDir, grid, 2, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(filepath.Join(refDir, corpus.CellsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "run")
+	child := gossipsimCmd(t, append([]string{"sweep", "-workers", "1", "-out", dir}, gridArgs...)...)
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		if done, err := corpus.CellsDone(dir); err == nil && done >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			child.Process.Kill()
+			t.Fatal("no cell reached disk within a minute")
+		}
+	}
+	if err := child.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child.Wait() // the SIGKILL exit status is expected
+	done, err := corpus.CellsDone(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("killed with %d of %d cells on disk", done, len(grid.Scenarios()))
+
+	resume := gossipsimCmd(t, append([]string{"sweep", "-resume", "-out", dir}, gridArgs...)...)
+	if out, err := resume.CombinedOutput(); err != nil {
+		t.Fatalf("sweep -resume: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, corpus.CellsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Error("killed-and-resumed cells.jsonl differs from the uninterrupted run")
+	}
+	gotM, refM := readManifest(t, dir), readManifest(t, refDir)
+	for _, m := range []map[string]any{gotM, refM} {
+		delete(m, "created_at")
+		delete(m, "workers")
+		delete(m, "revision")
+	}
+	if !reflect.DeepEqual(gotM, refM) {
+		t.Errorf("resumed manifest %v, want %v", gotM, refM)
+	}
+}
+
+// TestShardCheckpointFailsLoudly: a run directory an older binary left
+// as one shard of a grid (a "shard" manifest stanza, cells.jsonl holding
+// only that shard's cells) is neither resumed nor imported as if it
+// were the full grid — both fail naming the first out-of-place cell.
+func TestShardCheckpointFailsLoudly(t *testing.T) {
+	refDir := writeRun(t, 39)
+	grid, err := parseGrid(flags("pushpull,sampled", "er", "64,128", "1,2", "0", 2, 39))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(filepath.Join(refDir, corpus.CellsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(ref), "\n")
+	var owned []int
+	var cells strings.Builder
+	for i := 1; i < len(grid.Scenarios()); i += 3 {
+		owned = append(owned, i)
+		cells.WriteString(lines[i])
+	}
+	m := readManifest(t, refDir)
+	m["shard"] = map[string]any{"spec": "1/3", "cells": owned}
+	man, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "shard-1")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, corpus.ManifestName), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, corpus.CellsName), []byte(cells.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "cell index 1, want 0"
+	resume := gossipsimCmd(t, "sweep", "-algos", "pushpull,sampled", "-models", "er",
+		"-sizes", "64,128", "-densities", "1,2", "-reps", "2", "-seed", "39", "-q",
+		"-resume", "-out", dir)
+	out, err := resume.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), want) {
+		t.Errorf("sweep -resume over a shard checkpoint: %v\n%s", err, out)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, corpus.CellsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != cells.String() {
+		t.Error("failed resume rewrote the shard checkpoint")
+	}
+
+	corpusDir := filepath.Join(t.TempDir(), "corpus")
+	var stdout, stderr strings.Builder
+	if code := archiveMain([]string{"-dir", corpusDir, "-add", dir}, &stdout, &stderr); code == 0 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("archive -add of a shard checkpoint exited %d:\n%s", code, stderr.String())
+	}
+	store, err := corpus.Open(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Resolve(corpus.GridID(grid)); err == nil {
+		t.Error("shard checkpoint was stored as the full run")
 	}
 }

@@ -41,23 +41,6 @@
 // CLI's -json flags:
 //
 //	gossipsim serve -dir corpus -addr :8477 -manifest corpus.manifest.json
-//
-// A grid too big for one process shards across any number of machines
-// — shard s of m runs cells i with i mod m == s, each checkpointing
-// (and resuming) independently — and the completed shards merge back
-// into a run byte-identical to a single-process sweep:
-//
-//	gossipsim sweep -sizes 1024..1048576 -shard 0/3 -out shard-0   # machine 0
-//	gossipsim sweep -sizes 1024..1048576 -shard 1/3 -out shard-1   # machine 1
-//	gossipsim sweep -sizes 1024..1048576 -shard 2/3 -out shard-2   # machine 2
-//	gossipsim merge -out run shard-0 shard-1 shard-2
-//
-// On one machine, the dispatcher runs that whole workflow as a single
-// command: it launches the shards as subprocesses, monitors their
-// progress, restarts crashed shards from their checkpoints, and merges
-// the result (see `gossipsim dispatch -h`):
-//
-//	gossipsim dispatch -shards 3 -sizes 1024..1048576 -out run -archive corpus
 package main
 
 import (
@@ -77,10 +60,6 @@ func main() {
 		case "sweep":
 			sweepMain(os.Args[2:])
 			return
-		case "dispatch":
-			os.Exit(dispatchMain(os.Args[2:], os.Stdout, os.Stderr))
-		case "merge":
-			os.Exit(mergeMain(os.Args[2:], os.Stdout, os.Stderr))
 		case "archive":
 			os.Exit(archiveMain(os.Args[2:], os.Stdout, os.Stderr))
 		case "compare":
@@ -109,6 +88,10 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-phase accounting")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gossipsim: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// The sweep path's bounds, applied to the single-run flags: input the
 	// simulators cannot run is a usage error, not a panic.

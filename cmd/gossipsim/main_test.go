@@ -13,6 +13,32 @@ import (
 	"gossip/internal/runner"
 )
 
+// Tests that drive the real command line re-exec the test binary with
+// reexecEnv set; TestMain diverts such children straight into main(),
+// the real gossipsim entry point with the real subcommand switch.
+const reexecEnv = "GOSSIPSIM_TEST_REEXEC"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(reexecEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// gossipsimCmd returns a command running `gossipsim args...` through
+// TestMain's re-exec.
+func gossipsimCmd(t *testing.T, args ...string) *exec.Cmd {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), reexecEnv+"=1")
+	return cmd
+}
+
 func TestBuildGraphModels(t *testing.T) {
 	for _, tc := range []struct {
 		model  string
@@ -104,10 +130,6 @@ func TestRunOneSmoke(t *testing.T) {
 // a usage error — exit 2, one line on stderr (plus the flag usage where
 // main prints it) — never a goroutine dump.
 func TestSingleRunRejectsOutOfRange(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// usage: the value is rejected by buildGraph, whose errors main follows
 	// with the flag usage.
 	for _, tc := range []struct {
@@ -126,8 +148,7 @@ func TestSingleRunRejectsOutOfRange(t *testing.T) {
 		{true, []string{"-model", "powerlaw", "-n", "64", "-beta", "NaN"}},
 	} {
 		args := tc.args
-		cmd := exec.Command(exe, args...)
-		cmd.Env = append(os.Environ(), reexecEnv+"=1")
+		cmd := gossipsimCmd(t, args...)
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		var exit *exec.ExitError
@@ -140,6 +161,38 @@ func TestSingleRunRejectsOutOfRange(t *testing.T) {
 		}
 		if strings.Contains(msg, "panic:") || strings.Contains(msg, "fatal error:") {
 			t.Errorf("gossipsim %v crashed:\n%s", args, msg)
+		}
+	}
+}
+
+// TestStrayOperandsAreUsageErrors: Go's flag parsing stops at the
+// first operand, so a command that takes none would silently drop every
+// flag after a stray one. Each such command — and the retired dispatch
+// and merge subcommands and -shard flag — is a usage error (exit 2)
+// that runs nothing.
+func TestStrayOperandsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "64", "128"},
+		{"-algo", "pushpull", "-n", "64", "extra", "-reps", "2"},
+		{"sweep", "-algos", "pushpull", "-sizes", "64", "128", "-reps", "1"},
+		{"sweep", "-sizes", "64", "-q", "stray"},
+		{"sweep", "-shard", "0/2", "-sizes", "64"},
+		{"archive", "-dir", t.TempDir(), "stray"},
+		{"dispatch", "-shards", "2"},
+		{"merge", "-out", "x", "a"},
+	} {
+		cmd := gossipsimCmd(t, args...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("gossipsim %v: %v, want exit 2", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("gossipsim %v ran something:\n%s", args, stdout.String())
+		}
+		if strings.Contains(stderr.String(), "panic:") {
+			t.Errorf("gossipsim %v crashed:\n%s", args, stderr.String())
 		}
 	}
 }
@@ -263,15 +316,15 @@ func TestSweepEndToEnd(t *testing.T) {
 }
 
 // TestRunStreamingThroughJSONSink: the -json streaming path shares
-// openJSONSink's plumbing — records land in cell order, a shard
-// streams exactly its owned cells, and an unwritable path errors.
+// openJSONSink's plumbing — records land in cell order and an
+// unwritable path errors.
 func TestRunStreamingThroughJSONSink(t *testing.T) {
 	grid, err := parseGrid(flags("pushpull", "er", "64,128", "1,2", "0", 1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.jsonl")
-	recs, err := runStreaming(grid, runner.CellRange{}, 2, path)
+	recs, err := runStreaming(grid, 2, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,22 +343,8 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 		t.Errorf("streamed %d lines, want %d", n, len(grid.Scenarios()))
 	}
 
-	// A shard streams its owned cells only.
-	cr, err := runner.ParseCellRange("1/2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardPath := filepath.Join(t.TempDir(), "shard.jsonl")
-	srecs, err := runStreaming(grid, cr, 2, shardPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(cr.Indices(len(grid.Scenarios()))); len(srecs) != want {
-		t.Errorf("shard streamed %d records, want %d", len(srecs), want)
-	}
-
 	// Sink open errors surface immediately; nothing runs.
-	if _, err := runStreaming(grid, runner.CellRange{}, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
+	if _, err := runStreaming(grid, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
 		t.Error("unwritable sink path accepted")
 	}
 }

@@ -20,10 +20,14 @@ type gridFlags struct {
 	seed                                      uint64
 }
 
-// registerGridFlags declares the shared grid flags on fs: `gossipsim
-// sweep` and `gossipsim dispatch` accept the same grid surface, and the
-// dispatcher re-serializes the raw values for its shard subprocesses.
-func registerGridFlags(fs *flag.FlagSet, gf *gridFlags) {
+// sweepMain runs `gossipsim sweep`: it declares a scenario grid from the
+// flags, executes it on the runner engine — checkpointing to a run
+// directory when -out is set, resuming a killed run's completed prefix
+// with -resume — prints the aggregate table, and optionally streams
+// per-cell JSON lines (as each cell completes, in cell order) and CSV.
+func sweepMain(args []string) {
+	fs := flag.NewFlagSet("gossipsim sweep", flag.ContinueOnError)
+	var gf gridFlags
 	fs.StringVar(&gf.algos, "algos", "pushpull", "comma-separated algorithms ("+strings.Join(runner.Algos(), ", ")+")")
 	fs.StringVar(&gf.models, "models", "er", "comma-separated graph models ("+strings.Join(runner.Models(), ", ")+")")
 	fs.StringVar(&gf.sizes, "sizes", "1024", "graph sizes: comma-separated values and lo..hi doubling ranges (e.g. 1024..65536)")
@@ -35,34 +39,23 @@ func registerGridFlags(fs *flag.FlagSet, gf *gridFlags) {
 	fs.IntVar(&gf.sampleK, "k", 0, "tracked messages for the sampled estimator (0 = 64); Θ(n·k) memory reaches n = 10⁶ where exact tracking walls")
 	fs.IntVar(&gf.reps, "reps", 3, "independent repetitions per cell")
 	fs.Uint64Var(&gf.seed, "seed", 1, "master seed (per-cell seeds derive from it and the cell index)")
-}
-
-// sweepMain runs `gossipsim sweep`: it declares a scenario grid from the
-// flags, executes it on the runner engine — checkpointing to a run
-// directory when -out is set, resuming a killed run's completed prefix
-// with -resume — prints the aggregate table, and optionally streams
-// per-cell JSON lines (as each cell completes, in cell order) and CSV.
-func sweepMain(args []string) {
-	fs := flag.NewFlagSet("gossipsim sweep", flag.ExitOnError)
-	var gf gridFlags
-	registerGridFlags(fs, &gf)
 	var (
 		workers = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS; results are identical for any value)")
 		jsonOut = fs.String("json", "", "stream one JSON line per cell to this file (- for stdout), written as cells complete")
 		csvDir  = fs.String("csv", "", "also write <dir>/sweep.csv")
 		out     = fs.String("out", "", "checkpoint the sweep to this run directory (manifest.json + cells.jsonl)")
 		resume  = fs.Bool("resume", false, "with -out: resume a killed run, skipping its completed cells")
-		shard   = fs.String("shard", "", "run only this shard of the grid: s/m (cells i with i mod m == s) or lo..hi; merge sibling shards with `gossipsim merge`")
 		quiet   = fs.Bool("q", false, "suppress the table (useful with -json -)")
 	)
-	fs.Parse(args)
-
-	grid, err := parseGrid(gf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	cr, err := runner.ParseCellRange(*shard)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gossipsim sweep: unexpected argument %q\n", fs.Arg(0))
+		os.Exit(2)
+	}
+
+	grid, err := parseGrid(gf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -83,7 +76,7 @@ func sweepMain(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		run, recs, err := corpus.ExecuteRunShard(*out, grid, cr, *workers, *resume, sink)
+		run, recs, err := corpus.ExecuteRun(*out, grid, *workers, *resume, sink)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -93,21 +86,17 @@ func sweepMain(args []string) {
 			os.Exit(1)
 		}
 		records = recs
-		if cr.IsAll() {
-			fmt.Fprintf(os.Stderr, "run %s: %d cells in %s\n", run.Manifest.ID, len(recs), *out)
-		} else {
-			fmt.Fprintf(os.Stderr, "run %s shard %s: %d of %d cells in %s\n", run.Manifest.ID, cr, len(recs), run.Manifest.Cells, *out)
-		}
+		fmt.Fprintf(os.Stderr, "run %s: %d cells in %s\n", run.Manifest.ID, len(recs), *out)
 	} else if *jsonOut != "" {
 		// Stream each cell as it completes instead of buffering the
 		// whole sweep: long sweeps become observable line by line.
-		records, err = runStreaming(grid, cr, *workers, *jsonOut)
+		records, err = runStreaming(grid, *workers, *jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	} else {
-		results := (&runner.Runner{Workers: *workers}).RunGridShard(grid, cr)
+		results := (&runner.Runner{Workers: *workers}).RunGrid(grid)
 		records = make([]runner.CellRecord, len(results))
 		for i, r := range results {
 			records[i] = r.Record()
@@ -115,9 +104,6 @@ func sweepMain(args []string) {
 	}
 
 	title := fmt.Sprintf("sweep: %d cells × %d reps, seed %d", len(records), gf.reps, gf.seed)
-	if !cr.IsAll() {
-		title += fmt.Sprintf(", shard %s", cr)
-	}
 	table := runner.RecordTable(title, records)
 	if !*quiet {
 		table.Render(os.Stdout)
@@ -131,13 +117,12 @@ func sweepMain(args []string) {
 	}
 }
 
-// runStreaming executes the grid — or just cr's shard of it — with
-// per-cell JSONL streaming to path ("-" for stdout) and returns the
-// serialized results. The sink is openJSONSink's, the same plumbing the
-// checkpointed path uses, so write, flush and close errors surface
-// exactly once through the close function instead of being dropped on
-// the error path.
-func runStreaming(grid runner.Grid, cr runner.CellRange, workers int, path string) ([]runner.CellRecord, error) {
+// runStreaming executes the grid with per-cell JSONL streaming to path
+// ("-" for stdout) and returns the serialized results. The sink is
+// openJSONSink's, the same plumbing the checkpointed path uses, so
+// write, flush and close errors surface exactly once through the close
+// function instead of being dropped on the error path.
+func runStreaming(grid runner.Grid, workers int, path string) ([]runner.CellRecord, error) {
 	sink, closeSink, err := openJSONSink(path)
 	if err != nil {
 		return nil, err
@@ -146,10 +131,8 @@ func runStreaming(grid runner.Grid, cr runner.CellRange, workers int, path strin
 		sink(r)
 		return nil
 	}
-	// The shard's owned indices (every index for a full run) are the
-	// stream's expected order.
-	stream := runner.NewOrderedCells(cr.Indices(len(grid.Scenarios())), 0, emit)
-	results := (&runner.Runner{Workers: workers, OnCell: stream.Add}).RunGridShard(grid, cr)
+	stream := runner.NewOrderedCells(0, emit)
+	results := (&runner.Runner{Workers: workers, OnCell: stream.Add}).RunGrid(grid)
 	if err := closeSink(); err != nil {
 		return nil, err
 	}

@@ -28,11 +28,10 @@
 // The package exports the single-run library and nothing else: the graph
 // constructors (New*), the parameter schedules, the Run* entry points
 // above, the machine and transport aliases of the transport seam, and
-// Experiment / ExperimentIDs. Sweeps, the corpus, its HTTP service,
-// shards and the dispatcher have no names here: they are the `gossipsim`
-// subcommands, and each calls the internal package that does the work
-// (internal/runner, internal/corpus, internal/corpusd, internal/dispatch)
-// by its own name. The sections below describe those commands and the
+// Experiment / ExperimentIDs. Sweeps, the corpus and its HTTP service
+// have no names here: they are the `gossipsim` subcommands, and each
+// calls the internal package that does the work (internal/runner,
+// internal/corpus, internal/corpusd) by its own name. The sections below describe those commands and the
 // formats they read and write.
 //
 // Sweeps run on one scenario-sweep engine (internal/runner): an
@@ -50,13 +49,17 @@
 // builds a repetition's graph once, runs every algorithm of a table row
 // on it, and seeds from (seed, n, rep).
 //
+// A sweep is one process: parallel over -workers, crash-safe with -out
+// and -resume (a killed run continues from its completed prefix), and
+// byte-identical for any worker count.
+//
 // # The sweep corpus
 //
 // Sweep results persist as runs (`gossipsim sweep -out`;
 // corpus.ExecuteRun, corpus.OpenRun): a run is a directory holding
 //
-//	manifest.json   {"id", "grid", "cells", optional "shard", "workers",
-//	                 "created_at", "revision", "version"} — the
+//	manifest.json   {"id", "grid", "cells", "workers", "created_at",
+//	                 "revision", "version"} — the
 //	                 canonical grid declaration (every axis explicit,
 //	                 master seed included), the expanded cell count,
 //	                 and provenance ("revision" is the code revision
@@ -189,56 +192,6 @@
 // /compare?profile=); a declared grid content-addresses to its run ID,
 // so its name doubles as a run selector in daemon queries.
 //
-// # Sharded sweeps
-//
-// Grids too big for one process shard across any number of machines
-// (`gossipsim sweep -shard s/m -out dir`; corpus.ExecuteRunShard). A
-// shard is a runner.CellRange — the modular deal "s/m" (cells i with
-// i mod m == s) or an explicit index range "lo..hi" — and a shard run
-// is an ordinary run directory whose manifest carries, under the full
-// grid's run ID, a shard stanza:
-//
-//	"shard": {"spec": "1/3", "cells": [1, 4, 7, ...]}
-//
-// with "cells" the owned grid cell indices, strictly ascending —
-// exactly the indices its cells.jsonl holds, in that order. Per-cell
-// seeds derive from grid cell indices, so every shard record is
-// bit-identical to the same cell of a single-process sweep, and each
-// shard checkpoints and resumes independently with the same torn-tail
-// rules as a full run. `gossipsim merge -out run shard...`
-// (corpus.MergeRuns) validates that completed shards share one
-// configuration and cover
-// the grid's cells exactly once — overlaps, gaps, mismatched
-// configurations and torn tails are rejected, never silently shortened
-// — and interleaves them into a full run whose cells.jsonl is
-// byte-identical to an uninterrupted single-process sweep's.
-//
-// # Dispatched sweeps
-//
-// The dispatcher (`gossipsim dispatch`; dispatch.Run) runs that whole
-// shard/monitor/merge workflow from one invocation:
-//
-//	gossipsim dispatch -shards 8 -sizes 1024..1048576 -algos sampled \
-//	    -out run -archive corpus
-//
-// re-execs the binary as -shards × `sweep -shard s/m -out <scratch>/shard-s
-// -resume` subprocesses, at most -procs at a time (default: all). Every
-// launch passes -resume, so a first start and a restart are the same
-// operation: a fresh directory creates a run, a checkpoint continues
-// one, and a directory holding only the torn manifest of a launch that
-// died mid-create is cleared and recreated. Progress renders once per
-// -interval as one line of per-shard "cells done / owned" counters
-// (counted cheaply from each shard's cells.jsonl — one completed cell
-// per terminated line — without parsing), state, and restart counts. A
-// crashed or killed shard is relaunched up to -retries times (default
-// 2), resuming its checkpoint; a shard that exhausts its budget fails
-// the dispatch with exit 1 and that shard's stderr tail, leaving the
-// partial shard runs in the scratch directory (-dir, default
-// <out>.shards) so re-running the same dispatch resumes them. When all
-// shards complete, the dispatcher merges them (corpus.MergeRuns) into a full
-// run at -out — byte-identical to a single-process sweep — and with
-// -archive imports it into a corpus under its content-addressed ID.
-//
 // # The transport seam and node state machines
 //
 // Underneath the Run* entry points the gossiping algorithms are per-node
@@ -257,7 +210,7 @@
 //
 //	phone.Sync         the simulator's canonical executor, under every
 //	                   Run* entry point: synchronous rounds, parallel
-//	                   phases sharded by receiving node, results
+//	                   phases split by receiving node, results
 //	                   bit-identical to the historic substrate loops
 //	                   at any GOMAXPROCS.
 //	NewAsyncTransport  one goroutine per node with channel-based
@@ -331,7 +284,7 @@
 //	          extracting keys to a slice for sorting is exactly how
 //	          the rule is satisfied.
 //	golife    goroutine lifetime bounds in the daemon packages
-//	          (internal/gossipd, dispatch, corpusd): every go
+//	          (internal/gossipd, corpusd): every go
 //	          statement's body — a literal, or a named function
 //	          resolved through the call graph — must show a shutdown
 //	          idiom: a WaitGroup.Done, a done-channel close, a

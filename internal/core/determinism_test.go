@@ -11,7 +11,7 @@ import (
 
 // TestDeterminismAcrossGOMAXPROCS is the load-bearing reproducibility
 // claim: every simulation result is a pure function of (graph, params,
-// seed), independent of how many cores execute the sharded loops.
+// seed), independent of how many cores execute the parallel loops.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	n := 1024
 	g := testGraph(n, 90)

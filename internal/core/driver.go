@@ -71,7 +71,7 @@ var markerPayload any = marker{}
 // exchangeMachine is the push–pull baseline as a node state machine:
 // every healthy node dials a uniformly random neighbor each step and
 // every open channel carries a bidirectional exchange, recorded in a
-// shared round tracker (receiver-sharded, so any Transport phasing that
+// shared round tracker (partitioned by receiver, so any Transport phasing that
 // delivers to one node from one goroutine at a time is race-free).
 type exchangeMachine struct {
 	id int32

@@ -73,27 +73,16 @@ const (
 // SchemaVersion stamps manifests with the writing schema's version.
 const SchemaVersion = "gossip-corpus/1"
 
-// Manifest describes one stored sweep run — a full run, or one shard
-// of a run computed across processes.
+// Manifest describes one stored sweep run.
 type Manifest struct {
 	// ID is the content-addressed run ID: GridID of Grid. It is stored
 	// for human consumption and verified against the grid on open.
-	// Shards of one sweep share their grid's ID (the shard stanza is
-	// provenance, not configuration), which is how MergeRuns recognizes
-	// siblings.
 	ID string `json:"id"`
 	// Grid is the canonical grid declaration, master seed included.
 	Grid runner.Grid `json:"grid"`
-	// Cells is the full grid's expanded cell count. For a full run that
-	// is the line count of a complete cells.jsonl; a shard's complete
-	// file holds len(Shard.Cells) lines instead (see CellIndices).
+	// Cells is the grid's expanded cell count: the line count of a
+	// complete cells.jsonl.
 	Cells int `json:"cells"`
-	// Shard, when non-nil, marks the run as one shard of its grid:
-	// cells.jsonl holds exactly the cells listed, in ascending index
-	// order. Per-cell seeds derive from grid cell indices, so each
-	// record is bit-identical to the same cell of a full run, and
-	// MergeRuns can interleave disjoint shards back into one.
-	Shard *ShardManifest `json:"shard,omitempty"`
 	// Workers, CreatedAt, Revision and Version are provenance; they do
 	// not affect results and are excluded from the ID. Revision is the
 	// code revision (git commit) that produced the results; together
@@ -102,33 +91,6 @@ type Manifest struct {
 	CreatedAt string `json:"created_at,omitempty"`
 	Revision  string `json:"revision,omitempty"`
 	Version   string `json:"version,omitempty"`
-}
-
-// ShardManifest records which slice of the grid a shard run owns.
-type ShardManifest struct {
-	// Spec is the selector the shard was declared with (e.g. "1/3" or
-	// "0..120") — display provenance; Cells is authoritative.
-	Spec string `json:"spec"`
-	// Cells lists the owned grid cell indices, strictly ascending.
-	Cells []int `json:"cells"`
-}
-
-// CellIndices returns the cell indices a complete cells.jsonl holds,
-// in file order: the shard's owned cells, or nil meaning every index
-// 0..Cells-1 (a full run).
-func (m Manifest) CellIndices() []int {
-	if m.Shard != nil {
-		return m.Shard.Cells
-	}
-	return nil
-}
-
-// ExpectedCells returns the line count of a complete cells.jsonl.
-func (m Manifest) ExpectedCells() int {
-	if m.Shard != nil {
-		return len(m.Shard.Cells)
-	}
-	return m.Cells
 }
 
 // BuildRevision reports the code revision baked into the running
@@ -174,26 +136,6 @@ func NewManifest(g runner.Grid) Manifest {
 	}
 }
 
-// NewShardManifest stamps a manifest for cr's shard of g. It carries
-// the full grid's ID and cell count plus the shard stanza; for an
-// all-selecting range it is NewManifest. An empty shard (no owned
-// cells) errors — it could never contribute to a merge.
-func NewShardManifest(g runner.Grid, cr runner.CellRange) (Manifest, error) {
-	m := NewManifest(g)
-	if cr.IsAll() {
-		return m, nil
-	}
-	if err := cr.Validate(); err != nil {
-		return Manifest{}, err
-	}
-	owned := cr.Indices(m.Cells)
-	if len(owned) == 0 {
-		return Manifest{}, fmt.Errorf("corpus: shard %s of grid %s selects none of its %d cells", cr, m.ID, m.Cells)
-	}
-	m.Shard = &ShardManifest{Spec: cr.String(), Cells: owned}
-	return m, nil
-}
-
 // Run is an opened run directory.
 type Run struct {
 	Dir      string
@@ -226,21 +168,6 @@ func OpenRun(dir string) (*Run, error) {
 	if want := GridID(m.Grid); m.ID != want {
 		return nil, fmt.Errorf("corpus: run %s: manifest ID %s does not match its grid (want %s)", dir, m.ID, want)
 	}
-	if s := m.Shard; s != nil {
-		// The shard stanza is outside the content address, so sanity-
-		// check it here: a tampered cell list would otherwise surface as
-		// a baffling merge or resume failure.
-		if len(s.Cells) == 0 {
-			return nil, fmt.Errorf("corpus: run %s: shard stanza owns no cells", dir)
-		}
-		prev := -1
-		for _, i := range s.Cells {
-			if i <= prev || i >= m.Cells {
-				return nil, fmt.Errorf("corpus: run %s: shard cell list not strictly ascending within 0..%d", dir, m.Cells-1)
-			}
-			prev = i
-		}
-	}
 	return &Run{Dir: dir, Manifest: m}, nil
 }
 
@@ -248,35 +175,31 @@ func OpenRun(dir string) (*Run, error) {
 func (r *Run) CellsPath() string { return filepath.Join(r.Dir, CellsName) }
 
 // Records loads the run's cells: the valid in-order prefix of
-// cells.jsonl. For a complete run that is every cell it owns (a
-// shard's owned cells, or the whole grid); for a checkpointed one it
-// is the cells finished so far (a torn final line from a killed writer
+// cells.jsonl. For a complete run that is every cell of the grid; for
+// a checkpointed one it is the cells finished so far (a torn final line from a killed writer
 // is ignored). Use Complete to distinguish.
 func (r *Run) Records() ([]runner.CellRecord, error) {
-	recs, _, err := scanCells(r.CellsPath(), r.Manifest.CellIndices())
+	recs, _, err := scanCells(r.CellsPath())
 	return recs, err
 }
 
-// Complete reports whether every cell the run owns is present.
+// Complete reports whether every cell of the grid is present.
 func (r *Run) Complete() (bool, error) {
 	recs, err := r.Records()
 	if err != nil {
 		return false, err
 	}
-	return len(recs) == r.Manifest.ExpectedCells(), nil
+	return len(recs) == r.Manifest.Cells, nil
 }
 
 // scanCells reads the valid in-order prefix of a cells file: complete
-// lines that parse as CellRecords whose indices follow want (the
-// expected cell index per line position; nil means the identity
-// 0, 1, 2, … of a full run). It returns the records and the byte
-// offset just past the last valid line — the truncation point for
-// resume. A missing file is an empty prefix. An unterminated or
-// unparseable final line is a torn write and ends the prefix silently;
-// a bad line with data after it, a line whose index breaks the
-// expected sequence, or more lines than the sequence holds is
-// corruption and errors.
-func scanCells(path string, want []int) ([]runner.CellRecord, int64, error) {
+// lines that parse as CellRecords whose indices run 0, 1, 2, …. It
+// returns the records and the byte offset just past the last valid
+// line — the truncation point for resume. A missing file is an empty
+// prefix. An unterminated or unparseable final line is a torn write
+// and ends the prefix silently; a bad line with data after it, or a
+// line whose index breaks the sequence, is corruption and errors.
+func scanCells(path string) ([]runner.CellRecord, int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil
@@ -309,14 +232,7 @@ func scanCells(path string, want []int) ([]runner.CellRecord, int64, error) {
 			}
 			return nil, 0, fmt.Errorf("corpus: cells %s line %d: %w", path, len(recs)+1, jerr)
 		}
-		expect := len(recs)
-		if want != nil {
-			if len(recs) >= len(want) {
-				return nil, 0, fmt.Errorf("corpus: cells %s line %d: more cells than the run owns (%d)", path, len(recs)+1, len(want))
-			}
-			expect = want[len(recs)]
-		}
-		if rec.Index != expect {
+		if expect := len(recs); rec.Index != expect {
 			// Torn writes cannot produce a parseable line with the
 			// wrong index — this is corruption wherever it appears.
 			return nil, 0, fmt.Errorf("corpus: cells %s line %d: cell index %d, want %d", path, len(recs)+1, rec.Index, expect)
@@ -328,13 +244,13 @@ func scanCells(path string, want []int) ([]runner.CellRecord, int64, error) {
 
 // CellsDone cheaply counts the completed cells of a run directory: the
 // newline-terminated lines of its cells.jsonl, counted as raw bytes
-// with no JSON parsing — the probe a dispatcher polls once per progress
-// tick against every live shard, where a full scanCells pass would
-// re-parse the whole file each time. Ordered streaming writes one cell
-// per terminated line, and a torn trailing write is unterminated, so
-// the count equals the completed-cell prefix length except in the
-// corruption cases scanCells exists to reject. A missing file is zero
-// cells, not an error.
+// with no JSON parsing — the probe the corpus listing and index make
+// per run, where a full scanCells pass would re-parse every file.
+// Ordered streaming writes one cell per terminated line, and a torn
+// trailing write is unterminated, so the count equals the
+// completed-cell prefix length except in the corruption cases
+// scanCells exists to reject. A missing file is zero cells, not an
+// error.
 func CellsDone(dir string) (int, error) {
 	f, err := os.Open(filepath.Join(dir, CellsName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -595,14 +511,8 @@ func (s *Store) Archive(g runner.Grid, prov Provenance, results []runner.CellRes
 // Import copies an existing run directory into the store as a new
 // generation of its run ID, deduping like Archive. rev, when non-empty,
 // overrides the revision recorded in the stored generation's manifest
-// (the source manifest's own revision is kept otherwise). Shard runs
-// are refused: they share their full grid's ID, so storing one would
-// shadow (or be shadowed by) the complete run — merge shards first
-// (MergeRuns, `gossipsim merge`).
+// (the source manifest's own revision is kept otherwise).
 func (s *Store) Import(src *Run, rev string) (*Appended, error) {
-	if src.Manifest.Shard != nil {
-		return nil, fmt.Errorf("corpus: %s is shard %s of run %s — merge the shards and import the merged run", src.Dir, src.Manifest.Shard.Spec, src.Manifest.ID)
-	}
 	recs, err := src.Records()
 	if err != nil {
 		return nil, err
@@ -619,8 +529,8 @@ func (s *Store) Import(src *Run, rev string) (*Appended, error) {
 func (s *Store) appendGen(m Manifest, recs []runner.CellRecord) (*Appended, error) {
 	if m.CreatedAt == "" {
 		// A generation needs a creation instant for its name and for
-		// age-based pruning; a manifest without one (e.g. a merged run,
-		// whose provenance lives in its shards) is stamped at append.
+		// age-based pruning; a manifest without one is stamped at
+		// append.
 		m.CreatedAt = time.Now().UTC().Format(time.RFC3339) //gossiplint:allow detlint CreatedAt is provenance, excluded from the run ID and every byte-compare gate
 	}
 	var buf bytes.Buffer
@@ -743,7 +653,7 @@ func (s *Store) freshGenName(m Manifest) (string, error) {
 // into place only once fully written, replacing any previous content,
 // so an interrupted or failed write never leaves dir holding a valid
 // manifest over truncated cells. (Checkpointed runs are the opposite
-// case — intentionally partial — and go through CreateRun/ResumeRunShard.)
+// case — intentionally partial — and go through CreateRun/ResumeRun.)
 func WriteRun(dir string, m Manifest, records []runner.CellRecord) (*Run, error) {
 	parent := filepath.Dir(dir)
 	if err := os.MkdirAll(parent, 0o755); err != nil {

@@ -260,7 +260,7 @@ func TestFilterRecordsAndJoin(t *testing.T) {
 	}
 }
 
-// TestCellsDone: the dispatcher's cheap progress probe counts exactly
+// TestCellsDone: the listing's cheap progress probe counts exactly
 // the completed (newline-terminated) cells, without parsing — a torn
 // trailing write is not counted, and a missing file is zero cells.
 func TestCellsDone(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gossip/internal/runner"
@@ -106,7 +107,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 	dir := killAt(t, refDir, g, cut)
 
-	w, err := ResumeRunShard(dir, g, runner.CellRange{})
+	w, err := ResumeRun(dir, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,8 @@ func TestExecuteRunTeeStreamsInOrder(t *testing.T) {
 // TestResumeRecoversTornCreate: a process killed before CreateRun
 // durably wrote its manifest leaves a directory holding a torn (or
 // empty) manifest.json; a blind retry with resume must clear the
-// wreckage and recreate the run instead of failing the whole dispatch
-// — and the recreated run is byte-identical to an uninterrupted one.
+// wreckage and recreate the run instead of failing the resume — and
+// the recreated run is byte-identical to an uninterrupted one.
 func TestResumeRecoversTornCreate(t *testing.T) {
 	g := testGrid(29)
 	refDir := filepath.Join(t.TempDir(), "ref")
@@ -260,12 +261,12 @@ func TestResumeRejectsDifferentConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := testGrid(24) // different seed = different configuration
-	if _, err := ResumeRunShard(dir, other, runner.CellRange{}); err == nil {
+	if _, err := ResumeRun(dir, other); err == nil {
 		t.Error("resume under a different seed accepted")
 	}
 	other = testGrid(23)
 	other.Sizes = []int{64}
-	if _, err := ResumeRunShard(dir, other, runner.CellRange{}); err == nil {
+	if _, err := ResumeRun(dir, other); err == nil {
 		t.Error("resume under a different grid accepted")
 	}
 }
@@ -314,7 +315,7 @@ func TestScanCellsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, mid, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := scanCells(path, nil); err == nil {
+	if _, _, err := scanCells(path); err == nil {
 		t.Error("mid-file garbage accepted")
 	}
 
@@ -323,7 +324,7 @@ func TestScanCellsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, skip, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := scanCells(path, nil); err == nil {
+	if _, _, err := scanCells(path); err == nil {
 		t.Error("index gap accepted")
 	}
 
@@ -332,13 +333,62 @@ func TestScanCellsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, off, err := scanCells(path, nil)
+	recs, off, err := scanCells(path)
 	if err != nil || len(recs) != 1 || off != int64(len(lines[0])) {
 		t.Errorf("torn final line: recs=%d off=%d err=%v; want 1, %d, nil", len(recs), off, err, len(lines[0]))
 	}
 
 	// A missing file is an empty prefix.
-	if recs, off, err := scanCells(filepath.Join(dir, "nope.jsonl"), nil); err != nil || len(recs) != 0 || off != 0 {
+	if recs, off, err := scanCells(filepath.Join(dir, "nope.jsonl")); err != nil || len(recs) != 0 || off != 0 {
 		t.Errorf("missing file: recs=%d off=%d err=%v", len(recs), off, err)
+	}
+}
+
+// TestResumeRejectsForeignScenarios: a stored record whose scenario no
+// longer matches what the grid expands to — the signature of a
+// checkpoint written by a build with different expansion rules (e.g.
+// pre-rounding failure counts) — is rejected by resume instead of
+// being silently mixed with fresh cells.
+func TestResumeRejectsForeignScenarios(t *testing.T) {
+	g := testGrid(38)
+	dir := filepath.Join(t.TempDir(), "run")
+	if _, _, err := ExecuteRun(dir, g, 2, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, CellsName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the first record's resolved failure count, keeping the line
+	// valid JSON with the right index.
+	tampered := bytes.Replace(b, []byte(`"failures":0`), []byte(`"failures":3`), 1)
+	if bytes.Equal(tampered, b) {
+		t.Fatal("test setup: failures field not found")
+	}
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeRun(dir, g); err == nil || !strings.Contains(err.Error(), "expands it to") {
+		t.Errorf("resume over a foreign scenario: %v", err)
+	}
+}
+
+// TestExecuteRunSurfacesProbeError: a resume probe that fails for any
+// reason other than "no checkpoint here" must surface that error, not
+// fall through to CreateRun's own confusing failure.
+func TestExecuteRunSurfacesProbeError(t *testing.T) {
+	g := testGrid(37)
+	tmp := t.TempDir()
+	// A regular file where the run directory should be: stat on
+	// <file>/manifest.json fails with ENOTDIR, which is not ErrNotExist.
+	blocker := filepath.Join(tmp, "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(blocker, "run")
+	_, _, err := ExecuteRun(dir, g, 1, true, nil)
+	if err == nil || !strings.Contains(err.Error(), "probe checkpoint") {
+		t.Errorf("probe failure not surfaced: %v", err)
 	}
 }

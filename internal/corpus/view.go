@@ -69,7 +69,7 @@ func genInfo(r *Run) (GenInfo, error) {
 		CreatedAt: r.Manifest.CreatedAt,
 		Revision:  r.Manifest.Revision,
 		CellsDone: done,
-		Complete:  done == r.Manifest.ExpectedCells(),
+		Complete:  done == r.Manifest.Cells,
 	}, nil
 }
 

@@ -13,8 +13,8 @@ import (
 
 // Writer streams a run to disk as its cells complete, in cell-index
 // order, so the run directory is a valid checkpoint at every instant.
-// For a shard run the order is the shard's owned-cell sequence. Wire
-// OnCell and Skip into a runner.Runner and Close when the run returns.
+// Wire OnCell and Skip into a runner.Runner and Close when the run
+// returns.
 type Writer struct {
 	run    *Run
 	f      *os.File
@@ -26,13 +26,12 @@ type Writer struct {
 // after the done-cell prefix.
 func newWriter(r *Run, f *os.File, prefix []runner.CellRecord) *Writer {
 	return &Writer{run: r, f: f, prefix: prefix,
-		ord: runner.NewOrderedJSONL(f, r.Manifest.CellIndices(), len(prefix))}
+		ord: runner.NewOrderedJSONL(f, len(prefix))}
 }
 
-// CreateRun initializes dir as a fresh run for m (a full run, or a
-// shard when m carries a shard stanza): writes the manifest and an
-// empty cells.jsonl. It refuses a directory that already holds a run
-// (resume or pick a new directory — silently truncating recorded
+// CreateRun initializes dir as a fresh run for m: writes the manifest
+// and an empty cells.jsonl. It refuses a directory that already holds
+// a run (resume or pick a new directory — silently truncating recorded
 // results is how corpora rot).
 func CreateRun(dir string, m Manifest) (*Writer, error) {
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
@@ -59,34 +58,27 @@ func CreateRun(dir string, m Manifest) (*Writer, error) {
 	return newWriter(&Run{Dir: dir, Manifest: m}, f, nil), nil
 }
 
-// ResumeRunShard reopens dir's checkpoint to continue cr's shard of g
-// (the zero CellRange: a full run). It verifies that the stored run
-// records the same configuration (equal content-addressed grid IDs —
-// same grid, same master seed) and the same shard (same owned cells),
-// truncates any torn final line, and positions the writer after the
-// completed prefix. The sweep then skips Done cells and appends the
-// rest; because per-cell seeds derive from grid cell indices, the
-// finished cells.jsonl is bit-identical to an uninterrupted run's.
-func ResumeRunShard(dir string, g runner.Grid, cr runner.CellRange) (*Writer, error) {
+// ResumeRun reopens dir's checkpoint to continue g. It verifies that
+// the stored run records the same configuration (equal
+// content-addressed grid IDs — same grid, same master seed), truncates
+// any torn final line, and positions the writer after the completed
+// prefix. The sweep then skips Done cells and appends the rest;
+// because per-cell seeds derive from grid cell indices, the finished
+// cells.jsonl is bit-identical to an uninterrupted run's.
+func ResumeRun(dir string, g runner.Grid) (*Writer, error) {
 	r, err := OpenRun(dir)
 	if err != nil {
 		return nil, err
 	}
-	want, err := NewShardManifest(g, cr)
-	if err != nil {
-		return nil, err
-	}
+	want := NewManifest(g)
 	if r.Manifest.ID != want.ID {
 		return nil, fmt.Errorf("corpus: resume %s: stored run %s was recorded under a different grid/seed (this sweep is %s)", dir, r.Manifest.ID, want.ID)
 	}
-	if !sameShard(r.Manifest.Shard, want.Shard) {
-		return nil, fmt.Errorf("corpus: resume %s: stored run covers shard %s, this sweep covers %s", dir, shardSpec(r.Manifest.Shard), shardSpec(want.Shard))
-	}
-	recs, off, err := scanCells(r.CellsPath(), r.Manifest.CellIndices())
+	recs, off, err := scanCells(r.CellsPath())
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyScenarios(r.Dir, want.Grid.Scenarios(), want.CellIndices(), recs); err != nil {
+	if err := verifyScenarios(r.Dir, want.Grid.Scenarios(), recs); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(r.CellsPath(), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -108,11 +100,11 @@ func ResumeRunShard(dir string, g runner.Grid, cr runner.CellRange) (*Writer, er
 // creation that died before its manifest was durably written — a
 // manifest file that exists but does not parse as JSON — and, when so,
 // removes the run files so CreateRun can claim the directory afresh. A
-// dispatcher retrying a crashed shard cannot tell "died mid-CreateRun"
-// from "died mid-sweep", so the resume path must absorb both. A
-// manifest that parses is never touched: a mismatched configuration
-// keeps failing loudly through ResumeRunShard instead of being
-// silently destroyed.
+// `sweep -out` killed early can die mid-CreateRun as well as
+// mid-sweep, and `-resume` cannot tell the two apart, so the resume
+// path must absorb both. A manifest that parses is never touched: a
+// mismatched configuration keeps failing loudly through ResumeRun
+// instead of being silently destroyed.
 func recoverTornCreate(dir string) (cleared bool, err error) {
 	b, rerr := os.ReadFile(filepath.Join(dir, ManifestName))
 	if rerr != nil {
@@ -134,18 +126,13 @@ func recoverTornCreate(dir string) (cleared bool, err error) {
 }
 
 // verifyScenarios checks that stored records name exactly the cells
-// the grid expands to (all = the grid's expansion; seq = the cell
-// index per record position, nil for the identity of a full run).
+// the grid expands to (all = the grid's expansion; record p is cell p).
 // Matching indices alone would accept a checkpoint whose scenarios
 // resolved differently under another build — say, an older
 // failure-fraction rounding — and silently mix two computations in one
 // "valid" run.
-func verifyScenarios(dir string, all []runner.Scenario, seq []int, recs []runner.CellRecord) error {
-	for p, rec := range recs {
-		idx := p
-		if seq != nil {
-			idx = seq[p]
-		}
+func verifyScenarios(dir string, all []runner.Scenario, recs []runner.CellRecord) error {
+	for idx, rec := range recs {
 		if idx >= len(all) {
 			return fmt.Errorf("corpus: %s: cell index %d beyond the grid's %d cells", dir, idx, len(all))
 		}
@@ -156,41 +143,11 @@ func verifyScenarios(dir string, all []runner.Scenario, seq []int, recs []runner
 	return nil
 }
 
-// sameShard reports whether two shard stanzas own the same cells (the
-// display spec may differ — "0/1" and an explicit full range select
-// identically).
-func sameShard(a, b *ShardManifest) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if len(a.Cells) != len(b.Cells) {
-		return false
-	}
-	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// shardSpec names a shard stanza for error messages ("all" for a full
-// run).
-func shardSpec(s *ShardManifest) string {
-	if s == nil {
-		return "all"
-	}
-	return s.Spec
-}
-
 // Run returns the run being written.
 func (w *Writer) Run() *Run { return w.run }
 
-// Done returns how many leading owned cells were already complete when
-// the writer opened.
+// Done returns how many leading cells were already complete when the
+// writer opened.
 func (w *Writer) Done() int { return len(w.prefix) }
 
 // Prefix returns the records that were already on disk when the writer
@@ -200,12 +157,9 @@ func (w *Writer) Prefix() []runner.CellRecord { return w.prefix }
 // OnCell streams one completed cell; wire it as runner.Runner.OnCell.
 func (w *Writer) OnCell(c runner.CellResult) { w.ord.Add(c) }
 
-// Skip reports whether a cell needs no work — already on disk, or not
-// owned by this writer's shard; wire it as runner.Runner.Skip.
-func (w *Writer) Skip(s runner.Scenario) bool {
-	p, ok := w.ord.Position(s.Index)
-	return !ok || p < len(w.prefix)
-}
+// Skip reports whether a cell is already on disk; wire it as
+// runner.Runner.Skip.
+func (w *Writer) Skip(s runner.Scenario) bool { return s.Index < len(w.prefix) }
 
 // Close flushes, fsyncs and closes the checkpoint, reporting any
 // streaming error the sweep's computation outran. The fsync is what
@@ -222,28 +176,20 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// ExecuteRun runs g to completion in dir with checkpointing; it is
-// ExecuteRunShard over the whole grid.
-func ExecuteRun(dir string, g runner.Grid, workers int, resume bool, onRecord func(runner.CellRecord)) (*Run, []runner.CellRecord, error) {
-	return ExecuteRunShard(dir, g, runner.CellRange{}, workers, resume, onRecord)
-}
-
-// ExecuteRunShard runs cr's shard of g to completion in dir with
-// checkpointing: each owned cell streams to cells.jsonl as it
-// finishes, in ascending cell-index order. With resume set and dir
-// already holding this configuration's checkpoint (same grid ID, same
-// shard), completed cells are skipped and only the missing suffix
-// executes; without resume, dir must be fresh. It returns the run and
-// its full owned record set (loaded cells for the skipped prefix,
-// fresh results for the rest — i.e. the final file's contents).
-// Sibling shards executed anywhere combine into the full sweep with
-// MergeRuns.
+// ExecuteRun runs g to completion in dir with checkpointing: each cell
+// streams to cells.jsonl as it finishes, in ascending cell-index order.
+// With resume set and dir already holding this configuration's
+// checkpoint (same grid ID), completed cells are skipped and only the
+// missing suffix executes; without resume, dir must be fresh. It
+// returns the run and its full record set (loaded cells for the
+// skipped prefix, fresh results for the rest — i.e. the final file's
+// contents).
 //
-// onRecord, if non-nil, observes the owned record sequence in strict
+// onRecord, if non-nil, observes the record sequence in strict
 // cell order as it becomes available: a resumed run's loaded prefix is
 // replayed immediately, then each fresh cell as it completes — a live
 // tee of cells.jsonl for progress streaming.
-func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int, resume bool, onRecord func(runner.CellRecord)) (*Run, []runner.CellRecord, error) {
+func ExecuteRun(dir string, g runner.Grid, workers int, resume bool, onRecord func(runner.CellRecord)) (*Run, []runner.CellRecord, error) {
 	var (
 		w   *Writer
 		err error
@@ -254,10 +200,8 @@ func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int
 			if cerr != nil {
 				return nil, nil, cerr
 			}
-			if cleared {
-				resume = false
-			} else {
-				w, err = ResumeRunShard(dir, g, cr)
+			if !cleared {
+				w, err = ResumeRun(dir, g)
 			}
 		} else if !errors.Is(serr, os.ErrNotExist) {
 			// A probe failure (permission, a file where the directory
@@ -265,15 +209,10 @@ func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int
 			// to CreateRun would mask the real problem behind its own
 			// confusing failure.
 			return nil, nil, fmt.Errorf("corpus: probe checkpoint %s: %w", dir, serr)
-		} else {
-			resume = false
 		}
 	}
 	if w == nil && err == nil {
-		m, merr := NewShardManifest(g, cr)
-		if merr != nil {
-			return nil, nil, merr
-		}
+		m := NewManifest(g)
 		m.Workers = workers
 		m.CreatedAt = time.Now().UTC().Format(time.RFC3339) //gossiplint:allow detlint CreatedAt is provenance, excluded from the run ID and every byte-compare gate
 		m.Revision = BuildRevision()
@@ -291,14 +230,14 @@ func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int
 			onRecord(rec)
 			return nil
 		}
-		tee := runner.NewOrderedCells(w.run.Manifest.CellIndices(), w.Done(), emit)
+		tee := runner.NewOrderedCells(w.Done(), emit)
 		onCell = func(c runner.CellResult) {
 			w.OnCell(c)
 			tee.Add(c)
 		}
 	}
 	r := &runner.Runner{Workers: workers, OnCell: onCell, Skip: w.Skip}
-	r.RunGridShard(g, cr)
+	r.RunGrid(g)
 	if err := w.Close(); err != nil {
 		return nil, nil, err
 	}
@@ -306,7 +245,7 @@ func ExecuteRunShard(dir string, g runner.Grid, cr runner.CellRange, workers int
 	if err != nil {
 		return nil, nil, err
 	}
-	if want := w.run.Manifest.ExpectedCells(); len(recs) != want {
+	if want := w.run.Manifest.Cells; len(recs) != want {
 		return nil, nil, fmt.Errorf("corpus: run %s finished with %d of %d cells on disk", dir, len(recs), want)
 	}
 	return w.run, recs, nil

@@ -257,7 +257,7 @@ func TestRunDetailReportCellsTrend(t *testing.T) {
 	if err := json.Unmarshal(get(t, ts, "/runs/"+id+"/report", http.StatusOK), &rv); err != nil {
 		t.Fatal(err)
 	}
-	if rv.Manifest.ID != id || len(rv.Records) != run.Manifest.ExpectedCells() {
+	if rv.Manifest.ID != id || len(rv.Records) != run.Manifest.Cells {
 		t.Errorf("report: id %s, %d records", rv.Manifest.ID, len(rv.Records))
 	}
 
@@ -417,7 +417,7 @@ func TestServeWhileArchiving(t *testing.T) {
 	res := runGrid(g)
 	id := corpus.GridID(g)
 	archiveGen(t, store, g, "rev-0", res)
-	expected := corpus.NewManifest(g).ExpectedCells()
+	expected := corpus.NewManifest(g).Cells
 
 	srv, err := New(store, nil)
 	if err != nil {

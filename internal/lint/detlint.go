@@ -8,7 +8,7 @@ import (
 
 // detlint enforces the determinism invariant: every simulation result
 // in the corpus must be a pure function of (grid, seed), because the
-// zero-tolerance regression gates, byte-identical shard merges, and
+// zero-tolerance regression gates, byte-identical resumes, and
 // same-revision dedupe all compare bytes. Three things break that
 // silently: wall-clock reads, the global math/rand stream, and Go's
 // randomized scheduling/iteration orders.

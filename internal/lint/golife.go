@@ -34,7 +34,6 @@ import (
 // goroutine outlives its cluster.
 var LifetimePackagePaths = []string{
 	"gossip/internal/gossipd",
-	"gossip/internal/dispatch",
 	"gossip/internal/corpusd",
 }
 

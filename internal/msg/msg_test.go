@@ -333,7 +333,7 @@ func TestFillKeepsTailClear(t *testing.T) {
 	}
 }
 
-// TestConcurrentRoundMatchesReference shards each round's transfers by
+// TestConcurrentRoundMatchesReference splits each round's transfers by
 // receiver over goroutines, the way par.For workers and phone.Async call
 // the tracker; run it under -race.
 func TestConcurrentRoundMatchesReference(t *testing.T) {

@@ -23,7 +23,7 @@ import "gossip/internal/par"
 // A machine is only ever mutated through its own callbacks; machines
 // communicate exclusively via payloads and explicitly-shared state that
 // is safe under the concurrency each callback documents (e.g. the
-// receiver-sharded trackers of internal/msg).
+// receiver-partitioned trackers of internal/msg).
 type Machine interface {
 	// OnStep opens the node's channel for this step: the callee id (or
 	// NoDial) and the payload pushed through the channel (nil pushes
@@ -86,8 +86,8 @@ func NewSync(ms []Machine) *Sync {
 // N returns the number of nodes.
 func (s *Sync) N() int { return len(s.ms) }
 
-// Step runs one synchronous step: parallel dial, push delivery sharded by
-// receiver, read-only response computation, response delivery sharded by
+// Step runs one synchronous step: parallel dial, push delivery split by
+// receiver, read-only response computation, response delivery split by
 // caller, then end-of-step transitions. The phases are separated so no
 // machine is ever read and written concurrently.
 func (s *Sync) Step(step int32) StepTally {
@@ -123,7 +123,7 @@ func (s *Sync) Step(step int32) StepTally {
 		}
 	})
 	// Pull direction: compute every response first (OnOpen is read-only,
-	// so concurrent calls into one callee are safe), then deliver sharded
+	// so concurrent calls into one callee are safe), then deliver split
 	// by caller.
 	par.For(n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {

@@ -167,9 +167,7 @@ func (r *Runner) Run(scenarios []Scenario) []CellResult {
 }
 
 // run executes pre-indexed cells: per-cell seeds derive from each
-// scenario's stamped Index, not its slice position, so a filtered
-// subset of a grid (a shard) computes exactly what a full run would
-// for those cells.
+// scenario's stamped Index.
 func (r *Runner) run(cells []Scenario) []CellResult {
 	exec := r.Exec
 	if exec == nil {
@@ -194,18 +192,8 @@ func (r *Runner) run(cells []Scenario) []CellResult {
 
 // RunGrid expands g and executes it.
 func (r *Runner) RunGrid(g Grid) []CellResult {
-	return r.RunGridShard(g, CellRange{})
-}
-
-// RunGridShard expands g and executes only the cells cr selects, one
-// result per owned cell in ascending index order. Scenario indices —
-// and therefore seeds and results — are those of the full grid, so m
-// shard runs together compute exactly what one full run would;
-// interleaving their records by cell index reconstructs it (see
-// corpus.MergeRuns).
-func (r *Runner) RunGridShard(g Grid, cr CellRange) []CellResult {
 	if r.Seed == 0 {
 		r.Seed = g.Seed
 	}
-	return r.run(cr.Filter(g.Scenarios()))
+	return r.run(g.Scenarios())
 }

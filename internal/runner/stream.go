@@ -15,55 +15,25 @@ import (
 // line-by-line and usable as checkpoints: a killed run's output is a
 // valid prefix, and a resumed run appends exactly the missing suffix.
 //
-// A stream follows either the identity order (cell indices 0, 1, 2, …
-// — a full sweep) or an explicit ascending index sequence (a shard's
-// owned cells — see CellRange); the prefix property holds in both.
-//
 // Add is safe for concurrent use; it is the natural Runner.OnCell.
 type OrderedCells struct {
 	mu      sync.Mutex
 	emit    func(CellRecord) error
-	posOf   map[int]int        // cell index → emit position; nil = identity
-	pos     int                // next emit position
-	pending map[int]CellRecord // completed cells keyed by emit position
+	pos     int                // next cell index to emit
+	pending map[int]CellRecord // completed cells keyed by cell index
 	err     error
 }
 
-// NewOrderedCells returns a reorderer expecting exactly the cell indices
-// in seq, in that order (a shard's owned cells; nil means the identity
-// order of a full sweep), with the first done of them already emitted
-// — 0 for a fresh sweep, the completed-cell count for a resumed one —
-// and invoking emit once per remaining cell, in that order. Cells
-// outside seq are ignored.
-func NewOrderedCells(seq []int, done int, emit func(CellRecord) error) *OrderedCells {
-	o := &OrderedCells{
-		emit:    emit,
-		pos:     done,
-		pending: make(map[int]CellRecord),
-	}
-	if seq != nil {
-		o.posOf = make(map[int]int, len(seq))
-		for p, i := range seq {
-			o.posOf[i] = p
-		}
-	}
-	return o
-}
-
-// position maps a cell index to its emit position; ok is false for
-// cells the stream does not own.
-func (o *OrderedCells) position(index int) (int, bool) {
-	if o.posOf == nil {
-		return index, true
-	}
-	p, ok := o.posOf[index]
-	return p, ok
+// NewOrderedCells returns a reorderer with cells 0..done-1 already
+// emitted — 0 for a fresh sweep, the completed-cell count for a
+// resumed one — invoking emit once per remaining cell, in index order.
+func NewOrderedCells(done int, emit func(CellRecord) error) *OrderedCells {
+	return &OrderedCells{emit: emit, pos: done, pending: make(map[int]CellRecord)}
 }
 
 // Add accepts one completed cell. Cells at or past the expected
-// position buffer until contiguous; cells before it (a resumed run's
-// skipped prefix) and cells the stream does not own (another shard's)
-// are ignored. After an emit error the stream goes quiet and holds the
+// index buffer until contiguous; cells before it (a resumed run's
+// skipped prefix) are ignored. After an emit error the stream goes quiet and holds the
 // error for Err — the sweep's computation is still valid, only its
 // streaming failed.
 func (o *OrderedCells) Add(c CellResult) {
@@ -72,11 +42,11 @@ func (o *OrderedCells) Add(c CellResult) {
 	if o.err != nil {
 		return
 	}
-	p, ok := o.position(c.Scenario.Index)
-	if !ok || p < o.pos {
+	i := c.Scenario.Index
+	if i < o.pos {
 		return
 	}
-	o.pending[p] = c.Record()
+	o.pending[i] = c.Record()
 	for {
 		rec, ok := o.pending[o.pos]
 		if !ok {
@@ -92,17 +62,7 @@ func (o *OrderedCells) Add(c CellResult) {
 	}
 }
 
-// Position returns the emit position of a cell index — its line
-// number in the completed stream — and whether the stream owns it at
-// all (an identity stream owns every index).
-func (o *OrderedCells) Position(index int) (int, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.position(index)
-}
-
-// Next returns the emit position of the next cell the stream is
-// waiting for — for an identity stream, the cell index itself.
+// Next returns the index of the next cell the stream is waiting for.
 func (o *OrderedCells) Next() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -131,10 +91,9 @@ type OrderedJSONL struct {
 }
 
 // NewOrderedJSONL is NewOrderedCells writing each cell to w as one JSON
-// line — with a seq and the on-disk cell count as done, the shard
-// checkpoint writer.
-func NewOrderedJSONL(w io.Writer, seq []int, done int) *OrderedJSONL {
-	return &OrderedJSONL{NewOrderedCells(seq, done, jsonlEmit(w))}
+// line.
+func NewOrderedJSONL(w io.Writer, done int) *OrderedJSONL {
+	return &OrderedJSONL{NewOrderedCells(done, jsonlEmit(w))}
 }
 
 func jsonlEmit(w io.Writer) func(CellRecord) error {

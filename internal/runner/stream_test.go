@@ -20,7 +20,7 @@ func fakeResult(index int, v float64) CellResult {
 
 func TestOrderedJSONLReordersCompletionOrder(t *testing.T) {
 	var b strings.Builder
-	o := NewOrderedJSONL(&b, nil, 0)
+	o := NewOrderedJSONL(&b, 0)
 	// Completion order 2, 0, 3, 1: nothing may appear until its prefix
 	// is contiguous.
 	o.Add(fakeResult(2, 2))
@@ -52,7 +52,7 @@ func TestOrderedJSONLReordersCompletionOrder(t *testing.T) {
 
 func TestOrderedJSONLIgnoresSkippedPrefix(t *testing.T) {
 	var b strings.Builder
-	o := NewOrderedJSONL(&b, nil, 2)
+	o := NewOrderedJSONL(&b, 2)
 	o.Add(fakeResult(0, 0)) // already on disk in a resumed run
 	o.Add(fakeResult(2, 2))
 	o.Add(fakeResult(3, 3))
@@ -82,7 +82,7 @@ type writeErr struct{}
 func (*writeErr) Error() string { return "disk full" }
 
 func TestOrderedJSONLHoldsWriteError(t *testing.T) {
-	o := NewOrderedJSONL(&failAfter{left: 1}, nil, 0)
+	o := NewOrderedJSONL(&failAfter{left: 1}, 0)
 	o.Add(fakeResult(0, 0))
 	o.Add(fakeResult(1, 1))
 	if o.Err() == nil {
