@@ -5,13 +5,13 @@
 //
 // Usage:
 //
+//	gossiplint [-C dir] [patterns]
+//
 //	go run ./cmd/gossiplint ./...                  # the whole module
 //	go run ./cmd/gossiplint ./internal/...         # a subtree
-//	go run ./cmd/gossiplint -list                  # describe the analyzers
-//	go run ./cmd/gossiplint -only seedflow,golife ./...
-//	go run ./cmd/gossiplint -json ./...            # machine-readable report
-//	go run ./cmd/gossiplint -sarif lint.sarif ./...
-//	go run ./cmd/gossiplint -allows ./...          # suppression inventory
+//
+// Each finding is one line, file:line:col: analyzer: message, with the
+// path relative to -C (default "."); CI's problem matcher parses it.
 //
 // Intentional violations are annotated in the source, not silenced in
 // config:
@@ -25,11 +25,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"gossip/internal/lint"
 )
@@ -41,90 +42,36 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gossiplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		list    = fs.Bool("list", false, "describe the selected analyzers and exit")
-		only    = fs.String("only", "", "comma-separated analyzer names to run (default: the full suite)")
-		exclude = fs.String("exclude", "", "comma-separated analyzer names to skip")
-		jsonOut = fs.Bool("json", false, "write the findings as a JSON report to stdout")
-		sarif   = fs.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-		allows  = fs.Bool("allows", false, "print the //gossiplint:allow inventory and exit")
-		chdir   = fs.String("C", ".", "load packages relative to this directory")
-		summ    = fs.Bool("summaries", false, "dump the interprocedural summary facts and exit")
-	)
+	chdir := fs.String("C", ".", "load packages relative to this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	analyzers, err := lint.SelectAnalyzers(*only, *exclude)
+	pkgs, err := lint.Load(*chdir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "gossiplint:", err)
 		return 2
 	}
-
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-8s %s\n", a.Name, a.Doc)
-		}
-		return 0
+	diags := lint.CheckModule(lint.NewModule(pkgs), lint.Suite())
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(*chdir, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(*chdir, patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "gossiplint:", err)
-		return 2
-	}
-
-	if *allows {
-		fmt.Fprint(stdout, lint.FormatAllows(lint.AllowInventory(pkgs, *chdir)))
-		return 0
-	}
-
-	mod := lint.NewModule(pkgs)
-	if *summ {
-		fmt.Fprint(stdout, mod.Summaries())
-		return 0
-	}
-	diags := lint.CheckModule(mod, analyzers)
-	report := lint.NewReport(analyzers, diags, *chdir)
-
-	if *sarif != "" {
-		if err := emitSARIF(*sarif, report, stdout); err != nil {
-			fmt.Fprintln(stderr, "gossiplint:", err)
-			return 2
-		}
-	}
-	switch {
-	case *jsonOut:
-		if err := lint.WriteJSON(stdout, report); err != nil {
-			fmt.Fprintln(stderr, "gossiplint:", err)
-			return 2
-		}
-	case *sarif != "-":
-		for _, f := range report.Findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
-		}
-	}
-
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// emitSARIF writes the SARIF rendering of the report to path, or to
-// stdout for "-".
-func emitSARIF(path string, report lint.Report, stdout io.Writer) error {
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, lint.SARIF(report)); err != nil {
-		return err
+// relPath relativizes path against base when possible, always
+// slash-separated.
+func relPath(base, path string) string {
+	if base != "" {
+		if abs, err := filepath.Abs(base); err == nil {
+			if absPath, err := filepath.Abs(path); err == nil {
+				if rel, err := filepath.Rel(abs, absPath); err == nil && !strings.HasPrefix(rel, "..") {
+					return filepath.ToSlash(rel)
+				}
+			}
+		}
 	}
-	if path == "-" {
-		_, err := stdout.Write(buf.Bytes())
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return filepath.ToSlash(path)
 }

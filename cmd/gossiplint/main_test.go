@@ -4,106 +4,38 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// golden compares got against the named file under testdata,
-// byte-for-byte: the JSON and SARIF reports are contractually stable.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output differs from testdata/%s:\ngot:  %s\nwant: %s", name, got, want)
-	}
-}
-
-func runDemo(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
+// TestDemoFindings pins the text output CI's problem matcher parses,
+// byte for byte: the demo module has one unsuppressed finding, so the
+// run exits 1.
+func TestDemoFindings(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run(args, &out, &errb)
-	return code, out.String(), errb.String()
-}
-
-func TestJSONReportBytes(t *testing.T) {
-	code, out, errb := runDemo(t, "-C", "testdata/demo", "-json", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (one finding); stderr: %s", code, errb)
+	if code := run([]string{"-C", "testdata/demo", "./..."}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1 (one finding); stderr: %s", code, errb.String())
 	}
-	golden(t, "demo.json", []byte(out))
-}
-
-func TestSARIFReportBytes(t *testing.T) {
-	code, out, errb := runDemo(t, "-C", "testdata/demo", "-sarif", "-", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (one finding); stderr: %s", code, errb)
-	}
-	golden(t, "demo.sarif", []byte(out))
-}
-
-func TestSARIFToFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lint.sarif")
-	code, out, errb := runDemo(t, "-C", "testdata/demo", "-sarif", path, "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", code, errb)
-	}
-	// Text findings still go to stdout alongside the file artifact.
-	if !strings.Contains(out, "demo.go:10:29: detlint:") {
-		t.Errorf("missing text finding in stdout:\n%s", out)
-	}
-	got, err := os.ReadFile(path)
+	want, err := os.ReadFile(filepath.Join("testdata", "demo.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "demo.sarif", got)
-}
-
-func TestAllowInventory(t *testing.T) {
-	code, out, errb := runDemo(t, "-C", "testdata/demo", "-allows", "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr: %s", code, errb)
-	}
-	golden(t, "demo.allows", []byte(out))
-}
-
-func TestOnlySelector(t *testing.T) {
-	// The demo module is not a deterministic or daemon package, so
-	// restricting the run to seedflow and golife leaves it clean.
-	code, out, errb := runDemo(t, "-C", "testdata/demo", "-only", "seedflow,golife", "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stdout: %s stderr: %s", code, out, errb)
-	}
-	if out != "" {
-		t.Errorf("expected no findings, got:\n%s", out)
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("stdout differs from testdata/demo.txt:\ngot:  %s\nwant: %s", out.Bytes(), want)
 	}
 }
 
-func TestExcludeSelector(t *testing.T) {
-	code, out, _ := runDemo(t, "-C", "testdata/demo", "-exclude", "detlint", "./...")
-	if code != 0 || out != "" {
-		t.Errorf("exit = %d, out = %q; want clean run with detlint excluded", code, out)
-	}
-}
-
-func TestUnknownAnalyzer(t *testing.T) {
-	code, _, errb := runDemo(t, "-only", "nosuchanalyzer", "./...")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb, "unknown analyzer") {
-		t.Errorf("stderr does not name the problem: %s", errb)
-	}
-}
-
-func TestListSelected(t *testing.T) {
-	code, out, _ := runDemo(t, "-only", "golife", "-list")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	if !strings.HasPrefix(out, "golife") || strings.Contains(out, "detlint") {
-		t.Errorf("-list with -only golife printed:\n%s", out)
+// TestRetiredFlags: the report-mode and selector flags are gone, and an
+// old invocation is a usage error rather than a plain run that ignores
+// what it was asked for.
+func TestRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sarif", "x", "./..."},
+		{"-json", "./..."},
+		{"-only", "detlint", "./..."},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-C", "testdata/demo"}, args...), &out, &errb); code != 2 {
+			t.Errorf("gossiplint %v: exit = %d, want 2; stdout: %s", args, code, out.String())
+		}
 	}
 }

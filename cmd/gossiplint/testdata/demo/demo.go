@@ -1,7 +1,7 @@
 // Package demo is the CLI test fixture: one module with exactly one
 // unsuppressed finding (the Stamp wall-clock read) and one suppressed
-// one, so the gossiplint command's exit code, JSON bytes, SARIF bytes,
-// and allow inventory are all pinned by golden files.
+// one, so the gossiplint command's exit code and its text output are
+// pinned by the golden file testdata/demo.txt.
 package demo
 
 import "time"

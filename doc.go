@@ -260,15 +260,17 @@
 //
 //	go run ./cmd/gossiplint ./...
 //
+// which prints each finding as file:line:col: analyzer: message and
+// exits 0 clean, 1 on findings, 2 on a usage or load error.
+//
 // Since v2 the checker is interprocedural: every run builds the
 // module's call graph and computes, bottom-up over its
 // strongly-connected components, a summary fact set per function —
-// doesIO, readsClock, drawsGlobalRand, blocks, spawnsGoroutine — with
-// a curated table supplying facts for standard-library roots. A
-// violation laundered through helpers is flagged at the disciplined
-// call site with a witness chain ("cluster.call → net.Dial") naming
-// the path to the root effect. Six analyzers, one per load-bearing
-// invariant:
+// doesIO, readsClock, drawsGlobalRand, blocks — with a curated table
+// supplying facts for standard-library roots. A violation laundered
+// through helpers is flagged at the disciplined call site with a
+// witness chain ("cluster.call → net.Dial") naming the path to the
+// root effect. Five analyzers, one per load-bearing invariant:
 //
 //	detlint   bit-identical determinism. Module-wide it flags
 //	          wall-clock reads (time.Now/Since/Until) and the global
@@ -283,14 +285,6 @@
 //	          sending — while sanctioning the sorted-keys idiom:
 //	          extracting keys to a slice for sorting is exactly how
 //	          the rule is satisfied.
-//	golife    goroutine lifetime bounds in the daemon packages
-//	          (internal/gossipd, corpusd): every go
-//	          statement's body — a literal, or a named function
-//	          resolved through the call graph — must show a shutdown
-//	          idiom: a WaitGroup.Done, a done-channel close, a
-//	          cancellation receive or select, or a range over a
-//	          channel. WaitGroup.Add inside the spawned body is flagged
-//	          separately; it races the matching Wait.
 //	lockio    the gossipd locking rule: no mutex held across network
 //	          I/O, time.Sleep, or blocking channel operations —
 //	          directly, via fmt/io formatting into a net.Conn or
@@ -301,11 +295,11 @@
 //	seedflow  seed lineage in the deterministic packages: every
 //	          explicitly seeded RNG (xrand.New, Reseed, the math/rand
 //	          constructors) must derive its seed from a parameter, a
-//	          struct field, or the xrand.SeedFor / xrand.Split /
-//	          runner.CellSeed derivation chain. Literal, constant,
-//	          package-level, and clock-derived seeds — including a
-//	          clock read hidden behind helpers, which the summary
-//	          facts expose — are flagged.
+//	          struct field, or the xrand.SeedFor / runner.CellSeed
+//	          derivation chain. Literal, constant, package-level, and
+//	          clock-derived seeds — including a clock read hidden
+//	          behind helpers, which the summary facts expose — are
+//	          flagged.
 //	sinkerr   corpus durability: errors from Close/Flush/Sync on
 //	          writers must be checked — a dropped fsync error is a
 //	          silently torn corpus. The disciplined idioms stay legal:
@@ -316,31 +310,22 @@
 //	          JSON-encoded only through the canonical corpus.WriteJSON
 //	          encoder, so CLI and daemon bytes cannot diverge.
 //
-// Findings are emitted as text, as a JSON report (-json), or as SARIF
-// 2.1.0 (-sarif) for code-scanning upload; both machine formats go
-// through one encoder, so equal findings are equal bytes. -only and
-// -exclude select analyzers; -allows prints the suppression
-// inventory; -summaries dumps the computed facts.
+// Daemon goroutine leaks are caught by tests, not by an analyzer: the
+// leak tests of internal/gossipd and internal/corpusd run every cluster
+// shape and the HTTP server to shutdown and require the goroutine count
+// back at its baseline, which also catches a goroutine parked forever
+// on a channel no one closes.
 //
-// Intentional exceptions are suppressed in place, auditable by grep:
+// Intentional exceptions are suppressed in place:
 //
 //	//gossiplint:allow <analyzer> <reason...>
 //
 // on the offending line or the line directly above. The reason is
 // mandatory — a directive with an unknown analyzer or no reason is
-// itself a build-failing diagnostic. Standing exceptions in the tree,
-// kept in sync with the source by TestDocAllowInventory:
+// itself a build-failing diagnostic. The standing exceptions in the
+// tree are listed by
 //
-//	cmd/gossipsim/lifecycle.go detlint: prune ages against operator wall time, not simulation state
-//	internal/corpus/corpus.go detlint: CreatedAt is provenance, excluded from the run ID and every byte-compare gate
-//	internal/corpus/gc.go detlint: prune ages against operator wall time, not simulation state
-//	internal/corpus/writer.go sinkerr: error-path cleanup; creation already failed and the empty run dir is abandoned
-//	internal/corpus/writer.go sinkerr: error-path cleanup; resume already failed loudly and nothing was written through f
-//	internal/corpus/writer.go detlint: CreatedAt is provenance, excluded from the run ID and every byte-compare gate
-//	internal/corpusd/server.go detlint: request-latency metric; never touches corpus bytes
-//	internal/gossipd/gossipd.go detlint: Elapsed reports real network wall time; cluster results are asynchronous, not replayed
-//	internal/gossipd/gossipd.go golife: serveNode itself holds a positive srvWg count, so its per-conn Add can never race Wait
-//	internal/gossipd/gossipd.go detlint: wire deadline against stuck peers, not simulation state
+//	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '//gossiplint:allow [a-z]+ [^<]' .
 //
 // The suite's own tests live in internal/lint with analysistest-style
 // fixtures under internal/lint/testdata, including cross-package

@@ -205,7 +205,6 @@ func (c *cluster) run() Stats {
 	stepping.Wait()
 	for _, nd := range c.nodes {
 		c.srvWg.Add(1)
-		//gossiplint:allow golife serveNode itself holds a positive srvWg count, so its per-conn Add can never race Wait
 		go c.serveNode(nd)
 	}
 
@@ -392,6 +391,8 @@ func (c *cluster) serveNode(nd *node) {
 		if err != nil {
 			return // listener closed: shutdown
 		}
+		// serveNode itself holds a srvWg count, so this Add cannot race
+		// the Wait in run.
 		c.srvWg.Add(1)
 		go func() {
 			defer c.srvWg.Done()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,11 +47,10 @@ func TestServeBroadcastCompletes(t *testing.T) {
 	}
 }
 
-// TestCallErrorsCounted closes one peer's listener before the run: every
-// call to it is refused, which the report must count, and the run must
-// still end cleanly. The deaf node keeps dialing out, so it can still pull
-// the rumor and the broadcast may well complete.
-func TestCallErrorsCounted(t *testing.T) {
+// runDeaf runs an 8-node broadcast cluster whose node 3 closed its
+// listener before the run, so every call to it is refused.
+func runDeaf(t *testing.T) (Config, *Report) {
+	t.Helper()
 	cfg := Config{N: 8, Payload: []byte("rumor"), Seed: 7, MaxSteps: 64 * ceilLog2(8), StepDelay: 50 * time.Microsecond, Timeout: 20 * time.Second}
 	set := core.NewBroadcastSet(phone.NewNet(graph.Complete(cfg.N), cfg.Seed), 0, core.PushAndPull, cfg.Payload)
 	c, err := newCluster(cfg, set)
@@ -58,7 +58,14 @@ func TestCallErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.nodes[3].ln.Close()
-	rep := &Report{Stats: c.run()}
+	return cfg, &Report{Stats: c.run()}
+}
+
+// TestCallErrorsCounted: the deaf node's refused calls must be counted,
+// and the run must still end cleanly. The deaf node keeps dialing out,
+// so it can still pull the rumor and the broadcast may well complete.
+func TestCallErrorsCounted(t *testing.T) {
+	cfg, rep := runDeaf(t)
 	if rep.CallErrors == 0 || rep.CallErrors > rep.Dials {
 		t.Fatalf("CallErrors = %d of %d dials with node 3 deaf: %s", rep.CallErrors, rep.Dials, rep.Summary())
 	}
@@ -67,6 +74,35 @@ func TestCallErrorsCounted(t *testing.T) {
 	}
 	if !rep.Completed && rep.Elapsed >= cfg.Timeout {
 		t.Fatalf("run ended on the timeout guard, not on completion or the step cap: %s", rep.Summary())
+	}
+}
+
+// TestNoGoroutineLeak runs every cluster shape — a broadcast, an
+// election, and the deaf-node cluster whose calls fail — and requires
+// the goroutine count back at its baseline once they have returned: a
+// run leaves nothing behind, whatever its goroutines wait on.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := Config{N: 12, Seed: 7, StepDelay: 50 * time.Microsecond, Timeout: 20 * time.Second}
+	if _, err := Serve(cfg); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if _, err := ServeElection(cfg); err != nil {
+		t.Fatalf("ServeElection: %v", err)
+	}
+	runDeaf(t)
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines polls for at most a second until no more than base
+// goroutines run, and otherwise fails with every goroutine's stack.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func checkDetCall(p *Pass, call *ast.CallExpr, det bool) {
 		// or the global rand stream is the same violation laundered
 		// through a helper — even when the helper's own site carries an
 		// allow directive for its legitimate use.
-		if !det || p.Mod == nil || !p.Mod.HasBody(fn) {
+		if !det || !p.Mod.HasBody(fn) {
 			return
 		}
 		s := p.Mod.SummaryOf(fn)
@@ -155,7 +155,7 @@ func checkFuncValueBindings(p *Pass, body *ast.BlockStmt, det bool) {
 			return
 		}
 		facts := ExtFacts(fn)
-		if p.Mod != nil && p.Mod.HasBody(fn) {
+		if p.Mod.HasBody(fn) {
 			if !det {
 				return // in-module laundering is a deterministic-package concern
 			}
@@ -198,10 +198,7 @@ func checkFuncValueBindings(p *Pass, body *ast.BlockStmt, det bool) {
 		if fn == nil {
 			return true
 		}
-		facts := ExtFacts(fn)
-		if p.Mod != nil && p.Mod.HasBody(fn) {
-			facts = p.Mod.SummaryOf(fn)
-		}
+		facts := p.Mod.SummaryOf(fn)
 		switch {
 		case facts.Has(FactClock):
 			p.Reportf(call.Pos(), "call through %s reaches %s, which reads the wall clock; results must be functions of (grid, seed)", id.Name, DisplayFunc(fn))

@@ -11,12 +11,12 @@ import (
 // TestMalformedDirectives checks the badallow fixture programmatically:
 // the malformed-directive diagnostics land on the comment lines
 // themselves, where a want comment cannot sit, so we assert on the
-// Check output directly. Every broken directive must surface as a
+// CheckModule output directly. Every broken directive must surface as a
 // "gossiplint" finding, and — because a broken directive suppresses
 // nothing — every time.Now beneath one must still be flagged.
 func TestMalformedDirectives(t *testing.T) {
-	pkg := linttest.LoadPackage(t, "testdata/src", "badallow")
-	diags := lint.Check(pkg, []*lint.Analyzer{lint.DetLint})
+	pkgs := linttest.LoadModule(t, "testdata/src", "badallow")
+	diags := lint.CheckModule(lint.NewModule(pkgs), []*lint.Analyzer{lint.DetLint})
 
 	wantDirective := []string{
 		"needs an analyzer name and a reason", // //gossiplint:allow

@@ -1,12 +1,13 @@
 // Package lint implements gossiplint, the repo's own static analysis
 // suite: a set of analyzers that mechanically enforce the invariants
 // the reproduction's claims rest on — bit-identical determinism in the
-// simulation packages (detlint), goroutine lifetime bounds in the
-// daemon packages (golife), no mutex held across I/O in the networked
-// daemon (lockio), sanctioned seed lineage for every RNG (seedflow),
-// no dropped durability errors on writers feeding the corpus
-// (sinkerr), and no JSON encoding of corpus view types outside the one
-// canonical encoder (viewenc).
+// simulation packages (detlint), no mutex held across I/O in the
+// networked daemon (lockio), sanctioned seed lineage for every RNG
+// (seedflow), no dropped durability errors on writers feeding the
+// corpus (sinkerr), and no JSON encoding of corpus view types outside
+// the one canonical encoder (viewenc). Daemon goroutine leaks are
+// checked dynamically, by the leak tests of internal/gossipd and
+// internal/corpusd, not here.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
@@ -33,7 +34,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer is one named invariant check. Run inspects a single
@@ -43,8 +43,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //gossiplint:allow directives.
 	Name string
-	// Doc is the one-paragraph description printed by the checker's
-	// help output and doc.go.
+	// Doc is the one-paragraph description of the invariant.
 	Doc string
 	// Run performs the check over one package.
 	Run func(*Pass)
@@ -89,50 +88,7 @@ func (d Diagnostic) String() string {
 
 // Suite returns the full gossiplint analyzer suite in report order.
 func Suite() []*Analyzer {
-	return []*Analyzer{DetLint, GoLife, LockIO, SeedFlow, SinkErr, ViewEnc}
-}
-
-// SelectAnalyzers filters the suite by the -only / -exclude selectors
-// (comma-separated analyzer names; empty strings select everything).
-// Naming an unknown analyzer is an error, not a silent no-op.
-func SelectAnalyzers(only, exclude string) ([]*Analyzer, error) {
-	parse := func(s string) (map[string]bool, error) {
-		set := map[string]bool{}
-		if s == "" {
-			return set, nil
-		}
-		known := knownAnalyzers()
-		for _, name := range strings.Split(s, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("lint: unknown analyzer %q (run -list for the suite)", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse(only)
-	if err != nil {
-		return nil, err
-	}
-	exclSet, err := parse(exclude)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Analyzer
-	for _, a := range Suite() {
-		if len(onlySet) > 0 && !onlySet[a.Name] {
-			continue
-		}
-		if exclSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{DetLint, LockIO, SeedFlow, SinkErr, ViewEnc}
 }
 
 // knownAnalyzers is the directive-name universe: a //gossiplint:allow
@@ -143,13 +99,6 @@ func knownAnalyzers() map[string]bool {
 		m[a.Name] = true
 	}
 	return m
-}
-
-// Check runs analyzers over a single package, treated as its own
-// module. Cross-package summaries are absent; use CheckModule for the
-// interprocedural view.
-func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return CheckModule(NewModule([]*Package{pkg}), analyzers)
 }
 
 // CheckModule runs analyzers over every package of the module, applies

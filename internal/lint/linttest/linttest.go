@@ -63,13 +63,6 @@ func LoadModule(t *testing.T, root string, paths ...string) []*lint.Package {
 	return pkgs
 }
 
-// LoadPackage parses and type-checks one fixture package (path
-// relative to root, which doubles as its import path).
-func LoadPackage(t *testing.T, root, path string) *lint.Package {
-	t.Helper()
-	return LoadModule(t, root, path)[0]
-}
-
 // packageDirs lists fixture and every subdirectory that holds .go
 // files, as slash-separated import paths relative to root.
 func packageDirs(t *testing.T, root, fixture string) []string {

@@ -50,32 +50,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	exports, targets, err := goList(dir, patterns)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %w\n%s", patterns, err, stderr.Bytes())
-	}
-
-	exports := make(map[string]string)
-	var targets []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: parse go list output: %w", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
@@ -157,27 +134,38 @@ func ExportData(dir string, paths ...string) (map[string]string, error) {
 	if len(paths) == 0 {
 		return map[string]string{}, nil
 	}
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, paths...)
+	exports, _, err := goList(dir, paths)
+	return exports, err
+}
+
+// goList runs `go list -deps -export -json` over patterns in dir and
+// returns the import path → export data file map of every listed
+// package, plus the packages the patterns matched (not DepOnly).
+func goList(dir string, patterns []string) (map[string]string, []listPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list -export %v: %w\n%s", paths, err, stderr.Bytes())
+		return nil, nil, fmt.Errorf("lint: go list %v: %w\n%s", patterns, err, stderr.Bytes())
 	}
 	exports := make(map[string]string)
+	var targets []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return exports, targets, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("lint: parse go list output: %w", err)
+			return nil, nil, fmt.Errorf("lint: parse go list output: %w", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		if !p.DepOnly {
+			targets = append(targets, p)
+		}
 	}
-	return exports, nil
 }

@@ -190,7 +190,7 @@ func checkHeldCall(p *Pass, call *ast.CallExpr, mutex string) {
 		// reaches network I/O or can block stalls every contender just
 		// as surely as a direct net call — this is the laundering an
 		// intraprocedural checker cannot see.
-		if p.Mod == nil || !p.Mod.HasBody(fn) {
+		if !p.Mod.HasBody(fn) {
 			return
 		}
 		s := p.Mod.SummaryOf(fn)

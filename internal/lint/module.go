@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -50,32 +49,10 @@ const (
 	// receive, blocking select, range over a channel, WaitGroup.Wait,
 	// or anything with FactIO.
 	FactBlocks
-	// FactSpawns: the function starts a goroutine.
-	FactSpawns
 )
 
 // Has reports whether f contains any of the bits in q.
 func (f Facts) Has(q Facts) bool { return f&q != 0 }
-
-func (f Facts) String() string {
-	var parts []string
-	for _, e := range []struct {
-		bit  Facts
-		name string
-	}{
-		{FactIO, "doesIO"}, {FactClock, "readsClock"},
-		{FactGlobalRand, "drawsGlobalRand"}, {FactBlocks, "blocks"},
-		{FactSpawns, "spawnsGoroutine"},
-	} {
-		if f.Has(e.bit) {
-			parts = append(parts, e.name)
-		}
-	}
-	if len(parts) == 0 {
-		return "pure"
-	}
-	return strings.Join(parts, "|")
-}
 
 // extFuncFacts assigns facts to specific out-of-module package-level
 // functions (receiver-less), keyed by "importpath.Name".
@@ -239,8 +216,7 @@ func NewModule(pkgs []*Package) *Module {
 // scanFunc records a function's direct facts and static callees.
 // Function literals are descended into only when they execute as part
 // of this function (immediately invoked, or deferred); a literal
-// merely spawned or stored runs elsewhere and contributes nothing
-// beyond FactSpawns for a go statement.
+// merely spawned or stored runs elsewhere and contributes nothing.
 func (m *Module) scanFunc(d *declInfo) {
 	info := d.pkg.Info
 	inline := map[*ast.FuncLit]bool{}
@@ -259,7 +235,6 @@ func (m *Module) scanFunc(d *declInfo) {
 		case *ast.FuncLit:
 			return inline[n]
 		case *ast.GoStmt:
-			seed(FactSpawns, "go statement")
 			return false // the spawned body's effects are not this goroutine's
 		case *ast.DeferStmt:
 			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
@@ -430,15 +405,6 @@ func (m *Module) propagate() {
 // i.e. the engine computed a real summary for it.
 func (m *Module) HasBody(fn *types.Func) bool { return m.decls[fn] != nil }
 
-// FuncDecl returns fn's declaration, or nil for out-of-module
-// functions (and interface methods).
-func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	if d := m.decls[fn]; d != nil {
-		return d.decl
-	}
-	return nil
-}
-
 // SummaryOf returns fn's computed summary, falling back to the curated
 // external table for functions without a body in the module.
 func (m *Module) SummaryOf(fn *types.Func) Facts {
@@ -485,16 +451,4 @@ func ChainString(chain []string) string { return strings.Join(chain, " → ") }
 // FactChainString is the common FactChain+ChainString composition.
 func (m *Module) FactChainString(fn *types.Func, fact Facts) string {
 	return ChainString(m.FactChain(fn, fact))
-}
-
-// Summaries returns every in-module function with a non-empty summary,
-// rendered one per line in source order — a debugging and test aid.
-func (m *Module) Summaries() string {
-	var b strings.Builder
-	for _, d := range m.order {
-		if d.facts != 0 {
-			fmt.Fprintf(&b, "%s: %s\n", DisplayFunc(d.fn), d.facts)
-		}
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"go/types"
-	"strings"
 	"testing"
 
 	"gossip/internal/lint"
@@ -15,13 +14,14 @@ import (
 func TestModuleSummaries(t *testing.T) {
 	pkgs := linttest.LoadModule(t, "testdata/src", "lockio")
 	m := lint.NewModule(pkgs)
+	pkg := pkgs[0].Types
 
-	wait, ok := pkgs[0].Types.Scope().Lookup("wait").(*types.Func)
+	wait, ok := pkg.Scope().Lookup("wait").(*types.Func)
 	if !ok {
 		t.Fatal("fixture function wait not found")
 	}
-	if s := m.SummaryOf(wait); !s.Has(lint.FactBlocks) {
-		t.Errorf("SummaryOf(wait) = %v, want blocks", s)
+	if s := m.SummaryOf(wait); s != lint.FactBlocks {
+		t.Errorf("SummaryOf(wait) = %#x, want blocks only", s)
 	}
 	if got, want := m.FactChainString(wait, lint.FactBlocks), "lockio.wait → a channel receive"; got != want {
 		t.Errorf("FactChainString(wait, blocks) = %q, want %q", got, want)
@@ -29,31 +29,20 @@ func TestModuleSummaries(t *testing.T) {
 
 	// flush reaches the network two frames down (flush → rawWrite →
 	// Conn.Write); the summary carries both the I/O and the block.
-	sum := m.Summaries()
-	for _, want := range []string{
-		"srv.flush: doesIO|blocks",
-		"srv.rawWrite: doesIO|blocks",
-		"lockio.wait: blocks",
-	} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("Summaries() missing %q:\n%s", want, sum)
+	srv := pkg.Scope().Lookup("srv").Type()
+	for _, name := range []string{"flush", "rawWrite"} {
+		obj, _, _ := types.LookupFieldOrMethod(srv, true, pkg, name)
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			t.Fatalf("fixture method srv.%s not found", name)
+		}
+		if s := m.SummaryOf(fn); s != lint.FactIO|lint.FactBlocks {
+			t.Errorf("SummaryOf(srv.%s) = %#x, want doesIO|blocks", name, s)
 		}
 	}
 
 	// A function outside the module falls back to the curated table.
 	if m.HasBody(wait) != true {
 		t.Errorf("HasBody(wait) = false, want true")
-	}
-}
-
-// TestFactsString pins the fact rendering used in witness chains and
-// the -summaries debug output.
-func TestFactsString(t *testing.T) {
-	if got := lint.Facts(0).String(); got != "pure" {
-		t.Errorf("Facts(0) = %q, want pure", got)
-	}
-	f := lint.FactIO | lint.FactBlocks
-	if got := f.String(); got != "doesIO|blocks" {
-		t.Errorf("Facts(IO|Blocks) = %q, want doesIO|blocks", got)
 	}
 }

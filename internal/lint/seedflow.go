@@ -9,8 +9,8 @@ import (
 // packages: every explicitly seeded RNG must derive its seed from the
 // sanctioned lineage — a function parameter (the caller decides), a
 // struct field (the configuration decides), or the derivation chain
-// itself (xrand.SeedFor, xrand.Split, runner.CellSeed). The three ways
-// a seed silently breaks (grid, seed)-reproducibility are flagged:
+// itself (xrand.SeedFor, runner.CellSeed). The three ways a seed
+// silently breaks (grid, seed)-reproducibility are flagged:
 //
 //   - a literal or named constant ("xrand.New(42)"): every run shares
 //     one stream, so reps are not independent and sweep cells collide;
@@ -53,7 +53,6 @@ var rngPassThrough = map[string]bool{"rand.New": true}
 // containing a call to one of these is lineage-derived by definition.
 var seedLineageFuncs = map[string]bool{
 	"xrand.SeedFor":   true,
-	"xrand.Split":     true,
 	"runner.CellSeed": true,
 }
 
@@ -214,16 +213,11 @@ func (sf *seedFlow) classify(e ast.Expr, depth int, visiting map[types.Object]bo
 			case rngPassThrough[key]:
 				return true // descend: the inner constructor's own check applies
 			case fn != nil:
-				facts := ExtFacts(fn)
-				if sf.p.Mod != nil && sf.p.Mod.HasBody(fn) {
-					facts = sf.p.Mod.SummaryOf(fn)
-				}
-				if facts.Has(FactClock) {
-					name := DisplayFunc(fn)
-					if sf.p.Mod != nil && sf.p.Mod.HasBody(fn) {
+				if sf.p.Mod.SummaryOf(fn).Has(FactClock) {
+					if sf.p.Mod.HasBody(fn) {
 						condemn("the wall clock via " + sf.p.Mod.FactChainString(fn, FactClock))
 					} else {
-						condemn("the wall clock (" + name + ")")
+						condemn("the wall clock (" + DisplayFunc(fn) + ")")
 					}
 					return false
 				}

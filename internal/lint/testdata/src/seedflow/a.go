@@ -1,5 +1,5 @@
 // The seedflow fixture: RNG constructors seeded from a parameter, a
-// struct field, or the SeedFor/Split/CellSeed lineage stay silent;
+// struct field, or the SeedFor/CellSeed lineage stay silent;
 // literal, constant, package-level, and clock-derived seeds — including
 // a clock read laundered through helpers, which only the module
 // engine's summaries can see — are flagged. The test registers this
@@ -85,9 +85,6 @@ func reseedBad(seed uint64) *xrand.RNG {
 func reseedGood(r *xrand.RNG, master uint64) {
 	r.Reseed(xrand.SeedFor(master, 1))
 }
-
-// Split derives a child stream from an already-sanctioned one.
-func splitGood(r *xrand.RNG) *xrand.RNG { return r.Split("walk") }
 
 // The stdlib constructors are held to the same lineage.
 func pcgSeed(seed uint64) *rand.Rand {

@@ -4,7 +4,7 @@
 // the real package.
 package xrand
 
-// RNG is a minimal splittable generator.
+// RNG is a minimal generator.
 type RNG struct{ state uint64 }
 
 // New returns a generator over an explicit seed.
@@ -21,15 +21,6 @@ func SeedFor(master uint64, coords ...uint64) uint64 {
 		s = (s ^ c) * 0x9e3779b97f4a7c15
 	}
 	return s
-}
-
-// Split derives an independent child stream.
-func (r *RNG) Split(label string) *RNG {
-	s := r.state
-	for i := 0; i < len(label); i++ {
-		s = (s ^ uint64(label[i])) * 0x100000001b3
-	}
-	return &RNG{state: s | 1}
 }
 
 // Uint64 advances the stream.
