@@ -328,6 +328,8 @@
 //	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '//gossiplint:allow [a-z]+ [^<]' .
 //
 // The suite's own tests live in internal/lint with analysistest-style
-// fixtures under internal/lint/testdata, including cross-package
-// fixtures that only the interprocedural engine can catch.
+// fixtures under internal/lint/testdata/src, one small module each,
+// loaded through the gate's own loader (lint.Load) — so the
+// cross-package fixtures, which only the interprocedural engine can
+// catch, certify the loader CI runs.
 package gossip

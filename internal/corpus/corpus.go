@@ -31,8 +31,8 @@
 // latest, "id@prev" the one before it, "id@0" the oldest, and
 // "id@<name>" pins one by (a unique fragment of) its generation name.
 // Pre-generational stores — manifest.json directly under <store>/<id>
-// — are read as a single generation 0 and migrated into the
-// generational layout the first time a new generation is appended.
+// — are not read: each such run is reported as Damaged, for
+// `prune -damaged` to clear and `archive -add` to re-archive.
 //
 // cells.jsonl is written through runner.OrderedJSONL, so at every
 // instant — including after a kill — the file is an in-order prefix of

@@ -81,7 +81,10 @@ func (s *Store) buildIndexEntry(id string) (*IndexEntry, error) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, err
+		// The run directory itself is unreadable (a manifest.json symlink
+		// loop, say): flag it, as Store.Runs does, instead of failing the
+		// whole rebuild.
+		damaged = []Damaged{{Dir: s.Path(id), Err: err}}
 	}
 	e := &IndexEntry{ID: id, Generations: make([]GenInfo, 0, len(gens))}
 	for _, d := range damaged {

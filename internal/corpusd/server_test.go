@@ -397,6 +397,59 @@ func TestHealthzMetricsDashboard(t *testing.T) {
 	get(t, ts, "/nope", http.StatusNotFound)
 }
 
+// TestUnreadableRunFlaggedNotFatal: a run directory whose manifest.json
+// is a symlink loop fails to open with ELOOP (as root too). The index
+// rebuild must flag it as damage, as the full scan does, so a store
+// without index.json still boots the daemon and still archives.
+func TestUnreadableRunFlaggedNotFatal(t *testing.T) {
+	store, err := corpus.Open(filepath.Join(t.TempDir(), "corpus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGrid(1)
+	res := runGrid(g)
+	archiveGen(t, store, g, "rev-a", res)
+	loop := store.Path("deadbeef00000000")
+	if err := os.MkdirAll(loop, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(corpus.ManifestName, filepath.Join(loop, corpus.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(store.IndexPath()); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := store.RebuildIndex()
+	if err != nil {
+		t.Fatalf("RebuildIndex: %v", err)
+	}
+	if idx.DamagedCount() != 1 {
+		t.Errorf("DamagedCount = %d, want 1", idx.DamagedCount())
+	}
+
+	if err := os.Remove(store.IndexPath()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(store, nil)
+	if err != nil {
+		t.Fatalf("New on a store with an unreadable run: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	if body := string(get(t, ts, "/metrics", http.StatusOK)); !strings.Contains(body, "corpusd_index_damaged 1\n") {
+		t.Errorf("metrics missing corpusd_index_damaged 1:\n%s", body)
+	}
+	if got, want := get(t, ts, "/runs", http.StatusOK), fullScanJSON(t, store, corpus.Filter{}); !bytes.Equal(got, want) {
+		t.Errorf("/runs diverges from the full scan\nhttp: %s\nscan: %s", got, want)
+	}
+
+	if err := os.Remove(store.IndexPath()); err != nil {
+		t.Fatal(err)
+	}
+	archiveGen(t, store, g, "rev-b", res)
+}
+
 // TestServeWhileArchiving is the concurrency guarantee: a daemon
 // serving queries while `archive` appends generations underneath must
 // never emit a torn cells stream or a half-visible generation — every

@@ -57,10 +57,7 @@ var randConstructors = map[string]bool{
 // DetLint is the determinism analyzer.
 var DetLint = &Analyzer{
 	Name: "detlint",
-	Doc: "flag wall-clock reads (time.Now/Since), global math/rand draws — directly, through function values, and " +
-		"(in the deterministic packages) transitively through in-module call chains — plus multi-case selects " +
-		"and order-sensitive iteration over maps in the deterministic packages",
-	Run: runDetLint,
+	Run:  runDetLint,
 }
 
 func runDetLint(p *Pass) {

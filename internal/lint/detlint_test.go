@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 func TestDetLint(t *testing.T) {
@@ -15,5 +14,5 @@ func TestDetLint(t *testing.T) {
 	lint.DetPackagePaths = append(append([]string{}, saved...), "detlint")
 	defer func() { lint.DetPackagePaths = saved }()
 
-	linttest.Run(t, "testdata", "detlint", lint.DetLint)
+	runFixture(t, "detlint", lint.DetLint)
 }

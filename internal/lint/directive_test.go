@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 // TestMalformedDirectives checks the badallow fixture programmatically:
@@ -15,7 +14,7 @@ import (
 // "gossiplint" finding, and — because a broken directive suppresses
 // nothing — every time.Now beneath one must still be flagged.
 func TestMalformedDirectives(t *testing.T) {
-	pkgs := linttest.LoadModule(t, "testdata/src", "badallow")
+	pkgs := loadFixture(t, "badallow")
 	diags := lint.CheckModule(lint.NewModule(pkgs), []*lint.Analyzer{lint.DetLint})
 
 	wantDirective := []string{

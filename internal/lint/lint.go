@@ -11,8 +11,12 @@
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
-// alone: packages are loaded via `go list -export` plus go/types with
-// gc export data, so the checker needs nothing beyond the toolchain.
+// alone, so the checker needs nothing beyond the toolchain: Load lists
+// packages with `go list -deps -export`, type-checks the module's
+// packages (everything outside the standard library) from source in
+// dependency order, and takes only standard-library imports from gc
+// export data — so a call into another package of the module resolves
+// to the function the Module summarised, fixtures included.
 // Since v2 the checker is interprocedural: every CheckModule run
 // builds a module-wide call graph with bottom-up per-function summary
 // facts (see Module), which detlint and lockio use to flag violations
@@ -43,8 +47,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //gossiplint:allow directives.
 	Name string
-	// Doc is the one-paragraph description of the invariant.
-	Doc string
 	// Run performs the check over one package.
 	Run func(*Pass)
 }

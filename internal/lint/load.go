@@ -19,10 +19,13 @@ import (
 // The loader: gossiplint's stdlib-only replacement for
 // golang.org/x/tools/go/packages. `go list -deps -export -json` both
 // enumerates the target packages and compiles export data for every
-// dependency (the build cache makes this cheap after the first run);
-// the targets themselves are then parsed from source — analyzers need
-// syntax and comments — and type-checked against that export data via
-// go/importer's gc importer with a lookup function.
+// dependency (the build cache makes this cheap after the first run).
+// Every non-standard package it lists is then parsed from source —
+// analyzers need syntax and comments — and type-checked in the order
+// go list prints them, dependencies first. An import of a package
+// already checked from source resolves to that package, so a call
+// across a package boundary names the same *types.Func the Module
+// summarised; only the standard library comes from gc export data.
 
 // A Package is one loaded, type-checked target.
 type Package struct {
@@ -40,48 +43,70 @@ type listPackage struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
+	Standard   bool
 }
 
 // Load resolves patterns (e.g. "./...") in dir via the go tool and
 // returns the matched packages parsed and type-checked. Test files are
 // not loaded: the invariants gossiplint enforces are about shipped
 // code, and tests legitimately use wall clocks and scratch writers.
+// Non-standard dependencies the patterns do not match are checked from
+// source too, so every path names one *types.Package, but are not
+// returned.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	exports, targets, err := goList(dir, patterns)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
+	exports := make(map[string]string)
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
 
 	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, exports)
+	imp := &sourceImporter{
+		source: make(map[string]*types.Package),
+		gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("lint: no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
+	}
 	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
+	for _, p := range listed {
+		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
 		var files []*ast.File
-		for _, name := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return nil, fmt.Errorf("lint: parse %s: %w", name, err)
 			}
 			files = append(files, f)
 		}
-		pkg, err := TypeCheck(t.ImportPath, fset, files, imp)
+		pkg, err := typeCheck(p.ImportPath, fset, files, imp)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		imp.source[p.ImportPath] = pkg.Types
+		if !p.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
 
-// TypeCheck type-checks one package's parsed files and wraps the
+// typeCheck type-checks one package's parsed files and wraps the
 // result as a lint.Package with the Info maps the analyzers use.
-func TypeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*Package, error) {
+func typeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -101,71 +126,41 @@ func TypeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Im
 	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// NewExportImporter returns a types.Importer that resolves import
-// paths through a path→export-data-file map (as produced by
-// `go list -export`), with "unsafe" short-circuited to types.Unsafe.
-func NewExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	base := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	return &exportImporter{base: base}
+// sourceImporter resolves an import to the package Load already
+// type-checked from source, falling back to gc export data.
+type sourceImporter struct {
+	source map[string]*types.Package
+	gc     types.Importer
 }
 
-type exportImporter struct {
-	base types.Importer
-}
-
-func (i *exportImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+func (i *sourceImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := i.source[path]; ok {
+		return pkg, nil
 	}
-	return i.base.Import(path)
-}
-
-// ExportData runs `go list -deps -export -json` over the given import
-// paths and returns the path→export-file map for them and all their
-// dependencies. The fixture test harness uses this to type-check
-// testdata packages against the real standard library.
-func ExportData(dir string, paths ...string) (map[string]string, error) {
-	if len(paths) == 0 {
-		return map[string]string{}, nil
-	}
-	exports, _, err := goList(dir, paths)
-	return exports, err
+	return i.gc.Import(path) // also maps "unsafe" to types.Unsafe
 }
 
 // goList runs `go list -deps -export -json` over patterns in dir and
-// returns the import path → export data file map of every listed
-// package, plus the packages the patterns matched (not DepOnly).
-func goList(dir string, patterns []string) (map[string]string, []listPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
+// returns every listed package, dependencies before their importers.
+func goList(dir string, patterns []string) ([]listPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, fmt.Errorf("lint: go list %v: %w\n%s", patterns, err, stderr.Bytes())
+		return nil, fmt.Errorf("lint: go list %v: %w\n%s", patterns, err, stderr.Bytes())
 	}
-	exports := make(map[string]string)
-	var targets []listPackage
+	var listed []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			return exports, targets, nil
+			return listed, nil
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("lint: parse go list output: %w", err)
+			return nil, fmt.Errorf("lint: parse go list output: %w", err)
 		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
+		listed = append(listed, p)
 	}
 }

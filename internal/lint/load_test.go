@@ -49,6 +49,38 @@ func TestLoadSyntaxError(t *testing.T) {
 	}
 }
 
+// TestLoadSubsetSharesTypes: with targets a and c, a reaches c's type
+// both directly and through the unmatched b. b is checked from source
+// too, so both paths name one c.T. If b came from export data, a would
+// fail to type-check with "cannot use *c.T as *c.T". b is not returned.
+// c imports "unsafe", which only the gc importer resolves.
+func TestLoadSubsetSharesTypes(t *testing.T) {
+	dir := writeModule(t, "package broken\n")
+	for name, src := range map[string]string{
+		"c/c.go": "package c\n\nimport \"unsafe\"\n\ntype T struct{}\n\nconst Size = unsafe.Sizeof(T{})\n",
+		"b/b.go": "package b\n\nimport \"broken/c\"\n\nfunc Use(*c.T) {}\n",
+		"a/a.go": "package a\n\nimport (\n\t\"broken/b\"\n\t\"broken/c\"\n)\n\nfunc f() { b.Use(&c.T{}) }\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := lint.Load(dir, "./a", "./c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if strings.Join(got, " ") != "broken/c broken/a" {
+		t.Errorf("Load returned %v, want [broken/c broken/a]", got)
+	}
+}
+
 // TestLoadBadPattern: an unresolvable pattern is an error, not an
 // empty result.
 func TestLoadBadPattern(t *testing.T) {

@@ -31,9 +31,7 @@ import (
 // LockIO is the mutex-across-I/O analyzer.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc: "flag network I/O, time.Sleep, and blocking channel operations performed while a sync mutex is held, " +
-		"including transitively through in-module call chains",
-	Run: runLockIO,
+	Run:  runLockIO,
 }
 
 func runLockIO(p *Pass) {

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 func TestLockIO(t *testing.T) {
-	linttest.Run(t, "testdata", "lockio", lint.LockIO)
+	runFixture(t, "lockio", lint.LockIO)
 }

@@ -5,16 +5,23 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 // TestModuleSummaries exercises the engine directly over the lockio
 // fixture: summary facts must propagate bottom-up through the call
 // graph, and witness chains must name the path to the root effect.
 func TestModuleSummaries(t *testing.T) {
-	pkgs := linttest.LoadModule(t, "testdata/src", "lockio")
+	pkgs := loadFixture(t, "lockio")
 	m := lint.NewModule(pkgs)
-	pkg := pkgs[0].Types
+	var pkg *types.Package
+	for _, p := range pkgs {
+		if p.Path == "lockio" {
+			pkg = p.Types
+		}
+	}
+	if pkg == nil {
+		t.Fatal("fixture package lockio not loaded")
+	}
 
 	wait, ok := pkg.Scope().Lookup("wait").(*types.Func)
 	if !ok {

@@ -28,9 +28,7 @@ import (
 // SeedFlow is the seed-lineage analyzer.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
-	Doc: "flag RNGs in the deterministic packages whose seed is a literal, a package-level variable, or clock-derived " +
-		"rather than flowing from a parameter, field, or the xrand.SeedFor/runner.CellSeed lineage",
-	Run: runSeedFlow,
+	Run:  runSeedFlow,
 }
 
 // rngSeedArgs maps RNG constructors — keyed by package *name* and

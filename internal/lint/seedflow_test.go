@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 func TestSeedFlow(t *testing.T) {
@@ -14,5 +13,5 @@ func TestSeedFlow(t *testing.T) {
 	lint.DetPackagePaths = append(append([]string{}, saved...), "seedflow")
 	defer func() { lint.DetPackagePaths = saved }()
 
-	linttest.Run(t, "testdata", "seedflow", lint.SeedFlow)
+	runFixture(t, "seedflow", lint.SeedFlow)
 }

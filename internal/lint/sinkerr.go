@@ -40,7 +40,6 @@ var SinkTypes = map[string]bool{
 // SinkErr is the dropped-durability-error analyzer.
 var SinkErr = &Analyzer{
 	Name: "sinkerr",
-	Doc:  "flag dropped errors from Close/Flush/Sync on writers (the corpus fsync-durability invariant)",
 	Run:  runSinkErr,
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 func TestSinkErr(t *testing.T) {
@@ -14,5 +13,5 @@ func TestSinkErr(t *testing.T) {
 	lint.SinkTypes["sinkerr.RecWriter"] = true
 	defer delete(lint.SinkTypes, "sinkerr.RecWriter")
 
-	linttest.Run(t, "testdata", "sinkerr", lint.SinkErr)
+	runFixture(t, "sinkerr", lint.SinkErr)
 }

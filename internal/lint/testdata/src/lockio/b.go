@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"lockio/wire"
 )
 
 func (s *srv) rawWrite(b []byte) {
@@ -27,6 +29,14 @@ func (s *srv) badHeldFlush(b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.flush(b) // want `call to srv.flush while s.mu is held transitively reaches network I/O \(srv.flush → srv.rawWrite → Conn.Write\)`
+}
+
+// The same laundering across a package boundary: wire.Send's summary
+// reaches Conn.Write in another package of the module.
+func (s *srv) badHeldSend(b []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	wire.Send(s.conn, b) // want `call to wire.Send while s.mu is held transitively reaches network I/O \(wire.Send → Conn.Write\)`
 }
 
 func (s *srv) goodUnlockedFlush(b []byte) {

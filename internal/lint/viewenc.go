@@ -40,7 +40,6 @@ var viewPkgNames = map[string]bool{"corpus": true, "corpusd": true}
 // ViewEnc is the canonical-encoder analyzer.
 var ViewEnc = &Analyzer{
 	Name: "viewenc",
-	Doc:  "flag JSON encoding of corpus view types outside the canonical corpus.WriteJSON encoder (the CLI/daemon byte-identity invariant)",
 	Run:  runViewEnc,
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gossip/internal/lint"
-	"gossip/internal/lint/linttest"
 )
 
 func TestViewEnc(t *testing.T) {
@@ -13,5 +12,5 @@ func TestViewEnc(t *testing.T) {
 	// internal/corpus with no registration needed. The subdirectory is
 	// analyzed as its own package, which is what proves the WriteJSON
 	// exemption and the rogue-sibling-encoder finding.
-	linttest.Run(t, "testdata", "viewenc", lint.ViewEnc)
+	runFixture(t, "viewenc", lint.ViewEnc)
 }
