@@ -226,12 +226,6 @@ func NewComplete(n int) *Graph { return graph.Complete(n) }
 // NewHypercube returns the d-dimensional hypercube (2^d nodes).
 func NewHypercube(d int) *Graph { return graph.Hypercube(d) }
 
-// NewPreferentialAttachment returns a Barabási–Albert graph with m edges
-// per arriving node (the [17] graph class).
-func NewPreferentialAttachment(n, m int, seed uint64) *Graph {
-	return graph.PreferentialAttachment(n, m, xrand.New(seed))
-}
-
 // ExperimentConfig scales and seeds a paper experiment (see Experiment).
 type ExperimentConfig = exp.Config
 

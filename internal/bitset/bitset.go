@@ -168,29 +168,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// IsSubsetOf reports whether every bit of s is set in o.
-func (s *Set) IsSubsetOf(o *Set) bool {
-	if s.n != o.n {
-		panic("bitset: width mismatch in IsSubsetOf")
-	}
-	for i := range s.words {
-		if s.words[i]&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Any reports whether any bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Full reports whether all n bits are set.
 func (s *Set) Full() bool { return s.Count() == s.n }
 
@@ -203,13 +180,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Indices returns all set bits in increasing order.
-func (s *Set) Indices() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the set as {i, j, ...}; intended for tests and debugging.

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,9 +15,6 @@ func TestNewEmpty(t *testing.T) {
 		}
 		if s.Count() != 0 {
 			t.Errorf("new set of width %d has Count %d", n, s.Count())
-		}
-		if s.Any() {
-			t.Errorf("new set of width %d reports Any", n)
 		}
 	}
 }
@@ -95,16 +93,19 @@ func TestIntersectAndDifference(t *testing.T) {
 	}
 }
 
+// subset reports a ⊆ b: a union into a copy of b adds nothing.
+func subset(a, b *Set) bool { return b.Clone().UnionWith(a) == 0 }
+
 func TestSubset(t *testing.T) {
 	a := FromIndices(100, 1, 2)
 	b := FromIndices(100, 1, 2, 3)
-	if !a.IsSubsetOf(b) {
+	if !subset(a, b) {
 		t.Error("a should be subset of b")
 	}
-	if b.IsSubsetOf(a) {
+	if subset(b, a) {
 		t.Error("b should not be subset of a")
 	}
-	if !a.IsSubsetOf(a) {
+	if !subset(a, a) {
 		t.Error("a should be subset of itself")
 	}
 }
@@ -112,14 +113,10 @@ func TestSubset(t *testing.T) {
 func TestForEachAndIndices(t *testing.T) {
 	idx := []int{0, 5, 64, 99}
 	s := FromIndices(100, idx...)
-	got := s.Indices()
-	if len(got) != len(idx) {
-		t.Fatalf("Indices len = %d, want %d", len(got), len(idx))
-	}
-	for i := range idx {
-		if got[i] != idx[i] {
-			t.Errorf("Indices[%d] = %d, want %d", i, got[i], idx[i])
-		}
+	var got []int
+	s.ForEach(func(i int) { got = append(got, i) })
+	if !slices.Equal(got, idx) {
+		t.Errorf("ForEach visits %v, want %v", got, idx)
 	}
 }
 
@@ -226,7 +223,7 @@ func TestQuickSubsetAfterUnion(t *testing.T) {
 		a, b := randomSet(r, n), randomSet(r, n)
 		u := a.Clone()
 		u.UnionWith(b)
-		return a.IsSubsetOf(u) && b.IsSubsetOf(u)
+		return subset(a, u) && subset(b, u)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -58,7 +58,7 @@ func TestMatrixCopyRows(t *testing.T) {
 	}
 	b := NewMatrix(4, 100)
 	b.CopyRowsFrom(a, 1, 3)
-	if b.Row(0).Any() || b.Row(3).Any() {
+	if b.Row(0).Count() != 0 || b.Row(3).Count() != 0 {
 		t.Error("CopyRowsFrom copied rows outside range")
 	}
 	if !b.Row(1).Contains(1) || !b.Row(2).Contains(2) {
@@ -119,7 +119,7 @@ func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
 		}
 		want := a.Row(1).Clone()
 		wantAdded := want.UnionWith(b.Row(2))
-		if got := b.SetRowUnion(0, a, 1, b, 2); got != wantAdded || !b.Row(0).Equal(want) || b.Row(1).Any() {
+		if got := b.SetRowUnion(0, a, 1, b, 2); got != wantAdded || !b.Row(0).Equal(want) || b.Row(1).Count() != 0 {
 			return false
 		}
 		// With the destination as the first operand it is UnionRow.

@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"gossip/internal/par"
 	"gossip/internal/xrand"
@@ -150,7 +150,7 @@ type ConfigStats struct {
 // keeps them too — and reported in stats.
 func ConfigurationModel(n, d int, rng *xrand.RNG) (*Graph, ConfigStats) {
 	stubs := newStubs(n, d)
-	shuffleStubs(stubs, d, rng, false)
+	shuffleStubs(stubs, d, rng, nil)
 	edges := pairUp(stubs, nil)
 	return FromEdges(n, edges), countDefects(edges, make([]uint64, 0, len(edges)))
 }
@@ -167,22 +167,84 @@ func ConfigurationModel(n, d int, rng *xrand.RNG) (*Graph, ConfigStats) {
 // Draw contract: every try and the fallback consume exactly one
 // rng.Shuffle(n·d) over the node-major stubs, so graph and stream position
 // are those of rejecting over whole ConfigurationModel calls. A try that
-// closes a self-loop stops there and only draws the rest (shuffleStubs);
-// edge and key buffers appear with the first loop-free try and are reused.
+// closes a self-loop at step i stops there, and the i-1 draws the rest owes
+// are checked, not skipped: from jumpMin up, rng jumps over them as i-1
+// Uint64 (xrand.Advance) while a second goroutine, and the caller once done,
+// re-walk the stretch with SkipShuffle. If a walk ends elsewhere (a Lemire
+// redraw, below n·d·2⁻⁶⁴ a draw), the tries after it rerun from the walked
+// state, so the result never depends on scheduling. The walks still cost
+// their CPU: a build is faster only while a core is idle (a one-worker sweep,
+// a single run: ≈ −35 % wall), and costs the same when every core is busy (a
+// sweep at default workers). Edge and key buffers appear with the first
+// loop-free try and are reused.
 func RandomRegular(n, d int, rng *xrand.RNG) *Graph {
-	const maxTries = 40
+	return randomRegular(n, d, rng, func(_ int, walked, advanced *xrand.RNG) bool { return *walked != *advanced })
+}
+
+const maxTries, jumpMin = 40, 1 << 12
+
+// stretch is a rejected try's rest, steps draws from at: Advance jumps rng
+// to to, and the check walks at to where the draws really end.
+type stretch struct {
+	try, steps int
+	at, to     xrand.RNG
+}
+
+// randomRegular is RandomRegular with a seam: redrawn(j, …) reports whether
+// stretch j's walk contradicts its jump.
+func randomRegular(n, d int, rng *xrand.RNG, redrawn func(j int, walked, advanced *xrand.RNG) bool) *Graph {
 	stubs := newStubs(n, d)
+	var stretches []stretch // capacity maxTries, so append never moves a queued stretch
+	var todo chan *stretch
+	var done chan struct{}
+	check := func() {
+		for s := range todo {
+			s.at.SkipShuffle(s.steps)
+		}
+	}
+	g := regularTries(n, d, 0, stubs, rng, func(try, steps int) {
+		if steps < jumpMin {
+			rng.SkipShuffle(steps)
+			return
+		}
+		if todo == nil { // the first stretch starts the checker
+			stretches, todo, done = make([]stretch, 0, maxTries), make(chan *stretch, maxTries), make(chan struct{})
+			go func() { check(); close(done) }()
+		}
+		at := *rng
+		rng.Advance(uint64(steps - 1))
+		stretches = append(stretches, stretch{try, steps, at, *rng})
+		todo <- &stretches[len(stretches)-1]
+	})
+	if todo == nil {
+		return g
+	}
+	close(todo)
+	check()
+	<-done
+	for j, s := range stretches {
+		if redrawn(j, &s.at, &s.to) {
+			*rng = s.at
+			return regularTries(n, d, s.try+1, stubs, rng, func(_, steps int) { rng.SkipShuffle(steps) })
+		}
+	}
+	return g
+}
+
+// regularTries runs RandomRegular's tries first..maxTries-1 and then its
+// fallback; skip settles the draws a try rejected at step i still owes.
+func regularTries(n, d, first int, stubs []int32, rng *xrand.RNG, skip func(try, i int)) *Graph {
 	var edges []Edge
 	var keys []uint64
-	for try := 0; try < maxTries; try++ {
-		if shuffleStubs(stubs, d, rng, true) {
+	for try := first; try < maxTries; try++ {
+		if shuffleStubs(stubs, d, rng, func(i int) { skip(try, i) }) {
 			edges, keys = pairUp(stubs, edges), slices.Grow(keys, len(stubs)/2)
 			if countDefects(edges, keys) == (ConfigStats{}) {
 				return FromEdges(n, edges)
 			}
 		}
 	}
-	shuffleStubs(stubs, d, rng, false)
+	shuffleStubs(stubs, d, rng, nil)
 	return Simplify(FromEdges(n, pairUp(stubs, edges)))
 }
 
@@ -197,11 +259,11 @@ func newStubs(n, d int) []int32 {
 // shuffleStubs lays the stubs out node-major, d to a node, and runs
 // rng.Shuffle over them: stubs 2k and 2k+1 are then pair k of a uniformly
 // random perfect matching. Fisher–Yates fixes position i at step i, top
-// down, so pair i/2 is final after an even step. With rejectLoops the first
-// such pair that is a self-loop ends the swapping, rng skips the draws the
-// rest of the shuffle owes, and the result is false; pair 0, final only
-// after the last step, is left to countDefects.
-func shuffleStubs(stubs []int32, d int, rng *xrand.RNG, rejectLoops bool) bool {
+// down, so pair i/2 is final after an even step. Given skip, the first
+// such pair that is a self-loop ends the swapping, skip(i) settles the
+// draws the rest of the shuffle owes, and the result is false; pair 0,
+// final only after the last step, is left to countDefects.
+func shuffleStubs(stubs []int32, d int, rng *xrand.RNG, skip func(i int)) bool {
 	for v := 0; v*d < len(stubs); v++ {
 		row := stubs[v*d : v*d+d]
 		for k := range row {
@@ -211,8 +273,8 @@ func shuffleStubs(stubs []int32, d int, rng *xrand.RNG, rejectLoops bool) bool {
 	for i := len(stubs) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
-		if rejectLoops && i&1 == 0 && stubs[i] == stubs[i+1] {
-			rng.SkipShuffle(i)
+		if skip != nil && i&1 == 0 && stubs[i] == stubs[i+1] {
+			skip(i)
 			return false
 		}
 	}
@@ -288,7 +350,9 @@ func ChungLu(weights []float64, rng *xrand.RNG) *Graph {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	insertionSortByWeightDesc(order, weights)
+	slices.SortFunc(order, func(a, b int32) int { // ties by id, for determinism
+		return cmp.Or(cmp.Compare(weights[b], weights[a]), cmp.Compare(a, b))
+	})
 	var edges []Edge
 	if s > 0 {
 		for i := 0; i < n-1; i++ {
@@ -312,17 +376,6 @@ func ChungLu(weights []float64, rng *xrand.RNG) *Graph {
 		}
 	}
 	return FromEdges(n, edges)
-}
-
-// insertionSortByWeightDesc sorts ids by descending weight (ties broken by
-// id for determinism).
-func insertionSortByWeightDesc(ids []int32, w []float64) {
-	sort.Slice(ids, func(a, b int) bool {
-		if w[ids[a]] != w[ids[b]] {
-			return w[ids[a]] > w[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
 }
 
 // PowerLawWeights returns n weights following a power law with the given

@@ -1,7 +1,5 @@
 package graph
 
-import "gossip/internal/xrand"
-
 // Complete returns the complete graph K_n. The paper's baseline results
 // ([5], [34]) are proven on complete graphs; the ablation experiments use
 // K_n to show that gossiping behaves the same there as on sparse random
@@ -46,44 +44,6 @@ func Hypercube(d int) *Graph {
 			if u > v {
 				edges = append(edges, Edge{U: int32(v), V: int32(u)})
 			}
-		}
-	}
-	return FromEdges(n, edges)
-}
-
-// PreferentialAttachment returns a Barabási–Albert graph: nodes arrive one
-// at a time, each attaching m edges to existing nodes with probability
-// proportional to degree (implemented with the repeated-endpoints list, so
-// sampling is exact). Multi-edges may occur, matching the standard model.
-// This is the preferential-attachment class of Doerr–Fouz–Friedrich [17],
-// on which the memory-model modification of §4 was first shown to speed up
-// broadcasting.
-func PreferentialAttachment(n, m int, rng *xrand.RNG) *Graph {
-	if m < 1 {
-		panic("graph: preferential attachment needs m >= 1")
-	}
-	if n <= m {
-		return Complete(max(n, 0))
-	}
-	edges := make([]Edge, 0, (n-m)*m+m*(m-1)/2)
-	// Seed clique on the first m+1 nodes.
-	for v := 0; v <= m; v++ {
-		for u := v + 1; u <= m; u++ {
-			edges = append(edges, Edge{U: int32(v), V: int32(u)})
-		}
-	}
-	// endpoints lists every edge endpoint; uniform sampling from it is
-	// degree-proportional sampling.
-	endpoints := make([]int32, 0, 2*cap(edges))
-	for _, e := range edges {
-		endpoints = append(endpoints, e.U, e.V)
-	}
-	for v := m + 1; v < n; v++ {
-		base := len(endpoints) // sample only among prior nodes
-		for k := 0; k < m; k++ {
-			u := endpoints[rng.Intn(base)]
-			edges = append(edges, Edge{U: int32(v), V: u})
-			endpoints = append(endpoints, int32(v), u)
 		}
 	}
 	return FromEdges(n, edges)

@@ -84,38 +84,3 @@ func TestHypercube(t *testing.T) {
 		t.Error("Q0 wrong")
 	}
 }
-
-func TestPreferentialAttachment(t *testing.T) {
-	rng := xrand.New(2)
-	n, m := 2000, 3
-	g := PreferentialAttachment(n, m, rng)
-	if g.N() != n {
-		t.Fatalf("n = %d", g.N())
-	}
-	wantEdges := int64((n-m-1)*m + m*(m+1)/2)
-	if g.M() != wantEdges {
-		t.Errorf("m = %d, want %d", g.M(), wantEdges)
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-	if !IsConnected(g) {
-		t.Error("BA graph disconnected")
-	}
-	// Heavy tail: the max degree should far exceed the mean (~2m).
-	st := DegreeStats(g)
-	if st.Max < 4*st.Mean {
-		t.Errorf("degrees not heavy-tailed: mean=%v max=%v", st.Mean, st.Max)
-	}
-	// Early nodes accumulate high degree.
-	if g.Degree(0) < 3*m {
-		t.Errorf("seed node degree %d suspiciously small", g.Degree(0))
-	}
-}
-
-func TestPreferentialAttachmentTiny(t *testing.T) {
-	g := PreferentialAttachment(3, 5, xrand.New(3)) // n <= m: clique
-	if g.M() != 3 {
-		t.Errorf("tiny BA m = %d", g.M())
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"gossip/internal/xrand"
 )
@@ -151,6 +152,8 @@ func TestRandomRegularMatchesReference(t *testing.T) {
 		}
 		late, pair0, fallback = late || accepted > 1, pair0 || pair0Only, fallback || accepted == 0
 	}
+	// {512, 128} is the -short case whose stretches are long enough for the
+	// checker goroutine, so that the race job runs it.
 	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 4}, {64, 3}, {1000, 3}, {100, 6}, {512, 128}, {2048, 30}, {2048, 242}} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			if c[0]*c[1] > 1e4 && seed > 1 && testing.Short() { // 41 closure shuffles of n·d stubs: once
@@ -161,6 +164,68 @@ func TestRandomRegularMatchesReference(t *testing.T) {
 	}
 	if !late || !pair0 || !fallback {
 		t.Fatalf("cases miss a path: accepted after try 1 %v, rejected on pair 0 alone %v, fallback %v", late, pair0, fallback)
+	}
+}
+
+// TestRandomRegularRecovers drives randomRegular's seam at every stretch.
+// Reported as redrawn although its walk agrees, the stretch must leave the
+// reference's graph and stream position: the tries after it rerun from the
+// walked state. Given a real redraw (one more Uint64 in its walk), the
+// result must be the sequential tries' with that draw added. The cases end
+// in the fallback after 40 stretches, and in an acceptance (tries 18 and 6)
+// after 11 and 5.
+func TestRandomRegularRecovers(t *testing.T) {
+	for _, c := range [][4]int{{512, 128, 1, 40}, {2000, 4, 3, 11}, {4000, 3, 4, 5}} {
+		n, d, seed := c[0], c[1], uint64(c[2])
+		refRNG := xrand.New(seed)
+		ref, _, _ := randomRegularReference(n, d, refRNG)
+		for bad := -1; bad < c[3]; bad++ {
+			if testing.Short() && bad > 0 && bad < c[3]-1 {
+				continue
+			}
+			for _, redraw := range []bool{false, true} {
+				want, wantRNG, k := ref, refRNG, 0
+				if redraw {
+					wantRNG = xrand.New(seed)
+					want = regularTries(n, d, 0, newStubs(n, d), wantRNG, func(_, steps int) {
+						if wantRNG.SkipShuffle(steps); steps >= jumpMin {
+							if k++; k == bad+1 {
+								wantRNG.Uint64()
+							}
+						}
+					})
+				}
+				stretches, rng := 0, xrand.New(seed)
+				got := randomRegular(n, d, rng, func(j int, walked, advanced *xrand.RNG) bool {
+					if stretches++; j == bad && redraw {
+						walked.Uint64()
+					}
+					return j == bad && !redraw || *walked != *advanced
+				})
+				if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || *rng != *wantRNG {
+					t.Fatalf("n=%d d=%d seed=%d: stretch %d redrawn (%v): graph or stream position differs", n, d, seed, bad, redraw)
+				}
+				if bad < 0 && stretches != c[3] { // else the check stops at stretch bad
+					t.Fatalf("n=%d d=%d seed=%d: %d stretches, want %d", n, d, seed, stretches, c[3])
+				}
+			}
+		}
+	}
+}
+
+// TestRandomRegularNoGoroutineLeak builds 100 graphs whose stretches go to
+// the checker goroutine and requires the goroutine count back at its
+// baseline within a second.
+func TestRandomRegularNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := range uint64(100) {
+		RandomRegular(256, 32, xrand.New(seed))
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -13,7 +13,8 @@
 // during the walk, lower ones scattered after the prefix sum) rather than
 // through an edge list and FromEdges, which the other generators use.
 // RandomRegular's is one rng.Shuffle(n·d) of the stubs per pairing it draws,
-// kept or rejected: up to 40 tries and, above d ≈ 5 always, an erased 41st.
+// kept or rejected: up to 40 tries and, above d ≈ 5 always, an erased 41st;
+// a rejected try's drain is checked on a second goroutine, not skipped.
 package graph
 
 import (
@@ -144,15 +145,6 @@ func contains(xs []int32, x int32) bool {
 		}
 	}
 	return false
-}
-
-// HasEdge reports whether u and v are adjacent (linear scan of the shorter
-// adjacency list; used by tests and analysis, not by simulation hot paths).
-func (g *Graph) HasEdge(u, v int32) bool {
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	return contains(g.Neighbors(u), v)
 }
 
 // Validate checks CSR structural invariants (offsets monotone, endpoints in

@@ -242,12 +242,6 @@ func (lm *LinkMemory) Contains(u int32) bool {
 // Len returns the number of remembered links.
 func (lm *LinkMemory) Len() int { return int(lm.size) }
 
-// Clear forgets everything.
-func (lm *LinkMemory) Clear() {
-	lm.size = 0
-	lm.head = 0
-}
-
 // Meter counts the communication complexity of a run under the conventions
 // of Berenbrink et al. [5], which the paper adopts:
 //

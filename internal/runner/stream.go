@@ -62,21 +62,6 @@ func (o *OrderedCells) Add(c CellResult) {
 	}
 }
 
-// Next returns the index of the next cell the stream is waiting for.
-func (o *OrderedCells) Next() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pos
-}
-
-// Pending returns how many completed cells are buffered waiting for a
-// predecessor.
-func (o *OrderedCells) Pending() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.pending)
-}
-
 // Err returns the first emit error, if any.
 func (o *OrderedCells) Err() error {
 	o.mu.Lock()

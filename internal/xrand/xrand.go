@@ -4,22 +4,23 @@
 // The generator is xoshiro256++ seeded through splitmix64. Compared to
 // math/rand it offers (a) cheap value-type state that can be embedded
 // per-node so that parallel simulations are reproducible independent of
-// goroutine scheduling, (b) explicit stream derivation (Split, SeedFor) so a
+// goroutine scheduling, (b) explicit stream derivation (SeedFor) so a
 // single master seed fans out into statistically independent streams for
-// (run, node) pairs, and (c) the exact samplers the gossiping algorithms
-// need (bounded integers, Bernoulli coins, geometric skips for G(n,p)
-// generation).
+// (run, node) pairs, (c) the exact samplers the gossiping algorithms need
+// (bounded integers, Bernoulli coins, geometric skips for G(n,p)
+// generation), and (d) Advance, an exact jump over k outputs in O(log k).
 package xrand
 
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // RNG is a xoshiro256++ generator. The zero value is not a valid generator;
-// use New or Split. RNG is a value type: copying it forks the stream
-// deterministically (both copies then produce the same sequence), which is
-// occasionally useful in tests but usually you want Split.
+// use New. RNG is a value type: copying it forks the stream
+// deterministically (both copies then produce the same sequence); an
+// independent stream comes from New(SeedFor(...)).
 type RNG struct {
 	s0, s1, s2, s3 uint64
 }
@@ -85,10 +86,55 @@ func SeedFor(master uint64, coords ...uint64) uint64 {
 	return h
 }
 
-// Split returns a new generator whose stream is independent of r's
-// continuation. It consumes one output from r.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
+// charPoly is P, the characteristic polynomial of the xoshiro256 state map
+// M over GF(2), less its leading x²⁵⁶: bit i%64 of word i/64 is the
+// coefficient of xⁱ. TestCharPoly recomputes it by Berlekamp–Massey.
+var charPoly = [4]uint64{0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19}
+
+// sqrTable[k][b] is (b(x)·x⁸ᵏ)² mod P, b read as a polynomial of degree
+// < 8. Squaring is linear over GF(2), so a² mod P sums one entry per byte.
+var sqrTable = sync.OnceValue(func() *[32][256][4]uint64 {
+	t, x := new([32][256][4]uint64), [4]uint64{1} // x = x²ʲ mod P
+	for j := range 256 {
+		k, bit := j/8, 1<<(j%8)
+		for b := bit; b < 2*bit; b++ {
+			e := &t[k][b-bit]
+			t[k][b] = [4]uint64{e[0] ^ x[0], e[1] ^ x[1], e[2] ^ x[2], e[3] ^ x[3]}
+		}
+		x = mulX(mulX(x))
+	}
+	return t
+})
+
+// mulX returns a·x mod P.
+func mulX(a [4]uint64) [4]uint64 {
+	p, c := -(a[3] >> 63), charPoly
+	return [4]uint64{a[0]<<1 ^ p&c[0], a[1]<<1 | a[0]>>63 ^ p&c[1], a[2]<<1 | a[1]>>63 ^ p&c[2], a[3]<<1 | a[2]>>63 ^ p&c[3]}
+}
+
+// Advance leaves r where k calls of Uint64 would, in O(log k) work: Mᵏ is
+// (xᵏ mod P)(M), so the new state is the sum of the next states Mⁱs whose
+// coefficient in xᵏ mod P is set, i < 256.
+func (r *RNG) Advance(k uint64) {
+	c := [4]uint64{1}
+	for i := bits.Len64(k) - 1; i >= 0; i-- {
+		var sq [4]uint64
+		for j, t := 0, sqrTable(); j < 32; j++ {
+			e := &t[j][byte(c[j/8]>>(8*(j%8)))]
+			sq = [4]uint64{sq[0] ^ e[0], sq[1] ^ e[1], sq[2] ^ e[2], sq[3] ^ e[3]}
+		}
+		if c = sq; k>>i&1 != 0 {
+			c = mulX(c)
+		}
+	}
+	var sum RNG
+	for i := range 256 {
+		if c[i/64]>>(i%64)&1 != 0 {
+			sum.s0, sum.s1, sum.s2, sum.s3 = sum.s0^r.s0, sum.s1^r.s1, sum.s2^r.s2, sum.s3^r.s3
+		}
+		r.Uint64()
+	}
+	*r = sum
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

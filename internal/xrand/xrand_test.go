@@ -240,18 +240,80 @@ func TestSeedForDistinct(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(20)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
+// TestAdvance requires Advance(k) to leave r where k calls of Uint64 do,
+// at the word and polynomial-degree edges from four seeds and, but for
+// -short, at one random k < 2³² (about a second of stepping).
+func TestAdvance(t *testing.T) {
+	check := func(seed, k uint64) {
+		t.Helper()
+		r := New(seed)
+		s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+		for range k { // Uint64's state update, on locals
+			x := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= x
+			s3 = rotl(s3, 45)
+		}
+		if r.Advance(k); *r != (RNG{s0, s1, s2, s3}) {
+			t.Fatalf("seed %d: Advance(%d) left another state than %d Uint64 calls", seed, k, k)
 		}
 	}
-	if same > 2 {
-		t.Errorf("Split streams collide %d/100 times", same)
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, k := range []uint64{0, 1, 63, 64, 255, 256, 257, 1e6 + 3} {
+			check(seed, k)
+		}
+	}
+	if !testing.Short() {
+		check(5, New(5).Uint64()>>32) // 1 254 228 682
+	}
+}
+
+func BenchmarkAdvance(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.Advance(495615)
+	}
+}
+
+// TestCharPoly recomputes charPoly: Berlekamp–Massey over 512 bits of the
+// state sequence (bit 0 of s0) finds the minimal polynomial of that bit,
+// which divides the characteristic polynomial of M; degree 256 makes the
+// two equal, and so the connection polynomial, reversed, is P.
+func TestCharPoly(t *testing.T) {
+	r := New(1)
+	var s [512]uint8
+	for i := range s {
+		s[i] = uint8(r.s0 & 1)
+		r.Uint64()
+	}
+	var c, b [513]uint8 // connection polynomial and its last copy
+	c[0], b[0] = 1, 1
+	l, m := 0, -1
+	for n := range s {
+		d := s[n]
+		for i := 1; i <= l; i++ {
+			d ^= c[i] & s[n-i]
+		}
+		if d == 0 {
+			continue
+		}
+		prev := c
+		for i := 0; i+n-m < len(c); i++ {
+			c[i+n-m] ^= b[i]
+		}
+		if 2*l <= n {
+			l, m, b = n+1-l, n, prev
+		}
+	}
+	var p [4]uint64
+	for i := 0; i < l && l == 256; i++ {
+		p[i/64] |= uint64(c[l-i]) << (i % 64)
+	}
+	if l != 256 || p != charPoly {
+		t.Fatalf("Berlekamp–Massey finds degree %d and %#x, want 256 and %#x", l, p, charPoly)
 	}
 }
 
