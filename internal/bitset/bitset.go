@@ -33,15 +33,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, wordsFor(n)), n: n}
 }
 
-// FromIndices returns a Set of width n with exactly the given bits set.
-func FromIndices(n int, idx ...int) *Set {
-	s := New(n)
-	for _, i := range idx {
-		s.Add(i)
-	}
-	return s
-}
-
 // Len returns the width of the universe.
 func (s *Set) Len() int { return s.n }
 
@@ -87,57 +78,30 @@ func (s *Set) trimTail() {
 
 // UnionWith ors o into s and returns the number of bits newly set in s.
 // The two sets must have the same width.
-func (s *Set) UnionWith(o *Set) int {
-	if s.n != o.n {
-		panic("bitset: width mismatch in UnionWith")
-	}
-	added := 0
-	sw, ow := s.words, o.words
-	for i := range sw {
-		old := sw[i]
-		nw := old | ow[i]
-		if nw != old {
-			added += bits.OnesCount64(nw &^ old)
-			sw[i] = nw
-		}
-	}
-	return added
-}
+func (s *Set) UnionWith(o *Set) int { return s.combine(o, func(a, b uint64) uint64 { return a | b }) }
 
 // IntersectWith ands o into s and returns the number of bits cleared.
 func (s *Set) IntersectWith(o *Set) int {
-	if s.n != o.n {
-		panic("bitset: width mismatch in IntersectWith")
-	}
-	removed := 0
-	sw, ow := s.words, o.words
-	for i := range sw {
-		old := sw[i]
-		nw := old & ow[i]
-		if nw != old {
-			removed += bits.OnesCount64(old &^ nw)
-			sw[i] = nw
-		}
-	}
-	return removed
+	return s.combine(o, func(a, b uint64) uint64 { return a & b })
 }
 
 // DifferenceWith removes o's bits from s and returns the number cleared.
 func (s *Set) DifferenceWith(o *Set) int {
+	return s.combine(o, func(a, b uint64) uint64 { return a &^ b })
+}
+
+// combine sets each word of s to op(word, o's word) and returns the number
+// of bits that changed.
+func (s *Set) combine(o *Set, op func(a, b uint64) uint64) int {
 	if s.n != o.n {
-		panic("bitset: width mismatch in DifferenceWith")
+		panic("bitset: width mismatch")
 	}
-	removed := 0
-	sw, ow := s.words, o.words
-	for i := range sw {
-		old := sw[i]
-		nw := old &^ ow[i]
-		if nw != old {
-			removed += bits.OnesCount64(old &^ nw)
-			sw[i] = nw
-		}
+	changed, ow := 0, o.words[:len(s.words)]
+	for i, old := range s.words {
+		s.words[i] = op(old, ow[i])
+		changed += bits.OnesCount64(old ^ s.words[i])
 	}
-	return removed
+	return changed
 }
 
 // CopyFrom overwrites s with o. Widths must match.
@@ -148,11 +112,20 @@ func (s *Set) CopyFrom(o *Set) {
 	copy(s.words, o.words)
 }
 
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
+// UnionBoth sets s and o both to s ∪ o in one pass and returns the number
+// of bits o added to s.
+func (s *Set) UnionBoth(o *Set) int {
+	if s.n != o.n {
+		panic("bitset: width mismatch in UnionBoth")
+	}
+	added := 0
+	ow := o.words[:len(s.words)]
+	for i, old := range s.words {
+		nw := old | ow[i]
+		s.words[i], ow[i] = nw, nw
+		added += bits.OnesCount64(nw &^ old)
+	}
+	return added
 }
 
 // Equal reports whether s and o have the same width and the same bits.
@@ -167,9 +140,6 @@ func (s *Set) Equal(o *Set) bool {
 	}
 	return true
 }
-
-// Full reports whether all n bits are set.
-func (s *Set) Full() bool { return s.Count() == s.n }
 
 // ForEach calls fn for every set bit in increasing order.
 func (s *Set) ForEach(fn func(i int)) {

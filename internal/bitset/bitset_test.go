@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+func fromIndices(n int, idx ...int) *Set {
+	s := New(n)
+	for _, i := range idx {
+		s.Add(i)
+	}
+	return s
+}
+
+func clone(s *Set) *Set {
+	c := New(s.Len())
+	c.CopyFrom(s)
+	return c
+}
+
 func TestNewEmpty(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
 		s := New(n)
@@ -49,20 +63,22 @@ func TestFillAndFull(t *testing.T) {
 		if s.Count() != n {
 			t.Errorf("Fill width %d: Count = %d", n, s.Count())
 		}
-		if !s.Full() {
-			t.Errorf("Fill width %d: not Full", n)
+		for i := 0; i < n; i++ {
+			if !s.Contains(i) {
+				t.Errorf("Fill width %d: bit %d clear", n, i)
+			}
 		}
 	}
 }
 
 func TestUnionWithReturnsNewBits(t *testing.T) {
-	a := FromIndices(100, 1, 2, 3)
-	b := FromIndices(100, 3, 4, 5)
+	a := fromIndices(100, 1, 2, 3)
+	b := fromIndices(100, 3, 4, 5)
 	added := a.UnionWith(b)
 	if added != 2 {
 		t.Errorf("UnionWith added = %d, want 2", added)
 	}
-	want := FromIndices(100, 1, 2, 3, 4, 5)
+	want := fromIndices(100, 1, 2, 3, 4, 5)
 	if !a.Equal(want) {
 		t.Errorf("union = %v, want %v", a, want)
 	}
@@ -73,32 +89,32 @@ func TestUnionWithReturnsNewBits(t *testing.T) {
 }
 
 func TestIntersectAndDifference(t *testing.T) {
-	a := FromIndices(100, 1, 2, 3, 70)
-	b := FromIndices(100, 2, 3, 4, 71)
+	a := fromIndices(100, 1, 2, 3, 70)
+	b := fromIndices(100, 2, 3, 4, 71)
 	removed := a.IntersectWith(b)
 	if removed != 2 { // 1 and 70 removed
 		t.Errorf("IntersectWith removed = %d, want 2", removed)
 	}
-	if !a.Equal(FromIndices(100, 2, 3)) {
+	if !a.Equal(fromIndices(100, 2, 3)) {
 		t.Errorf("intersection = %v", a)
 	}
 
-	c := FromIndices(100, 1, 2, 3)
-	d := FromIndices(100, 2)
+	c := fromIndices(100, 1, 2, 3)
+	d := fromIndices(100, 2)
 	if rem := c.DifferenceWith(d); rem != 1 {
 		t.Errorf("DifferenceWith removed = %d, want 1", rem)
 	}
-	if !c.Equal(FromIndices(100, 1, 3)) {
+	if !c.Equal(fromIndices(100, 1, 3)) {
 		t.Errorf("difference = %v", c)
 	}
 }
 
 // subset reports a ⊆ b: a union into a copy of b adds nothing.
-func subset(a, b *Set) bool { return b.Clone().UnionWith(a) == 0 }
+func subset(a, b *Set) bool { return clone(b).UnionWith(a) == 0 }
 
 func TestSubset(t *testing.T) {
-	a := FromIndices(100, 1, 2)
-	b := FromIndices(100, 1, 2, 3)
+	a := fromIndices(100, 1, 2)
+	b := fromIndices(100, 1, 2, 3)
 	if !subset(a, b) {
 		t.Error("a should be subset of b")
 	}
@@ -112,7 +128,7 @@ func TestSubset(t *testing.T) {
 
 func TestForEachAndIndices(t *testing.T) {
 	idx := []int{0, 5, 64, 99}
-	s := FromIndices(100, idx...)
+	s := fromIndices(100, idx...)
 	var got []int
 	s.ForEach(func(i int) { got = append(got, i) })
 	if !slices.Equal(got, idx) {
@@ -120,20 +136,8 @@ func TestForEachAndIndices(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := FromIndices(100, 1, 2)
-	b := a.Clone()
-	b.Add(50)
-	if a.Contains(50) {
-		t.Error("Clone shares storage with original")
-	}
-	if !b.Contains(1) || !b.Contains(2) {
-		t.Error("Clone lost bits")
-	}
-}
-
 func TestString(t *testing.T) {
-	s := FromIndices(10, 1, 3)
+	s := fromIndices(10, 1, 3)
 	if got := s.String(); got != "{1, 3}" {
 		t.Errorf("String() = %q", got)
 	}
@@ -158,9 +162,9 @@ func TestQuickUnionCommutative(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		a, b := randomSet(r, n), randomSet(r, n)
-		ab := a.Clone()
+		ab := clone(a)
 		ab.UnionWith(b)
-		ba := b.Clone()
+		ba := clone(b)
 		ba.UnionWith(a)
 		return ab.Equal(ba)
 	}
@@ -188,7 +192,7 @@ func TestQuickUnionIdempotent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		a := randomSet(r, n)
-		c := a.Clone()
+		c := clone(a)
 		if c.UnionWith(a) != 0 {
 			return false
 		}
@@ -205,9 +209,9 @@ func TestQuickDeMorganViaDifference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		a, b := randomSet(r, n), randomSet(r, n)
-		inter := a.Clone()
+		inter := clone(a)
 		inter.IntersectWith(b)
-		diff := a.Clone()
+		diff := clone(a)
 		diff.DifferenceWith(b)
 		return a.Count() == inter.Count()+diff.Count()
 	}
@@ -221,7 +225,7 @@ func TestQuickSubsetAfterUnion(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		a, b := randomSet(r, n), randomSet(r, n)
-		u := a.Clone()
+		u := clone(a)
 		u.UnionWith(b)
 		return subset(a, u) && subset(b, u)
 	}

@@ -58,29 +58,29 @@ func (m *Matrix) UnionRow(i int, src *Matrix, j int) int {
 	return added
 }
 
-// SetRowUnion overwrites m's row i with a's row j | b's row k and returns
-// the number of bits b's row adds to a's: a copy of a's row and a UnionRow
-// from b's in one pass, or, with a's row the destination itself, a UnionRow
-// for long rows. The store is unconditional: on rows that are about half
-// full a "did this word change" branch mispredicts and costs more than the
-// store it saves.
-func (m *Matrix) SetRowUnion(i int, a *Matrix, j int, b *Matrix, k int) int {
+// SetRowUnion overwrites m's row i with base ∪ srcs[0] ∪ srcs[1] ∪ … and
+// returns the number of bits srcs add to base; base may be row i itself,
+// and srcs must not be empty. Sources are folded two per word pass, so the
+// common one or two packets cost one read of each row, one store and one
+// popcount per word, and a later pass reads row i back from cache. The
+// store is unconditional: on rows that are about half full a "did this
+// word change" branch mispredicts and costs more than the store it saves.
+func (m *Matrix) SetRowUnion(i int, base *Set, srcs ...*Set) int {
 	dst := m.words[i*m.wpr : (i+1)*m.wpr]
-	x, y := a.words[j*a.wpr:][:len(dst)], b.words[k*b.wpr:][:len(dst)]
-	added := 0
-	for w := range dst {
-		old := x[w]
-		nw := old | y[w]
-		dst[w] = nw
-		added += popcount(nw &^ old)
+	from, added := base.words, 0
+	for {
+		x, a, b := from[:len(dst)], srcs[0].words[:len(dst)], srcs[min(1, len(srcs)-1)].words[:len(dst)]
+		for w := range dst {
+			old := x[w]
+			nw := old | a[w] | b[w]
+			dst[w] = nw
+			added += popcount(nw &^ old)
+		}
+		if srcs = srcs[min(len(srcs), 2):]; len(srcs) == 0 {
+			return added
+		}
+		from = dst
 	}
-	return added
-}
-
-// UnionSet ors the standalone set s into row i and returns newly set bits.
-func (m *Matrix) UnionSet(i int, s *Set) int {
-	row := m.Row(i)
-	return row.UnionWith(s)
 }
 
 func popcount(w uint64) int { return bits.OnesCount64(w) }

@@ -66,14 +66,14 @@ func TestMatrixCopyRows(t *testing.T) {
 	}
 }
 
-func TestMatrixUnionSet(t *testing.T) {
-	m := NewMatrix(2, 50)
-	s := FromIndices(50, 10, 20)
-	if added := m.UnionSet(0, s); added != 2 {
-		t.Errorf("UnionSet added = %d, want 2", added)
+func TestUnionBoth(t *testing.T) {
+	a, b := fromIndices(130, 10, 70), fromIndices(130, 70, 129)
+	if added := a.UnionBoth(b); added != 1 {
+		t.Errorf("UnionBoth added = %d, want 1", added)
 	}
-	if !m.Row(0).Contains(10) || !m.Row(0).Contains(20) {
-		t.Error("UnionSet result wrong")
+	want := fromIndices(130, 10, 70, 129)
+	if !a.Equal(want) || !b.Equal(want) {
+		t.Errorf("UnionBoth left %v and %v, want both %v", a, b, want)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 				m.Row(1).Add(j)
 			}
 		}
-		want := m.Row(1).Clone()
+		want := clone(m.Row(1))
 		wantAdded := want.UnionWith(m.Row(0))
 		gotAdded := m.UnionRow(1, m, 0)
 		return gotAdded == wantAdded && m.Row(1).Equal(want)
@@ -100,31 +100,43 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 	}
 }
 
+// TestQuickMatrixSetRowUnionMatchesCopyThenUnion checks the k-way kernel
+// against a copy of the base followed by one UnionRow per source, for
+// k = 1…6 (up to three two-source passes), with the base a row of another
+// matrix and with the base the destination row itself.
 func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		width := 1 + r.Intn(200)
-		a, b := NewMatrix(2, width), NewMatrix(3, width)
-		for j := 0; j < width; j++ {
-			if r.Intn(3) == 0 {
-				a.Row(0).Add(j)
+		a, b := NewMatrix(8, width), NewMatrix(8, width)
+		for i := 0; i < 8; i++ {
+			for j := 0; j < width; j++ {
+				if r.Intn(4) == 0 {
+					a.Row(i).Add(j)
+				}
+				b.Row(i).Add(j) // stale contents the kernel must overwrite
 			}
-			if r.Intn(3) == 0 {
-				a.Row(1).Add(j)
-			}
-			if r.Intn(3) == 0 {
-				b.Row(2).Add(j)
-			}
-			b.Row(0).Add(j) // stale contents the kernel must overwrite
 		}
-		want := a.Row(1).Clone()
-		wantAdded := want.UnionWith(b.Row(2))
-		if got := b.SetRowUnion(0, a, 1, b, 2); got != wantAdded || !b.Row(0).Equal(want) || b.Row(1).Count() != 0 {
-			return false
+		for k := 1; k <= 6; k++ {
+			dst, base := r.Intn(8), a.Row(r.Intn(8))
+			want := NewMatrix(1, width)
+			want.Row(0).CopyFrom(base)
+			if k%2 == 0 { // the destination row is the base
+				b.Row(dst).CopyFrom(base)
+				base = b.Row(dst)
+			}
+			wantAdded := 0
+			srcs := make([]*Set, k)
+			for i := range srcs {
+				j := r.Intn(8)
+				srcs[i] = a.Row(j)
+				wantAdded += want.UnionRow(0, a, j)
+			}
+			if got := b.SetRowUnion(dst, base, srcs...); got != wantAdded || !b.Row(dst).Equal(want.Row(0)) {
+				return false
+			}
 		}
-		// With the destination as the first operand it is UnionRow.
-		wantAdded = want.UnionWith(a.Row(0))
-		return b.SetRowUnion(0, b, 0, a, 0) == wantAdded && b.Row(0).Equal(want)
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

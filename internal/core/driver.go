@@ -54,11 +54,14 @@ func (d *Driver) Run() int {
 }
 
 // roundTracker is the tracker surface the exchange machines need; both
-// msg.Full and msg.Sampled implement it.
+// msg.Full and msg.Sampled implement it. A receiver's Transfer calls and
+// its Settle, after the last of them in a step, come from the goroutine
+// that delivers to it; EndRound settles any row left pending.
 type roundTracker interface {
 	BeginRound()
 	EndRound()
 	Transfer(src, dst int32) int
+	Settle(v int32)
 }
 
 // marker is the push/response payload of tracker-backed machines: the
@@ -72,7 +75,9 @@ var markerPayload any = marker{}
 // every healthy node dials a uniformly random neighbor each step and
 // every open channel carries a bidirectional exchange, recorded in a
 // shared round tracker (partitioned by receiver, so any Transport phasing that
-// delivers to one node from one goroutine at a time is race-free).
+// delivers to one node from one goroutine at a time is race-free). A node
+// settles its own row at step end: in Sync's OnStepEnd par.For, or on its
+// Async goroutine.
 type exchangeMachine struct {
 	id int32
 	nt *phone.Net
@@ -109,4 +114,4 @@ func (m *exchangeMachine) OnReceive(from int32, payload any) {
 	m.tr.Transfer(from, m.id)
 }
 
-func (m *exchangeMachine) OnStepEnd(step int32) {}
+func (m *exchangeMachine) OnStepEnd(step int32) { m.tr.Settle(m.id) }

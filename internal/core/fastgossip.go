@@ -131,8 +131,7 @@ func (m *fgMachine) OnReceive(from int32, payload any) {
 		case sh.nt.Failed[m.id]:
 			m.pool.Put(tok) // failed nodes store nothing
 		case tok.Moves <= sh.p.MaxMoves:
-			tok.Payload.UnionWith(sh.tr.Row(m.id)) // m' ∪ m_v
-			sh.tr.MergeNow(tok.Payload, m.id)      // m_v ← m_v ∪ m'
+			sh.tr.Meet(tok.Payload, m.id) // m' ← m' ∪ m_v, m_v ← m_v ∪ m'
 			m.queue.Add(tok)
 		default:
 			m.pool.Put(tok) // walk is stopped, not enqueued
@@ -140,7 +139,7 @@ func (m *fgMachine) OnReceive(from int32, payload any) {
 	}
 }
 
-func (m *fgMachine) OnStepEnd(step int32) {}
+func (m *fgMachine) OnStepEnd(step int32) { m.sh.tr.Settle(m.id) }
 
 // FastGossipOver runs Algorithm 1's node machines on the given transport,
 // over a prepared substrate so callers can inject crash failures
@@ -169,7 +168,7 @@ func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Re
 	step := int32(0)
 	// trackedStep runs one push-delivery step under the tracker's
 	// round snapshot; walkStep runs one token step outside it (walk
-	// arrivals merge immediately, MergeNow-style).
+	// arrivals merge immediately, through Meet).
 	trackedStep := func(mode fgMode, m *phone.Meter) {
 		sh.mode = mode
 		step++

@@ -30,7 +30,7 @@ func gatherExact(tree *Tree, failed []bool) (*bitset.Set, phone.Meter) {
 		tr.EndRound()
 		lo = hi
 	}
-	return tr.Row(tree.Root).Clone(), meter
+	return tr.Row(tree.Root), meter
 }
 
 func buildTestTree(t *testing.T, n int, seed uint64) (*phone.Net, *Tree) {

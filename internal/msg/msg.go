@@ -3,11 +3,13 @@
 // Full is the exact tracker: row v of an n×n bit matrix is the set of
 // original messages at node v. A synchronous step reads round-start sets
 // while writes land in the next state, matching the model's
-// m_v(t) = ∪_{i<t} m_v^{(in)}(i) semantics (§2); the double buffer behind
-// that is kept per row, so a round costs what its transfers touch and a
-// row nobody called costs nothing. The global count of (node, message)
-// pairs is maintained incrementally, so completion detection ("run until
-// the entire graph is informed", §5) is O(1).
+// m_v(t) = ∪_{i<t} m_v^{(in)}(i) semantics (§2): a transfer only records
+// the packet, and the receiver's next state is settled as the union of
+// its set and every packet of the round, reading each row once. The
+// double buffer behind that is kept per row, so a round costs what its
+// packets touch and a row nobody called costs nothing. The global count
+// of (node, message) pairs is maintained incrementally, so completion
+// detection ("run until the entire graph is informed", §5) is O(1).
 package msg
 
 import (
@@ -16,42 +18,54 @@ import (
 	"gossip/internal/bitset"
 )
 
-// Full is the exact message tracker. Memory is 2·n²/8 bytes plus 9 per
+const (
+	pendSlots   = 4    // packets a row holds unsettled; a fifth settles inline
+	fillPending = 0xff // npend value: a full packet arrived, the settle fills
+)
+
+// Full is the exact message tracker. Memory is 2·n²/8 bytes plus ≈ 26 per
 // row; the experiment harness documents the resulting practical bound on n
 // (exp.Figure1).
 //
 // Row v lives in mat[live[v]]; its slot in the other matrix is scratch.
-// The first Transfer into v in a round writes scratch = live[v] | live[src]
-// in one pass, later ones or into it, and EndRound flips live[v] for every
-// row that grew. A transfer that adds nothing leaves now[v] == have[v], so
-// the next one simply rewrites the scratch slot and an unchanged row never
-// flips. The scratch slot only ever holds an earlier state of the same row,
-// hence a subset of the live one, and is overwritten whole before it is
-// read. Rows that hold all n messages short-circuit: nothing can land in
-// one, and a packet from one is a fill.
+// Transfer(src, dst) reads no row: it appends src to dst's pending slots,
+// or, when src holds all n messages, marks dst for a fill. Settle(v)
+// writes scratch = base | s₁ | … | s_k reading each row once, where the
+// base is the live row, or the scratch row once an earlier settle this
+// round added something (now[v] != have[v]); a row whose slots overflow
+// settles inline. EndRound settles what is left and flips live[v] for
+// every row that grew, adding its growth to the pair count, so an
+// unchanged row never flips. The scratch slot only ever holds an earlier
+// state of the same row, hence a subset of the live one, and is
+// overwritten whole before it is read. A full row takes no packets.
 //
 // Concurrency inside a round: transfers for distinct dst may run
-// concurrently; all transfers into one dst come from one goroutine, which
-// alone writes now[dst] and dst's scratch slot; and what a src is read
-// through — live, the live row, have — is written only between rounds.
+// concurrently; all transfers into one dst, and Settle(dst) after the last
+// of them in a step, come from one goroutine, which alone writes dst's
+// slots, now[dst] and dst's scratch slot; and what a src is read through —
+// live, the live row, have — is written only between rounds.
 type Full struct {
 	n       int
 	mat     [2]*bitset.Matrix
-	live    []uint8      // which matrix holds row v
-	have    []int32      // |m_v| at round start
-	now     []int32      // |m_v| with this round's transfers; have[v] outside a round
-	total   atomic.Int64 // set bits in the live state
+	live    []uint8            // which matrix holds row v
+	have    []int32            // |m_v| at round start
+	now     []int32            // |m_v| with this round's settled packets; have[v] outside a round
+	pend    [][pendSlots]int32 // packets into v not yet settled
+	npend   []uint8            // used slots of pend[v], or fillPending
+	total   atomic.Int64       // set bits in the live state
 	inRound bool
 }
 
 // NewFull returns a tracker where node v knows exactly its own message v.
 func NewFull(n int) *Full {
 	f := &Full{
-		n:    n,
-		mat:  [2]*bitset.Matrix{bitset.NewMatrix(n, n), bitset.NewMatrix(n, n)},
-		live: make([]uint8, n),
-		have: make([]int32, n),
-		now:  make([]int32, n),
+		n:     n,
+		mat:   [2]*bitset.Matrix{bitset.NewMatrix(n, n), bitset.NewMatrix(n, n)},
+		live:  make([]uint8, n),
+		have:  make([]int32, n),
+		now:   make([]int32, n),
+		pend:  make([][pendSlots]int32, n),
+		npend: make([]uint8, n),
 	}
 	for v := 0; v < n; v++ {
 		f.mat[0].Row(v).Add(v)
@@ -70,65 +84,93 @@ func (f *Full) BeginRound() {
 	f.inRound = true
 }
 
-// EndRound publishes the next state of every row that grew.
+// EndRound settles every row still pending and publishes the next state of
+// every row that grew.
 func (f *Full) EndRound() {
 	if !f.inRound {
 		panic("msg: EndRound without BeginRound")
 	}
 	f.inRound = false
+	for v, k := range f.npend { // every settle before any flip: settles read live rows
+		if k != 0 {
+			f.Settle(int32(v))
+		}
+	}
+	var grown int64
 	for v, now := range f.now {
 		if now != f.have[v] {
 			f.live[v] ^= 1
+			grown += int64(now - f.have[v])
 			f.have[v] = now
 		}
 	}
+	f.total.Add(grown)
 }
 
-// Transfer delivers src's round-start packet to dst (next state). Safe to
-// call concurrently for distinct dst; all transfers to one dst must come
-// from the same goroutine. Returns the number of messages new to dst.
+// Transfer delivers src's round-start packet to dst's next state. It only
+// records the packet, and dst's row and the counts change when Settle(dst)
+// or EndRound folds it in, so it returns 0. Safe to call concurrently for
+// distinct dst; all transfers to one dst must come from the same goroutine.
 func (f *Full) Transfer(src, dst int32) int {
 	if !f.inRound {
 		panic("msg: Transfer outside a round")
 	}
-	n, now := int32(f.n), f.now[dst]
-	if now == n {
-		return 0
-	}
-	d, live := int(dst), f.live[dst]
-	next := f.mat[live^1]
-	var added int
-	if f.have[src] == n {
-		next.Row(d).Fill()
-		added = int(n - now)
-	} else {
-		from := next // what already landed this round
-		if now == f.have[dst] {
-			from = f.mat[live] // nothing yet: the scratch slot is stale
+	n, k := int32(f.n), f.npend[dst]
+	switch {
+	case f.now[dst] == n || k == fillPending || src == dst: // adds nothing
+	case f.have[src] == n:
+		f.npend[dst] = fillPending
+	default:
+		if k == pendSlots {
+			f.Settle(dst)
+			k = 0
 		}
-		added = next.SetRowUnion(d, from, d, f.mat[f.live[src]], int(src))
+		f.pend[dst][k] = src
+		f.npend[dst] = k + 1
 	}
-	if added != 0 {
-		f.now[dst] = now + int32(added)
-		f.total.Add(int64(added))
-	}
-	return added
+	return 0
 }
 
-// MergeNow merges s into dst's live state immediately (no round open).
-// This is the random-walk arrival rule of Algorithm 1 Phase II
-// (m_v ← m_v ∪ m'), where the merged set is first transmitted in a later
-// step, so immediate merging cannot leak information within a step.
-func (f *Full) MergeNow(s *bitset.Set, dst int32) int {
+// Settle folds the packets recorded for v since its last settle into v's
+// next state, reading each row once. Call it from the goroutine that
+// delivers to v, after its last Transfer into v of the step; EndRound
+// settles whatever is left.
+func (f *Full) Settle(v int32) {
+	k, now, live := f.npend[v], f.now[v], f.live[v]
+	if k == 0 {
+		return
+	}
+	f.npend[v] = 0
+	next, added := f.mat[live^1], f.n-int(now)
+	if k == fillPending {
+		next.Row(int(v)).Fill()
+	} else {
+		base := f.mat[live] // nothing settled yet: the scratch slot is stale
+		if now != f.have[v] {
+			base = next
+		}
+		// A literal of all four views, stale slots too, keeps them on the stack.
+		p := &f.pend[v]
+		srcs := [pendSlots]*bitset.Set{f.Row(p[0]), f.Row(p[1]), f.Row(p[2]), f.Row(p[3])}
+		added = next.SetRowUnion(int(v), base.Row(int(v)), srcs[:k]...)
+	}
+	f.now[v] = now + int32(added)
+}
+
+// Meet is the random-walk arrival rule of Algorithm 1 Phase II
+// (m' ← m' ∪ m_v, m_v ← m_v ∪ m'): one pass leaves the token tok and v's
+// live set both equal to their union. No round may be open; the merged set
+// is first transmitted in a later step, so it cannot leak information
+// within a step. Meets into distinct v may run concurrently. Returns the
+// number of messages new to v.
+func (f *Full) Meet(tok *bitset.Set, v int32) int {
 	if f.inRound {
-		panic("msg: MergeNow inside a round")
+		panic("msg: Meet inside a round")
 	}
-	added := f.mat[f.live[dst]].UnionSet(int(dst), s)
-	if added != 0 {
-		f.have[dst] += int32(added)
-		f.now[dst] = f.have[dst]
-		f.total.Add(int64(added))
-	}
+	added := f.Row(v).UnionBoth(tok)
+	f.have[v] += int32(added)
+	f.now[v] = f.have[v]
+	f.total.Add(int64(added))
 	return added
 }
 
@@ -139,7 +181,8 @@ func (f *Full) Row(v int32) *bitset.Set { return f.mat[f.live[v]].Row(int(v)) }
 // Known returns |m_v| for the live state.
 func (f *Full) Known(v int32) int { return int(f.have[v]) }
 
-// TotalKnown returns the total number of informed (node, message) pairs.
+// TotalKnown returns the total number of informed (node, message) pairs in
+// the live state: a round's packets count from its EndRound on.
 func (f *Full) TotalKnown() int64 { return f.total.Load() }
 
 // Complete reports whether every node knows every message.

@@ -55,30 +55,30 @@ func TestTransferSnapshotSemantics(t *testing.T) {
 }
 
 func TestTransferCountsNewOnly(t *testing.T) {
-	f := NewFull(3)
+	f, ref := NewFull(3), newRefFull(3)
 	f.BeginRound()
-	if added := f.Transfer(0, 1); added != 1 {
-		t.Errorf("first transfer added %d", added)
-	}
-	if added := f.Transfer(0, 1); added != 0 {
-		t.Errorf("repeat transfer added %d", added)
+	ref.BeginRound()
+	want := 0
+	for range 2 {
+		f.Transfer(0, 1)
+		want += ref.Transfer(0, 1)
 	}
 	f.EndRound()
-	if f.TotalKnown() != 4 {
-		t.Errorf("TotalKnown = %d", f.TotalKnown())
+	ref.EndRound()
+	if want != 1 || f.TotalKnown() != 3+int64(want) {
+		t.Errorf("a packet and its repeat added %d, reference %d", f.TotalKnown()-3, want)
 	}
-	if !f.CheckTotal() {
-		t.Error("counter out of sync")
-	}
+	assertSameState(t, f, ref, "after the round")
 }
 
 func TestSelfTransferNoop(t *testing.T) {
 	f := NewFull(2)
 	f.BeginRound()
-	if added := f.Transfer(1, 1); added != 0 {
-		t.Errorf("self transfer added %d", added)
-	}
+	f.Transfer(1, 1)
 	f.EndRound()
+	if f.TotalKnown() != 2 || f.Row(1).Count() != 1 || !f.CheckTotal() {
+		t.Errorf("self transfer changed the state: TotalKnown = %d", f.TotalKnown())
+	}
 }
 
 func TestCompleteDetection(t *testing.T) {
@@ -89,18 +89,6 @@ func TestCompleteDetection(t *testing.T) {
 	f.EndRound()
 	if !f.Complete() {
 		t.Error("2-node exchange should complete")
-	}
-	if f.TotalKnown() != 4 {
-		t.Errorf("TotalKnown = %d", f.TotalKnown())
-	}
-}
-
-func TestMergeNowImmediate(t *testing.T) {
-	f := NewFull(3)
-	payload := bitset.FromIndices(3, 2)
-	f.MergeNow(payload, 0)
-	if !f.Row(0).Contains(2) {
-		t.Error("MergeNow did not land immediately")
 	}
 	if f.TotalKnown() != 4 {
 		t.Errorf("TotalKnown = %d", f.TotalKnown())
@@ -121,7 +109,7 @@ func TestRoundDisciplinePanics(t *testing.T) {
 	mustPanic("EndRound without Begin", func() { f.EndRound() })
 	f.BeginRound()
 	mustPanic("nested BeginRound", func() { f.BeginRound() })
-	mustPanic("MergeNow inside round", func() { f.MergeNow(bitset.New(2), 0) })
+	mustPanic("Meet inside round", func() { f.Meet(bitset.New(2), 0) })
 	f.EndRound()
 }
 
@@ -186,7 +174,8 @@ func TestQuickMonotoneGrowth(t *testing.T) {
 // refFull is Full as it stood before the per-row double buffer: BeginRound
 // copies the whole matrix into next, every Transfer is a UnionRow into it,
 // EndRound swaps the two. It is the reference the live implementation must
-// match call for call.
+// match round for round: Full settles a row when its owner says so, so
+// the counts surface per round, not per call.
 type refFull struct {
 	n         int
 	cur, next *bitset.Matrix
@@ -210,8 +199,11 @@ func (f *refFull) Transfer(src, dst int32) int {
 	return added
 }
 
-func (f *refFull) MergeNow(s *bitset.Set, dst int32) int {
-	added := f.cur.UnionSet(int(dst), s)
+// Meet is the two-pass walk arrival Full.Meet fuses: the token takes up
+// the row, then the row takes up the token.
+func (f *refFull) Meet(tok *bitset.Set, dst int32) int {
+	tok.UnionWith(f.cur.Row(int(dst)))
+	added := f.cur.Row(int(dst)).UnionWith(tok)
 	f.total += int64(added)
 	return added
 }
@@ -244,9 +236,29 @@ func assertSameState(t *testing.T, f *Full, ref *refFull, when string) {
 	}
 }
 
+// meet runs Meet on Full and the reference with equal tokens and checks
+// that the token and the row both end as their old union, and the count.
+func meet(t *testing.T, f *Full, ref *refFull, tok *bitset.Set, v int32, when string) {
+	t.Helper()
+	union := bitset.New(tok.Len())
+	union.CopyFrom(tok)
+	union.UnionWith(f.Row(v))
+	refTok := bitset.New(tok.Len())
+	refTok.CopyFrom(tok)
+	if got, want := f.Meet(tok, v), ref.Meet(refTok, v); got != want {
+		t.Fatalf("%s: Meet(·, %d) = %d, want %d", when, v, got, want)
+	}
+	if !tok.Equal(union) || !f.Row(v).Equal(union) {
+		t.Fatalf("%s: Meet(·, %d) left token %v and row %v, want both %v", when, v, tok, f.Row(v), union)
+	}
+	assertSameState(t, f, ref, when+" after Meet")
+}
+
 // TestFullMatchesReference drives Full and refFull with the same seeded
-// scripts — repeated dst, self-transfers, idle rounds, MergeNow between
-// rounds — to saturation and two rounds past it.
+// scripts — repeated dst, a hot receiver that overflows its pending slots,
+// self-transfers, idle rounds, mid-round settles, Meet between rounds — to
+// saturation and two rounds past it. A round's packets must add what the
+// reference's transfers add, and every row must match after every round.
 func TestFullMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 200, 1000} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -263,16 +275,14 @@ func TestFullMatchesReference(t *testing.T) {
 				}
 				when := fmt.Sprintf("n=%d seed=%d round %d", n, seed, round)
 				if rng.Intn(4) == 0 {
-					s, dst := bitset.New(n), pick()
+					tok := bitset.New(n)
 					if rng.Intn(2) == 0 {
-						s.CopyFrom(ref.cur.Row(int(pick())))
+						tok.CopyFrom(ref.cur.Row(int(pick())))
 					}
-					s.Add(int(pick()))
-					if got, want := f.MergeNow(s, dst), ref.MergeNow(s, dst); got != want {
-						t.Fatalf("%s: MergeNow(·, %d) = %d, want %d", when, dst, got, want)
-					}
-					assertSameState(t, f, ref, when+" after MergeNow")
+					tok.Add(int(pick()))
+					meet(t, f, ref, tok, pick(), when)
 				}
+				before := f.TotalKnown()
 				f.BeginRound()
 				ref.BeginRound()
 				calls := 0 // an idle round one time in eight
@@ -280,62 +290,114 @@ func TestFullMatchesReference(t *testing.T) {
 					calls = 1 + rng.Intn(2*n)
 				}
 				hot := pick() // a receiver that is dialled again and again
+				want := 0
 				for c := 0; c < calls; c++ {
 					src, dst := pick(), pick()
 					switch rng.Intn(8) {
-					case 0:
+					case 0, 2:
 						dst = hot
 					case 1:
 						src = dst
 					}
-					if got, want := f.Transfer(src, dst), ref.Transfer(src, dst); got != want {
-						t.Fatalf("%s: Transfer(%d, %d) = %d, want %d", when, src, dst, got, want)
+					f.Transfer(src, dst)
+					want += ref.Transfer(src, dst)
+					if rng.Intn(8) == 0 {
+						f.Settle(dst) // its owner settles mid-round
 					}
 				}
 				f.EndRound()
 				ref.EndRound()
+				if got := f.TotalKnown() - before; got != int64(want) {
+					t.Fatalf("%s: the round added %d, reference transfers %d", when, got, want)
+				}
 				assertSameState(t, f, ref, when)
 			}
 		}
 	}
 }
 
-// TestFillKeepsTailClear hits the write-only fill (src full at round start)
-// as the first and as a later transfer into a row whose last word is
-// partial: a set tail bit would show up in Count.
+// TestMeetMatchesReference checks the fused walk arrival against the
+// reference's two passes on rows that rounds have grown, with tokens
+// empty, partial, equal to another row and full.
+func TestMeetMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 200} {
+		rng := xrand.New(uint64(n))
+		f, ref := NewFull(n), newRefFull(n)
+		for round := 1; round <= 12; round++ {
+			when := fmt.Sprintf("n=%d round %d", n, round)
+			for m := 0; m < 3; m++ {
+				tok := bitset.New(n)
+				switch m {
+				case 1:
+					tok.CopyFrom(ref.cur.Row(rng.Intn(n)))
+					tok.Add(rng.Intn(n))
+				case 2:
+					if round%4 == 0 {
+						tok.Fill()
+					}
+				}
+				meet(t, f, ref, tok, int32(rng.Intn(n)), when)
+			}
+			f.BeginRound()
+			ref.BeginRound()
+			for c := 0; c < n/2; c++ {
+				src, dst := int32(rng.Intn(n)), int32(rng.Intn(n))
+				f.Transfer(src, dst)
+				ref.Transfer(src, dst)
+			}
+			f.EndRound()
+			ref.EndRound()
+			assertSameState(t, f, ref, when)
+		}
+	}
+}
+
+// TestFillKeepsTailClear hits the write-only fill (src full at round
+// start) on a row whose last word is partial, where a set tail bit would
+// show up in Count: as the first packet, between two packets, after a
+// settle that overflowed the pending slots, and after the owner's own
+// mid-round settle.
 func TestFillKeepsTailClear(t *testing.T) {
 	const n = 65
-	f := NewFull(n)
+	f, ref := NewFull(n), newRefFull(n)
 	all := bitset.New(n)
 	all.Fill()
-	f.MergeNow(all, 0)
+	meet(t, f, ref, all, 0, "setup")
+	script := [][2]int32{
+		{0, 1},                 // fill first
+		{3, 2}, {0, 2}, {4, 2}, // fill in the middle
+		{5, 6}, {7, 6}, {8, 6}, {9, 6}, {10, 6}, {0, 6}, // fill after an inline settle
+		{11, 12}, {-1, 12}, {0, 12}, {13, 12}, // fill after Settle(12)
+	}
 	f.BeginRound()
-	if added := f.Transfer(0, 1); added != n-1 {
-		t.Errorf("fill as first transfer added %d, want %d", added, n-1)
-	}
-	if added := f.Transfer(3, 2); added != 1 {
-		t.Errorf("Transfer(3, 2) added %d, want 1", added)
-	}
-	if added := f.Transfer(0, 2); added != n-2 {
-		t.Errorf("fill as second transfer added %d, want %d", added, n-2)
-	}
-	if added := f.Transfer(4, 2); added != 0 {
-		t.Errorf("transfer into a row filled this round added %d", added)
+	ref.BeginRound()
+	want := 0
+	for _, p := range script {
+		if p[0] < 0 {
+			f.Settle(p[1])
+			continue
+		}
+		f.Transfer(p[0], p[1])
+		want += ref.Transfer(p[0], p[1])
 	}
 	f.EndRound()
-	for _, v := range []int32{0, 1, 2} {
+	ref.EndRound()
+	if got := f.TotalKnown() - (n + n - 1); got != int64(want) {
+		t.Errorf("the round added %d, reference transfers %d", got, want)
+	}
+	for _, v := range []int32{0, 1, 2, 6, 12} {
 		if c := f.Row(v).Count(); c != n || f.Known(v) != n {
 			t.Errorf("row %d: Count = %d, Known = %d, want %d", v, c, f.Known(v), n)
 		}
 	}
-	if f.TotalKnown() != 3*n+(n-3) || !f.CheckTotal() {
-		t.Errorf("TotalKnown = %d, CheckTotal = %v", f.TotalKnown(), f.CheckTotal())
-	}
+	assertSameState(t, f, ref, "after the round")
 }
 
 // TestConcurrentRoundMatchesReference splits each round's transfers by
 // receiver over goroutines, the way par.For workers and phone.Async call
-// the tracker; run it under -race.
+// the tracker, with each worker settling some of its rows mid-round and
+// at its end, and EndRound the rest. Between rounds every worker meets a
+// walk token at one of its rows. Run it under -race.
 func TestConcurrentRoundMatchesReference(t *testing.T) {
 	const n, workers = 200, 4
 	rng := xrand.New(7)
@@ -344,13 +406,24 @@ func TestConcurrentRoundMatchesReference(t *testing.T) {
 		if round > 200 {
 			t.Fatal("not saturated after 200 rounds")
 		}
-		type call struct{ src, dst int32 }
+		type call struct {
+			src, dst int32
+			settle   bool
+		}
 		var script [workers][]call
 		for c := 0; c < 2*n; c++ {
-			cl := call{int32(rng.Intn(n)), int32(rng.Intn(n))}
+			cl := call{int32(rng.Intn(n)), int32(rng.Intn(n)), rng.Intn(8) == 0}
 			script[int(cl.dst)%workers] = append(script[int(cl.dst)%workers], cl)
 		}
 		var want, got [workers]int
+		var toks [workers]*bitset.Set // a walk token arriving at each worker's first row
+		for w := range toks {
+			toks[w] = bitset.New(n)
+			toks[w].CopyFrom(ref.cur.Row(rng.Intn(n)))
+			refTok := bitset.New(n)
+			refTok.CopyFrom(toks[w])
+			ref.Meet(refTok, int32(w))
+		}
 		ref.BeginRound()
 		for w, calls := range script {
 			for _, cl := range calls {
@@ -358,19 +431,40 @@ func TestConcurrentRoundMatchesReference(t *testing.T) {
 			}
 		}
 		ref.EndRound()
-		f.BeginRound()
 		var wg sync.WaitGroup
+		for w := range toks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f.Meet(toks[w], int32(w))
+			}()
+		}
+		wg.Wait()
+		var before [n]int
+		for v := range before {
+			before[v] = f.Known(int32(v))
+		}
+		f.BeginRound()
 		for w := range script {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for _, cl := range script[w] {
-					got[w] += f.Transfer(cl.src, cl.dst)
+					f.Transfer(cl.src, cl.dst)
+					if cl.settle {
+						f.Settle(cl.dst)
+					}
+				}
+				for v := w; v < n; v += 2 * workers { // half the rows settle at step end
+					f.Settle(int32(v))
 				}
 			}()
 		}
 		wg.Wait()
 		f.EndRound()
+		for v := range before {
+			got[v%workers] += f.Known(int32(v)) - before[v]
+		}
 		if got != want {
 			t.Fatalf("round %d: added per worker %v, want %v", round, got, want)
 		}

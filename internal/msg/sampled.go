@@ -89,6 +89,9 @@ func (s *Sampled) Transfer(src, dst int32) int {
 	return added
 }
 
+// Settle is a no-op: rows are a word or two, so Transfer lands at once.
+func (s *Sampled) Settle(int32) {}
+
 // Known returns how many sampled messages dst knows.
 func (s *Sampled) Known(v int32) int { return s.cur.Row(int(v)).Count() }
 

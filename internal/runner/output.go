@@ -51,16 +51,6 @@ func Records(results []CellResult) []CellRecord {
 	return recs
 }
 
-// MetricKeys returns the record's metric names in sorted order.
-func (c CellRecord) MetricKeys() []string {
-	keys := make([]string, 0, len(c.Metrics))
-	for k := range c.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // recordMetricKeys returns the union of metric names across records,
 // sorted.
 func recordMetricKeys(records []CellRecord) []string {

@@ -17,7 +17,6 @@ package runner
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"gossip/internal/stats"
@@ -102,16 +101,6 @@ type CellResult struct {
 	Scenario Scenario
 	// Metrics maps each observation name to its accumulator over reps.
 	Metrics map[string]*stats.Acc
-}
-
-// MetricKeys returns the metric names in sorted (stable) order.
-func (c CellResult) MetricKeys() []string {
-	keys := make([]string, 0, len(c.Metrics))
-	for k := range c.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Mean returns the mean of metric k (0 if absent).
