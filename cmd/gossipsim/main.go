@@ -131,7 +131,9 @@ func runOne(w io.Writer, g *gossip.Graph, algo string, n int, seed uint64, trees
 	switch algo {
 	case "memory":
 		params := gossip.TunedMemoryParams(n)
-		params.Trees = trees
+		if trees > 0 { // 0 keeps the schedule default, as in the sweep
+			params.Trees = trees
+		}
 		if failures > 0 {
 			res := gossip.RunMemoryRobustness(g, params, seed, failures)
 			fmt.Fprintf(w, "robustness: failed=%d additional-lost=%d ratio=%.3f per-tree=%v\n",
@@ -141,7 +143,9 @@ func runOne(w io.Writer, g *gossip.Graph, algo string, n int, seed uint64, trees
 		report(w, gossip.RunMemoryGossip(g, params, seed, -1), verbose)
 	case "memory-elect":
 		params := gossip.TunedMemoryParams(n)
-		params.Trees = trees
+		if trees > 0 { // 0 keeps the schedule default, as in the sweep
+			params.Trees = trees
+		}
 		res, le := gossip.RunMemoryGossipWithElection(g, params, gossip.DefaultLeaderParams(n), seed)
 		fmt.Fprintf(w, "election: leader=%d candidates=%d aware=%d/%d\n",
 			le.Leader, le.Candidates, le.AwareCount, le.N)

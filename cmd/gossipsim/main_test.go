@@ -165,6 +165,45 @@ func TestSingleRunRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRunOneZeroTreesIsScheduleDefault: -trees 0 means the schedule's
+// tree count, as a sweep's trees axis does — not a run that builds no
+// gather tree and so gathers nothing.
+func TestRunOneZeroTreesIsScheduleDefault(t *testing.T) {
+	g, err := buildGraph("er", 64, 0, 0, 2.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"memory", "memory-elect"} {
+		var b strings.Builder
+		if err := runOne(&b, g, algo, 64, 1, 0, 0, false); err != nil {
+			t.Fatalf("runOne(%q): %v", algo, err)
+		}
+		if !strings.Contains(b.String(), "completed=true") {
+			t.Errorf("runOne(%q) with 0 trees did not complete:\n%s", algo, b.String())
+		}
+	}
+}
+
+// TestSweepRejectsMemSlotsAboveCapacity: a link memory capacity the
+// memory model cannot hold is a usage error (exit 2) that runs nothing,
+// not a panic inside the first cell.
+func TestSweepRejectsMemSlotsAboveCapacity(t *testing.T) {
+	args := []string{"sweep", "-algos", "memory", "-sizes", "64", "-memslots", "5", "-reps", "1"}
+	cmd := gossipsimCmd(t, args...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("gossipsim %v: %v, want exit 2", args, err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("gossipsim %v ran something:\n%s", args, stdout.String())
+	}
+	if strings.Contains(stderr.String(), "panic:") {
+		t.Errorf("gossipsim %v crashed:\n%s", args, stderr.String())
+	}
+}
+
 // TestStrayOperandsAreUsageErrors: Go's flag parsing stops at the
 // first operand, so a command that takes none would silently drop every
 // flag after a stray one. Each such command — and the retired dispatch
@@ -283,6 +322,7 @@ func TestParseGridKnobAxes(t *testing.T) {
 	for _, bad := range []gridFlags{
 		{algos: "memory", models: "er", sizes: "256", densities: "1", failures: "0", trees: "x", reps: 1, seed: 1},
 		{algos: "memory", models: "er", sizes: "256", densities: "1", failures: "0", memslots: "-2", reps: 1, seed: 1},
+		{algos: "memory", models: "er", sizes: "256", densities: "1", failures: "0", memslots: "5", reps: 1, seed: 1},
 		{algos: "fast", models: "er", sizes: "256", densities: "1", failures: "0", walkprobs: "1.5", reps: 1, seed: 1},
 		{algos: "fast", models: "er", sizes: "256", densities: "1", failures: "0", walkprobs: "NaN", reps: 1, seed: 1},
 	} {

@@ -225,8 +225,10 @@
 // All seven algorithms run on the seam: the push–pull baseline, the
 // sampled estimator, single-rumor broadcast (NewBroadcastMachines), the
 // median-counter broadcast, fast-gossiping, the memory-model algorithm
-// (spanning-tree construction, gather-edge replay, and tree broadcast —
-// Algorithm 2 end to end), and leader election (Algorithm 3). Inside
+// (spanning-tree construction and tree broadcast — Algorithm 2's Phases I
+// and III), and leader election (Algorithm 3). Algorithm 2's Phase II is
+// computed from the recorded schedule, not stepped on the transport: its
+// outcome depends only on the recorded edges and the failure mask. Inside
 // internal/core each has an …Over variant taking a TransportFactory to
 // pick the executor; MachineDriver steps any transport until a completion
 // predicate (see examples/asyncbroadcast for the 50-line version).
@@ -240,9 +242,8 @@
 // validation, the collapse of knob axes the algorithm ignores, and
 // corpus join keys all follow from the entry. A machine dials through
 // its own node's state only — a uniform neighbor drawn from its private
-// stream, the memory model's open-avoid dial (a random neighbor from
-// N(v) \ l_v, remembered on success), or a per-node dial plan replaying
-// recorded edges on a fixed schedule — so no transport needs extra
+// stream, or the memory model's open-avoid dial (a random neighbor from
+// N(v) \ l_v, remembered on success) — so no transport needs extra
 // coordination. Keep receipt handling commutative (idempotent informs,
 // minimum folds) and the results are identical under every transport;
 // the conformance suite in internal/core pins exact equality for each

@@ -147,6 +147,26 @@ func TestConformanceMemoryGossip(t *testing.T) {
 	sameResult(t,
 		MemoryGossipOver(g, p, 99, 5, SyncTransport),
 		MemoryGossipOver(g, p, 99, 5, AsyncTransport))
+
+	// Crash failures before the run: a fixed sample of non-leader nodes
+	// never dials or answers, through all three phases.
+	crashed := func() *phone.Net {
+		nt := phone.NewNet(g, 99)
+		for _, v := range xrand.New(confSeed).SampleK(g.N()-1, 16) {
+			if v >= 5 {
+				v++ // skip the leader
+			}
+			nt.Failed[v] = true
+		}
+		return nt
+	}
+	s := memoryGossipOver(crashed(), p, 99, 5, SyncTransport)
+	sameResult(t, s, memoryGossipOver(crashed(), p, 99, 5, AsyncTransport))
+	// Polling a crashed child opens a channel that carries nothing.
+	if m := phaseMeter(t, s, "gather"); m.Transmissions >= m.Opened {
+		t.Fatalf("gather under crash failures: %d transmissions on %d opened channels",
+			m.Transmissions, m.Opened)
+	}
 }
 
 func TestConformanceMemoryGossipWithElection(t *testing.T) {

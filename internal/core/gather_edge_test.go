@@ -124,7 +124,7 @@ func TestBuildTreeWithFailedRoot(t *testing.T) {
 	nt := phone.NewNet(g, 81)
 	nt.Failed[0] = true
 	p := TunedMemoryParams(128)
-	tree := buildTree(nt, 0, p.PushSteps, p.PullSteps, p.Phase3MaxPullSteps, p.MemSlots, true, false)
+	tree := buildTree(nt, 0, p, false, SyncTransport)
 	if tree.Completed {
 		t.Error("tree with failed root reported complete")
 	}

@@ -188,7 +188,7 @@ func TestBuildTreeGolden(t *testing.T) {
 	gt := testGraph(512, 3)
 	nt := phone.NewNet(gt, 4)
 	p := TunedMemoryParams(512)
-	tree := buildTree(nt, 0, p.PushSteps, p.PullSteps, p.Phase3MaxPullSteps, p.MemSlots, true, false)
+	tree := buildTree(nt, 0, p, false, SyncTransport)
 	if tree.Steps != 26 || !tree.Completed || len(tree.Edges) != 934 {
 		t.Errorf("steps=%d completed=%v edges=%d", tree.Steps, tree.Completed, len(tree.Edges))
 	}

@@ -22,8 +22,7 @@ func MemoryBroadcast(g *graph.Graph, p MemoryParams, root int32, seed uint64) *B
 // over the given transport.
 func MemoryBroadcastOver(g *graph.Graph, p MemoryParams, root int32, seed uint64, tf TransportFactory) *BroadcastResult {
 	nt := phone.NewNet(g, seed)
-	tree := buildTreeOver(nt, root, p.Phase3PushSteps, p.PullSteps,
-		p.Phase3MaxPullSteps, p.MemSlots, false, true, tf)
+	tree := buildTree(nt, root, p, true, tf)
 	res := &BroadcastResult{
 		Mode:          MemoryBroadcastMode,
 		N:             g.N(),

@@ -6,27 +6,19 @@ import (
 	"gossip/internal/phone"
 )
 
-// This file holds the memory model's node state machines: the Phase I
-// infrastructure broadcast (treeSet) and the Phase II gather replay
-// (gatherSet). Both run on any phone.Transport; under SyncTransport they
-// are bit-identical to the substrate loops they replaced (pinned by
-// machine_golden_test.go and the cross-transport conformance suite).
+// This file holds the memory model's node state machine: the Phase I
+// infrastructure broadcast (treeSet), which Phase III reuses. It runs on
+// any phone.Transport; under SyncTransport it is bit-identical to the
+// substrate loop it replaced (pinned by machine_golden_test.go and the
+// cross-transport conformance suite). Phase II is not a machine: its
+// outcome depends only on the recorded schedule and the failure mask, so
+// gatherStructural (memory.go) computes it.
 
-// Payload sentinels. The tree token is the rumor of the infrastructure
-// broadcast; the gather sentinels distinguish, at the receiving parent, a
-// child's scheduled push-up (PullInform) from the response to the
-// parent's own poll (PushContact).
+// treeToken is the payload sentinel of the infrastructure broadcast: the
+// rumor whose spread builds the tree.
 type treeTokenT struct{}
 
-type gatherPushUpT struct{}
-
-type gatherRespT struct{}
-
-var (
-	treeToken    any = treeTokenT{}
-	gatherPushUp any = gatherPushUpT{}
-	gatherResp   any = gatherRespT{}
-)
+var treeToken any = treeTokenT{}
 
 // treeSet runs the Phase I broadcast procedure of Algorithm 2 as per-node
 // machines: a push stage in long-steps of 4 (nodes informed during
@@ -164,152 +156,4 @@ func (s *treeSet) drainEdges() {
 			nd.pending = nd.pending[:0]
 		}
 	}
-}
-
-// gatherSet replays a tree's Phase II schedule as machines: at gather
-// step s = Steps-T+1 every Phase I dial made at step T is re-opened by
-// its original dialer — the parent polls its push-stage children
-// (PushContact), pull-informed children push their content up
-// (PullInform). The dial schedule and the polls each child must answer
-// are carried by phone.DialPlans built from the recorded edges.
-type gatherSet struct {
-	tree   *Tree
-	failed []bool
-	out    *phone.DialPlan // per-opener channel schedule; Tag = EdgeKind
-	polls  *phone.DialPlan // per-child expected polls (PushContact only)
-	nodes  []*gatherMachine
-	ms     []phone.Machine
-}
-
-type gatherMachine struct {
-	set     *gatherSet
-	id      int32
-	step    int32
-	pollers []phone.PlannedDial // this step's polls to answer, set in OnStep
-	pending []GatherEdge        // realized transfers, recorded by the parent
-}
-
-// gatherPlans builds the replay schedules from the recorded edges
-// (ascending T, so reversed iteration yields ascending gather steps).
-// Each node opened at most one channel per Phase I step, so each node
-// opens at most one channel per gather step.
-func gatherPlans(tree *Tree) (out, polls *phone.DialPlan) {
-	out = phone.NewDialPlan(tree.N)
-	polls = phone.NewDialPlan(tree.N)
-	for i := len(tree.Edges) - 1; i >= 0; i-- {
-		e := tree.Edges[i]
-		s := tree.MirrorStep(e.T)
-		if e.Kind == PushContact {
-			out.Add(e.Parent, phone.PlannedDial{Step: s, Peer: e.Child, Tag: uint8(PushContact)})
-			polls.Add(e.Child, phone.PlannedDial{Step: s, Peer: e.Parent, Tag: uint8(PushContact)})
-		} else {
-			out.Add(e.Child, phone.PlannedDial{Step: s, Peer: e.Parent, Tag: uint8(PullInform)})
-		}
-	}
-	return out, polls
-}
-
-func newGatherSet(tree *Tree, failed []bool) *gatherSet {
-	out, polls := gatherPlans(tree)
-	s := &gatherSet{tree: tree, failed: failed, out: out, polls: polls}
-	s.nodes = make([]*gatherMachine, tree.N)
-	s.ms = make([]phone.Machine, tree.N)
-	for v := 0; v < tree.N; v++ {
-		s.nodes[v] = &gatherMachine{set: s, id: int32(v)}
-		s.ms[v] = s.nodes[v]
-	}
-	return s
-}
-
-func (m *gatherMachine) OnStep(step int32) (int32, any) {
-	m.step = step
-	s := m.set
-	// Advance both cursors every step so failed nodes stay aligned.
-	m.pollers = s.polls.TakeStep(m.id, step)
-	ds := s.out.TakeStep(m.id, step)
-	if s.failed[m.id] || len(ds) == 0 {
-		return phone.NoDial, nil
-	}
-	if len(ds) > 1 {
-		panic("core: gather schedule opens two channels in one step")
-	}
-	d := ds[0]
-	if EdgeKind(d.Tag) == PullInform {
-		// The child re-opens the channel it was informed through and
-		// pushes its content up — unless the parent failed (the channel
-		// still opens, no data crosses).
-		if !s.failed[d.Peer] {
-			return d.Peer, gatherPushUp
-		}
-		return d.Peer, nil
-	}
-	// PushContact: the parent polls; the response carries the data.
-	return d.Peer, nil
-}
-
-func (m *gatherMachine) OnOpen(from int32) any {
-	s := m.set
-	if s.failed[m.id] {
-		return nil
-	}
-	// Answer only this step's scheduled polls — an incoming push-up
-	// channel (where this node is the parent) pulls nothing.
-	for _, pd := range m.pollers {
-		if pd.Peer == from {
-			return gatherResp
-		}
-	}
-	return nil
-}
-
-func (m *gatherMachine) OnReceive(from int32, payload any) {
-	kind := PushContact
-	if payload == gatherPushUp {
-		kind = PullInform
-	}
-	m.pending = append(m.pending, GatherEdge{
-		Child: from, Parent: m.id,
-		T:    m.set.tree.Steps - m.step + 1,
-		Kind: kind,
-	})
-}
-
-func (m *gatherMachine) OnStepEnd(step int32) {}
-
-// drainRealized collects the step's realized transfers in ascending
-// parent id (order within a step is immaterial to the backward
-// reachability pass).
-func (s *gatherSet) drainRealized(dst []GatherEdge) []GatherEdge {
-	for _, nd := range s.nodes {
-		if len(nd.pending) > 0 {
-			dst = append(dst, nd.pending...)
-			nd.pending = nd.pending[:0]
-		}
-	}
-	return dst
-}
-
-// gatherOver replays the tree's Phase II over the given transport and
-// returns the gather outcome. Under SyncTransport it is bit-identical to
-// the pure replay analysis (gatherStructural); the conformance suite
-// additionally pins AsyncTransport to the same results.
-func gatherOver(tree *Tree, failed []bool, tf TransportFactory) *GatherPlan {
-	set := newGatherSet(tree, failed)
-	t := tf(set.ms)
-	defer t.Close()
-
-	var m phone.Meter
-	realized := make([]GatherEdge, 0, len(tree.Edges))
-	d := &Driver{
-		T:        t,
-		MaxSteps: int(tree.Steps), // Phase II mirrors Phase I step for step
-		AfterStep: func(_ int32, tl phone.StepTally) {
-			m.Open(tl.Opened)
-			m.Push(tl.Pushes + tl.Responses)
-			realized = set.drainRealized(realized)
-		},
-	}
-	d.Run()
-	m.Steps = int(tree.Steps)
-	return planFromRealized(tree, realized, failed, m)
 }

@@ -58,23 +58,19 @@ type Tree struct {
 // Phase I step t is replayed.
 func (tr *Tree) MirrorStep(t int32) int32 { return tr.Steps - t + 1 }
 
-// buildTree runs the Phase I broadcast procedure from root on the
-// synchronous transport. When record is true the gather schedule is
-// retained. When pullUntilComplete is true the pull stage extends past
-// pullSteps (up to maxPullSteps) until every non-failed node is informed —
-// the §5 convention for final phases.
-func buildTree(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps, memSlots int,
-	record, pullUntilComplete bool) *Tree {
-	return buildTreeOver(nt, root, pushSteps, pullSteps, maxPullSteps, memSlots,
-		record, pullUntilComplete, SyncTransport)
-}
-
-// buildTreeOver runs Phase I as per-node machines (treeSet) over the given
-// transport. One driver run spans both stages, so driver steps coincide
-// with the algorithm's step numbering.
-func buildTreeOver(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps, memSlots int,
-	record, pullUntilComplete bool, tf TransportFactory) *Tree {
-
+// buildTree runs Phase I of Algorithm 2 from root as per-node machines
+// (treeSet) over the given transport. One driver run spans both stages,
+// so driver steps coincide with the algorithm's step numbering. A gather
+// tree (final false) pushes for p.PushSteps, pulls for exactly
+// p.PullSteps and records the gather schedule. The final broadcast (final
+// true) pushes for p.Phase3PushSteps and keeps pulling past p.PullSteps
+// until every non-failed node is informed — the §5 convention for final
+// phases — or p.Phase3MaxPullSteps is reached; it records nothing.
+func buildTree(nt *phone.Net, root int32, p MemoryParams, final bool, tf TransportFactory) *Tree {
+	pushSteps := p.PushSteps
+	if final {
+		pushSteps = p.Phase3PushSteps
+	}
 	n := nt.G.N()
 	tree := &Tree{
 		Root:       root,
@@ -85,12 +81,12 @@ func buildTreeOver(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps
 		tree.InformedAt[i] = -1
 	}
 	tree.InformedAt[root] = 0
-	nt.InitMemory(memSlots) // each phase starts with fresh link memories
+	nt.InitMemory(p.MemSlots) // each phase starts with fresh link memories
 
 	// The push stage executes whole long-steps only; a trailing partial
 	// long-step is dropped (pushSteps/4 long-steps of 4 steps each).
 	pushExec := pushSteps / 4 * 4
-	set := newTreeSet(nt, tree, pushExec, record)
+	set := newTreeSet(nt, tree, pushExec, !final)
 	t := tf(set.ms)
 	defer t.Close()
 
@@ -99,13 +95,13 @@ func buildTreeOver(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps
 	d := &Driver{
 		T: t,
 		// The stop predicate replicates the historical schedule exactly:
-		// the push stage always runs in full; without pullUntilComplete the
-		// pull stage runs exactly pullSteps steps; with it, the stage stops
-		// at the first step boundary where everyone is informed — but never
-		// before one pull step has run (completion is only checked after a
-		// pull) — and past pullSteps it keeps pulling until complete or the
-		// total-step cap pushSteps+maxPullSteps (the cap counts scheduled
-		// push steps, not executed ones).
+		// the push stage always runs in full; a gather tree's pull stage
+		// runs exactly PullSteps steps; the final broadcast's stops at the
+		// first step boundary where everyone is informed — but never before
+		// one pull step has run (completion is only checked after a pull)
+		// — and past PullSteps it keeps pulling until complete or the
+		// total-step cap pushSteps+Phase3MaxPullSteps (the cap counts
+		// scheduled push steps, not executed ones).
 		Done: func() bool {
 			sd := m.Steps
 			if sd < pushExec {
@@ -113,19 +109,19 @@ func buildTreeOver(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps
 			}
 			pullDone := sd - pushExec
 			complete := set.informed.Load() == int64(healthy)
-			if !pullUntilComplete {
-				return pullDone >= pullSteps
+			if !final {
+				return pullDone >= p.PullSteps
 			}
-			if pullDone < pullSteps {
+			if pullDone < p.PullSteps {
 				return pullDone >= 1 && complete
 			}
-			return complete || sd >= pushSteps+maxPullSteps
+			return complete || sd >= pushSteps+p.Phase3MaxPullSteps
 		},
 		AfterStep: func(_ int32, tl phone.StepTally) {
 			m.Open(tl.Opened)
 			m.Push(tl.Pushes + tl.Responses)
 			m.Step()
-			if record {
+			if !final {
 				set.drainEdges()
 			}
 		},
@@ -140,15 +136,16 @@ func buildTreeOver(nt *phone.Net, root int32, pushSteps, pullSteps, maxPullSteps
 
 // GatherPlan reports which nodes' original messages reach the root when
 // Phase II replays the tree's schedule in mirrored order, and the
-// communication this costs. It is computed structurally in O(n + |edges|)
-// without materializing message sets, which is what makes the paper's
-// 10⁵–10⁶-node robustness experiments laptop-sized; TestGatherStructural-
-// MatchesExact pins it against the exact set-based simulation.
+// communication this costs. It is computed from the recorded schedule and
+// the failure mask alone, in O(n + |edges|) and without materializing
+// message sets, so it is the same under every transport; this is what
+// makes the paper's 10⁵–10⁶-node robustness experiments laptop-sized.
+// TestQuickGatherStructuralMatchesExactUnderFailures pins it against the
+// exact set-based simulation.
 type GatherPlan struct {
 	Reached []bool // Reached[v]: v's original message arrives at the root
 	Count   int    // number of reached nodes (root included)
 	Meter   phone.Meter
-	Steps   int32
 }
 
 // realizeGather replays the Phase II schedule forward (ascending gather
@@ -185,16 +182,10 @@ func realizeGather(tree *Tree, failed []bool) ([]GatherEdge, phone.Meter) {
 
 // gatherStructural computes the Phase II outcome under the failure mask
 // without materializing message sets: a pure replay (realizeGather)
-// followed by the backward reachability pass. The robustness experiments
-// use it to re-analyze one built tree under many failure masks without
-// re-running any communication.
-func gatherStructural(tree *Tree, failed []bool) *GatherPlan {
-	realized, meter := realizeGather(tree, failed)
-	return planFromRealized(tree, realized, failed, meter)
-}
-
-// planFromRealized turns a set of realized Phase II transfers into the
-// gather outcome.
+// followed by the backward reachability pass. MemoryGossip runs it for
+// every tree it built; the robustness experiments use it to re-analyze one
+// built tree under many failure masks without re-running any
+// communication.
 //
 // Correctness: content received at gather step s is forwardable at steps
 // > s. Over the realized transfers, define g(v) as the largest gather step
@@ -205,7 +196,8 @@ func gatherStructural(tree *Tree, failed []bool) *GatherPlan {
 // within one gather step: g values only grow, and a transfer at step s
 // consults g(parent) >= s+1, which transfers at step s never produce).
 // v's own message (ready from step 0) reaches the root iff g(v) >= 1.
-func planFromRealized(tree *Tree, realized []GatherEdge, failed []bool, meter phone.Meter) *GatherPlan {
+func gatherStructural(tree *Tree, failed []bool) *GatherPlan {
+	realized, meter := realizeGather(tree, failed)
 	n := tree.N
 
 	const inf = math.MaxInt32
@@ -226,7 +218,7 @@ func planFromRealized(tree *Tree, realized []GatherEdge, failed []bool, meter ph
 		}
 	}
 
-	plan := &GatherPlan{Reached: make([]bool, n), Steps: tree.Steps}
+	plan := &GatherPlan{Reached: make([]bool, n), Meter: meter}
 	for v := 0; v < n; v++ {
 		if failed[v] {
 			continue
@@ -236,7 +228,6 @@ func planFromRealized(tree *Tree, realized []GatherEdge, failed []bool, meter ph
 			plan.Count++
 		}
 	}
-	plan.Meter = meter
 	return plan
 }
 
@@ -249,9 +240,11 @@ func MemoryGossip(g *graph.Graph, params MemoryParams, seed uint64, leader int32
 	return MemoryGossipOver(g, params, seed, leader, SyncTransport)
 }
 
-// MemoryGossipOver is MemoryGossip with every phase — the Phase I tree
-// builds, the Phase II gather replays, and the Phase III broadcast —
-// executed as node state machines over the given transport.
+// MemoryGossipOver is MemoryGossip with Phase I's tree builds and the
+// Phase III broadcast executed as node state machines over tf. Phase II is
+// transport-independent: its outcome depends only on the recorded
+// schedule and the failure mask, so it is computed (gatherStructural)
+// rather than stepped.
 func MemoryGossipOver(g *graph.Graph, params MemoryParams, seed uint64, leader int32, tf TransportFactory) *Result {
 	nt := phone.NewNet(g, seed)
 	return memoryGossipOver(nt, params, seed, leader, tf)
@@ -268,8 +261,7 @@ func memoryGossipOver(nt *phone.Net, params MemoryParams, seed uint64, leader in
 
 	var m1 phone.Meter
 	for i := range trees {
-		trees[i] = buildTreeOver(nt, leader, params.PushSteps, params.PullSteps,
-			params.Phase3MaxPullSteps, params.MemSlots, true, false, tf)
+		trees[i] = buildTree(nt, leader, params, false, tf)
 		m1.Add(trees[i].Meter)
 	}
 	res.addPhase("infrastructure", m1)
@@ -277,7 +269,7 @@ func memoryGossipOver(nt *phone.Net, params MemoryParams, seed uint64, leader in
 	var m2 phone.Meter
 	gathered := make([]bool, n)
 	for _, t := range trees {
-		plan := gatherOver(t, nt.Failed, tf)
+		plan := gatherStructural(t, nt.Failed)
 		m2.Add(plan.Meter)
 		for v, r := range plan.Reached {
 			if r {
@@ -289,8 +281,7 @@ func memoryGossipOver(nt *phone.Net, params MemoryParams, seed uint64, leader in
 
 	// Phase III: broadcast the combined packet from the leader with the
 	// same procedure, pull stage running to completion.
-	bc := buildTreeOver(nt, leader, params.Phase3PushSteps, params.PullSteps,
-		params.Phase3MaxPullSteps, params.MemSlots, false, true, tf)
+	bc := buildTree(nt, leader, params, true, tf)
 	res.addPhase("broadcast", bc.Meter)
 
 	complete := bc.Completed
@@ -352,8 +343,7 @@ func MemoryRobustness(g *graph.Graph, params MemoryParams, seed uint64, failures
 	trees := make([]*Tree, params.Trees)
 	complete := true
 	for i := range trees {
-		trees[i] = buildTree(nt, leader, params.PushSteps, params.PullSteps,
-			params.Phase3MaxPullSteps, params.MemSlots, true, false)
+		trees[i] = buildTree(nt, leader, params, false, SyncTransport)
 		complete = complete && trees[i].Completed
 	}
 

@@ -38,7 +38,7 @@ func buildTestTree(t *testing.T, n int, seed uint64) (*phone.Net, *Tree) {
 	g := testGraph(n, seed)
 	nt := phone.NewNet(g, seed+1)
 	p := TunedMemoryParams(n)
-	tree := buildTree(nt, 0, p.PushSteps, p.PullSteps, p.Phase3MaxPullSteps, p.MemSlots, true, false)
+	tree := buildTree(nt, 0, p, false, SyncTransport)
 	return nt, tree
 }
 
@@ -142,8 +142,7 @@ func TestQuickGatherStructuralMatchesExactUnderFailures(t *testing.T) {
 		g := testGraph(n, seed)
 		nt := phone.NewNet(g, seed+13)
 		p := TunedMemoryParams(n)
-		tree := buildTree(nt, int32(rng.Intn(n)), p.PushSteps, p.PullSteps,
-			p.Phase3MaxPullSteps, p.MemSlots, true, false)
+		tree := buildTree(nt, int32(rng.Intn(n)), p, false, SyncTransport)
 
 		failed := make([]bool, n)
 		for _, v := range rng.SampleK(n, rng.Intn(n/4+1)) {

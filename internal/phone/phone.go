@@ -13,10 +13,9 @@
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link
-// memory behind it (LinkMemory), per-node replay schedules (DialPlan),
-// the per-step dial table with its inverted incoming-channel index
-// (Round, which Sync steps on), and the transmission meter with its
-// counting conventions (Meter).
+// memory behind it (LinkMemory), the per-step dial table with its
+// inverted incoming-channel index (Round, which Sync steps on), and the
+// transmission meter with its counting conventions (Meter).
 //
 // The algorithms themselves live in internal/core.
 package phone

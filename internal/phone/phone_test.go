@@ -249,3 +249,28 @@ func TestNetRNGIndependentStreams(t *testing.T) {
 		t.Error("per-node streams should differ (collision vanishingly unlikely)")
 	}
 }
+
+func TestOpenAvoidRemembersAndAvoids(t *testing.T) {
+	nt := NewNet(ring(8), 11)
+	nt.InitMemory(2)
+	u := nt.OpenAvoid(3)
+	if u != 2 && u != 4 {
+		t.Fatalf("OpenAvoid dialed non-neighbor %d", u)
+	}
+	if !nt.Memory[3].Contains(u) {
+		t.Fatal("OpenAvoid did not remember the link")
+	}
+	// Node 3 has exactly two neighbors and a 2-slot memory: after two
+	// distinct dials, everything is remembered and OpenAvoid returns NoDial.
+	v := nt.OpenAvoid(3)
+	if v == u {
+		t.Fatal("OpenAvoid redialed a remembered link")
+	}
+	if w := nt.OpenAvoid(3); w != NoDial {
+		t.Fatalf("OpenAvoid with full memory dialed %d", w)
+	}
+	nt.Failed[3] = true
+	if w := nt.OpenAvoid(3); w != NoDial {
+		t.Fatal("failed node dialed")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"gossip/internal/graph"
+	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
 
@@ -130,8 +131,8 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, m := range c.MemSlots {
-		if m < 0 {
-			return fmt.Errorf("runner: memory slots %d out of range (need >= 0)", m)
+		if m < 0 || m > phone.MemorySlots {
+			return fmt.Errorf("runner: memory slots %d out of range (need 0 <= m <= %d)", m, phone.MemorySlots)
 		}
 	}
 	for _, p := range c.WalkProbs {

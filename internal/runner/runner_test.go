@@ -139,6 +139,10 @@ func TestGridValidate(t *testing.T) {
 		// A negative count is reachable from a manifest file's named grid
 		// and from `gossipsim -failures`; xrand.SampleK would panic on it.
 		{Failures: []FailureSpec{{Count: -1}}},
+		// The link memory holds at most phone.MemorySlots links;
+		// phone.NewLinkMemory panics past it.
+		{Algos: []string{"memory"}, MemSlots: []int{5}},
+		{Algos: []string{"memory"}, MemSlots: []int{-1}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid grid %+v accepted", bad)
