@@ -204,7 +204,7 @@
 //	                 this node. Read-only: transports may run it
 //	                 concurrently with other nodes' OnOpen calls.
 //	OnReceive(from, payload)  absorb a delivered push or pull response.
-//	OnStepEnd(step)  apply deferred state transitions.
+//	OnStepEnd(step)  apply deferred transitions once its exchange is done.
 //
 // Three transports execute the same machines:
 //
@@ -214,9 +214,9 @@
 //	                   bit-identical to the historic substrate loops
 //	                   at any GOMAXPROCS.
 //	NewAsyncTransport  one goroutine per node with channel-based
-//	                   delivery and a logical-step barrier — the
-//	                   concurrency shape of a real deployment with the
-//	                   repeatability of logical steps.
+//	                   delivery, two phases a logical step (dial; then
+//	                   exchange and OnStepEnd) — the concurrency shape
+//	                   of a real deployment with logical steps.
 //	cmd/gossipd serve  the same machines behind per-node loopback TCP
 //	                   listeners with a static peer table and no global
 //	                   step barrier at all (internal/gossipd; cmd/gossipd

@@ -77,7 +77,7 @@ var markerPayload any = marker{}
 // shared round tracker (partitioned by receiver, so any Transport phasing that
 // delivers to one node from one goroutine at a time is race-free). A node
 // settles its own row at step end: in Sync's OnStepEnd par.For, or on its
-// Async goroutine.
+// Async goroutine once its own exchange is done.
 type exchangeMachine struct {
 	id int32
 	nt *phone.Net

@@ -1,30 +1,30 @@
 package phone
 
+import "sync/atomic"
+
 // Async is an asynchronous in-process transport: one persistent goroutine
-// per node, with payloads delivered through per-node channels. Logical
-// steps are still synchronized — a coordinator releases the workers phase
-// by phase (dial, exchange, end-of-step) and waits for all of them at a
-// barrier — but within a phase every node runs concurrently and messages
-// genuinely travel through channels, so delivery order within a receiver
-// is scheduling-dependent. Protocols whose receipt handling is
-// commutative (set unions, vote counters, idempotent informs — all of
-// internal/core's machines) produce the same delivered state as under
-// Sync; walk-forwarding machines may route walks differently but keep the
-// same completion semantics.
-//
-// Every callback of one machine runs on that node's goroutine, so unlike
-// Sync no read-only discipline is needed beyond what Machine documents.
+// per node, with payloads delivered through per-node channels, so delivery
+// order within a receiver is scheduling-dependent. A step has two phases:
+// every node dials; then each calls out, serves exactly its incoming
+// channels, collects its own response and runs its OnStepEnd without
+// waiting for the others. The coordinator releases a phase by closing one
+// gate; the last worker done counts an atomic down to zero and wakes it.
+// Inboxes are reused, growing only past their largest in-degree yet. With
+// commutative receipt handling (all of internal/core's machines) delivered
+// state equals Sync's; walk-forwarding machines may route walks otherwise
+// with the same completion semantics. A machine runs on its own goroutine.
 type Async struct {
-	ms    []Machine
-	round *Round
-	push  []any
-	inbox []chan envelope // per-step, capacity = in-degree
-	reply []chan any      // capacity 1: the pull response to node v's call
-	cmd   []chan asyncPhase
-	done  chan struct{}
-	step  int32
-	// respGot[v] is set by worker v when its call pulled a response.
-	respGot []bool
+	ms      []Machine
+	round   *Round
+	push    []any
+	inbox   []chan envelope // reused; capacity >= the step's in-degree
+	reply   []chan any      // capacity 1: the pull response to node v's call
+	respGot []bool          // set by worker v when its call pulled a response
+	step    int32
+	phase   asyncPhase    // with gate, written only while no worker reads them
+	gate    chan struct{} // closed to release the workers into phase
+	pending atomic.Int32  // workers still in the released phase
+	done    chan struct{} // capacity 1: sent by the last of them
 	closed  bool
 }
 
@@ -38,7 +38,7 @@ type asyncPhase uint8
 const (
 	phaseDial asyncPhase = iota
 	phaseExchange
-	phaseEnd
+	phaseStop
 )
 
 // NewAsync returns an asynchronous transport over the machines, starting
@@ -51,14 +51,13 @@ func NewAsync(ms []Machine) *Async {
 		push:    make([]any, n),
 		inbox:   make([]chan envelope, n),
 		reply:   make([]chan any, n),
-		cmd:     make([]chan asyncPhase, n),
-		done:    make(chan struct{}, n),
 		respGot: make([]bool, n),
+		gate:    make(chan struct{}),
+		done:    make(chan struct{}, 1),
 	}
 	for v := 0; v < n; v++ {
 		a.reply[v] = make(chan any, 1)
-		a.cmd[v] = make(chan asyncPhase)
-		go a.worker(int32(v))
+		go a.worker(int32(v), a.gate)
 	}
 	return a
 }
@@ -66,19 +65,20 @@ func NewAsync(ms []Machine) *Async {
 // N returns the number of nodes.
 func (a *Async) N() int { return len(a.ms) }
 
-func (a *Async) worker(v int32) {
+func (a *Async) worker(v int32, gate chan struct{}) {
 	m := a.ms[v]
-	for ph := range a.cmd[v] {
+	for {
+		<-gate
+		ph := a.phase
+		gate = a.gate
 		switch ph {
 		case phaseDial:
 			dial, push := m.OnStep(a.step)
 			a.round.Out[v] = dial
 			a.push[v] = push
 		case phaseExchange:
-			// Call out: one envelope per open channel, push payload
-			// included (possibly nil — the channel itself requests a
-			// response). Inboxes hold exactly the step's in-degree, so
-			// sends never block.
+			// Call out (a nil push still requests a response); inboxes
+			// hold the step's in-degree, so sends never block.
 			u := a.round.Out[v]
 			if u >= 0 {
 				a.inbox[u] <- envelope{from: v, payload: a.push[v]}
@@ -91,41 +91,53 @@ func (a *Async) worker(v int32) {
 				}
 				a.reply[e.from] <- m.OnOpen(e.from)
 			}
-			// Collect the response to the node's own call.
+			// Collect the response to the node's own call; after it no
+			// callback of v runs this step, so v's transition is due.
+			a.respGot[v] = false
 			if u >= 0 {
 				if r := <-a.reply[v]; r != nil {
 					a.respGot[v] = true
 					m.OnReceive(u, r)
 				}
 			}
-		case phaseEnd:
 			m.OnStepEnd(a.step)
 		}
-		a.done <- struct{}{}
+		if a.pending.Add(-1) == 0 {
+			a.done <- struct{}{}
+		}
+		if ph == phaseStop {
+			return
+		}
 	}
 }
 
-func (a *Async) barrier(ph asyncPhase) {
-	for _, c := range a.cmd {
-		c <- ph
-	}
-	for range a.cmd {
+// release runs one phase on every worker and returns once all are done.
+func (a *Async) release(ph asyncPhase) {
+	a.phase = ph
+	a.pending.Store(int32(len(a.ms)))
+	gate := a.gate
+	a.gate = make(chan struct{})
+	close(gate)
+	if len(a.ms) > 0 {
 		<-a.done
 	}
 }
 
 // Step runs one logical step across all node goroutines.
 func (a *Async) Step(step int32) StepTally {
+	if a.closed {
+		panic("phone: Step on a closed Async")
+	}
 	a.step = step
 	a.round.Reset()
-	a.barrier(phaseDial)
+	a.release(phaseDial)
 	a.round.BuildIncoming()
-	for v := range a.inbox {
-		a.inbox[v] = make(chan envelope, a.round.InDegree(int32(v)))
-		a.respGot[v] = false
+	for v, in := range a.inbox {
+		if d := a.round.InDegree(int32(v)); d > cap(in) {
+			a.inbox[v] = make(chan envelope, d)
+		}
 	}
-	a.barrier(phaseExchange)
-	a.barrier(phaseEnd)
+	a.release(phaseExchange)
 
 	var t StepTally
 	for v, u := range a.round.Out {
@@ -142,14 +154,11 @@ func (a *Async) Step(step int32) StepTally {
 	return t
 }
 
-// Close stops the node goroutines. The transport is unusable afterwards.
+// Close stops the node goroutines and waits for them; repeat calls no-op.
 func (a *Async) Close() error {
-	if a.closed {
-		return nil
-	}
-	a.closed = true
-	for _, c := range a.cmd {
-		close(c)
+	if !a.closed {
+		a.closed = true
+		a.release(phaseStop)
 	}
 	return nil
 }

@@ -8,8 +8,9 @@
 // executed by a pluggable Transport — Sync, the canonical in-memory
 // implementation whose delivery order defines the reference results, and
 // Async, a goroutine-per-node transport with channel-based delivery that
-// proves the protocol code is transport-independent. internal/gossipd
-// drives the same machines over loopback TCP.
+// proves the protocol code is transport-independent, stepping in two
+// phases released by closing one gate. internal/gossipd drives the same
+// machines over loopback TCP.
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link
@@ -226,20 +227,6 @@ func (lm *LinkMemory) Links() []int32 {
 	}
 	return lm.slots[:lm.size]
 }
-
-// Contains reports whether u is remembered.
-func (lm *LinkMemory) Contains(u int32) bool {
-	c := lm.capacity()
-	for i := int8(0); i < lm.size; i++ {
-		if lm.slots[(lm.head+i)%c] == u {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of remembered links.
-func (lm *LinkMemory) Len() int { return int(lm.size) }
 
 // Meter counts the communication complexity of a run under the conventions
 // of Berenbrink et al. [5], which the paper adopts:

@@ -118,7 +118,7 @@ func TestFailedNodesDoNotDial(t *testing.T) {
 		if u := nt.OpenAvoid(v); u != NoDial {
 			t.Errorf("failed node %d dialed %d", v, u)
 		}
-		if nt.Memory[v].Len() != 0 {
+		if len(nt.Memory[v].Links()) != 0 {
 			t.Errorf("failed node %d remembered a link", v)
 		}
 	}
@@ -151,23 +151,23 @@ func TestLinkMemoryFIFO(t *testing.T) {
 	for _, u := range []int32{10, 20, 30, 40} {
 		lm.Remember(u)
 	}
-	if lm.Len() != 4 {
-		t.Fatalf("Len = %d", lm.Len())
+	if len(lm.Links()) != 4 {
+		t.Fatalf("Len = %d", len(lm.Links()))
 	}
 	for _, u := range []int32{10, 20, 30, 40} {
-		if !lm.Contains(u) {
+		if !slices.Contains(lm.Links(), u) {
 			t.Errorf("missing %d", u)
 		}
 	}
 	lm.Remember(50) // evicts 10
-	if lm.Contains(10) {
+	if slices.Contains(lm.Links(), 10) {
 		t.Error("oldest entry not evicted")
 	}
-	if !lm.Contains(50) || !lm.Contains(20) {
+	if !slices.Contains(lm.Links(), 50) || !slices.Contains(lm.Links(), 20) {
 		t.Error("eviction removed the wrong entry")
 	}
-	if lm.Len() != 4 {
-		t.Errorf("Len after eviction = %d", lm.Len())
+	if len(lm.Links()) != 4 {
+		t.Errorf("Len after eviction = %d", len(lm.Links()))
 	}
 }
 
@@ -176,10 +176,10 @@ func TestLinkMemoryRestrictedCapacity(t *testing.T) {
 	lm.Remember(1)
 	lm.Remember(2)
 	lm.Remember(3)
-	if lm.Contains(1) {
+	if slices.Contains(lm.Links(), 1) {
 		t.Error("capacity-2 memory kept 3 entries")
 	}
-	if !lm.Contains(2) || !lm.Contains(3) {
+	if !slices.Contains(lm.Links(), 2) || !slices.Contains(lm.Links(), 3) {
 		t.Error("capacity-2 memory lost fresh entries")
 	}
 	if got := len(lm.Links()); got != 2 {
@@ -257,7 +257,7 @@ func TestOpenAvoidRemembersAndAvoids(t *testing.T) {
 	if u != 2 && u != 4 {
 		t.Fatalf("OpenAvoid dialed non-neighbor %d", u)
 	}
-	if !nt.Memory[3].Contains(u) {
+	if !slices.Contains(nt.Memory[3].Links(), u) {
 		t.Fatal("OpenAvoid did not remember the link")
 	}
 	// Node 3 has exactly two neighbors and a 2-slot memory: after two

@@ -18,7 +18,10 @@ import "gossip/internal/par"
 //     other nodes' OnOpen and must see round-start state, so protocols
 //     defer state changes to OnStepEnd or use snapshot predicates.
 //  4. OnReceive (pull direction): the caller receives the response.
-//  5. OnStepEnd: synchronous end-of-step transitions.
+//  5. OnStepEnd: the transition once the node's own exchange is done (in
+//     Sync after every exchange; in Async and gossipd while others may
+//     still exchange), so it writes only node-owned state, node-partitioned
+//     state (msg tracker rows) and atomics, never a payload it sent.
 //
 // A machine is only ever mutated through its own callbacks; machines
 // communicate exclusively via payloads and explicitly-shared state that
@@ -35,7 +38,8 @@ type Machine interface {
 	// OnReceive delivers a payload: a push from a caller, or a response
 	// from the node's own callee.
 	OnReceive(from int32, payload any)
-	// OnStepEnd runs the node's synchronous end-of-step transition.
+	// OnStepEnd runs the node's end-of-step transition, once its own
+	// exchange of the step is done.
 	OnStepEnd(step int32)
 }
 

@@ -1,7 +1,11 @@
 package phone
 
 import (
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gossip/internal/graph"
 )
@@ -199,8 +203,8 @@ func TestAsyncMatchesSyncScripted(t *testing.T) {
 	}
 }
 
-// TestAsyncCloseIdempotent checks Close can be called repeatedly and the
-// transport shuts its goroutines down.
+// TestAsyncCloseIdempotent checks Close can be called repeatedly
+// (TestAsyncNoGoroutineLeak checks that it stops the goroutines).
 func TestAsyncCloseIdempotent(t *testing.T) {
 	ms, _ := scriptMachines(4, func(id, step int32) int32 { return NoDial }, nil, nil)
 	tr := NewAsync(ms)
@@ -267,3 +271,255 @@ func (m *funcMachine) OnStep(step int32) (int32, any) { return m.onStep(step) }
 func (m *funcMachine) OnOpen(from int32) any          { return nil }
 func (m *funcMachine) OnReceive(from int32, p any)    {}
 func (m *funcMachine) OnStepEnd(step int32)           {}
+
+// TestAsyncZeroMachines checks a transport over no nodes steps without
+// waiting for workers that do not exist.
+func TestAsyncZeroMachines(t *testing.T) {
+	tr := NewAsync(nil)
+	got := make(chan StepTally)
+	go func() {
+		tl := tr.Step(1)
+		tr.Close()
+		got <- tl
+	}()
+	select {
+	case tl := <-got:
+		if tl != (StepTally{}) {
+			t.Fatalf("tally = %+v, want zero", tl)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Step over zero machines did not return")
+	}
+}
+
+// TestAsyncStepAfterClosePanics checks a closed transport refuses to step
+// with its own message instead of hanging or failing inside the runtime.
+func TestAsyncStepAfterClosePanics(t *testing.T) {
+	ms, _ := scriptMachines(4, func(id, step int32) int32 { return (id + 1) % 4 }, nil, nil)
+	tr := NewAsync(ms)
+	tr.Step(1)
+	tr.Close()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "phone: ") {
+			t.Fatalf("Step after Close: recovered %v, want a phone: panic", r)
+		}
+	}()
+	tr.Step(2)
+}
+
+// TestAsyncNoGoroutineLeak checks Close stops every node goroutine.
+func TestAsyncNoGoroutineLeak(t *testing.T) {
+	const n = 256
+	base := runtime.NumGoroutine()
+	ms, _ := scriptMachines(n, func(id, step int32) int32 { return (id*7 + step) % n }, nil, nil)
+	tr := NewAsync(ms)
+	for s := int32(1); s <= 3; s++ {
+		tr.Step(s)
+	}
+	tr.Close()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// orderMachine logs its node's callbacks in the order they ran. Its
+// payloads carry their step, and every receipt checks that all n nodes
+// had finished dialing that step.
+type orderMachine struct {
+	id, n  int32
+	dial   func(id, step int32) int32
+	dialed []atomic.Int32 // shared: dialed[s] counts returned OnStep(s) calls
+	cur    int32
+	log    []orderEvent
+	early  int // receipts seen before every node had dialed their step
+}
+
+type orderEvent struct {
+	kind byte // 's' OnStep, 'r' OnReceive, 'o' OnOpen, 'e' OnStepEnd
+	step int32
+}
+
+func (m *orderMachine) OnStep(step int32) (int32, any) {
+	m.cur = step
+	m.log = append(m.log, orderEvent{'s', step})
+	var push any
+	if (m.id+step)%3 != 0 {
+		push = int(step)
+	}
+	d := m.dial(m.id, step)
+	m.dialed[step].Add(1)
+	return d, push
+}
+
+func (m *orderMachine) OnOpen(from int32) any {
+	m.log = append(m.log, orderEvent{'o', m.cur})
+	if m.dialed[m.cur].Load() != m.n {
+		m.early++
+	}
+	if (m.id+from)%4 == 0 {
+		return nil
+	}
+	return int(m.cur)
+}
+
+func (m *orderMachine) OnReceive(from int32, payload any) {
+	s := int32(payload.(int))
+	m.log = append(m.log, orderEvent{'r', s})
+	if m.dialed[s].Load() != m.n {
+		m.early++
+	}
+}
+
+func (m *orderMachine) OnStepEnd(step int32) { m.log = append(m.log, orderEvent{'e', step}) }
+
+// TestAsyncOrderingContract pins the per-node order Async keeps while a
+// node's OnStepEnd runs as soon as its own exchange is done: every
+// OnReceive and OnOpen of step s precedes the node's OnStepEnd(s), which
+// precedes its OnStep(s+1), and no payload of step s is received before
+// every node's OnStep(s) has returned.
+func TestAsyncOrderingContract(t *testing.T) {
+	const n, steps = 64, 6
+	// Nodes 16… crowd onto few of the nodes below 16 (squares mod 16), and
+	// nodes below 16 each call one of the rest, so in-degrees span 0 to 12.
+	dial := func(id, step int32) int32 {
+		switch {
+		case (id+step)%9 == 0:
+			return NoDial
+		case id < 16:
+			return 16 + (id*3+step)%(n-16)
+		default:
+			return (id*id + step) % 16
+		}
+	}
+	// The counts the script implies, per step and node.
+	var opens, recvs [steps + 1][n]int
+	minIn, maxIn := n, 0
+	for s := int32(1); s <= steps; s++ {
+		for v := int32(0); v < n; v++ {
+			u := dial(v, s)
+			if u < 0 {
+				continue
+			}
+			opens[s][u]++
+			if (v+s)%3 != 0 {
+				recvs[s][u]++
+			}
+			if (u+v)%4 != 0 {
+				recvs[s][v]++
+			}
+		}
+		for v := 0; v < n; v++ {
+			minIn, maxIn = min(minIn, opens[s][v]), max(maxIn, opens[s][v])
+		}
+	}
+	if minIn != 0 || maxIn < 4 {
+		t.Fatalf("script in-degrees span %d…%d, want 0 to at least 4", minIn, maxIn)
+	}
+
+	for rep := 0; rep < 10; rep++ {
+		dialed := make([]atomic.Int32, steps+1)
+		ms := make([]Machine, n)
+		oms := make([]*orderMachine, n)
+		for v := range ms {
+			oms[v] = &orderMachine{id: int32(v), n: n, dial: dial, dialed: dialed}
+			ms[v] = oms[v]
+		}
+		tr := NewAsync(ms)
+		for s := int32(1); s <= steps; s++ {
+			tr.Step(s)
+		}
+		tr.Close()
+
+		for v, m := range oms {
+			if m.early != 0 {
+				t.Fatalf("node %d: %d receipts before every node had dialed", v, m.early)
+			}
+			i := 0
+			for s := int32(1); s <= steps; s++ {
+				if i >= len(m.log) || m.log[i] != (orderEvent{'s', s}) {
+					t.Fatalf("node %d: want OnStep(%d) at event %d, log %v", v, s, i, m.log)
+				}
+				i++
+				o, r := 0, 0
+				for ; i < len(m.log) && m.log[i].kind != 'e'; i++ {
+					switch e := m.log[i]; {
+					case e.step != s:
+						t.Fatalf("node %d: step-%d event %c inside step %d, log %v", v, e.step, e.kind, s, m.log)
+					case e.kind == 'o':
+						o++
+					case e.kind == 'r':
+						r++
+					default:
+						t.Fatalf("node %d: %c before OnStepEnd(%d), log %v", v, e.kind, s, m.log)
+					}
+				}
+				if i >= len(m.log) || m.log[i].step != s {
+					t.Fatalf("node %d: want OnStepEnd(%d) at event %d, log %v", v, s, i, m.log)
+				}
+				i++
+				if o != opens[s][v] || r != recvs[s][v] {
+					t.Fatalf("node %d step %d: %d opens and %d receipts before OnStepEnd, want %d and %d",
+						v, s, o, r, opens[s][v], recvs[s][v])
+				}
+			}
+			if i != len(m.log) {
+				t.Fatalf("node %d: events after the last OnStepEnd: %v", v, m.log[i:])
+			}
+		}
+	}
+}
+
+// quietMachine dials on a fixed script and sends only nil or zero-size
+// payloads, so a step through it allocates only what the transport does.
+type quietMachine struct{ id, n int32 }
+
+func (m quietMachine) OnStep(step int32) (int32, any) {
+	switch (m.id + step) % 4 {
+	case 0:
+		return NoDial, nil
+	case 1:
+		return (m.id + 1) % m.n, nil
+	default:
+		return (m.id*3 + step) % m.n, struct{}{}
+	}
+}
+
+func (m quietMachine) OnOpen(from int32) any {
+	if from%2 == 0 {
+		return struct{}{}
+	}
+	return nil
+}
+
+func (quietMachine) OnReceive(int32, any) {}
+func (quietMachine) OnStepEnd(int32)      {}
+
+// TestAsyncStepAllocs pins the inbox reuse and the allocation-free
+// barrier: a steady-state step allocates a small constant, the same at
+// every n.
+func TestAsyncStepAllocs(t *testing.T) {
+	const maxAllocs = 4
+	for _, n := range []int{64, 1024} {
+		ms := make([]Machine, n)
+		for v := range ms {
+			ms[v] = quietMachine{id: int32(v), n: int32(n)}
+		}
+		tr := NewAsync(ms)
+		step := int32(0)
+		for ; step < 8; step++ { // every inbox reaches its largest in-degree
+			tr.Step(step)
+		}
+		allocs := testing.AllocsPerRun(60, func() {
+			tr.Step(step)
+			step++
+		})
+		tr.Close()
+		if allocs > maxAllocs {
+			t.Errorf("n = %d: Async.Step allocated %v times per step, want at most %d", n, allocs, maxAllocs)
+		}
+	}
+}
