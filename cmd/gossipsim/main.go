@@ -77,9 +77,9 @@ func main() {
 	var (
 		algo     = flag.String("algo", "pushpull", "pushpull | fast | fast-theory | memory | memory-elect | broadcast-push | broadcast-pull | broadcast-pushpull")
 		n        = flag.Int("n", 4096, "number of nodes (= number of messages)")
-		model    = flag.String("model", "er", "graph model: er (G(n, log²n/n)) | er-p | regular | powerlaw")
+		model    = flag.String("model", "er", "graph model: er (G(n, log²n/n)) | er-p | regular (configuration model: loops and parallel edges kept, every degree exact) | powerlaw")
 		p        = flag.Float64("p", 0, "edge probability for -model er-p")
-		degree   = flag.Int("degree", 0, "degree for -model regular (0 = log²n)")
+		degree   = flag.Int("degree", 0, "degree for -model regular, bumped by one when n·degree is odd (0 = the sweep's: log²n rounded, in [3, n-1])")
 		beta     = flag.Float64("beta", 2.5, "power-law exponent for -model powerlaw")
 		seed     = flag.Uint64("seed", 1, "master seed")
 		reps     = flag.Int("reps", 1, "independent repetitions (seed+rep)")
@@ -182,13 +182,13 @@ func buildGraph(model string, n int, p float64, degree int, beta float64, seed u
 		}
 		return gossip.NewErdosRenyi(n, p, seed), nil
 	case "regular":
-		if degree <= 0 { // log²n, kept below n where it clamps (n ≤ 16), as runner.BuildGraph keeps it
-			degree = min(int(gossip.PaperEdgeProbability(n)*float64(n)), n-1)
+		if degree <= 0 { // the sweep's density-1 cell, degree rule and seeding included
+			return runner.BuildGraph(runner.Scenario{Model: "regular", N: n, Density: 1}, seed)
 		}
 		if n*degree%2 == 1 {
 			degree++
 		}
-		return gossip.NewRandomRegular(n, degree, seed), nil
+		return gossip.NewConfigurationModel(n, degree, seed), nil
 	case "powerlaw":
 		if !(beta > 1) || math.IsInf(beta, 1) {
 			return nil, fmt.Errorf("-model powerlaw requires a finite -beta > 1")

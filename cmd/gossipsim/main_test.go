@@ -73,6 +73,27 @@ func TestBuildGraphDefaultDegreeBelowN(t *testing.T) {
 	}
 }
 
+// TestBuildGraphRegularDegree: every node has exactly the degree asked
+// for, or by default the sweep's (at n = 1200, log²n = 104.5 rounds to 105),
+// bumped by one where n·degree is odd.
+func TestBuildGraphRegularDegree(t *testing.T) {
+	for _, tc := range []struct{ n, degree, want int }{
+		{1200, 0, 105},
+		{256, 8, 8},
+		{255, 7, 8},
+	} {
+		g, err := buildGraph("regular", tc.n, 0, tc.degree, 2.5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := int32(0); int(v) < g.N(); v++ {
+			if d := g.Degree(v); d != tc.want {
+				t.Fatalf("n=%d -degree %d: node %d has degree %d, want %d", tc.n, tc.degree, v, d, tc.want)
+			}
+		}
+	}
+}
+
 func TestBuildGraphErrors(t *testing.T) {
 	if _, err := buildGraph("nope", 256, 0, 0, 2.5, 1); err == nil {
 		t.Error("unknown model accepted")

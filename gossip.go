@@ -57,17 +57,11 @@ func NewPaperGraph(n int, seed uint64) *Graph {
 	return graph.ErdosRenyi(n, graph.PLogSquared(n), xrand.New(seed))
 }
 
-// NewRandomRegular samples a simple graph with degrees d (d ≤ 5 or so) or
-// at most d (an erased pairing; see graph.RandomRegular). n·d must be even.
-func NewRandomRegular(n, d int, seed uint64) *Graph {
-	return graph.RandomRegular(n, d, xrand.New(seed))
-}
-
 // NewConfigurationModel samples a d-regular multigraph from the pairing
 // model, keeping self-loops and multi-edges as the paper's analysis does.
+// n·d must be even.
 func NewConfigurationModel(n, d int, seed uint64) *Graph {
-	g, _ := graph.ConfigurationModel(n, d, xrand.New(seed))
-	return g
+	return graph.ConfigurationModel(n, d, xrand.New(seed))
 }
 
 // NewPowerLaw samples a Chung–Lu graph with power-law expected degrees

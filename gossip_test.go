@@ -34,10 +34,7 @@ func TestPublicGraphConstructors(t *testing.T) {
 	if g := NewErdosRenyi(100, 0.2, 1); g.N() != 100 || g.M() == 0 {
 		t.Error("NewErdosRenyi wrong")
 	}
-	if g := NewRandomRegular(100, 6, 2); g.Degree(0) != 6 {
-		t.Error("NewRandomRegular wrong")
-	}
-	if g := NewConfigurationModel(100, 6, 3); g.N() != 100 {
+	if g := NewConfigurationModel(100, 6, 3); g.N() != 100 || g.Degree(0) != 6 {
 		t.Error("NewConfigurationModel wrong")
 	}
 	g := NewPowerLaw(500, 2.5, 4, 4)

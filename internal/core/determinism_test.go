@@ -61,7 +61,7 @@ func TestAlgorithmsOnAlternativeTopologies(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"config-model", func() *graph.Graph { g, _ := graph.ConfigurationModel(n, 32, rng); return g }()},
+		{"config-model", graph.ConfigurationModel(n, 32, rng)},
 		{"powerlaw", graph.ChungLu(graph.PowerLawWeights(n, 2.5, 12), rng)},
 		{"hypercube", graph.Hypercube(9)},
 	}
@@ -81,7 +81,7 @@ func TestAlgorithmsOnAlternativeTopologies(t *testing.T) {
 func TestMemoryGossipOnDenseRegular(t *testing.T) {
 	// d > log^κ n regime of the analysis (Lemma 13 case split).
 	n := 512
-	g := graph.RandomRegular(n, 128, xrand.New(94))
+	g := graph.ConfigurationModel(n, 128, xrand.New(94))
 	res := MemoryGossip(g, TunedMemoryParams(n), 95, -1)
 	if !res.Completed {
 		t.Errorf("memory gossip incomplete on dense regular graph: %v", res)

@@ -129,7 +129,7 @@ func TestFastGossipDeterministic(t *testing.T) {
 func TestFastGossipOnRandomRegular(t *testing.T) {
 	rng := xrand.New(31)
 	n := 512
-	g := graph.RandomRegular(n, 48, rng)
+	g := graph.ConfigurationModel(n, 48, rng)
 	res := FastGossip(g, TunedFastGossipParams(n), 6)
 	if !res.Completed {
 		t.Errorf("fast-gossiping on random regular graph did not complete: %v", res)

@@ -119,7 +119,7 @@ func TestPushPullDisconnectedNeverCompletes(t *testing.T) {
 func TestPushPullOnRandomRegular(t *testing.T) {
 	// The paper proves its results for the configuration model too.
 	rng := xrand.New(21)
-	g := graph.RandomRegular(512, 32, rng)
+	g := graph.ConfigurationModel(512, 32, rng)
 	res := PushPull(g, 2, 0)
 	if !res.Completed {
 		t.Error("push-pull on random regular graph did not complete")

@@ -63,8 +63,7 @@ func AblationDensity(cfg Config) *Report {
 	}
 	grid = append(grid, point{"random d-regular", float64(d), func(rep int) *graph.Graph {
 		seed := xrand.SeedFor(cfg.Seed, tagGraph, uint64(n), uint64(rep), 9999)
-		g, _ := graph.ConfigurationModel(n, d, xrand.New(seed))
-		return g
+		return graph.ConfigurationModel(n, d, xrand.New(seed))
 	}})
 
 	cells := measure(cfg, grid, reps, func(pt point, rep int) runner.Metrics {

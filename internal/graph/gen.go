@@ -135,198 +135,37 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	return &Graph{n: n, off: off, adj: adj}
 }
 
-// ConfigStats reports the defect edges of a configuration-model pairing.
-// The paper (§2) notes that for the degrees considered the number of loops
-// and multi-edges is constant with high probability; tests assert this.
-type ConfigStats struct {
-	SelfLoops  int
-	MultiEdges int // surplus parallel edges (a triple edge counts 2)
-}
-
 // ConfigurationModel samples a d-regular multigraph on n nodes from the
-// pairing (configuration) model of Bollobás/Wormald (§2 of the paper):
-// d·n stubs, a uniformly random perfect matching of the stubs. n·d must be
-// even. Self-loops and multi-edges are kept — the model the paper analyzes
-// keeps them too — and reported in stats.
-func ConfigurationModel(n, d int, rng *xrand.RNG) (*Graph, ConfigStats) {
-	stubs := newStubs(n, d)
-	shuffleStubs(stubs, d, rng, nil)
-	edges := pairUp(stubs, nil)
-	return FromEdges(n, edges), countDefects(edges, make([]uint64, 0, len(edges)))
-}
-
-// RandomRegular samples a d-regular graph by rejection over configuration-
-// model pairings, the classical exact sampler: the first of up to maxTries
-// pairings without loops or multi-edges is returned. One is simple with
-// probability ≈ exp(-(d²-1)/4) — 0.14 at d = 3, e⁻²²⁵ at d = 30 — so above
-// d ≈ 5 the result is in practice always the erased fallback, the pairing of
-// shuffle maxTries+1 with loops dropped and parallels collapsed: simple,
-// degrees at most d, and ≈ (d²-1)/4 edges short or more (at n = 2048,
-// d = 242 it keeps ≈ 233.7 k of 247.8 k, 5.7 % erased).
+// pairing (configuration) model of Bollobás/Wormald (§2 of the paper): n·d
+// stubs, d to a node, and a uniformly random perfect matching of them. n·d
+// must be even. Self-loops and parallel edges are kept, as in the model the
+// paper analyzes, so every degree is exactly d, a loop counting 2; §2 notes
+// that there are O(d²) of them w.h.p., which the tests assert. They are not
+// counted here: that takes a sort of the n·d/2 edges, several times the
+// cost of the build.
 //
-// Draw contract: every try and the fallback consume exactly one
-// rng.Shuffle(n·d) over the node-major stubs, so graph and stream position
-// are those of rejecting over whole ConfigurationModel calls. A try that
-// closes a self-loop at step i stops there, and the i-1 draws the rest owes
-// are checked, not skipped: from jumpMin up, rng jumps over them as i-1
-// Uint64 (xrand.Advance) while a second goroutine, and the caller once done,
-// re-walk the stretch with SkipShuffle. If a walk ends elsewhere (a Lemire
-// redraw, below n·d·2⁻⁶⁴ a draw), the tries after it rerun from the walked
-// state, so the result never depends on scheduling. The walks still cost
-// their CPU: a build is faster only while a core is idle (a one-worker sweep,
-// a single run: ≈ −35 % wall), and costs the same when every core is busy (a
-// sweep at default workers). Edge and key buffers appear with the first
-// loop-free try and are reused.
-func RandomRegular(n, d int, rng *xrand.RNG) *Graph {
-	return randomRegular(n, d, rng, func(_ int, walked, advanced *xrand.RNG) bool { return *walked != *advanced })
-}
-
-const maxTries, jumpMin = 40, 1 << 12
-
-// stretch is a rejected try's rest, steps draws from at: Advance jumps rng
-// to to, and the check walks at to where the draws really end.
-type stretch struct {
-	try, steps int
-	at, to     xrand.RNG
-}
-
-// randomRegular is RandomRegular with a seam: redrawn(j, …) reports whether
-// stretch j's walk contradicts its jump.
-func randomRegular(n, d int, rng *xrand.RNG, redrawn func(j int, walked, advanced *xrand.RNG) bool) *Graph {
-	stubs := newStubs(n, d)
-	var stretches []stretch // capacity maxTries, so append never moves a queued stretch
-	var todo chan *stretch
-	var done chan struct{}
-	check := func() {
-		for s := range todo {
-			s.at.SkipShuffle(s.steps)
-		}
-	}
-	g := regularTries(n, d, 0, stubs, rng, func(try, steps int) {
-		if steps < jumpMin {
-			rng.SkipShuffle(steps)
-			return
-		}
-		if todo == nil { // the first stretch starts the checker
-			stretches, todo, done = make([]stretch, 0, maxTries), make(chan *stretch, maxTries), make(chan struct{})
-			go func() { check(); close(done) }()
-		}
-		at := *rng
-		rng.Advance(uint64(steps - 1))
-		stretches = append(stretches, stretch{try, steps, at, *rng})
-		todo <- &stretches[len(stretches)-1]
-	})
-	if todo == nil {
-		return g
-	}
-	close(todo)
-	check()
-	<-done
-	for j, s := range stretches {
-		if redrawn(j, &s.at, &s.to) {
-			*rng = s.at
-			return regularTries(n, d, s.try+1, stubs, rng, func(_, steps int) { rng.SkipShuffle(steps) })
-		}
-	}
-	return g
-}
-
-// regularTries runs RandomRegular's tries first..maxTries-1 and then its
-// fallback; skip settles the draws a try rejected at step i still owes.
-func regularTries(n, d, first int, stubs []int32, rng *xrand.RNG, skip func(try, i int)) *Graph {
-	var edges []Edge
-	var keys []uint64
-	for try := first; try < maxTries; try++ {
-		if shuffleStubs(stubs, d, rng, func(i int) { skip(try, i) }) {
-			edges, keys = pairUp(stubs, edges), slices.Grow(keys, len(stubs)/2)
-			if countDefects(edges, keys) == (ConfigStats{}) {
-				return FromEdges(n, edges)
-			}
-		}
-	}
-	shuffleStubs(stubs, d, rng, nil)
-	return Simplify(FromEdges(n, pairUp(stubs, edges)))
-}
-
-// newStubs checks the pairing model's parameters and allocates its stubs.
-func newStubs(n, d int) []int32 {
+// Draw contract: one rng.Shuffle(n·d) over the stubs laid out node-major;
+// stubs 2k and 2k+1 are then edge k, in that order in FromEdges.
+func ConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 	if n < 0 || d < 0 || n*d%2 != 0 {
 		panic("graph: the configuration model needs n, d >= 0 and n*d even")
 	}
-	return make([]int32, n*d)
-}
-
-// shuffleStubs lays the stubs out node-major, d to a node, and runs
-// rng.Shuffle over them: stubs 2k and 2k+1 are then pair k of a uniformly
-// random perfect matching. Fisher–Yates fixes position i at step i, top
-// down, so pair i/2 is final after an even step. Given skip, the first
-// such pair that is a self-loop ends the swapping, skip(i) settles the
-// draws the rest of the shuffle owes, and the result is false; pair 0,
-// final only after the last step, is left to countDefects.
-func shuffleStubs(stubs []int32, d int, rng *xrand.RNG, skip func(i int)) bool {
+	stubs := make([]int32, n*d)
 	for v := 0; v*d < len(stubs); v++ {
 		row := stubs[v*d : v*d+d]
 		for k := range row {
 			row[k] = int32(v)
 		}
 	}
-	for i := len(stubs) - 1; i > 0; i-- {
+	for i := len(stubs) - 1; i > 0; i-- { // rng.Shuffle, without its swap closure
 		j := rng.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
-		if skip != nil && i&1 == 0 && stubs[i] == stubs[i+1] {
-			skip(i)
-			return false
-		}
 	}
-	return true
-}
-
-// pairUp reads the pairing off shuffled stubs into edges, grown to fit.
-func pairUp(stubs []int32, edges []Edge) []Edge {
-	edges = slices.Grow(edges[:0], len(stubs)/2)[:len(stubs)/2]
+	edges := make([]Edge, len(stubs)/2)
 	for i := range edges {
 		edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
 	}
-	return edges
-}
-
-// countDefects counts a pairing's self-loops and its surplus parallel
-// edges. One key per other edge is sorted into keys[:0], the caller's
-// scratch, so that parallels are adjacent: c equal keys contribute c-1.
-func countDefects(edges []Edge, keys []uint64) ConfigStats {
-	var st ConfigStats
-	keys = keys[:0]
-	for _, e := range edges {
-		if e.U == e.V {
-			st.SelfLoops++
-			continue
-		}
-		u, v := min(e.U, e.V), max(e.U, e.V)
-		keys = append(keys, uint64(uint32(u))<<32|uint64(uint32(v)))
-	}
-	slices.Sort(keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			st.MultiEdges++
-		}
-	}
-	return st
-}
-
-// Simplify returns a copy of g with self-loops removed and parallel edges
-// collapsed, each edge {u, v}, u < v, taken where u first appears in v's list.
-func Simplify(g *Graph) *Graph {
-	edges := make([]Edge, 0, g.M())
-	last := make([]int32, g.N()) // last[u] = v once {u, v} is kept; u < v, so never 0
-	for v := int32(0); int(v) < g.N(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if u < v && last[u] != v {
-				last[u] = v
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		}
-	}
-	return FromEdges(g.N(), edges)
+	return FromEdges(n, edges)
 }
 
 // ChungLu samples a graph where edge {u,v} (u != v) appears independently

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"gossip/internal/xrand"
 )
@@ -77,154 +76,39 @@ func TestErdosRenyiMatchesReference(t *testing.T) {
 	}
 }
 
-// randomRegularReference is the RandomRegular this package had before a
-// rejected try stopped at its first loop, kept as the specification of its
-// draws and its result: 40 whole closure shuffles, each paired off and
-// scanned, then ConfigurationModel's shuffle erased through a map. It also
-// reports which try was accepted (0: the erased fallback) and whether some
-// rejected try had pair 0 as its only loop, the one a shuffle closes last.
-func randomRegularReference(n, d int, rng *xrand.RNG) (g *Graph, accepted int, pair0Only bool) {
-	pairing := func() []Edge {
-		stubs := make([]int32, n*d)
-		for v := 0; v < n; v++ {
-			for k := 0; k < d; k++ {
-				stubs[v*d+k] = int32(v)
-			}
-		}
-		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		edges := make([]Edge, len(stubs)/2)
-		for i := range edges {
-			edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
-		}
-		return edges
-	}
-	const maxTries = 40
-	for try := 1; try <= maxTries; try++ {
-		edges := pairing()
-		loops := 0
-		for _, e := range edges {
-			if e.U == e.V {
-				loops++
-			}
-		}
-		pair0Only = pair0Only || loops == 1 && edges[0].U == edges[0].V
-		if loops > 0 {
-			continue
-		}
-		seen := make(map[[2]int32]bool, len(edges))
-		for _, e := range edges {
-			seen[[2]int32{min(e.U, e.V), max(e.U, e.V)}] = true
-		}
-		if len(seen) == len(edges) {
-			return FromEdges(n, edges), try, pair0Only
+// referenceConfigurationModel is the specification of ConfigurationModel's
+// draws and its layout: rng.Shuffle over the node-major stubs, paired off
+// in order, then FromEdges.
+func referenceConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
+	stubs := make([]int32, 0, n*d)
+	for v := 0; v < n; v++ {
+		for range d {
+			stubs = append(stubs, int32(v))
 		}
 	}
-	multi := FromEdges(n, pairing())
-	var edges []Edge
-	seen := make(map[[2]int32]bool)
-	for v := int32(0); int(v) < n; v++ {
-		for _, u := range multi.Neighbors(v) {
-			if key := [2]int32{u, v}; u < v && !seen[key] {
-				seen[key] = true
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		}
+	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	edges := make([]Edge, len(stubs)/2)
+	for i := range edges {
+		edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
 	}
-	return FromEdges(n, edges), 0, pair0Only
+	return FromEdges(n, edges)
 }
 
-// TestRandomRegularMatchesReference requires the reference's graph and
-// stream position from degrees that accept on the first tries up to the
-// sweep's densest, which never accept, and that the cases reach every way a
-// try can end: accepted late, rejected on pair 0 alone, and the fallback.
-func TestRandomRegularMatchesReference(t *testing.T) {
-	var late, pair0, fallback bool
-	check := func(n, d int, seed uint64) {
-		t.Helper()
-		wantRNG, gotRNG := xrand.New(seed), xrand.New(seed)
-		want, accepted, pair0Only := randomRegularReference(n, d, wantRNG)
-		got := RandomRegular(n, d, gotRNG)
-		if got.n != want.n || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || got.adj == nil {
-			t.Fatalf("n=%d d=%d seed=%d: graph differs from the reference (m %d vs %d)", n, d, seed, got.M(), want.M())
-		}
-		if *gotRNG != *wantRNG {
-			t.Fatalf("n=%d d=%d seed=%d: rng left at a different stream position", n, d, seed)
-		}
-		late, pair0, fallback = late || accepted > 1, pair0 || pair0Only, fallback || accepted == 0
-	}
-	// {512, 128} is the -short case whose stretches are long enough for the
-	// checker goroutine, so that the race job runs it.
+// TestConfigurationModelMatchesReference requires the reference's graph
+// and stream position, from the empty pairing up to the sweep's densest
+// degree at n = 2048.
+func TestConfigurationModelMatchesReference(t *testing.T) {
 	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 4}, {64, 3}, {1000, 3}, {100, 6}, {512, 128}, {2048, 30}, {2048, 242}} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			if c[0]*c[1] > 1e4 && seed > 1 && testing.Short() { // 41 closure shuffles of n·d stubs: once
-				break
+		for seed := uint64(1); seed <= 3; seed++ {
+			n, d := c[0], c[1]
+			wantRNG, gotRNG := xrand.New(seed), xrand.New(seed)
+			want, got := referenceConfigurationModel(n, d, wantRNG), ConfigurationModel(n, d, gotRNG)
+			if got.n != want.n || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+				t.Fatalf("n=%d d=%d seed=%d: graph differs from the reference", n, d, seed)
 			}
-			check(c[0], c[1], seed)
-		}
-	}
-	if !late || !pair0 || !fallback {
-		t.Fatalf("cases miss a path: accepted after try 1 %v, rejected on pair 0 alone %v, fallback %v", late, pair0, fallback)
-	}
-}
-
-// TestRandomRegularRecovers drives randomRegular's seam at every stretch.
-// Reported as redrawn although its walk agrees, the stretch must leave the
-// reference's graph and stream position: the tries after it rerun from the
-// walked state. Given a real redraw (one more Uint64 in its walk), the
-// result must be the sequential tries' with that draw added. The cases end
-// in the fallback after 40 stretches, and in an acceptance (tries 18 and 6)
-// after 11 and 5.
-func TestRandomRegularRecovers(t *testing.T) {
-	for _, c := range [][4]int{{512, 128, 1, 40}, {2000, 4, 3, 11}, {4000, 3, 4, 5}} {
-		n, d, seed := c[0], c[1], uint64(c[2])
-		refRNG := xrand.New(seed)
-		ref, _, _ := randomRegularReference(n, d, refRNG)
-		for bad := -1; bad < c[3]; bad++ {
-			if testing.Short() && bad > 0 && bad < c[3]-1 {
-				continue
+			if *gotRNG != *wantRNG {
+				t.Fatalf("n=%d d=%d seed=%d: rng left at a different stream position", n, d, seed)
 			}
-			for _, redraw := range []bool{false, true} {
-				want, wantRNG, k := ref, refRNG, 0
-				if redraw {
-					wantRNG = xrand.New(seed)
-					want = regularTries(n, d, 0, newStubs(n, d), wantRNG, func(_, steps int) {
-						if wantRNG.SkipShuffle(steps); steps >= jumpMin {
-							if k++; k == bad+1 {
-								wantRNG.Uint64()
-							}
-						}
-					})
-				}
-				stretches, rng := 0, xrand.New(seed)
-				got := randomRegular(n, d, rng, func(j int, walked, advanced *xrand.RNG) bool {
-					if stretches++; j == bad && redraw {
-						walked.Uint64()
-					}
-					return j == bad && !redraw || *walked != *advanced
-				})
-				if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || *rng != *wantRNG {
-					t.Fatalf("n=%d d=%d seed=%d: stretch %d redrawn (%v): graph or stream position differs", n, d, seed, bad, redraw)
-				}
-				if bad < 0 && stretches != c[3] { // else the check stops at stretch bad
-					t.Fatalf("n=%d d=%d seed=%d: %d stretches, want %d", n, d, seed, stretches, c[3])
-				}
-			}
-		}
-	}
-}
-
-// TestRandomRegularNoGoroutineLeak builds 100 graphs whose stretches go to
-// the checker goroutine and requires the goroutine count back at its
-// baseline within a second.
-func TestRandomRegularNoGoroutineLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for seed := range uint64(100) {
-		RandomRegular(256, 32, xrand.New(seed))
-	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

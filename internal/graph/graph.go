@@ -12,9 +12,10 @@
 // ascending. It builds its CSR in place in two phases (upper neighbours
 // during the walk, lower ones scattered after the prefix sum) rather than
 // through an edge list and FromEdges, which the other generators use.
-// RandomRegular's is one rng.Shuffle(n·d) of the stubs per pairing it draws,
-// kept or rejected: up to 40 tries and, above d ≈ 5 always, an erased 41st;
-// a rejected try's drain is checked on a second goroutine, not skipped.
+// ConfigurationModel, the random d-regular model of the paper's §2 and of
+// every `regular` cell, draws one rng.Shuffle(n·d) of the stubs and keeps
+// the pairing whole: loops and parallel edges stay, every degree is
+// exactly d (a loop counts 2), and the defects are not counted.
 package graph
 
 import (

@@ -23,6 +23,12 @@ import "gossip/internal/par"
 //     still exchange), so it writes only node-owned state, node-partitioned
 //     state (msg tracker rows) and atomics, never a payload it sent.
 //
+// A node may dial itself: a configuration-model graph keeps its loops,
+// each an edge like any other in the uniform dial. Such a call costs what
+// any call costs, one opened channel with its push and response metered
+// like any other, and the node plays both ends: it receives its own push,
+// answers itself in OnOpen and receives the response.
+//
 // A machine is only ever mutated through its own callbacks; machines
 // communicate exclusively via payloads and explicitly-shared state that
 // is safe under the concurrency each callback documents (e.g. the

@@ -52,7 +52,7 @@ func BuildGraph(s Scenario, seed uint64) (*graph.Graph, error) {
 		if s.N*deg%2 == 1 {
 			deg++
 		}
-		return graph.RandomRegular(s.N, deg, rng), nil
+		return graph.ConfigurationModel(s.N, deg, rng), nil
 	case "powerlaw":
 		wmin := 8 * d
 		if wmin < 2 {

@@ -280,6 +280,37 @@ func TestExecuteAlgosAndModels(t *testing.T) {
 	}
 }
 
+// TestBuildGraphRegularExactDegree: a `regular` cell is the configuration
+// model at the sweep's degree, log²n·density rounded, clamped to [3, n-1]
+// and bumped when n·d is odd, and every node has exactly that degree, a
+// loop counting 2. The n = 2048 rows are density_models' points.
+func TestBuildGraphRegularExactDegree(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		density float64
+		d       int
+	}{
+		{2048, 0.25, 30}, {2048, 1, 121}, {2048, 2, 242},
+		{64, 1, 36}, {128, 1, 49},
+		{27, 1, 24},   // 22.6 rounds to 23, odd with n = 27
+		{64, 0.01, 3}, // clamped up
+		{5, 1, 4},     // clamped down to n-1
+	} {
+		g, err := BuildGraph(Scenario{Model: "regular", N: tc.n, Density: tc.density}, CellSeed(1, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("n=%d density %g: %v", tc.n, tc.density, err)
+		}
+		for v := int32(0); int(v) < g.N(); v++ {
+			if g.Degree(v) != tc.d {
+				t.Fatalf("n=%d density %g: node %d has degree %d, want %d", tc.n, tc.density, v, g.Degree(v), tc.d)
+			}
+		}
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	g := Grid{Algos: []string{"pushpull"}, Sizes: []int{128}, Reps: 2, Seed: 1}
 	results := (&Runner{}).RunGrid(g)

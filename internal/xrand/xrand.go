@@ -6,15 +6,14 @@
 // per-node so that parallel simulations are reproducible independent of
 // goroutine scheduling, (b) explicit stream derivation (SeedFor) so a
 // single master seed fans out into statistically independent streams for
-// (run, node) pairs, (c) the exact samplers the gossiping algorithms need
-// (bounded integers, Bernoulli coins, geometric skips for G(n,p)
-// generation), and (d) Advance, an exact jump over k outputs in O(log k).
+// (run, node) pairs, and (c) the exact samplers the gossiping algorithms
+// need (bounded integers, Bernoulli coins, geometric skips for G(n,p)
+// generation).
 package xrand
 
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // RNG is a xoshiro256++ generator. The zero value is not a valid generator;
@@ -86,57 +85,6 @@ func SeedFor(master uint64, coords ...uint64) uint64 {
 	return h
 }
 
-// charPoly is P, the characteristic polynomial of the xoshiro256 state map
-// M over GF(2), less its leading x²⁵⁶: bit i%64 of word i/64 is the
-// coefficient of xⁱ. TestCharPoly recomputes it by Berlekamp–Massey.
-var charPoly = [4]uint64{0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19}
-
-// sqrTable[k][b] is (b(x)·x⁸ᵏ)² mod P, b read as a polynomial of degree
-// < 8. Squaring is linear over GF(2), so a² mod P sums one entry per byte.
-var sqrTable = sync.OnceValue(func() *[32][256][4]uint64 {
-	t, x := new([32][256][4]uint64), [4]uint64{1} // x = x²ʲ mod P
-	for j := range 256 {
-		k, bit := j/8, 1<<(j%8)
-		for b := bit; b < 2*bit; b++ {
-			e := &t[k][b-bit]
-			t[k][b] = [4]uint64{e[0] ^ x[0], e[1] ^ x[1], e[2] ^ x[2], e[3] ^ x[3]}
-		}
-		x = mulX(mulX(x))
-	}
-	return t
-})
-
-// mulX returns a·x mod P.
-func mulX(a [4]uint64) [4]uint64 {
-	p, c := -(a[3] >> 63), charPoly
-	return [4]uint64{a[0]<<1 ^ p&c[0], a[1]<<1 | a[0]>>63 ^ p&c[1], a[2]<<1 | a[1]>>63 ^ p&c[2], a[3]<<1 | a[2]>>63 ^ p&c[3]}
-}
-
-// Advance leaves r where k calls of Uint64 would, in O(log k) work: Mᵏ is
-// (xᵏ mod P)(M), so the new state is the sum of the next states Mⁱs whose
-// coefficient in xᵏ mod P is set, i < 256.
-func (r *RNG) Advance(k uint64) {
-	c := [4]uint64{1}
-	for i := bits.Len64(k) - 1; i >= 0; i-- {
-		var sq [4]uint64
-		for j, t := 0, sqrTable(); j < 32; j++ {
-			e := &t[j][byte(c[j/8]>>(8*(j%8)))]
-			sq = [4]uint64{sq[0] ^ e[0], sq[1] ^ e[1], sq[2] ^ e[2], sq[3] ^ e[3]}
-		}
-		if c = sq; k>>i&1 != 0 {
-			c = mulX(c)
-		}
-	}
-	var sum RNG
-	for i := range 256 {
-		if c[i/64]>>(i%64)&1 != 0 {
-			sum.s0, sum.s1, sum.s2, sum.s3 = sum.s0^r.s0, sum.s1^r.s1, sum.s2^r.s2, sum.s3^r.s3
-		}
-		r.Uint64()
-	}
-	*r = sum
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // The implementation is Lemire's nearly-divisionless bounded sampler, which
 // is unbiased.
@@ -155,41 +103,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	// Lemire: multiply-shift with rejection in the low word.
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		return r.uint64nSlow(n, hi, lo)
-	}
-	return hi
-}
-
-// uint64nSlow finishes Uint64n once the first product's low word is below
-// n (probability n/2⁶⁴): it redraws while lo is under the exact threshold.
-func (r *RNG) uint64nSlow(n, hi, lo uint64) uint64 {
-	for thresh := -n % n; lo < thresh; {
-		hi, lo = bits.Mul64(r.Uint64(), n)
-	}
-	return hi
-}
-
-// skipUint64n advances r as Uint64n(from), Uint64n(from-1), …, Uint64n(to)
-// would and discards the values; to must be at least 1. The state stays in
-// locals between draws and goes back to r only for the slow path.
-func (r *RNG) skipUint64n(from, to uint64) {
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	for n := from; n >= to; n-- {
-		x := rotl(s0+s3, 23) + s0 // Uint64, on the locals
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		if hi, lo := bits.Mul64(x, n); lo < n {
-			*r = RNG{s0, s1, s2, s3}
-			r.uint64nSlow(n, hi, lo)
-			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-	*r = RNG{s0, s1, s2, s3}
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
@@ -264,10 +182,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// SkipShuffle leaves r where Shuffle(n, swap) leaves it and swaps nothing:
-// what a caller done with the permutation still owes the stream.
-func (r *RNG) SkipShuffle(n int) { r.skipUint64n(uint64(max(n, 0)), 2) }
 
 // SampleK returns k distinct values drawn uniformly from [0, n) using
 // Floyd's algorithm. The result order is not uniform (callers who need a

@@ -240,83 +240,6 @@ func TestSeedForDistinct(t *testing.T) {
 	}
 }
 
-// TestAdvance requires Advance(k) to leave r where k calls of Uint64 do,
-// at the word and polynomial-degree edges from four seeds and, but for
-// -short, at one random k < 2³² (about a second of stepping).
-func TestAdvance(t *testing.T) {
-	check := func(seed, k uint64) {
-		t.Helper()
-		r := New(seed)
-		s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-		for range k { // Uint64's state update, on locals
-			x := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= x
-			s3 = rotl(s3, 45)
-		}
-		if r.Advance(k); *r != (RNG{s0, s1, s2, s3}) {
-			t.Fatalf("seed %d: Advance(%d) left another state than %d Uint64 calls", seed, k, k)
-		}
-	}
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, k := range []uint64{0, 1, 63, 64, 255, 256, 257, 1e6 + 3} {
-			check(seed, k)
-		}
-	}
-	if !testing.Short() {
-		check(5, New(5).Uint64()>>32) // 1 254 228 682
-	}
-}
-
-func BenchmarkAdvance(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		r.Advance(495615)
-	}
-}
-
-// TestCharPoly recomputes charPoly: Berlekamp–Massey over 512 bits of the
-// state sequence (bit 0 of s0) finds the minimal polynomial of that bit,
-// which divides the characteristic polynomial of M; degree 256 makes the
-// two equal, and so the connection polynomial, reversed, is P.
-func TestCharPoly(t *testing.T) {
-	r := New(1)
-	var s [512]uint8
-	for i := range s {
-		s[i] = uint8(r.s0 & 1)
-		r.Uint64()
-	}
-	var c, b [513]uint8 // connection polynomial and its last copy
-	c[0], b[0] = 1, 1
-	l, m := 0, -1
-	for n := range s {
-		d := s[n]
-		for i := 1; i <= l; i++ {
-			d ^= c[i] & s[n-i]
-		}
-		if d == 0 {
-			continue
-		}
-		prev := c
-		for i := 0; i+n-m < len(c); i++ {
-			c[i+n-m] ^= b[i]
-		}
-		if 2*l <= n {
-			l, m, b = n+1-l, n, prev
-		}
-	}
-	var p [4]uint64
-	for i := 0; i < l && l == 256; i++ {
-		p[i/64] |= uint64(c[l-i]) << (i % 64)
-	}
-	if l != 256 || p != charPoly {
-		t.Fatalf("Berlekamp–Massey finds degree %d and %#x, want 256 and %#x", l, p, charPoly)
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	r := New(21)
 	for i := 0; i < 1000; i++ {
@@ -361,14 +284,14 @@ func TestMul64MatchesLimbProduct(t *testing.T) {
 	}
 }
 
-// TestSkipUint64nMatchesUint64n compares the draw-only core, Uint64n and
-// the Lemire loop as it was written before the slow path moved out, at
-// small bounds and at two where nearly every first product's low word is
-// under the bound: 2⁶⁴-1, whose threshold is 1, and 2⁶³+1, whose threshold
-// of 2⁶³-1 redraws about every second one.
-func TestSkipUint64nMatchesUint64n(t *testing.T) {
+// TestUint64nMatchesLemireLoop compares Uint64n with the Lemire loop as
+// written on the 32-bit-limb product, at small bounds and at two where
+// nearly every first product's low word is under the bound: 2⁶⁴-1, whose
+// threshold is 1, and 2⁶³+1, whose threshold of 2⁶³-1 redraws about every
+// second one.
+func TestUint64nMatchesLemireLoop(t *testing.T) {
 	for _, n := range []uint64{1, 2, 7, 495616, 1<<63 + 1, math.MaxUint64} {
-		ref, got, skip := New(n), New(n), New(n)
+		ref, got := New(n), New(n)
 		slow, redraws := 0, 0
 		for i := 0; i < 1000; i++ {
 			hi, lo := limbMul64(ref.Uint64(), n)
@@ -381,27 +304,9 @@ func TestSkipUint64nMatchesUint64n(t *testing.T) {
 			if v := got.Uint64n(n); v != hi || *got != *ref {
 				t.Fatalf("Uint64n(%d) draw %d = %d, want %d, or stream position differs", n, i, v, hi)
 			}
-			if skip.skipUint64n(n, n); *skip != *ref {
-				t.Fatalf("skipUint64n(%d, %d) draw %d left another stream position", n, n, i)
-			}
 		}
 		if n > 1<<63 && (slow < 400 || n == 1<<63+1 && redraws < 100) {
 			t.Fatalf("bound %d took the slow path %d times in 1000 and redrew %d: not exercised", n, slow, redraws)
-		}
-	}
-}
-
-func TestSkipShuffleMatchesShuffle(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 2, 3, 17, 495616} {
-		want, got := New(uint64(n)+9), New(uint64(n)+9)
-		draws := 0
-		want.Shuffle(n, func(i, j int) { draws++ })
-		got.SkipShuffle(n)
-		if *got != *want {
-			t.Fatalf("SkipShuffle(%d) left another stream position than Shuffle's %d draws", n, draws)
-		}
-		if n > 1 && draws != n-1 {
-			t.Fatalf("Shuffle(%d) made %d draws", n, draws)
 		}
 	}
 }
