@@ -214,11 +214,9 @@ func NewBroadcastMachines(g *Graph, src int32, mode BroadcastMode, payload any, 
 }
 
 // NewComplete returns the complete graph K_n (the baseline topology of the
-// paper's complete-graph comparisons).
+// paper's complete-graph comparisons). It is implicit: O(n) memory at any
+// n, and Neighbors lists v's neighbours in cyclic order from v+1.
 func NewComplete(n int) *Graph { return graph.Complete(n) }
-
-// NewHypercube returns the d-dimensional hypercube (2^d nodes).
-func NewHypercube(d int) *Graph { return graph.Hypercube(d) }
 
 // ExperimentConfig scales and seeds a paper experiment (see Experiment).
 type ExperimentConfig = exp.Config

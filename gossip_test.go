@@ -136,14 +136,9 @@ func TestPublicExtraTopologies(t *testing.T) {
 	if g := NewComplete(32); g.M() != 32*31/2 {
 		t.Error("NewComplete wrong")
 	}
-	if g := NewHypercube(5); g.N() != 32 || g.Degree(0) != 5 {
-		t.Error("NewHypercube wrong")
-	}
-	// Gossiping runs on all of them.
-	for _, gr := range []*Graph{NewComplete(256), NewHypercube(8)} {
-		if res := RunPushPull(gr, 28, 0); !res.Completed {
-			t.Errorf("push-pull incomplete on %d-node topology", gr.N())
-		}
+	// Gossiping runs on it.
+	if res := RunPushPull(NewComplete(256), 28, 0); !res.Completed {
+		t.Error("push-pull incomplete on K_256")
 	}
 }
 

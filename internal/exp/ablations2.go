@@ -41,11 +41,10 @@ func AblationComplete(cfg Config) *Report {
 		}
 	}
 	cells := measure(cfg, grid, reps, func(pt point, rep int) runner.Metrics {
-		g := graph.Complete(pt.n)
-		if pt.topo != "complete" {
-			g = paperGraph(cfg, pt.n, rep)
+		if pt.topo == "complete" {
+			return gossipTrio(cfg, graph.Complete(pt.n), rep, 120)
 		}
-		return gossipTrio(cfg, g, rep, 120)
+		return gossipTrio(cfg, paperGraph(cfg, pt.n, rep), rep, 120)
 	})
 	for i, pt := range grid {
 		r.Table.AddRow(pt.n, pt.topo, cells[i].mean("pp"), cells[i].mean("fg"), cells[i].mean("mm"))

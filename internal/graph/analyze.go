@@ -3,6 +3,7 @@ package graph
 import "gossip/internal/stats"
 
 // BFS returns the hop distance from src to every node (-1 for unreachable).
+// It stops once every node is reached, so K_n costs O(n), not O(n²).
 func BFS(g *Graph, src int32) []int32 {
 	dist := make([]int32, g.N())
 	for i := range dist {
@@ -11,13 +12,14 @@ func BFS(g *Graph, src int32) []int32 {
 	dist[src] = 0
 	queue := make([]int32, 0, g.N())
 	queue = append(queue, src)
-	for len(queue) > 0 {
+	for reached := 1; len(queue) > 0 && reached < g.N(); {
 		v := queue[0]
 		queue = queue[1:]
 		for _, u := range g.Neighbors(v) {
 			if dist[u] < 0 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
+				reached++
 			}
 		}
 	}

@@ -46,8 +46,10 @@ const erBlock = 1 << 14
 //
 // Draw contract: the walk is the scalar one — for each row u, v starts at u
 // and advances by 1 + rng.Geometric(p) until it leaves the row — so it
-// costs one Uint64 per skip, m + n - 1 in all (none at p = 1), and rng is
-// left exactly where that scalar walk leaves it. Only the schedule differs:
+// costs one Uint64 per skip, m + n - 1 in all, and rng is left exactly
+// where that scalar walk leaves it. At p = 1 every skip is 0 without a
+// draw, so the result is Complete(n) and rng is not touched. Only the
+// schedule differs:
 // the words are drawn in blocks and turned into skips under par.For
 // (xrand.GeometricSkips), and the draws a last block made beyond the end of
 // the walk are given back.
@@ -67,13 +69,12 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	if !(p >= 0 && p <= 1) { // in this form NaN fails too
 		panic("graph: p out of [0,1]")
 	}
+	if p == 1 {
+		return Complete(n)
+	}
 	off := make([]int64, n+1)
 	if p == 0 || n < 2 {
 		return &Graph{n: n, off: off, adj: []int32{}}
-	}
-	if p == 1 {
-		scratch := *rng // Geometric(1) is 0 without a draw: walk on a copy
-		rng = &scratch
 	}
 	mean := p * float64(n) * float64(n-1) / 2
 	// Final capacity, both directions, with 8σ of room; append copes beyond.
@@ -145,27 +146,34 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 // cost of the build.
 //
 // Draw contract: one rng.Shuffle(n·d) over the stubs laid out node-major;
-// stubs 2k and 2k+1 are then edge k, in that order in FromEdges.
+// stubs 2k and 2k+1 are then edge k, in that order in FromEdges. The CSR
+// is written straight from the stubs: every row has d entries, so v's
+// starts at v·d, and scattering the pairs in order gives FromEdges' layout.
 func ConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 	if n < 0 || d < 0 || n*d%2 != 0 {
 		panic("graph: the configuration model needs n, d >= 0 and n*d even")
 	}
 	stubs := make([]int32, n*d)
-	for v := 0; v*d < len(stubs); v++ {
-		row := stubs[v*d : v*d+d]
-		for k := range row {
-			row[k] = int32(v)
+	off := make([]int64, n+1) // off[v+1] is v's cursor, from v·d up to (v+1)·d
+	for v := range n {
+		off[v+1] = int64(v * d)
+		for k := v * d; k < v*d+d; k++ {
+			stubs[k] = int32(v)
 		}
 	}
 	for i := len(stubs) - 1; i > 0; i-- { // rng.Shuffle, without its swap closure
 		j := rng.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	edges := make([]Edge, len(stubs)/2)
-	for i := range edges {
-		edges[i] = Edge{U: stubs[2*i], V: stubs[2*i+1]}
+	adj := make([]int32, len(stubs))
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		adj[off[u+1]] = v
+		off[u+1]++
+		adj[off[v+1]] = u
+		off[v+1]++
 	}
-	return FromEdges(n, edges)
+	return &Graph{n: n, off: off, adj: adj}
 }
 
 // ChungLu samples a graph where edge {u,v} (u != v) appears independently

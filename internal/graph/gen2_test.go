@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gossip/internal/xrand"
@@ -55,8 +57,80 @@ func TestCompleteGossipWorks(t *testing.T) {
 	}
 }
 
+// storedComplete is K_n as Complete once stored it: FromEdges over every
+// pair u < v, row-major, which gives every row in ascending order.
+func storedComplete(n int) *Graph {
+	var edges []Edge
+	for u := int32(0); int(u) < n; u++ {
+		for v := u + 1; int(v) < n; v++ {
+			edges = append(edges, Edge{U: u, V: v})
+		}
+	}
+	return FromEdges(n, edges)
+}
+
+// TestCompleteMatchesStoredCSR requires the implicit K_n to answer like the
+// stored one: the same draws on identical streams, through the rejection
+// loop and through RandomNeighborAvoid's exact fallback scan, and the same
+// degrees, edge count and neighbour sets. ErdosRenyi at p = 1 is the same
+// graph and leaves its stream alone.
+func TestCompleteMatchesStoredCSR(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 5, 64, 256} {
+		got, want := Complete(n), storedComplete(n)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.N() != n || !sameRows(got, want) {
+			t.Fatalf("n=%d: n, m, degrees or rows differ from the stored K_n", n)
+		}
+		rng := xrand.New(uint64(n) + 1)
+		if er := ErdosRenyi(n, 1, rng); !reflect.DeepEqual(er, got) || *rng != *xrand.New(uint64(n) + 1) {
+			t.Fatalf("n=%d: ErdosRenyi(n, 1) is not Complete(n) or moved the stream", n)
+		}
+		gotRNG, wantRNG := xrand.New(uint64(n)), xrand.New(uint64(n))
+		for v := int32(0); int(v) < n; v++ {
+			if a, b := slices.Sorted(slices.Values(got.Neighbors(v))), want.Neighbors(v); !slices.Equal(a, b) {
+				t.Fatalf("n=%d: Neighbors(%d) = %v as a set, want %v", n, v, a, b)
+			}
+			// All neighbours but v±1 avoided forces the fallback scan
+			// whenever 32 draws miss both, and the scan must pick between
+			// them in ascending order; all avoided is its empty case.
+			most := slices.DeleteFunc(slices.Clone(want.Neighbors(v)), func(u int32) bool {
+				return int(u) == (int(v)+1)%n || int(u) == (int(v)+n-1)%n
+			})
+			for range 4 {
+				for _, avoid := range [][]int32{nil, {0, int32(n - 1)}, most, want.Neighbors(v)} {
+					if a, b := got.RandomNeighborAvoid(v, gotRNG, avoid), want.RandomNeighborAvoid(v, wantRNG, avoid); a != b {
+						t.Fatalf("n=%d v=%d, %d avoided: RandomNeighborAvoid %d, want %d", n, v, len(avoid), a, b)
+					}
+				}
+				if a, b := got.RandomNeighbor(v, gotRNG), want.RandomNeighbor(v, wantRNG); a != b {
+					t.Fatalf("n=%d v=%d: RandomNeighbor %d, want %d", n, v, a, b)
+				}
+			}
+		}
+		if *gotRNG != *wantRNG {
+			t.Fatalf("n=%d: streams diverged", n)
+		}
+	}
+}
+
+// hypercube is the d-dimensional hypercube on 2^d nodes, one of the
+// bounded-degree classes of Feige et al. [23] the related work discusses.
+func hypercube(d int) *Graph {
+	var edges []Edge
+	for v := 0; v < 1<<d; v++ {
+		for i := 0; i < d; i++ {
+			if u := v ^ 1<<i; u > v {
+				edges = append(edges, Edge{U: int32(v), V: int32(u)})
+			}
+		}
+	}
+	return FromEdges(1<<d, edges)
+}
+
 func TestHypercube(t *testing.T) {
-	g := Hypercube(4)
+	g := hypercube(4)
 	if g.N() != 16 || g.M() != 32 {
 		t.Fatalf("Q4: n=%d m=%d", g.N(), g.M())
 	}
@@ -80,7 +154,7 @@ func TestHypercube(t *testing.T) {
 			t.Errorf("Q4 dist(0, %d) = %d, want %d", v, d, want)
 		}
 	}
-	if g := Hypercube(0); g.N() != 1 {
+	if g := hypercube(0); g.N() != 1 {
 		t.Error("Q0 wrong")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -32,20 +33,46 @@ func referenceErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	return FromEdges(n, edges)
 }
 
+// sameRows reports whether a and b have the same nodes and the same rows,
+// entry for entry in row order: everything a draw reads, whether a graph
+// is stored in CSR form or is the implicit K_n.
+func sameRows(a, b *Graph) bool {
+	if a.n != b.n || a.M() != b.M() {
+		return false
+	}
+	for v := int32(0); int(v) < a.n; v++ {
+		d := a.Degree(v)
+		if b.Degree(v) != d {
+			return false
+		}
+		for k := range d {
+			if a.neighbor(v, k) != b.neighbor(v, k) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // blockStraddlers are seeds at which G(328, 0.3) takes erBlock-1, erBlock
 // and erBlock+1 draws (m + n - 1): the walk ends one skip before the end of
 // the first block, on its last skip, and on the first skip of the second.
 var blockStraddlers = [3]uint64{265, 181, 548}
 
 // TestErdosRenyiMatchesReference requires the graph and the stream position
-// of the reference walk. The par.For width is the caller's GOMAXPROCS: CI's
-// conformance loop runs this test at 1, 2 and 8.
+// of the reference walk: its CSR, or at p = 1 the rows of that CSR, which
+// the implicit K_n returns. The par.For width is the caller's GOMAXPROCS:
+// CI's conformance loop runs this test at 1, 2 and 8.
 func TestErdosRenyiMatchesReference(t *testing.T) {
 	check := func(n int, p float64, seed uint64) {
 		t.Helper()
 		wantRNG, gotRNG := xrand.New(seed), xrand.New(seed)
 		want, got := referenceErdosRenyi(n, p, wantRNG), ErdosRenyi(n, p, gotRNG)
-		if got.n != want.n || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || got.adj == nil {
+		same := got.n == want.n && slices.Equal(got.off, want.off) && slices.Equal(got.adj, want.adj)
+		if p == 1 {
+			same = sameRows(got, want)
+		}
+		if !same || got.adj == nil {
 			t.Fatalf("n=%d p=%g seed=%d: graph differs from the reference walk (m %d vs %d)", n, p, seed, got.M(), want.M())
 		}
 		if *gotRNG != *wantRNG {
@@ -95,15 +122,16 @@ func referenceConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 }
 
 // TestConfigurationModelMatchesReference requires the reference's graph
-// and stream position, from the empty pairing up to the sweep's densest
-// degree at n = 2048.
+// (DeepEqual: the direct CSR scatter is FromEdges' layout) and stream
+// position, from the empty pairing up to the sweep's densest degree at
+// n = 2048; 30, 121 and 242 are density_models' degrees there.
 func TestConfigurationModelMatchesReference(t *testing.T) {
-	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 4}, {64, 3}, {1000, 3}, {100, 6}, {512, 128}, {2048, 30}, {2048, 242}} {
+	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 4}, {64, 3}, {1000, 3}, {100, 6}, {512, 128}, {2048, 30}, {2048, 121}, {2048, 242}} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			n, d := c[0], c[1]
 			wantRNG, gotRNG := xrand.New(seed), xrand.New(seed)
 			want, got := referenceConfigurationModel(n, d, wantRNG), ConfigurationModel(n, d, gotRNG)
-			if got.n != want.n || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d d=%d seed=%d: graph differs from the reference", n, d, seed)
 			}
 			if *gotRNG != *wantRNG {

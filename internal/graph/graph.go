@@ -1,9 +1,10 @@
 // Package graph provides the communication-network substrate of the
-// simulations: compressed sparse row (CSR) undirected graphs, the random
-// graph generators the paper evaluates on (Erdős–Rényi G(n,p) and the
-// configuration model), a Chung–Lu power-law generator (the extension the
-// paper's reference [1] suggests), and the analysis tools used to validate
-// model assumptions (connectivity, degree concentration, spectral gap).
+// simulations: undirected graphs, stored in compressed sparse row (CSR)
+// form except the complete graph K_n, which is implicit in O(n) memory;
+// the random graph generators the paper evaluates on (Erdős–Rényi G(n,p)
+// and the configuration model), a Chung–Lu power-law generator (the
+// extension the paper's reference [1] suggests), and the analysis tools
+// used to validate model assumptions (connectivity, degree concentration).
 //
 // Generators are pure functions of their parameters and the stream they are
 // handed. ErdosRenyi's contract is the strictest, because every archived
@@ -11,11 +12,12 @@
 // where the scalar row-major walk leaves it, and adjacency lists sorted
 // ascending. It builds its CSR in place in two phases (upper neighbours
 // during the walk, lower ones scattered after the prefix sum) rather than
-// through an edge list and FromEdges, which the other generators use.
-// ConfigurationModel, the random d-regular model of the paper's §2 and of
-// every `regular` cell, draws one rng.Shuffle(n·d) of the stubs and keeps
-// the pairing whole: loops and parallel edges stay, every degree is
-// exactly d (a loop counts 2), and the defects are not counted.
+// through an edge list and FromEdges, which ChungLu uses; at p = 1 it is
+// Complete. ConfigurationModel, the random d-regular model of the paper's
+// §2 and of every `regular` cell, draws one rng.Shuffle(n·d) of the stubs,
+// scatters the pairs straight into CSR and keeps the pairing whole: loops
+// and parallel edges stay, every degree is exactly d (a loop counts 2),
+// and the defects are not counted.
 package graph
 
 import (
@@ -25,14 +27,19 @@ import (
 	"gossip/internal/xrand"
 )
 
-// Graph is an undirected multigraph in CSR form. Each undirected edge
-// {u, v} contributes an entry v in u's adjacency list and an entry u in
-// v's; a self-loop {u, u} contributes two entries u in u's list (one per
-// stub), matching the configuration-model semantics where a node dialing a
+// Graph is an undirected multigraph. Each undirected edge {u, v}
+// contributes an entry v in u's adjacency list and an entry u in v's; a
+// self-loop {u, u} contributes two entries u in u's list (one per stub),
+// matching the configuration-model semantics where a node dialing a
 // uniformly random incident stub may dial its own loop.
+//
+// Every graph but K_n is stored in CSR form. K_n (Complete) has off nil
+// and adj the ring 0, 1, …, n-1, 0, 1, …, n-2 of 2n-1 ids: v's neighbours
+// are the window adj[v+1 : v+n], and its k-th neighbour in ascending order
+// is k, or k+1 from k = v on, computed rather than stored.
 type Graph struct {
 	n   int
-	off []int64 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
+	off []int64 // len n+1; adjacency of v is adj[off[v]:off[v+1]]; nil on K_n
 	adj []int32
 }
 
@@ -43,57 +50,94 @@ type Edge struct{ U, V int32 }
 // FromEdges builds a Graph on n nodes from an edge list. Duplicate edges
 // produce parallel adjacency entries (multigraph semantics).
 func FromEdges(n int, edges []Edge) *Graph {
-	deg := make([]int64, n+1)
+	off := make([]int64, n+1) // v's degree, then its row's end, then its start
 	for _, e := range edges {
-		if e.U == e.V {
-			deg[e.U+1] += 2
-		} else {
-			deg[e.U+1]++
-			deg[e.V+1]++
-		}
+		off[e.U]++
+		off[e.V]++
 	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
 	}
-	off := deg
 	adj := make([]int32, off[n])
-	cursor := make([]int64, n)
-	for _, e := range edges {
-		adj[off[e.U]+cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[off[e.V]+cursor[e.V]] = e.U
-		cursor[e.V]++
+	for i := len(edges) - 1; i >= 0; i-- { // rows fill from the back, so edges in reverse
+		e := edges[i]
+		off[e.V]--
+		adj[off[e.V]] = e.U
+		off[e.U]--
+		adj[off[e.U]] = e.V
 	}
 	return &Graph{n: n, off: off, adj: adj}
+}
+
+// Complete returns the complete graph K_n. The paper's baseline results
+// ([5], [34]) are proven on complete graphs; the ablation experiments use
+// K_n to show that gossiping behaves the same there as on sparse random
+// graphs (the paper's central message). K_n is implicit (see Graph): it
+// stores the ring of 2n-1 ids and nothing else, so it costs 8n bytes at
+// any n, and its draws are those of the stored CSR with ascending rows.
+func Complete(n int) *Graph {
+	if n < 0 {
+		panic("graph: negative n")
+	}
+	ring := make([]int32, max(2*n-1, 0))
+	for i := range ring {
+		ring[i] = int32(i % n)
+	}
+	return &Graph{n: n, adj: ring}
 }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges (self-loops count once).
-func (g *Graph) M() int64 { return int64(len(g.adj)) / 2 }
+func (g *Graph) M() int64 {
+	if g.off == nil {
+		return int64(g.n) * int64(g.n-1) / 2
+	}
+	return int64(len(g.adj)) / 2
+}
 
 // Degree returns the degree of v (self-loops contribute 2, as usual for
 // multigraphs and for stub-based dialing).
 func (g *Graph) Degree(v int32) int {
+	if g.off == nil {
+		return g.n - 1
+	}
 	return int(g.off[v+1] - g.off[v])
 }
 
 // Neighbors returns v's adjacency slice. The slice aliases internal
-// storage and must not be modified.
+// storage and must not be modified. Its order is the stored one, except on
+// K_n: there it is cyclic, v+1, …, n-1, 0, …, v-1, a window of the ring.
 func (g *Graph) Neighbors(v int32) []int32 {
+	if g.off == nil {
+		return g.adj[v+1 : int(v)+g.n]
+	}
 	return g.adj[g.off[v]:g.off[v+1]]
+}
+
+// neighbor returns the k-th entry of v's row, 0 <= k < Degree(v): the
+// stored one, or on K_n the k-th in ascending order, which is the row a
+// stored K_n would hold. Every draw of a neighbour goes through it.
+func (g *Graph) neighbor(v int32, k int) int32 {
+	if g.off == nil {
+		if k >= int(v) {
+			k++
+		}
+		return int32(k)
+	}
+	return g.adj[g.off[v]+int64(k)]
 }
 
 // RandomNeighbor returns a uniformly random incident stub's other endpoint,
 // or -1 if v is isolated. This is exactly the "open a channel to a randomly
 // chosen neighbor" primitive of the random phone call model.
 func (g *Graph) RandomNeighbor(v int32, rng *xrand.RNG) int32 {
-	d := g.off[v+1] - g.off[v]
+	d := g.Degree(v)
 	if d == 0 {
 		return -1
 	}
-	return g.adj[g.off[v]+int64(rng.Uint64n(uint64(d)))]
+	return g.neighbor(v, int(rng.Uint64n(uint64(d))))
 }
 
 // RandomNeighborAvoid returns a uniformly random neighbor of v that is not
@@ -106,52 +150,49 @@ func (g *Graph) RandomNeighbor(v int32, rng *xrand.RNG) int32 {
 // assumes), with an exact fallback scan to stay correct on adversarially
 // small test graphs.
 func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int32 {
-	d := g.off[v+1] - g.off[v]
+	d := g.Degree(v)
 	if d == 0 {
 		return -1
 	}
 	const maxAttempts = 32
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		u := g.adj[g.off[v]+int64(rng.Uint64n(uint64(d)))]
-		if !contains(avoid, u) {
+		u := g.neighbor(v, int(rng.Uint64n(uint64(d))))
+		if !slices.Contains(avoid, u) {
 			return u
 		}
 	}
-	// Exact fallback: uniform over the non-avoided adjacency entries.
+	// Exact fallback: uniform over the non-avoided entries, in row order.
 	cnt := 0
-	for _, u := range g.Neighbors(v) {
-		if !contains(avoid, u) {
+	for k := range d {
+		if !slices.Contains(avoid, g.neighbor(v, k)) {
 			cnt++
 		}
 	}
 	if cnt == 0 {
 		return -1
 	}
-	k := rng.Intn(cnt)
-	for _, u := range g.Neighbors(v) {
-		if !contains(avoid, u) {
-			if k == 0 {
+	i := rng.Intn(cnt)
+	for k := range d {
+		if u := g.neighbor(v, k); !slices.Contains(avoid, u) {
+			if i == 0 {
 				return u
 			}
-			k--
+			i--
 		}
 	}
 	panic("graph: unreachable in RandomNeighborAvoid")
 }
 
-func contains(xs []int32, x int32) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks CSR structural invariants (offsets monotone, endpoints in
 // range, adjacency symmetric as a multiset). It is O(n + m log m)-ish and
-// intended for tests.
+// intended for tests. On K_n it checks the ring, all that is stored.
 func (g *Graph) Validate() error {
+	if g.off == nil {
+		if !slices.Equal(g.adj, Complete(g.n).adj) {
+			return fmt.Errorf("graph: K_%d ring corrupt", g.n)
+		}
+		return nil
+	}
 	if len(g.off) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d for n=%d", len(g.off), g.n)
 	}

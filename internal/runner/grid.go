@@ -21,7 +21,7 @@ type Scenario struct {
 	// Density scales the expected degree relative to the paper's log²n
 	// operating point: er uses p = Density·log²n/n, regular uses
 	// d = Density·log²n, powerlaw scales the minimum expected degree.
-	// complete and hypercube ignore it. 0 means 1 (the paper's density).
+	// complete ignores it. 0 means 1 (the paper's density).
 	Density float64 `json:"density"`
 	// Failures crashes that many random non-leader nodes before Phase II
 	// of the memory model (0 elsewhere).

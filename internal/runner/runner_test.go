@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -308,6 +309,25 @@ func TestBuildGraphRegularExactDegree(t *testing.T) {
 				t.Fatalf("n=%d density %g: node %d has degree %d, want %d", tc.n, tc.density, v, g.Degree(v), tc.d)
 			}
 		}
+	}
+}
+
+// TestBuildGraphCompleteIsImplicit holds a `complete` cell at n = 65 536,
+// whose stored CSR would be 17 GB, to the implicit K_n's ring and change.
+func TestBuildGraphCompleteIsImplicit(t *testing.T) {
+	const n = 1 << 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := BuildGraph(Scenario{Model: "complete", N: n}, CellSeed(1, 0, 0))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("BuildGraph(complete, n=%d) allocated %d B, ceiling 1 MiB", n, alloc)
+	}
+	if g.M() != n*(n-1)/2 || g.Degree(n-1) != n-1 || g.Validate() != nil {
+		t.Fatalf("K_%d: m = %d, degree %d, Validate %v", n, g.M(), g.Degree(n-1), g.Validate())
 	}
 }
 
