@@ -199,7 +199,8 @@
 // (GossipTransport). A machine sees only local events:
 //
 //	OnStep(step)     decide this step's dial target and optional push
-//	                 payload (NoDial opens nothing).
+//	                 payload (NoDial opens nothing; DialUniform asks the
+//	                 transport for a uniform neighbor).
 //	OnOpen(from)     answer a pull through a channel someone opened to
 //	                 this node. Read-only: transports may run it
 //	                 concurrently with other nodes' OnOpen calls.
@@ -241,14 +242,16 @@
 // table is the only declaration: `gossipsim sweep -algos`, grid
 // validation, the collapse of knob axes the algorithm ignores, and
 // corpus join keys all follow from the entry. A machine dials through
-// its own node's state only — a uniform neighbor drawn from its private
-// stream, or the memory model's open-avoid dial (a random neighbor from
-// N(v) \ l_v, remembered on success) — so no transport needs extra
-// coordination. Keep receipt handling commutative (idempotent informs,
-// minimum folds) and the results are identical under every transport;
-// the conformance suite in internal/core pins exact equality for each
-// such protocol. Fast-gossiping's walk routing is order-sensitive, so
-// under the async transport only its completion semantics are preserved.
+// its own node's state only — phone.DialUniform, which the transport
+// draws from the node's private stream after OnStep (the machine's Net()
+// names the Net), or the memory model's open-avoid dial (a random
+// neighbor from N(v) \ l_v, remembered on success) — so no transport
+// needs extra coordination. Keep receipt handling commutative
+// (idempotent informs, minimum folds) and the results are identical
+// under every transport; the conformance suite in internal/core pins
+// exact equality for each such protocol. Fast-gossiping's walk routing
+// is order-sensitive, so under the async transport only its completion
+// semantics are preserved.
 //
 // All entry points take explicit seeds and produce bit-identical results
 // for a seed, independent of GOMAXPROCS.

@@ -76,34 +76,6 @@ func (s *Set) trimTail() {
 	}
 }
 
-// UnionWith ors o into s and returns the number of bits newly set in s.
-// The two sets must have the same width.
-func (s *Set) UnionWith(o *Set) int { return s.combine(o, func(a, b uint64) uint64 { return a | b }) }
-
-// IntersectWith ands o into s and returns the number of bits cleared.
-func (s *Set) IntersectWith(o *Set) int {
-	return s.combine(o, func(a, b uint64) uint64 { return a & b })
-}
-
-// DifferenceWith removes o's bits from s and returns the number cleared.
-func (s *Set) DifferenceWith(o *Set) int {
-	return s.combine(o, func(a, b uint64) uint64 { return a &^ b })
-}
-
-// combine sets each word of s to op(word, o's word) and returns the number
-// of bits that changed.
-func (s *Set) combine(o *Set, op func(a, b uint64) uint64) int {
-	if s.n != o.n {
-		panic("bitset: width mismatch")
-	}
-	changed, ow := 0, o.words[:len(s.words)]
-	for i, old := range s.words {
-		s.words[i] = op(old, ow[i])
-		changed += bits.OnesCount64(old ^ s.words[i])
-	}
-	return changed
-}
-
 // CopyFrom overwrites s with o. Widths must match.
 func (s *Set) CopyFrom(o *Set) {
 	if s.n != o.n {

@@ -30,6 +30,9 @@ func (m *Matrix) Row(i int) *Set {
 	return &Set{words: m.words[i*m.wpr : (i+1)*m.wpr : (i+1)*m.wpr], n: m.width}
 }
 
+// Count returns the number of set bits.
+func (m *Matrix) Count() int { return (&Set{words: m.words}).Count() }
+
 // CopyRowsFrom copies rows [lo, hi) from o into m. Used to parallelize the
 // per-round snapshot across worker goroutines.
 func (m *Matrix) CopyRowsFrom(o *Matrix, lo, hi int) {

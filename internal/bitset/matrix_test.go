@@ -91,7 +91,7 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 			}
 		}
 		want := clone(m.Row(1))
-		wantAdded := want.UnionWith(m.Row(0))
+		wantAdded := unionWith(want, m.Row(0))
 		gotAdded := m.UnionRow(1, m, 0)
 		return gotAdded == wantAdded && m.Row(1).Equal(want)
 	}

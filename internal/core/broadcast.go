@@ -141,13 +141,14 @@ func (b *broadcastMachine) OnStep(step int32) (int32, any) {
 	if b.set.nt.Failed[b.id] {
 		return phone.NoDial, nil
 	}
-	dial := b.set.nt.G.RandomNeighbor(b.id, b.set.nt.RNG(b.id))
 	var push any
 	if (b.set.mode == PushOnly || b.set.mode == PushAndPull) && b.informedBefore(step) {
 		push = b.rumor
 	}
-	return dial, push
+	return phone.DialUniform, push
 }
+
+func (b *broadcastMachine) Net() *phone.Net { return b.set.nt }
 
 func (b *broadcastMachine) OnOpen(from int32) any {
 	if b.set.mode == PullOnly || b.set.mode == PushAndPull {

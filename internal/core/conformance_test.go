@@ -62,8 +62,8 @@ func TestConformancePushPull(t *testing.T) {
 		if s.Steps != a.Steps || s.Meter != a.Meter {
 			t.Fatalf("sync run %+v != async run %+v", s.Meter, a.Meter)
 		}
-		if sTr.TotalKnown() != aTr.TotalKnown() {
-			t.Fatalf("delivered state: sync %d async %d", sTr.TotalKnown(), aTr.TotalKnown())
+		if pairs(sTr, g.N()) != pairs(aTr, g.N()) {
+			t.Fatalf("delivered state: sync %d async %d", pairs(sTr, g.N()), pairs(aTr, g.N()))
 		}
 	})
 }

@@ -71,13 +71,13 @@ type marker struct{}
 
 var markerPayload any = marker{}
 
-// exchangeMachine is the push–pull baseline as a node state machine:
-// every healthy node dials a uniformly random neighbor each step and
-// every open channel carries a bidirectional exchange, recorded in a
-// shared round tracker (partitioned by receiver, so any Transport phasing that
-// delivers to one node from one goroutine at a time is race-free). A node
-// settles its own row at step end: in Sync's OnStepEnd par.For, or on its
-// Async goroutine once its own exchange is done.
+// exchangeMachine is the push–pull baseline as a node state machine: every
+// healthy node dials a uniformly random neighbor (phone.DialUniform) each
+// step and every open channel carries a bidirectional exchange, recorded in
+// a shared round tracker (partitioned by receiver, so any Transport phasing
+// that delivers to one node from one goroutine at a time is race-free). A
+// node settles its own row at step end: in Sync's OnStepEnd par.For, or on
+// its Async goroutine once its own exchange is done.
 type exchangeMachine struct {
 	id int32
 	nt *phone.Net
@@ -97,8 +97,10 @@ func (m *exchangeMachine) OnStep(step int32) (int32, any) {
 	if m.nt.Failed[m.id] {
 		return phone.NoDial, nil
 	}
-	return m.nt.G.RandomNeighbor(m.id, m.nt.RNG(m.id)), markerPayload
+	return phone.DialUniform, markerPayload
 }
+
+func (m *exchangeMachine) Net() *phone.Net { return m.nt }
 
 func (m *exchangeMachine) OnOpen(from int32) any {
 	if m.nt.Failed[m.id] {

@@ -50,7 +50,8 @@ type fgShared struct {
 
 // fgMachine is one fast-gossiping node. Walk tokens travel as transport
 // payloads; each machine recycles tokens through its own pool, so the
-// parallel dial and delivery phases never contend on an allocator.
+// parallel dial and delivery phases never contend on an allocator. A
+// token pushed from an isolated node (DialUniform is NoDial) is dropped.
 type fgMachine struct {
 	sh      *fgShared
 	id      int32
@@ -62,49 +63,36 @@ type fgMachine struct {
 
 func (m *fgMachine) OnStep(step int32) (int32, any) {
 	sh := m.sh
-	nt := sh.nt
+	if sh.nt.Failed[m.id] {
+		return phone.NoDial, nil
+	}
 	switch sh.mode {
 	case fgDistribute, fgPushPull:
-		if nt.Failed[m.id] {
-			return phone.NoDial, nil
-		}
-		return nt.G.RandomNeighbor(m.id, nt.RNG(m.id)), markerPayload
+		return phone.DialUniform, markerPayload
 	case fgCoinflip:
-		if nt.Failed[m.id] {
-			return phone.NoDial, nil
-		}
-		rng := nt.RNG(m.id)
-		if !rng.Bernoulli(sh.p.WalkProb) {
-			return phone.NoDial, nil
-		}
-		u := nt.G.RandomNeighbor(m.id, rng)
-		if u < 0 {
+		if !sh.nt.RNG(m.id).Bernoulli(sh.p.WalkProb) {
 			return phone.NoDial, nil
 		}
 		tok := m.pool.Get()
 		tok.Payload.CopyFrom(sh.tr.Row(m.id))
 		tok.Moves = 1
-		return u, tok
+		return phone.DialUniform, tok
 	case fgForward:
-		if nt.Failed[m.id] || m.queue.Empty() {
+		if m.queue.Empty() {
 			return phone.NoDial, nil
 		}
 		tok := m.queue.Pop()
-		u := nt.G.RandomNeighbor(m.id, nt.RNG(m.id))
-		if u < 0 {
-			m.pool.Put(tok)
-			return phone.NoDial, nil
-		}
 		tok.Moves++
-		return u, tok
+		return phone.DialUniform, tok
 	case fgActivate:
-		if !m.active || nt.Failed[m.id] {
-			return phone.NoDial, nil
+		if m.active {
+			return phone.DialUniform, markerPayload
 		}
-		return nt.G.RandomNeighbor(m.id, nt.RNG(m.id)), markerPayload
 	}
 	return phone.NoDial, nil
 }
+
+func (m *fgMachine) Net() *phone.Net { return m.sh.nt }
 
 func (m *fgMachine) OnOpen(from int32) any {
 	// Only Phase III pulls; the push-shaped phases answer nothing.

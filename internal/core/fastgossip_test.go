@@ -38,11 +38,11 @@ func TestFastGossipFullKnowledge(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for v := int32(0); int(v) < n; v++ {
-		if tr.Known(v) != n {
-			t.Fatalf("node %d knows %d/%d messages", v, tr.Known(v), n)
+		if tr.Row(v).Count() != n {
+			t.Fatalf("node %d knows %d/%d messages", v, tr.Row(v).Count(), n)
 		}
 	}
-	if !tr.CheckTotal() {
+	if !tr.Complete() {
 		t.Error("tracker counter out of sync")
 	}
 }
@@ -184,10 +184,10 @@ func TestFastGossipFailedNodesStaySilent(t *testing.T) {
 		t.Error("run with crashed nodes cannot reach all-pairs completion")
 	}
 	for _, v := range failedSet {
-		if tr.Known(v) != 1 {
-			t.Errorf("failed node %d learned %d messages", v, tr.Known(v))
+		if tr.Row(v).Count() != 1 {
+			t.Errorf("failed node %d learned %d messages", v, tr.Row(v).Count())
 		}
-		if got := tr.InformedOf(v); got != 1 {
+		if got := informedOf(tr, n, v); got != 1 {
 			t.Errorf("failed node %d's message spread to %d nodes", v, got)
 		}
 	}
@@ -196,7 +196,7 @@ func TestFastGossipFailedNodesStaySilent(t *testing.T) {
 		if nt.Failed[v] {
 			continue
 		}
-		if got := tr.Known(v); got < n-len(failedSet) {
+		if got := tr.Row(v).Count(); got < n-len(failedSet) {
 			t.Errorf("healthy node %d knows only %d messages", v, got)
 		}
 	}

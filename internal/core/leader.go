@@ -68,7 +68,8 @@ type LeaderSet struct {
 // leaderMachine holds one node's election state. cur is the smallest ID
 // known at step start (what OnOpen answers and the push stage forwards);
 // next is the running minimum over everything received; the two meet in
-// OnStepEnd. curWire is cur pre-encoded as a 4-byte big-endian payload — a
+// OnStepEnd. curWire is cur pre-encoded as a 4-byte big-endian payload,
+// boxed once per change so that no push or answer boxes it again — a
 // fresh slice on every change, so a networked transport can hold a
 // reference across steps safely.
 type leaderMachine struct {
@@ -78,7 +79,7 @@ type leaderMachine struct {
 	candidate bool
 	active    bool
 	cur, next int32
-	curWire   []byte
+	curWire   any // a []byte
 }
 
 func encodeID(v int32) []byte {
@@ -189,18 +190,10 @@ func (m *leaderMachine) OnStep(step int32) (int32, any) {
 		if !m.active || m.cur == noID {
 			return phone.NoDial, nil
 		}
-		u := s.nt.OpenAvoid(m.id)
-		if u < 0 {
-			return phone.NoDial, nil
-		}
-		return u, m.curWire
+		return s.nt.OpenAvoid(m.id), m.curWire // NoDial drops the push
 	}
 	// Pull stage: every node opens a channel; the channel itself pulls.
-	u := s.nt.OpenAvoid(m.id)
-	if u < 0 {
-		return phone.NoDial, nil
-	}
-	return u, nil
+	return s.nt.OpenAvoid(m.id), nil
 }
 
 func (m *leaderMachine) OnOpen(from int32) any {
@@ -218,9 +211,10 @@ func (m *leaderMachine) OnReceive(from int32, payload any) {
 	if m.set.nt.Failed[m.id] {
 		return
 	}
-	id, ok := DecodeLeaderID(payload.([]byte))
+	b, _ := payload.([]byte)
+	id, ok := DecodeLeaderID(b)
 	if !ok {
-		return
+		return // not a candidate ID: dropped
 	}
 	if id < m.next {
 		m.next = id

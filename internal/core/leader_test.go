@@ -127,3 +127,51 @@ func TestElectLeaderAvoidLastValidation(t *testing.T) {
 		t.Error("election failed with clamped AvoidLast")
 	}
 }
+
+// TestLeaderStepAllocs: once every node knows the winner's ID no payload
+// changes, and the wire payload is boxed once per change, not once per
+// send, so a steady-state step allocates at most a small constant at any
+// n, in the push stage and in the pull stage alike.
+func TestLeaderStepAllocs(t *testing.T) {
+	const maxAllocs = 1
+	for _, n := range []int{256, 2048} {
+		p := DefaultLeaderParams(n)
+		p.PushSteps = 100
+		set := NewLeaderSet(phone.NewNet(testGraph(n, 50), 1), p)
+		s := phone.NewSync(set.Machines())
+		step := int32(1)
+		for ; step <= 60; step++ {
+			s.Step(step)
+		}
+		if !set.Complete() {
+			t.Fatalf("n = %d: the push stage has not converged by step %d", n, step)
+		}
+		for _, stage := range []struct {
+			name string
+			from int32
+		}{{"push", 61}, {"pull", 101}} {
+			step = stage.from
+			allocs := testing.AllocsPerRun(20, func() {
+				s.Step(step)
+				step++
+			})
+			if allocs > maxAllocs {
+				t.Errorf("n = %d, %s stage: a leader step allocated %v times, want at most %d", n, stage.name, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// TestLeaderDropsForeignPayload: a payload that is not a 4-byte candidate
+// ID is dropped, not asserted on.
+func TestLeaderDropsForeignPayload(t *testing.T) {
+	set := NewLeaderSet(phone.NewNet(testGraph(64, 51), 1), DefaultLeaderParams(64))
+	m := set.nodes[5]
+	before := *m
+	for _, payload := range []any{42, "id", []byte{1, 2}, &mcPayload{}} {
+		m.OnReceive(0, payload)
+	}
+	if m.next != before.next || m.active != before.active {
+		t.Errorf("a foreign payload changed node 5: next %d → %d, active %v → %v", before.next, m.next, before.active, m.active)
+	}
+}

@@ -123,13 +123,14 @@ func (m *mcMachine) OnStep(step int32) (int32, any) {
 	if m.sh.nt.Failed[m.id] {
 		return phone.NoDial, nil
 	}
-	dial := m.sh.nt.G.RandomNeighbor(m.id, m.sh.nt.RNG(m.id))
 	var push any
 	if m.transmitting() {
 		push = &m.pl
 	}
-	return dial, push
+	return phone.DialUniform, push
 }
+
+func (m *mcMachine) Net() *phone.Net { return m.sh.nt }
 
 func (m *mcMachine) OnOpen(from int32) any {
 	if m.transmitting() && !m.sh.nt.Failed[m.id] {

@@ -83,21 +83,13 @@ func (m *treeMachine) OnStep(step int32) (int32, any) {
 		if !m.active(step) {
 			return phone.NoDial, nil
 		}
-		u := s.nt.OpenAvoid(m.id)
-		if u < 0 {
-			return phone.NoDial, nil
-		}
-		return u, treeToken // the fresh channel carries the token
+		return s.nt.OpenAvoid(m.id), treeToken // the fresh channel carries the token; NoDial drops it
 	}
 	// Pull stage: only uninformed nodes dial; the channel itself pulls.
 	if s.tree.InformedAt[m.id] >= 0 {
 		return phone.NoDial, nil
 	}
-	u := s.nt.OpenAvoid(m.id)
-	if u < 0 {
-		return phone.NoDial, nil
-	}
-	return u, nil
+	return s.nt.OpenAvoid(m.id), nil
 }
 
 func (m *treeMachine) OnOpen(from int32) any {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gossip/internal/graph"
+	"gossip/internal/msg"
 	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
@@ -26,6 +27,27 @@ func TestPushPullCompletes(t *testing.T) {
 	}
 }
 
+// pairs returns the informed (node, message) pairs of tr's live state
+// over n nodes.
+func pairs(tr *msg.Full, n int) int64 {
+	var c int64
+	for v := 0; v < n; v++ {
+		c += int64(tr.Row(int32(v)).Count())
+	}
+	return c
+}
+
+// informedOf returns how many of the n nodes know message m.
+func informedOf(tr *msg.Full, n int, m int32) int {
+	c := 0
+	for v := 0; v < n; v++ {
+		if tr.Row(int32(v)).Contains(int(m)) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestPushPullTrackedFullKnowledge(t *testing.T) {
 	n := 256
 	g := testGraph(n, 7)
@@ -34,11 +56,11 @@ func TestPushPullTrackedFullKnowledge(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for v := int32(0); int(v) < n; v++ {
-		if tr.Known(v) != n {
-			t.Fatalf("node %d knows only %d messages", v, tr.Known(v))
+		if tr.Row(v).Count() != n {
+			t.Fatalf("node %d knows only %d messages", v, tr.Row(v).Count())
 		}
 	}
-	if !tr.CheckTotal() {
+	if !tr.Complete() {
 		t.Error("tracker counter out of sync")
 	}
 }
@@ -139,5 +161,25 @@ func TestFailedMachinesDoNotDial(t *testing.T) {
 	}
 	if a, b := nt.RNG(3).Uint64(), phone.NewNet(nt.G, 2).RNG(3).Uint64(); a != b {
 		t.Error("failed node's stream was consumed")
+	}
+}
+
+// TestSyncStepZeroAlloc: the exchange machines dial phone.DialUniform,
+// which Sync resolves in its own tables, so a steady-state Sync.Step of
+// them (under the tracker's round) allocates nothing.
+func TestSyncStepZeroAlloc(t *testing.T) {
+	for _, n := range []int{128, 2048} {
+		tr := msg.NewFull(n)
+		s := phone.NewSync(exchangeMachines(phone.NewNet(testGraph(n, 3), 1), tr))
+		step := int32(1)
+		allocs := testing.AllocsPerRun(50, func() {
+			tr.BeginRound()
+			s.Step(step)
+			tr.EndRound()
+			step++
+		})
+		if allocs != 0 {
+			t.Errorf("n = %d: Sync.Step allocated %v times per step, want 0", n, allocs)
+		}
 	}
 }

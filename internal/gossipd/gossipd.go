@@ -143,7 +143,8 @@ type node struct {
 }
 
 // machineSet is what the cluster needs from a protocol: per-node machines
-// (whose payloads must be []byte — they cross the wire) and a completion
+// (whose payloads must be []byte to cross the wire: any other fails its
+// call, a call error) and a completion
 // predicate safe to poll from the monitor goroutine. core.BroadcastSet and
 // core.LeaderSet both satisfy it.
 type machineSet interface {
@@ -154,6 +155,7 @@ type machineSet interface {
 // cluster wires n nodes over loopback TCP with a static peer table.
 type cluster struct {
 	cfg   Config
+	nt    *phone.Net // the substrate DialUniform draws on
 	set   machineSet
 	nodes []*node
 	peers []string // the static peer table: node id → address
@@ -167,9 +169,10 @@ type cluster struct {
 }
 
 // newCluster opens one loopback listener per node and fills the peer table.
-func newCluster(cfg Config, set machineSet) (*cluster, error) {
+func newCluster(cfg Config, nt *phone.Net, set machineSet) (*cluster, error) {
 	c := &cluster{
 		cfg:   cfg,
+		nt:    nt,
 		set:   set,
 		nodes: make([]*node, cfg.N),
 		peers: make([]string, cfg.N),
@@ -257,7 +260,7 @@ func newNet(cfg Config) (*phone.Net, error) {
 // serve is the one path both protocols take: fill cfg's defaults, boot
 // the cluster over set's machines, run it to completion (or the step cap
 // or the timeout) and shut it down.
-func serve(cfg Config, defaultMaxSteps int, set machineSet) (Stats, error) {
+func serve(cfg Config, nt *phone.Net, defaultMaxSteps int, set machineSet) (Stats, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
@@ -267,7 +270,7 @@ func serve(cfg Config, defaultMaxSteps int, set machineSet) (Stats, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	c, err := newCluster(cfg, set)
+	c, err := newCluster(cfg, nt, set)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -286,7 +289,7 @@ func Serve(cfg Config) (*Report, error) {
 		cfg.Payload = []byte("hello, gossip")
 	}
 	set := core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload)
-	st, err := serve(cfg, 64*ceilLog2(cfg.N), set)
+	st, err := serve(cfg, nt, 64*ceilLog2(cfg.N), set)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +315,7 @@ func ServeElection(cfg ElectionConfig) (*ElectionReport, error) {
 	}
 	p := core.DefaultLeaderParams(cfg.N)
 	set := core.NewLeaderSet(nt, p)
-	st, err := serve(cfg, p.PushSteps+p.PullSteps+64*ceilLog2(cfg.N), set)
+	st, err := serve(cfg, nt, p.PushSteps+p.PullSteps+64*ceilLog2(cfg.N), set)
 	if err != nil {
 		return nil, err
 	}
@@ -354,6 +357,7 @@ func (c *cluster) stepLoop(nd *node, stepping func()) {
 		nd.steps.Store(step)
 		nd.mu.Lock()
 		dial, push := nd.m.OnStep(step)
+		dial = c.nt.Resolve(nd.id, dial)
 		nd.mu.Unlock()
 		stepping()
 		if dial >= 0 {
@@ -416,9 +420,9 @@ func (c *cluster) handle(nd *node, conn net.Conn) {
 	}
 	resp := nd.m.OnOpen(from)
 	nd.mu.Unlock()
-	var respBytes []byte
-	if resp != nil {
-		respBytes = resp.([]byte)
+	respBytes, ok := resp.([]byte)
+	if !ok && resp != nil {
+		return // no wire form: the caller's read fails, a call error there
 	}
 	if err := writeResponse(conn, respBytes); err == nil {
 		c.wireBytes.Add(int64(len(respBytes)))
@@ -427,16 +431,16 @@ func (c *cluster) handle(nd *node, conn net.Conn) {
 
 // call opens a channel to addr: send our push (if any), pull the response.
 func (c *cluster) call(addr string, from int32, push any) ([]byte, error) {
+	pushBytes, ok := push.([]byte)
+	if !ok && push != nil {
+		return nil, fmt.Errorf("gossipd: node %d pushes a %T, not []byte", from, push)
+	}
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(2 * time.Second)) //gossiplint:allow detlint wire deadline against stuck peers, not simulation state
-	var pushBytes []byte
-	if push != nil {
-		pushBytes = push.([]byte)
-	}
 	if err := writeRequest(conn, from, pushBytes); err != nil {
 		return nil, err
 	}

@@ -52,8 +52,9 @@ func TestServeBroadcastCompletes(t *testing.T) {
 func runDeaf(t *testing.T) (Config, *Report) {
 	t.Helper()
 	cfg := Config{N: 8, Payload: []byte("rumor"), Seed: 7, MaxSteps: 64 * ceilLog2(8), StepDelay: 50 * time.Microsecond, Timeout: 20 * time.Second}
-	set := core.NewBroadcastSet(phone.NewNet(graph.Complete(cfg.N), cfg.Seed), 0, core.PushAndPull, cfg.Payload)
-	c, err := newCluster(cfg, set)
+	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
+	set := core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload)
+	c, err := newCluster(cfg, nt, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +104,39 @@ func waitGoroutines(t *testing.T, base int) {
 			buf := make([]byte, 1<<20)
 			t.Fatalf("%d goroutines still running, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// foreignSet is a two-node cluster whose payloads have no wire form:
+// node 0 pushes an int to node 1, and answers node 1's calls with one.
+type foreignSet struct{}
+
+type foreignMachine struct{ id int32 }
+
+func (foreignSet) Machine(v int32) phone.Machine { return foreignMachine{id: v} }
+func (foreignSet) Complete() bool                { return false }
+
+func (m foreignMachine) OnStep(int32) (int32, any) {
+	if m.id == 0 {
+		return 1, 42
+	}
+	return 0, nil
+}
+func (m foreignMachine) OnOpen(int32) any   { return 42 }
+func (foreignMachine) OnReceive(int32, any) {}
+func (foreignMachine) OnStepEnd(int32)      {}
+
+// TestForeignPayloadIsCallError: a push or an answer that is not []byte
+// fails its call, which is counted, and never panics a node.
+func TestForeignPayloadIsCallError(t *testing.T) {
+	cfg := Config{N: 2, MaxSteps: 4, StepDelay: 50 * time.Microsecond, Timeout: 5 * time.Second}
+	c, err := newCluster(cfg, nil, foreignSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.run()
+	if st.Dials != 8 || st.CallErrors != 8 {
+		t.Fatalf("%d call errors of %d dials, want every one of the 8 to fail", st.CallErrors, st.Dials)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"gossip/internal/par"
 	"gossip/internal/xrand"
@@ -55,13 +56,14 @@ const erBlock = 1 << 14
 // the walk are given back.
 //
 // The graph is built in place in two phases. The walk appends each row's
-// upper neighbours (v > u, ascending) to adj, marks where the row ends and
-// counts lower degrees in off. After the prefix sum over off, every upper
-// block moves up to the tail of its final row, last row first (a
-// destination is never below its source, so nothing unread is overwritten),
-// and one ascending pass over the rows writes u into the head of each upper
-// neighbour's row. Adjacency lists therefore come out sorted ascending,
-// the layout FromEdges gives the same row-major edge list.
+// upper neighbours (v > u, ascending) to adj. On every core the lower
+// degrees are counted; after the prefix sum every upper block moves up to
+// the tail of its final row, last row first (a destination is never below
+// its source), and on every core u is written into the head of each upper
+// neighbour's row. A core takes destination rows holding about as many
+// entries as the others' and scans the upper blocks in ascending u, so it
+// writes only its own rows, each in ascending u: adjacency lists come out
+// sorted ascending, the layout FromEdges gives the same edge list.
 func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	if n < 0 {
 		panic("graph: negative n")
@@ -79,7 +81,7 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	mean := p * float64(n) * float64(n-1) / 2
 	// Final capacity, both directions, with 8σ of room; append copes beyond.
 	adj := make([]int32, 0, 2*(int(mean+8*math.Sqrt(mean*(1-p)))+16))
-	end := make([]int64, n) // adj[:end[u]] holds rows 0..u; later the scatter cursor
+	up := make([]int32, n) // u's upper degree
 	// A block holds the expected draws left at (u, v), p per pair ahead plus
 	// one overshoot per row, and a margin, so that small graphs and the last
 	// block compute few spare logs. That only falls as the walk advances, so
@@ -89,7 +91,7 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 		return min(erBlock, int(1.1*(p*(float64(n-1-v)+rows*(rows-1)/2)+rows))+16)
 	}
 	buf := make([]uint64, block(0, 0))
-	for u, v := 0, 0; u < n-1; {
+	for u, v, row := 0, 0, 0; u < n-1; {
 		blk := buf[:block(u, v)]
 		start := *rng
 		for i := range blk {
@@ -99,10 +101,10 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 		for i, skip := range blk {
 			if v += 1 + int(skip); v < n {
 				adj = append(adj, int32(v))
-				off[v+1]++
 				continue
 			}
-			end[u] = int64(len(adj))
+			up[u] = int32(len(adj) - row)
+			row = len(adj)
 			u++
 			v = u
 			if u == n-1 { // done: rewind to the i+1 draws the walk consumed
@@ -116,24 +118,46 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	}
 	m := len(adj)
 	adj = slices.Grow(adj, m)[:2*m]
-	end[n-1] = int64(m)
-	prev := int64(0)
-	for u := 0; u < n; u++ { // off[u+1] holds u's lower degree; add the upper
-		off[u+1] += off[u] + end[u] - prev
-		prev = end[u]
-	}
-	for u := n - 1; u > 0; u-- { // row 0 has no lower half and is in place
-		copy(adj[off[u+1]-(end[u]-end[u-1]):off[u+1]], adj[end[u-1]:end[u]])
-		end[u] = off[u]
-	}
-	end[0] = 0
-	for u := 0; u < n-1; u++ { // end[u] has reached u's upper block by now
-		for _, v := range adj[end[u]:off[u+1]] {
-			adj[end[v]] = int32(u)
-			end[v]++
+	// Row v's lower degree is about p·v, so the rows [√(lo·n), √(hi·n))
+	// of a par.For chunk [lo, hi) hold about as many entries as another's.
+	sq := func(x int) int { return int(math.Round(math.Sqrt(float64(x) * float64(n)))) }
+	par.For(n, func(lo, hi int) {
+		a, b := sq(lo), sq(hi)
+		for u, s := 0, 0; u < b-1; u++ { // u's upper block is still adj[s:s+up[u]]
+			for _, v := range within(adj[s:s+int(up[u])], a, b) {
+				off[v+1]++
+			}
+			s += int(up[u])
 		}
+	})
+	for u := 0; u < n; u++ { // off[u+1] holds u's lower degree; add the upper
+		off[u+1] += off[u] + int64(up[u])
 	}
+	for u, s := n-1, int64(m); u > 0; u-- { // row 0 has no lower half and is in place
+		s -= int64(up[u])
+		copy(adj[off[u+1]-int64(up[u]):off[u+1]], adj[s:s+int64(up[u])])
+	}
+	// A par.For chunk [lo, hi) of the 2m + n entries and rows takes the
+	// rows v with off[v] + v in it.
+	row := func(x int) int { return sort.Search(n, func(v int) bool { return int(off[v])+v >= x }) }
+	filled := make([]int32, n) // the entries of v's lower half written so far
+	par.For(2*m+n, func(lo, hi int) {
+		a, b := row(lo), row(hi)
+		for u := 0; u < b-1; u++ {
+			for _, v := range within(adj[off[u+1]-int64(up[u]):off[u+1]], a, b) {
+				adj[off[v]+int64(filled[v])] = int32(u)
+				filled[v]++
+			}
+		}
+	})
 	return &Graph{n: n, off: off, adj: adj}
+}
+
+// within returns the entries of the ascending block blk that lie in [a, b).
+func within(blk []int32, a, b int) []int32 {
+	lo, _ := slices.BinarySearch(blk, int32(a))
+	hi, _ := slices.BinarySearch(blk[lo:], int32(b))
+	return blk[lo : lo+hi]
 }
 
 // ConfigurationModel samples a d-regular multigraph on n nodes from the

@@ -46,7 +46,7 @@ func sameRows(a, b *Graph) bool {
 			return false
 		}
 		for k := range d {
-			if a.neighbor(v, k) != b.neighbor(v, k) {
+			if a.Neighbor(v, k) != b.Neighbor(v, k) {
 				return false
 			}
 		}
@@ -79,9 +79,12 @@ func TestErdosRenyiMatchesReference(t *testing.T) {
 			t.Fatalf("n=%d p=%g seed=%d: rng left at a different stream position", n, p, seed)
 		}
 	}
-	for _, n := range []int{0, 1, 2, 3, 5, 17, 100, 1000, 3000} {
+	// n = 7 is below CI's widest par.For (GOMAXPROCS 8); at p = 1e-4 most
+	// upper blocks are empty, and so are whole ranges of destination rows
+	// in the parallel count and scatter.
+	for _, n := range []int{0, 1, 2, 3, 5, 7, 17, 100, 1000, 3000} {
 		// 1e-9 reaches Geometric's MaxInt32 clamp.
-		for _, p := range []float64{0, 1e-9, 0.001, 0.01, 0.1, 0.5, 0.9, 1} {
+		for _, p := range []float64{0, 1e-9, 1e-4, 0.001, 0.01, 0.1, 0.5, 0.9, 1} {
 			seeds := uint64(3)
 			if float64(n)*float64(n)*p > 2e6 { // multi-million-edge cases: once, and not under -short
 				if seeds = 1; testing.Short() {
@@ -93,7 +96,8 @@ func TestErdosRenyiMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	check(2000, 0.05, 4) // several full blocks
+	check(2000, 0.05, 4)  // several full blocks
+	check(20000, 2e-5, 5) // 4 000 edges over 20 000 rows, split across every core
 	for i, seed := range blockStraddlers {
 		const n = 328
 		if draws := int(referenceErdosRenyi(n, 0.3, xrand.New(seed)).M()) + n - 1; draws != erBlock-1+i {
@@ -188,9 +192,9 @@ func TestErdosRenyiPinnedLarge(t *testing.T) {
 }
 
 // TestErdosRenyiAllocationCeiling holds the build to its output plus one
-// n-sized scratch slice: adj at 4 bytes per direction (8·m), off and the
-// row marker at 8 bytes per node each (16·n), and 5 % for the 8σ of spare
-// capacity, the draw block and par.For.
+// n-sized scratch slice: adj at 4 bytes per direction (8·m), off at 8
+// bytes per node and the upper-degree and fill counts at 4 each (16·n),
+// and 5 % for the 8σ of spare capacity, the draw block and par.For.
 func TestErdosRenyiAllocationCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n = 1 << 14

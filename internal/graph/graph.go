@@ -11,13 +11,13 @@
 // G(n,p) run depends on it: one Uint64 per geometric skip, the stream left
 // where the scalar row-major walk leaves it, and adjacency lists sorted
 // ascending. It builds its CSR in place in two phases (upper neighbours
-// during the walk, lower ones scattered after the prefix sum) rather than
-// through an edge list and FromEdges, which ChungLu uses; at p = 1 it is
-// Complete. ConfigurationModel, the random d-regular model of the paper's
-// §2 and of every `regular` cell, draws one rng.Shuffle(n·d) of the stubs,
-// scatters the pairs straight into CSR and keeps the pairing whole: loops
-// and parallel edges stay, every degree is exactly d (a loop counts 2),
-// and the defects are not counted.
+// during the walk, lower ones counted and scattered on every core after
+// it) rather than through an edge list and FromEdges, which ChungLu uses;
+// at p = 1 it is Complete. ConfigurationModel, the random d-regular model
+// of the paper's §2 and of every `regular` cell, draws one
+// rng.Shuffle(n·d) of the stubs, scatters the pairs straight into CSR and
+// keeps the pairing whole: loops and parallel edges stay, every degree is
+// exactly d (a loop counts 2), and the defects are not counted.
 package graph
 
 import (
@@ -116,10 +116,10 @@ func (g *Graph) Neighbors(v int32) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 
-// neighbor returns the k-th entry of v's row, 0 <= k < Degree(v): the
+// Neighbor returns the k-th entry of v's row, 0 <= k < Degree(v): the
 // stored one, or on K_n the k-th in ascending order, which is the row a
 // stored K_n would hold. Every draw of a neighbour goes through it.
-func (g *Graph) neighbor(v int32, k int) int32 {
+func (g *Graph) Neighbor(v int32, k int) int32 {
 	if g.off == nil {
 		if k >= int(v) {
 			k++
@@ -137,7 +137,7 @@ func (g *Graph) RandomNeighbor(v int32, rng *xrand.RNG) int32 {
 	if d == 0 {
 		return -1
 	}
-	return g.neighbor(v, int(rng.Uint64n(uint64(d))))
+	return g.Neighbor(v, int(rng.Uint64n(uint64(d))))
 }
 
 // RandomNeighborAvoid returns a uniformly random neighbor of v that is not
@@ -156,7 +156,7 @@ func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int3
 	}
 	const maxAttempts = 32
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		u := g.neighbor(v, int(rng.Uint64n(uint64(d))))
+		u := g.Neighbor(v, int(rng.Uint64n(uint64(d))))
 		if !slices.Contains(avoid, u) {
 			return u
 		}
@@ -164,7 +164,7 @@ func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int3
 	// Exact fallback: uniform over the non-avoided entries, in row order.
 	cnt := 0
 	for k := range d {
-		if !slices.Contains(avoid, g.neighbor(v, k)) {
+		if !slices.Contains(avoid, g.Neighbor(v, k)) {
 			cnt++
 		}
 	}
@@ -173,7 +173,7 @@ func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int3
 	}
 	i := rng.Intn(cnt)
 	for k := range d {
-		if u := g.neighbor(v, k); !slices.Contains(avoid, u) {
+		if u := g.Neighbor(v, k); !slices.Contains(avoid, u) {
 			if i == 0 {
 				return u
 			}

@@ -178,37 +178,5 @@ func (f *Full) Meet(tok *bitset.Set, v int32) int {
 // its round-start set). Do not mutate; do not hold across EndRound.
 func (f *Full) Row(v int32) *bitset.Set { return f.mat[f.live[v]].Row(int(v)) }
 
-// Known returns |m_v| for the live state.
-func (f *Full) Known(v int32) int { return int(f.have[v]) }
-
-// TotalKnown returns the total number of informed (node, message) pairs in
-// the live state: a round's packets count from its EndRound on.
-func (f *Full) TotalKnown() int64 { return f.total.Load() }
-
 // Complete reports whether every node knows every message.
 func (f *Full) Complete() bool { return f.total.Load() == int64(f.n)*int64(f.n) }
-
-// InformedOf returns how many nodes know message m (O(n); tests and
-// diagnostics only).
-func (f *Full) InformedOf(m int32) int {
-	c := 0
-	for v := 0; v < f.n; v++ {
-		if f.Row(int32(v)).Contains(int(m)) {
-			c++
-		}
-	}
-	return c
-}
-
-// CheckTotal recounts every live row and reports whether the per-row
-// counts and the incremental pair counter match (test hook; between rounds).
-func (f *Full) CheckTotal() bool {
-	var sum int64
-	for v, have := range f.have {
-		if f.Row(int32(v)).Count() != int(have) || f.now[v] != have {
-			return false
-		}
-		sum += int64(have)
-	}
-	return sum == f.total.Load()
-}

@@ -10,20 +10,51 @@ import (
 	"gossip/internal/xrand"
 )
 
+// known returns |m_v| for the live state, as the row counts track it.
+func known(f *Full, v int32) int { return int(f.have[v]) }
+
+// totalKnown returns the informed (node, message) pairs of the live state:
+// a round's packets count from its EndRound on.
+func totalKnown(f *Full) int64 { return f.total.Load() }
+
+// informedOf returns how many nodes know message m.
+func informedOf(f *Full, m int32) int {
+	c := 0
+	for v := 0; v < f.n; v++ {
+		if f.Row(int32(v)).Contains(int(m)) {
+			c++
+		}
+	}
+	return c
+}
+
+// checkTotal recounts every live row and reports whether the per-row
+// counts and the incremental pair counter match (between rounds).
+func checkTotal(f *Full) bool {
+	var sum int64
+	for v, have := range f.have {
+		if f.Row(int32(v)).Count() != int(have) || f.now[v] != have {
+			return false
+		}
+		sum += int64(have)
+	}
+	return sum == f.total.Load()
+}
+
 func TestNewFullInitialState(t *testing.T) {
 	f := NewFull(5)
 	for v := int32(0); v < 5; v++ {
-		if f.Known(v) != 1 || !f.Row(v).Contains(int(v)) {
+		if known(f, v) != 1 || !f.Row(v).Contains(int(v)) {
 			t.Errorf("node %d initial set = %v", v, f.Row(v))
 		}
 	}
-	if f.TotalKnown() != 5 {
-		t.Errorf("TotalKnown = %d", f.TotalKnown())
+	if totalKnown(f) != 5 {
+		t.Errorf("TotalKnown = %d", totalKnown(f))
 	}
 	if f.Complete() {
 		t.Error("fresh tracker reports complete")
 	}
-	if !f.CheckTotal() {
+	if !checkTotal(f) {
 		t.Error("counter out of sync")
 	}
 }
@@ -65,8 +96,8 @@ func TestTransferCountsNewOnly(t *testing.T) {
 	}
 	f.EndRound()
 	ref.EndRound()
-	if want != 1 || f.TotalKnown() != 3+int64(want) {
-		t.Errorf("a packet and its repeat added %d, reference %d", f.TotalKnown()-3, want)
+	if want != 1 || totalKnown(f) != 3+int64(want) {
+		t.Errorf("a packet and its repeat added %d, reference %d", totalKnown(f)-3, want)
 	}
 	assertSameState(t, f, ref, "after the round")
 }
@@ -76,8 +107,8 @@ func TestSelfTransferNoop(t *testing.T) {
 	f.BeginRound()
 	f.Transfer(1, 1)
 	f.EndRound()
-	if f.TotalKnown() != 2 || f.Row(1).Count() != 1 || !f.CheckTotal() {
-		t.Errorf("self transfer changed the state: TotalKnown = %d", f.TotalKnown())
+	if totalKnown(f) != 2 || f.Row(1).Count() != 1 || !checkTotal(f) {
+		t.Errorf("self transfer changed the state: TotalKnown = %d", totalKnown(f))
 	}
 }
 
@@ -90,8 +121,8 @@ func TestCompleteDetection(t *testing.T) {
 	if !f.Complete() {
 		t.Error("2-node exchange should complete")
 	}
-	if f.TotalKnown() != 4 {
-		t.Errorf("TotalKnown = %d", f.TotalKnown())
+	if totalKnown(f) != 4 {
+		t.Errorf("TotalKnown = %d", totalKnown(f))
 	}
 }
 
@@ -119,10 +150,10 @@ func TestInformedOf(t *testing.T) {
 	f.Transfer(2, 0)
 	f.Transfer(2, 1)
 	f.EndRound()
-	if got := f.InformedOf(2); got != 3 {
+	if got := informedOf(f, 2); got != 3 {
 		t.Errorf("InformedOf(2) = %d", got)
 	}
-	if got := f.InformedOf(0); got != 1 {
+	if got := informedOf(f, 0); got != 1 {
 		t.Errorf("InformedOf(0) = %d", got)
 	}
 }
@@ -140,7 +171,7 @@ func TestQuickTotalMatchesRecount(t *testing.T) {
 			}
 			tr.EndRound()
 		}
-		return tr.CheckTotal()
+		return checkTotal(tr)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -152,17 +183,17 @@ func TestQuickMonotoneGrowth(t *testing.T) {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(30)
 		tr := NewFull(n)
-		prev := tr.TotalKnown()
+		prev := totalKnown(tr)
 		for r := 0; r < 4; r++ {
 			tr.BeginRound()
 			for k := 0; k < n/2; k++ {
 				tr.Transfer(int32(rng.Intn(n)), int32(rng.Intn(n)))
 			}
 			tr.EndRound()
-			if tr.TotalKnown() < prev {
+			if totalKnown(tr) < prev {
 				return false
 			}
-			prev = tr.TotalKnown()
+			prev = totalKnown(tr)
 		}
 		return true
 	}
@@ -202,9 +233,22 @@ func (f *refFull) Transfer(src, dst int32) int {
 // Meet is the two-pass walk arrival Full.Meet fuses: the token takes up
 // the row, then the row takes up the token.
 func (f *refFull) Meet(tok *bitset.Set, dst int32) int {
-	tok.UnionWith(f.cur.Row(int(dst)))
-	added := f.cur.Row(int(dst)).UnionWith(tok)
+	orInto(tok, f.cur.Row(int(dst)))
+	added := orInto(f.cur.Row(int(dst)), tok)
 	f.total += int64(added)
+	return added
+}
+
+// orInto adds o's members to s one bit at a time and returns how many
+// were new to s.
+func orInto(s, o *bitset.Set) int {
+	added := 0
+	o.ForEach(func(i int) {
+		if !s.Contains(i) {
+			s.Add(i)
+			added++
+		}
+	})
 	return added
 }
 
@@ -220,18 +264,18 @@ func assertSameState(t *testing.T, f *Full, ref *refFull, when string) {
 		if !f.Row(int32(v)).Equal(want) {
 			t.Fatalf("%s: Row(%d) = %v, want %v", when, v, f.Row(int32(v)), want)
 		}
-		if got := f.Known(int32(v)); got != want.Count() {
+		if got := known(f, int32(v)); got != want.Count() {
 			t.Fatalf("%s: Known(%d) = %d, want %d", when, v, got, want.Count())
 		}
 		refBits += int64(want.Count())
 	}
-	if f.TotalKnown() != ref.total || refBits != ref.total {
-		t.Fatalf("%s: TotalKnown = %d, reference %d", when, f.TotalKnown(), ref.total)
+	if totalKnown(f) != ref.total || refBits != ref.total {
+		t.Fatalf("%s: TotalKnown = %d, reference %d", when, totalKnown(f), ref.total)
 	}
 	if f.Complete() != ref.Complete() {
 		t.Fatalf("%s: Complete = %v, reference %v", when, f.Complete(), ref.Complete())
 	}
-	if !f.CheckTotal() {
+	if !checkTotal(f) {
 		t.Fatalf("%s: CheckTotal failed", when)
 	}
 }
@@ -242,7 +286,7 @@ func meet(t *testing.T, f *Full, ref *refFull, tok *bitset.Set, v int32, when st
 	t.Helper()
 	union := bitset.New(tok.Len())
 	union.CopyFrom(tok)
-	union.UnionWith(f.Row(v))
+	orInto(union, f.Row(v))
 	refTok := bitset.New(tok.Len())
 	refTok.CopyFrom(tok)
 	if got, want := f.Meet(tok, v), ref.Meet(refTok, v); got != want {
@@ -282,7 +326,7 @@ func TestFullMatchesReference(t *testing.T) {
 					tok.Add(int(pick()))
 					meet(t, f, ref, tok, pick(), when)
 				}
-				before := f.TotalKnown()
+				before := totalKnown(f)
 				f.BeginRound()
 				ref.BeginRound()
 				calls := 0 // an idle round one time in eight
@@ -307,7 +351,7 @@ func TestFullMatchesReference(t *testing.T) {
 				}
 				f.EndRound()
 				ref.EndRound()
-				if got := f.TotalKnown() - before; got != int64(want) {
+				if got := totalKnown(f) - before; got != int64(want) {
 					t.Fatalf("%s: the round added %d, reference transfers %d", when, got, want)
 				}
 				assertSameState(t, f, ref, when)
@@ -382,12 +426,12 @@ func TestFillKeepsTailClear(t *testing.T) {
 	}
 	f.EndRound()
 	ref.EndRound()
-	if got := f.TotalKnown() - (n + n - 1); got != int64(want) {
+	if got := totalKnown(f) - (n + n - 1); got != int64(want) {
 		t.Errorf("the round added %d, reference transfers %d", got, want)
 	}
 	for _, v := range []int32{0, 1, 2, 6, 12} {
-		if c := f.Row(v).Count(); c != n || f.Known(v) != n {
-			t.Errorf("row %d: Count = %d, Known = %d, want %d", v, c, f.Known(v), n)
+		if c := f.Row(v).Count(); c != n || known(f, v) != n {
+			t.Errorf("row %d: Count = %d, Known = %d, want %d", v, c, known(f, v), n)
 		}
 	}
 	assertSameState(t, f, ref, "after the round")
@@ -442,7 +486,7 @@ func TestConcurrentRoundMatchesReference(t *testing.T) {
 		wg.Wait()
 		var before [n]int
 		for v := range before {
-			before[v] = f.Known(int32(v))
+			before[v] = known(f, int32(v))
 		}
 		f.BeginRound()
 		for w := range script {
@@ -463,7 +507,7 @@ func TestConcurrentRoundMatchesReference(t *testing.T) {
 		wg.Wait()
 		f.EndRound()
 		for v := range before {
-			got[v%workers] += f.Known(int32(v)) - before[v]
+			got[v%workers] += known(f, int32(v)) - before[v]
 		}
 		if got != want {
 			t.Fatalf("round %d: added per worker %v, want %v", round, got, want)
@@ -490,7 +534,7 @@ func TestRoundDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a round allocated %v times", allocs)
 	}
-	if !f.Complete() || !f.CheckTotal() {
-		t.Errorf("schedule did not saturate: TotalKnown = %d", f.TotalKnown())
+	if !f.Complete() || !checkTotal(f) {
+		t.Errorf("schedule did not saturate: TotalKnown = %d", totalKnown(f))
 	}
 }

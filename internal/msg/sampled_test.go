@@ -1,25 +1,48 @@
 package msg
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"gossip/internal/graph"
+	"gossip/internal/par"
 	"gossip/internal/xrand"
 )
+
+// sampledKnown returns how many sampled messages v knows.
+func sampledKnown(s *Sampled, v int32) int { return s.cur.Row(int(v)).Count() }
+
+// sampledInformedOf returns how many nodes know sampled message id, or -1
+// if id is not tracked.
+func sampledInformedOf(s *Sampled, id int32) int {
+	c, ok := slices.BinarySearch(s.ids, id)
+	if !ok {
+		return -1
+	}
+	cnt := 0
+	for v := 0; v < s.n; v++ {
+		if s.cur.Row(v).Contains(c) {
+			cnt++
+		}
+	}
+	return cnt
+}
 
 func TestSampledInitialState(t *testing.T) {
 	s := NewSampled(100, 10, 1)
 	if s.K() != 10 {
 		t.Fatalf("K = %d", s.K())
 	}
-	if s.TotalKnown() != 10 {
-		t.Errorf("TotalKnown = %d", s.TotalKnown())
+	if s.total != 10 {
+		t.Errorf("TotalKnown = %d", s.total)
 	}
-	for _, id := range s.IDs() {
-		if s.Known(id) < 1 {
+	for _, id := range s.ids {
+		if sampledKnown(s, id) < 1 {
 			t.Errorf("origin %d does not know its own message", id)
 		}
-		if got := s.InformedOf(id); got != 1 {
+		if got := sampledInformedOf(s, id); got != 1 {
 			t.Errorf("InformedOf(%d) = %d", id, got)
 		}
 	}
@@ -27,7 +50,7 @@ func TestSampledInitialState(t *testing.T) {
 
 func TestSampledIDsSortedDistinct(t *testing.T) {
 	s := NewSampled(50, 20, 2)
-	ids := s.IDs()
+	ids := s.ids
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			t.Fatalf("ids not ascending/distinct: %v", ids)
@@ -49,24 +72,24 @@ func TestSampledTransferSemantics(t *testing.T) {
 	s.Transfer(0, 1)
 	s.Transfer(1, 2)
 	s.EndRound()
-	if s.InformedOf(0) != 2 { // at nodes 0 and 1 only
-		t.Errorf("InformedOf(0) = %d", s.InformedOf(0))
+	if sampledInformedOf(s, 0) != 2 { // at nodes 0 and 1 only
+		t.Errorf("InformedOf(0) = %d", sampledInformedOf(s, 0))
 	}
-	if s.InformedOf(3) != 1 {
-		t.Errorf("InformedOf(3) = %d", s.InformedOf(3))
+	if sampledInformedOf(s, 3) != 1 {
+		t.Errorf("InformedOf(3) = %d", sampledInformedOf(s, 3))
 	}
 }
 
 func TestSampledUntrackedID(t *testing.T) {
 	s := NewSampled(100, 2, 5)
 	tracked := map[int32]bool{}
-	for _, id := range s.IDs() {
+	for _, id := range s.ids {
 		tracked[id] = true
 	}
 	for v := int32(0); v < 100; v++ {
 		if !tracked[v] {
-			if s.InformedOf(v) != -1 {
-				t.Errorf("untracked id %d reported %d", v, s.InformedOf(v))
+			if sampledInformedOf(s, v) != -1 {
+				t.Errorf("untracked id %d reported %d", v, sampledInformedOf(s, v))
 			}
 			return
 		}
@@ -91,7 +114,7 @@ func TestSampledMatchesFullWhenKEqualsN(t *testing.T) {
 			}
 			full.EndRound()
 			samp.EndRound()
-			if full.TotalKnown() != samp.TotalKnown() {
+			if totalKnown(full) != samp.total {
 				return false
 			}
 		}
@@ -128,4 +151,59 @@ func TestSampledRoundDiscipline(t *testing.T) {
 	s.BeginRound()
 	mustPanic("nested BeginRound", func() { s.BeginRound() })
 	s.EndRound()
+}
+
+// TestSampledCountMatchesRecount runs push–pull to completion on G(n, p),
+// delivering every transfer into a receiver from the par.For worker that
+// owns it, and requires after every round that the pair count equal a
+// recount of the matrix and the k origins plus the sum of Transfer's
+// returns. Complete therefore first holds at the step at which the
+// transfers' own count reaches n·k.
+func TestSampledCountMatchesRecount(t *testing.T) {
+	const n, k = 3000, 40
+	g := graph.ErdosRenyi(n, graph.PLogSquared(n), xrand.New(3))
+	s := NewSampled(n, k, 4)
+	rngs := make([]xrand.RNG, n)
+	for v := range rngs {
+		rngs[v].Reseed(uint64(v))
+	}
+	out := make([]int32, n)
+	callers := make([][]int32, n)
+	counted := int64(k)
+	for step := 1; !s.Complete(); step++ {
+		if step > 100 {
+			t.Fatal("push–pull did not complete in 100 steps")
+		}
+		for v := range callers {
+			callers[v] = callers[v][:0]
+		}
+		for v := range out {
+			out[v] = g.RandomNeighbor(int32(v), &rngs[v])
+			callers[out[v]] = append(callers[out[v]], int32(v))
+		}
+		var added atomic.Int64
+		s.BeginRound()
+		par.For(n, func(lo, hi int) {
+			sum := 0
+			for v := lo; v < hi; v++ {
+				for _, u := range callers[v] { // pushes into v
+					sum += s.Transfer(u, int32(v))
+				}
+				sum += s.Transfer(out[v], int32(v)) // v's pull
+			}
+			added.Add(int64(sum))
+		})
+		s.EndRound()
+		counted += added.Load()
+		recount := int64(0)
+		for v := 0; v < n; v++ {
+			recount += int64(sampledKnown(s, int32(v)))
+		}
+		if s.total != recount || s.total != counted {
+			t.Fatalf("step %d: pair count %d, recount %d, Transfer's returns %d", step, s.total, recount, counted)
+		}
+		if s.Complete() != (counted == n*k) {
+			t.Fatalf("step %d: Complete() = %v with %d of %d pairs counted", step, s.Complete(), counted, n*k)
+		}
+	}
 }

@@ -5,16 +5,18 @@ import "sync/atomic"
 // Async is an asynchronous in-process transport: one persistent goroutine
 // per node, with payloads delivered through per-node channels, so delivery
 // order within a receiver is scheduling-dependent. A step has two phases:
-// every node dials; then each calls out, serves exactly its incoming
-// channels, collects its own response and runs its OnStepEnd without
-// waiting for the others. The coordinator releases a phase by closing one
-// gate; the last worker done counts an atomic down to zero and wakes it.
-// Inboxes are reused, growing only past their largest in-degree yet. With
-// commutative receipt handling (all of internal/core's machines) delivered
-// state equals Sync's; walk-forwarding machines may route walks otherwise
-// with the same completion semantics. A machine runs on its own goroutine.
+// every node dials (drawing a DialUniform itself); then each calls out,
+// serves exactly its incoming channels, collects its own response and
+// runs its OnStepEnd without waiting for the others. The coordinator
+// releases a phase by closing one gate; the last worker done counts an
+// atomic down to zero and wakes it. Inboxes are reused, growing only past
+// their largest in-degree yet. With commutative receipt handling (all of
+// internal/core's machines) delivered state equals Sync's; walk-forwarding
+// machines may route walks otherwise with the same completion semantics.
+// A machine runs on its own goroutine.
 type Async struct {
 	ms      []Machine
+	nt      *Net // the machines' Net, which DialUniform draws on
 	round   *Round
 	push    []any
 	inbox   []chan envelope // reused; capacity >= the step's in-degree
@@ -47,6 +49,7 @@ func NewAsync(ms []Machine) *Async {
 	n := len(ms)
 	a := &Async{
 		ms:      ms,
+		nt:      netOf(ms),
 		round:   NewRound(n),
 		push:    make([]any, n),
 		inbox:   make([]chan envelope, n),
@@ -74,7 +77,7 @@ func (a *Async) worker(v int32, gate chan struct{}) {
 		switch ph {
 		case phaseDial:
 			dial, push := m.OnStep(a.step)
-			a.round.Out[v] = dial
+			a.round.Out[v] = a.nt.Resolve(v, dial)
 			a.push[v] = push
 		case phaseExchange:
 			// Call out (a nil push still requests a response); inboxes

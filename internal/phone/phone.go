@@ -10,7 +10,8 @@
 // Async, a goroutine-per-node transport with channel-based delivery that
 // proves the protocol code is transport-independent, stepping in two
 // phases released by closing one gate. internal/gossipd drives the same
-// machines over loopback TCP.
+// machines over loopback TCP. Sync draws DialUniform in two passes over a
+// chunk of nodes, every draw and then every load; Async and gossipd per node.
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link
@@ -28,6 +29,14 @@ import (
 
 // NoDial marks a node that keeps its channel closed in a step.
 const NoDial int32 = -1
+
+// DialUniform, returned from OnStep, dials a uniformly random neighbour:
+// right after OnStep the transport makes Graph.RandomNeighbor's draw on
+// the node's stream in the Net its machines name (see Machine). On an
+// isolated node it is NoDial, and the push returned with it is dropped.
+const DialUniform int32 = -2
+
+const noNet = "phone: a machine dialed DialUniform on a transport none of whose machines has a Net() *phone.Net"
 
 // Round is the dial table of one synchronous step plus its inverted index.
 // Out[v] is the callee of v (or NoDial). After BuildIncoming, Incoming(v)
@@ -153,6 +162,29 @@ func (nt *Net) OpenAvoid(v int32) int32 {
 		nt.Memory[v].Remember(u)
 	}
 	return u
+}
+
+// Resolve returns dial, or v's uniform draw if dial is DialUniform; a nil
+// nt panics then.
+func (nt *Net) Resolve(v, dial int32) int32 {
+	if dial == DialUniform {
+		if nt == nil {
+			panic(noNet)
+		}
+		return nt.G.RandomNeighbor(v, &nt.rngs[v])
+	}
+	return dial
+}
+
+// netOf returns the Net of the first machine with a Net() *Net method,
+// or nil: the Net a transport resolves DialUniform on.
+func netOf(ms []Machine) *Net {
+	for _, m := range ms {
+		if h, ok := m.(interface{ Net() *Net }); ok {
+			return h.Net()
+		}
+	}
+	return nil
 }
 
 // InitMemory resets every node's link memory to an empty memory of c

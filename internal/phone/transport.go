@@ -7,9 +7,10 @@ import "gossip/internal/par"
 //
 //  1. OnStep: the node decides which neighbor to dial (NoDial keeps its
 //     channel closed) and which payload, if any, to push through the
-//     channel it opens. All per-step randomness is drawn here, from the
-//     node's private stream, so the dial phase parallelizes without
-//     changing results.
+//     channel it opens. All per-step randomness is drawn from the node's
+//     private stream, here or, for DialUniform (which a machine with a
+//     Net() *Net method may return), by the transport right after OnStep,
+//     so the dial phase parallelizes without changing results.
 //  2. OnReceive (push direction): the node receives every payload pushed
 //     through an incoming channel, callers in increasing id order.
 //  3. OnOpen: for every incoming channel, the node may answer with a
@@ -34,9 +35,11 @@ import "gossip/internal/par"
 // is safe under the concurrency each callback documents (e.g. the
 // receiver-partitioned trackers of internal/msg).
 type Machine interface {
-	// OnStep opens the node's channel for this step: the callee id (or
-	// NoDial) and the payload pushed through the channel (nil pushes
-	// nothing; the channel still opens and may pull a response).
+	// OnStep opens the node's channel for this step: the callee id, NoDial
+	// or DialUniform, and the payload pushed through the channel (nil
+	// pushes nothing; the channel still opens and may pull a response; a
+	// push with NoDial is dropped). Its randomness is drawn here, and
+	// DialUniform's right after it.
 	OnStep(step int32) (dial int32, push any)
 	// OnOpen answers an incoming channel from the given caller with a
 	// response payload, or nil. It must not mutate machine state.
@@ -77,20 +80,27 @@ type Transport interface {
 // produces bit-identical results to those loops.
 type Sync struct {
 	ms    []Machine
+	nt    *Net // the machines' Net, which DialUniform draws on
 	round *Round
 	push  []any
 	resp  []any
+	step  int32
+	// The phases' par.For bodies, bound once: Step allocates nothing.
+	dialFn, pushFn, openFn, replyFn, endFn func(lo, hi int)
 }
 
 // NewSync returns a synchronous in-memory transport over the machines.
 func NewSync(ms []Machine) *Sync {
 	n := len(ms)
-	return &Sync{
+	s := &Sync{
 		ms:    ms,
+		nt:    netOf(ms),
 		round: NewRound(n),
 		push:  make([]any, n),
 		resp:  make([]any, n),
 	}
+	s.dialFn, s.pushFn, s.openFn, s.replyFn, s.endFn = s.dial, s.deliverPushes, s.open, s.deliverReplies, s.end
+	return s
 }
 
 // N returns the number of nodes.
@@ -102,14 +112,9 @@ func (s *Sync) N() int { return len(s.ms) }
 // machine is ever read and written concurrently.
 func (s *Sync) Step(step int32) StepTally {
 	n := len(s.ms)
+	s.step = step
 	s.round.Reset()
-	par.For(n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dial, push := s.ms[v].OnStep(step)
-			s.round.Out[v] = dial
-			s.push[v] = push
-		}
-	})
+	par.For(n, s.dialFn)
 	s.round.BuildIncoming()
 
 	var t StepTally
@@ -121,48 +126,85 @@ func (s *Sync) Step(step int32) StepTally {
 			}
 		}
 	}
-
-	// Push direction.
-	par.For(n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for _, u := range s.round.Incoming(int32(v)) {
-				if p := s.push[u]; p != nil {
-					s.ms[v].OnReceive(u, p)
-				}
-			}
-		}
-	})
+	par.For(n, s.pushFn)
 	// Pull direction: compute every response first (OnOpen is read-only,
 	// so concurrent calls into one callee are safe), then deliver split
 	// by caller.
-	par.For(n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if u := s.round.Out[v]; u >= 0 {
-				s.resp[v] = s.ms[u].OnOpen(int32(v))
-			} else {
-				s.resp[v] = nil
-			}
-		}
-	})
+	par.For(n, s.openFn)
 	for _, r := range s.resp {
 		if r != nil {
 			t.Responses++
 		}
 	}
-	par.For(n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if r := s.resp[v]; r != nil {
-				s.ms[v].OnReceive(s.round.Out[v], r)
-				s.resp[v] = nil
+	par.For(n, s.replyFn)
+	par.For(n, s.endFn)
+	return t
+}
+
+// dial runs OnStep on the nodes [lo, hi) in two passes. The first calls
+// every OnStep and makes each DialUniform's draw (Graph.RandomNeighbor's)
+// right after it, keeping the neighbour's index in the counting-sort
+// cursor BuildIncoming has not yet claimed; the second loads every drawn
+// neighbour from the adjacency, loads that no longer wait on one another.
+func (s *Sync) dial(lo, hi int) {
+	out, idx := s.round.Out, s.round.cursor
+	for v := lo; v < hi; v++ {
+		dial, push := s.ms[v].OnStep(s.step)
+		if dial == DialUniform {
+			if s.nt == nil {
+				panic(noNet)
+			}
+			if d := s.nt.G.Degree(int32(v)); d > 0 {
+				idx[v] = int32(s.nt.rngs[v].Uint64n(uint64(d)))
+			} else {
+				dial = NoDial
 			}
 		}
-	})
-	par.For(n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s.ms[v].OnStepEnd(step)
+		out[v] = dial
+		s.push[v] = push
+	}
+	for v := lo; v < hi; v++ {
+		if out[v] == DialUniform {
+			out[v] = s.nt.G.Neighbor(int32(v), int(idx[v]))
 		}
-	})
-	return t
+	}
+}
+
+// deliverPushes delivers the pushes to the receivers [lo, hi).
+func (s *Sync) deliverPushes(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		for _, u := range s.round.Incoming(int32(v)) {
+			if p := s.push[u]; p != nil {
+				s.ms[v].OnReceive(u, p)
+			}
+		}
+	}
+}
+
+// open computes the responses to the calls of the callers [lo, hi); resp
+// is all nil until then, as deliverReplies leaves it.
+func (s *Sync) open(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if u := s.round.Out[v]; u >= 0 {
+			s.resp[v] = s.ms[u].OnOpen(int32(v))
+		}
+	}
+}
+
+// deliverReplies delivers the responses to the callers [lo, hi).
+func (s *Sync) deliverReplies(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if r := s.resp[v]; r != nil {
+			s.ms[v].OnReceive(s.round.Out[v], r)
+			s.resp[v] = nil
+		}
+	}
+}
+
+func (s *Sync) end(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		s.ms[v].OnStepEnd(s.step)
+	}
 }
 
 // Close is a no-op for the in-memory transport.
