@@ -370,7 +370,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("JSONL lines = %d, want 2", n)
 	}
 	var tb strings.Builder
-	runner.Table("t", results).Render(&tb)
+	runner.RecordTable("t", runner.Records(results)).Render(&tb)
 	if !strings.Contains(tb.String(), "pushpull") {
 		t.Errorf("sweep table missing algo:\n%s", tb.String())
 	}

@@ -16,7 +16,7 @@
 //   - RunMemoryGossip — the memory-model algorithm in which each node
 //     remembers up to 4 links, achieving O(log n) time and O(n)
 //     transmissions given a leader (paper Algorithm 2, §4),
-//   - RunElectLeader — the accompanying leader election (Algorithm 3),
+//   - RunMemoryGossipWithElection — leader election (Algorithm 3), then Algorithm 2,
 //   - RunBroadcast — single-message push/pull/push–pull baselines,
 //   - RunMemoryRobustness — the §5 crash-failure experiment.
 //

@@ -70,16 +70,6 @@ func NewPowerLaw(n int, beta, wmin float64, seed uint64) *Graph {
 	return graph.ChungLu(graph.PowerLawWeights(n, beta, wmin), xrand.New(seed))
 }
 
-// PaperEdgeProbability returns p = log²n/n (§5 of the paper).
-func PaperEdgeProbability(n int) float64 { return graph.PLogSquared(n) }
-
-// EdgeProbabilityLogPow returns p = logᵉn/n — the density knob of the
-// paper's analysis (which requires expected degree Ω(log^{2+ε} n)).
-func EdgeProbabilityLogPow(n int, e float64) float64 { return graph.PLogPow(n, e) }
-
-// Log2n returns the paper's logarithm: log₂n, clamped below at 1.
-func Log2n(n int) float64 { return core.Logn(n) }
-
 // IsConnected reports whether g is connected.
 func IsConnected(g *Graph) bool { return graph.IsConnected(g) }
 
@@ -123,11 +113,6 @@ func RunMemoryGossipWithElection(g *Graph, p MemoryParams, lp LeaderParams, seed
 	return core.MemoryGossipWithElection(g, p, lp, seed)
 }
 
-// RunElectLeader runs Algorithm 3.
-func RunElectLeader(g *Graph, p LeaderParams, seed uint64) *LeaderResult {
-	return core.ElectLeader(g, p, seed)
-}
-
 // RunBroadcast disseminates a single message from src under the given
 // transmission rule (maxSteps 0 = generous default cap).
 func RunBroadcast(g *Graph, src int32, mode BroadcastMode, seed uint64, maxSteps int) *BroadcastResult {
@@ -139,43 +124,6 @@ func RunBroadcast(g *Graph, src int32, mode BroadcastMode, seed uint64, maxSteps
 // nodes before Phase II, and count additionally lost healthy messages.
 func RunMemoryRobustness(g *Graph, p MemoryParams, seed uint64, failures int) RobustnessResult {
 	return core.MemoryRobustness(g, p, seed, failures)
-}
-
-// MedianCounterParams configures the Karp et al. median-counter broadcast.
-type MedianCounterParams = core.MedianCounterParams
-
-// MedianCounterResult reports a median-counter run.
-type MedianCounterResult = core.MedianCounterResult
-
-// DefaultMedianCounterParams returns CtrMax = ⌈loglog n⌉+2 and a generous
-// step cap.
-func DefaultMedianCounterParams(n int) MedianCounterParams {
-	return core.DefaultMedianCounterParams(n)
-}
-
-// RunMedianCounterBroadcast runs the self-terminating push&pull broadcast
-// of Karp, Schindelhauer, Shenker and Vöcking (FOCS'00) — the
-// O(n·loglog n)-transmission complete-graph result the paper builds on.
-func RunMedianCounterBroadcast(g *Graph, src int32, p MedianCounterParams, seed uint64) *MedianCounterResult {
-	return core.MedianCounterBroadcast(g, src, p, seed)
-}
-
-// RunMemoryBroadcast runs the Elsässer–Sauerwald memory broadcasting
-// ([20]) — Algorithm 2's Phase I as a standalone O(n)-transmission,
-// O(log n)-round broadcast.
-func RunMemoryBroadcast(g *Graph, p MemoryParams, root int32, seed uint64) *BroadcastResult {
-	return core.MemoryBroadcast(g, p, root, seed)
-}
-
-// SampledResult reports a sampled-tracking estimator run.
-type SampledResult = core.SampledResult
-
-// RunPushPullSampled runs the push–pull baseline while tracking k sampled
-// messages exactly (Θ(n·k) bits instead of Θ(n²)), for sizes beyond the
-// exact tracker's memory wall. Under a given seed the channel dynamics
-// equal RunPushPull's; only the completion observation is sampled.
-func RunPushPullSampled(g *Graph, seed uint64, k, maxSteps int) *SampledResult {
-	return core.PushPullSampled(g, seed, k, maxSteps)
 }
 
 // The transport seam (internal/phone, internal/core): algorithms are

@@ -3,6 +3,9 @@ package gossip
 import (
 	"strings"
 	"testing"
+
+	"gossip/internal/core"
+	"gossip/internal/graph"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -45,9 +48,9 @@ func TestPublicGraphConstructors(t *testing.T) {
 	if d.Max <= d.Mean {
 		t.Error("power-law graph should have heavy-tailed degrees")
 	}
-	p := PaperEdgeProbability(1024)
+	p := graph.PLogSquared(1024)
 	if p <= 0 || p >= 1 {
-		t.Errorf("PaperEdgeProbability = %v", p)
+		t.Errorf("graph.PLogSquared = %v", p)
 	}
 }
 
@@ -58,7 +61,7 @@ func TestPublicBroadcastAndLeader(t *testing.T) {
 	if !bc.Completed {
 		t.Error("broadcast did not complete")
 	}
-	le := RunElectLeader(g, DefaultLeaderParams(n), 7)
+	le := core.ElectLeader(g, DefaultLeaderParams(n), 7)
 	if !le.Unique {
 		t.Error("election not unique")
 	}
@@ -105,11 +108,11 @@ func TestExperimentRegistry(t *testing.T) {
 func TestPublicBroadcastVariants(t *testing.T) {
 	n := 1024
 	g := NewPaperGraph(n, 21)
-	mc := RunMedianCounterBroadcast(g, 0, DefaultMedianCounterParams(n), 22)
+	mc := core.MedianCounterBroadcast(g, 0, core.DefaultMedianCounterParams(n), 22)
 	if !mc.Completed || !mc.Quiesced {
 		t.Errorf("median counter failed: %+v", mc)
 	}
-	mb := RunMemoryBroadcast(g, TunedMemoryParams(n), 0, 23)
+	mb := core.MemoryBroadcast(g, TunedMemoryParams(n), 0, 23)
 	if !mb.Completed {
 		t.Error("memory broadcast failed")
 	}
@@ -123,7 +126,7 @@ func TestPublicSampledEstimator(t *testing.T) {
 	n := 1024
 	g := NewPaperGraph(n, 24)
 	exact := RunPushPull(g, 25, 0)
-	est := RunPushPullSampled(g, 25, 64, 0)
+	est := core.PushPullSampled(g, 25, 64, 0)
 	if !est.Completed {
 		t.Fatal("estimator incomplete")
 	}

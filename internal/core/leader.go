@@ -35,7 +35,7 @@ type LeaderResult struct {
 // then every node performs PullSteps open-avoid pulls; the candidate whose
 // ID equals its own final minimum becomes the leader.
 func ElectLeader(g *graph.Graph, p LeaderParams, seed uint64) *LeaderResult {
-	return electLeader(phone.NewNet(g, seed), p)
+	return electLeaderOver(phone.NewNet(g, seed), p, SyncTransport)
 }
 
 // ElectLeaderOver is ElectLeader with the protocol executed as node state
@@ -160,17 +160,11 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 	return s
 }
 
-// Machines returns the per-node machines, indexed by node id.
-func (s *LeaderSet) Machines() []phone.Machine { return s.ms }
-
 // Machine returns node v's machine.
 func (s *LeaderSet) Machine(v int32) phone.Machine { return s.nodes[v] }
 
 // PushSteps returns the length of the ID push stage in steps.
 func (s *LeaderSet) PushSteps() int { return int(s.pushSteps) }
-
-// Candidates returns the number of self-declared possible leaders.
-func (s *LeaderSet) Candidates() int { return s.nCand }
 
 // Complete reports whether every healthy node's current minimum is the
 // minimum candidate ID — the eventual leader when the spread completes.
@@ -258,12 +252,9 @@ func (s *LeaderSet) Resolve() *LeaderResult {
 	return res
 }
 
-// electLeader is ElectLeader on an existing substrate (so the memory-model
-// pipeline can share one Net and keep a single seed for the whole run).
-func electLeader(nt *phone.Net, p LeaderParams) *LeaderResult {
-	return electLeaderOver(nt, p, SyncTransport)
-}
-
+// electLeaderOver runs Algorithm 3 on an existing substrate (so the
+// memory-model pipeline can share one Net and keep a single seed for the
+// whole run).
 func electLeaderOver(nt *phone.Net, p LeaderParams, tf TransportFactory) *LeaderResult {
 	set := NewLeaderSet(nt, p)
 	t := tf(set.ms)

@@ -89,7 +89,7 @@ func TestElectLeaderWithFailures(t *testing.T) {
 	for _, v := range rng.SampleK(n, 40) {
 		nt.Failed[v] = true
 	}
-	res := electLeader(nt, DefaultLeaderParams(n))
+	res := electLeaderOver(nt, DefaultLeaderParams(n), SyncTransport)
 	if !res.Unique {
 		t.Fatalf("election with failures not unique: %+v", res)
 	}
@@ -138,7 +138,7 @@ func TestLeaderStepAllocs(t *testing.T) {
 		p := DefaultLeaderParams(n)
 		p.PushSteps = 100
 		set := NewLeaderSet(phone.NewNet(testGraph(n, 50), 1), p)
-		s := phone.NewSync(set.Machines())
+		s := phone.NewSync(set.ms)
 		step := int32(1)
 		for ; step <= 60; step++ {
 			s.Step(step)

@@ -159,7 +159,7 @@ func TestElectLeaderGolden(t *testing.T) {
 	for _, v := range xrand.New(99).SampleK(1024, 40) {
 		nt.Failed[v] = true
 	}
-	lef := electLeader(nt, DefaultLeaderParams(1024))
+	lef := electLeaderOver(nt, DefaultLeaderParams(1024), SyncTransport)
 	if lef.Leader != 4 || lef.Candidates != 86 || !lef.Unique || lef.AwareCount != 984 || lef.Steps != 38 {
 		t.Errorf("failures: got %+v", lef)
 	}

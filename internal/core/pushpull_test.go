@@ -183,3 +183,23 @@ func TestSyncStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledRoundZeroAlloc: the sampled tracker's round (BeginRound's
+// par.For copy, the step's transfers, EndRound's recount) allocates
+// nothing in steady state either.
+func TestSampledRoundZeroAlloc(t *testing.T) {
+	for _, n := range []int{128, 2048} {
+		tr := msg.NewSampled(n, 64, 5)
+		s := phone.NewSync(exchangeMachines(phone.NewNet(testGraph(n, 3), 1), tr))
+		step := int32(1)
+		allocs := testing.AllocsPerRun(50, func() {
+			tr.BeginRound()
+			s.Step(step)
+			tr.EndRound()
+			step++
+		})
+		if allocs != 0 {
+			t.Errorf("n = %d: a sampled round allocated %v times, want 0", n, allocs)
+		}
+	}
+}

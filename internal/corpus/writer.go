@@ -143,9 +143,6 @@ func verifyScenarios(dir string, all []runner.Scenario, recs []runner.CellRecord
 	return nil
 }
 
-// Run returns the run being written.
-func (w *Writer) Run() *Run { return w.run }
-
 // Done returns how many leading cells were already complete when the
 // writer opened.
 func (w *Writer) Done() int { return len(w.prefix) }

@@ -23,6 +23,7 @@ type Sampled struct {
 	cur, next *bitset.Matrix // n rows × K columns
 	total     int64          // informed (node, sampled message) pairs, as of the last EndRound
 	inRound   bool
+	copyFn    func(lo, hi int) // BeginRound's par.For body, bound once
 }
 
 // NewSampled returns a tracker following k messages drawn uniformly
@@ -45,6 +46,7 @@ func NewSampled(n, k int, seed uint64) *Sampled {
 	for c, id := range ids {
 		s.cur.Row(int(id)).Add(c)
 	}
+	s.copyFn = func(lo, hi int) { s.next.CopyRowsFrom(s.cur, lo, hi) }
 	return s
 }
 
@@ -57,9 +59,7 @@ func (s *Sampled) BeginRound() {
 		panic("msg: BeginRound while a round is open")
 	}
 	s.inRound = true
-	par.For(s.n, func(lo, hi int) {
-		s.next.CopyRowsFrom(s.cur, lo, hi)
-	})
+	par.For(s.n, s.copyFn)
 }
 
 // EndRound publishes the next state and recounts the informed pairs.

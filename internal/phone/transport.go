@@ -85,7 +85,8 @@ type Sync struct {
 	push  []any
 	resp  []any
 	step  int32
-	// The phases' par.For bodies, bound once: Step allocates nothing.
+	// The phases' par.For bodies, bound once so Step allocates nothing: a
+	// closure built per call would escape to par's pool, one per phase.
 	dialFn, pushFn, openFn, replyFn, endFn func(lo, hi int)
 }
 

@@ -68,15 +68,10 @@ func recordMetricKeys(records []CellRecord) []string {
 	return keys
 }
 
-// Table renders results as one row per cell: the scenario dimensions
-// followed by mean and 95% CI half-width of every metric.
-func Table(title string, results []CellResult) *sweep.Table {
-	return RecordTable(title, Records(results))
-}
-
-// RecordTable is Table over serialized records — the form a stored run
-// loads back — and renders identically to the table of the in-memory
-// results it was recorded from (JSON float round-tripping is exact).
+// RecordTable renders records as one row per cell: the scenario
+// dimensions followed by mean and 95% CI half-width of every metric. A
+// stored run's records render identically to the in-memory results they
+// were recorded from (JSON float round-tripping is exact).
 // Knob columns (k, trees, memslots, walkprob) appear only when some
 // record sets them, so grids that do not use the knobs render as
 // before.

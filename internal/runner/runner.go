@@ -103,14 +103,6 @@ type CellResult struct {
 	Metrics map[string]*stats.Acc
 }
 
-// Mean returns the mean of metric k (0 if absent).
-func (c CellResult) Mean(k string) float64 {
-	if a, ok := c.Metrics[k]; ok {
-		return a.Mean()
-	}
-	return 0
-}
-
 // Runner executes scenario cells on a bounded worker pool.
 type Runner struct {
 	// Workers bounds the pool; <= 0 uses GOMAXPROCS.

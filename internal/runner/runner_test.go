@@ -334,7 +334,7 @@ func TestBuildGraphCompleteIsImplicit(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	g := Grid{Algos: []string{"pushpull"}, Sizes: []int{128}, Reps: 2, Seed: 1}
 	results := (&Runner{}).RunGrid(g)
-	tab := Table("sweep", results)
+	tab := RecordTable("sweep", Records(results))
 	var b strings.Builder
 	tab.Render(&b)
 	out := b.String()

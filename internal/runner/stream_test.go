@@ -255,13 +255,13 @@ func TestRecordTableKnobColumns(t *testing.T) {
 		Algos: []string{"memory"}, Sizes: []int{64}, MemSlots: []int{2, 4}, Seed: 8,
 	})
 	var b strings.Builder
-	Table("knobs", results).Render(&b)
+	RecordTable("knobs", Records(results)).Render(&b)
 	if !strings.Contains(b.String(), "memslots") {
 		t.Errorf("knob column missing:\n%s", b.String())
 	}
 	// Grids without knobs render the five classic dimension columns.
 	var plain strings.Builder
-	Table("plain", (&Runner{Workers: 1}).RunGrid(Grid{Sizes: []int{64}, Seed: 8})).Render(&plain)
+	RecordTable("plain", Records((&Runner{Workers: 1}).RunGrid(Grid{Sizes: []int{64}, Seed: 8}))).Render(&plain)
 	if strings.Contains(plain.String(), "memslots") || strings.Contains(plain.String(), "walkprob") {
 		t.Errorf("knob columns leaked into plain table:\n%s", plain.String())
 	}

@@ -82,25 +82,6 @@ func (a *Acc) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", a.Mean(), a.CI95(), a.n)
 }
 
-// Mean returns the mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var a Acc
-	a.AddAll(xs)
-	return a.StdDev()
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It copies and sorts its input.
 func Quantile(xs []float64, q float64) float64 {

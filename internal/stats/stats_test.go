@@ -47,16 +47,17 @@ func TestAccSingle(t *testing.T) {
 }
 
 func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almost(Mean(xs), 5, 1e-12) {
-		t.Errorf("Mean = %v", Mean(xs))
+	var a, empty Acc
+	a.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	if !almost(a.Mean(), 5, 1e-12) {
+		t.Errorf("Mean = %v", a.Mean())
 	}
 	// Unbiased std of this classic sample is sqrt(32/7).
-	if !almost(StdDev(xs), math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", StdDev(xs))
+	if !almost(a.StdDev(), math.Sqrt(32.0/7.0), 1e-12) {
+		t.Errorf("StdDev = %v", a.StdDev())
 	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
+	if empty.Mean() != 0 {
+		t.Error("empty Mean != 0")
 	}
 }
 

@@ -7,6 +7,8 @@ package gossip
 import (
 	"testing"
 
+	"gossip/internal/core"
+	"gossip/internal/graph"
 	"gossip/internal/stats"
 )
 
@@ -25,7 +27,7 @@ func sweepMsgsPerNode(t *testing.T, sizes []int, run func(n int, seed uint64) *R
 			}
 			acc += res.TransmissionsPerNode() / reps
 		}
-		xs = append(xs, Log2n(n))
+		xs = append(xs, core.Logn(n))
 		ys = append(ys, acc)
 	}
 	return stats.LinearFit(xs, ys)
@@ -84,7 +86,7 @@ func TestShapeGossipDensityInsensitive(t *testing.T) {
 	n := 4096
 	var ys []float64
 	for _, e := range []float64{1.5, 2.0, 2.5, 3.0} {
-		g := NewErdosRenyi(n, EdgeProbabilityLogPow(n, e), uint64(100*e))
+		g := NewErdosRenyi(n, graph.PLogPow(n, e), uint64(100*e))
 		res := RunPushPull(g, uint64(e*7), 0)
 		if !res.Completed {
 			t.Fatalf("density %v run incomplete", e)
@@ -114,7 +116,7 @@ func TestShapeBroadcastPushTransmissionsTrackNLogN(t *testing.T) {
 		if !res.Completed {
 			t.Fatalf("n=%d broadcast incomplete", n)
 		}
-		xs = append(xs, Log2n(n))
+		xs = append(xs, core.Logn(n))
 		ys = append(ys, float64(res.Transmissions)/float64(n))
 	}
 	fit := stats.LinearFit(xs, ys)
@@ -132,12 +134,12 @@ func TestShapeMedianCounterTracksLogLogN(t *testing.T) {
 	// constant band.
 	var ratios []float64
 	for _, n := range []int{512, 4096, 32768} {
-		res := RunMedianCounterBroadcast(NewPaperGraph(n, uint64(n)+9), 0,
-			DefaultMedianCounterParams(n), uint64(n))
+		res := core.MedianCounterBroadcast(NewPaperGraph(n, uint64(n)+9), 0,
+			core.DefaultMedianCounterParams(n), uint64(n))
 		if !res.Completed || !res.Quiesced {
 			t.Fatalf("n=%d median counter failed", n)
 		}
-		ratios = append(ratios, float64(res.Transmissions)/float64(res.N)/float64(Log2n(n)))
+		ratios = append(ratios, float64(res.Transmissions)/float64(res.N)/float64(core.Logn(n)))
 	}
 	// Dividing by log n instead of loglog n must show clear decay…
 	if !(ratios[2] < ratios[0]) {
