@@ -1,7 +1,7 @@
-// Command gossiplint runs the repo's invariant analyzers (see
-// internal/lint) over Go packages and exits nonzero on any finding —
-// the static half of the determinism/durability story whose dynamic
-// half is the zero-tolerance regression gates.
+// Command gossiplint runs the repo's determinism analyzer, detlint (see
+// internal/lint), over Go packages and exits nonzero on any finding —
+// the static half of the determinism story whose dynamic half is the
+// zero-tolerance regression gates.
 //
 // Usage:
 //

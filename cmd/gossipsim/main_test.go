@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -407,5 +408,35 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 	// Sink open errors surface immediately; nothing runs.
 	if _, err := runStreaming(grid, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
 		t.Error("unwritable sink path accepted")
+	}
+}
+
+var errClose = errors.New("injected close fault")
+
+// failClose closes the file and then reports errClose.
+type failClose struct{ io.WriteCloser }
+
+func (f failClose) Close() error {
+	if err := f.WriteCloser.Close(); err != nil {
+		return err
+	}
+	return errClose
+}
+
+// TestJSONSinkReportsCloseError: a failed Close of the -json file is a
+// failed flush to disk, so the sweep must fail with it.
+func TestJSONSinkReportsCloseError(t *testing.T) {
+	grid, err := parseGrid(flags("pushpull", "er", "64", "1", "0", 1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := createSink
+	defer func() { createSink = saved }()
+	createSink = func(path string) (io.WriteCloser, error) {
+		f, err := saved(path)
+		return failClose{f}, err
+	}
+	if _, err := runStreaming(grid, 2, filepath.Join(t.TempDir(), "out.jsonl")); !errors.Is(err, errClose) {
+		t.Errorf("runStreaming with a failing Close returned %v, want the close error", err)
 	}
 }

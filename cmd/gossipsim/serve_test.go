@@ -17,12 +17,14 @@ import (
 
 // archiveTwoGens imports run into a fresh corpus twice under two fake
 // revisions — two generations of one ID — and returns the corpus dir
-// and the run ID.
+// and the run ID. The second revision carries <, > and &, which an
+// encoder escaping HTML, as encoding/json's defaults do, writes
+// differently from corpus.WriteJSON.
 func archiveTwoGens(t *testing.T, run string) (string, string) {
 	t.Helper()
 	corpusDir := filepath.Join(t.TempDir(), "corpus")
 	var out, errw strings.Builder
-	for _, rev := range []string{"rev-a", "rev-b"} {
+	for _, rev := range []string{"rev-a", "rev-<b>&c"} {
 		if code := archiveMain([]string{"-dir", corpusDir, "-add", run, "-rev", rev}, &out, &errw); code != 0 {
 			t.Fatalf("archive -rev %s exited %d: %s", rev, code, errw.String())
 		}
@@ -79,8 +81,12 @@ func httpGet(t *testing.T, url string) []byte {
 }
 
 // TestServeMatchesCLIBytes is the no-drift guarantee at the command
-// layer: the daemon's JSON answers are byte-identical to the CLI -json
-// flags' answers to the same questions.
+// layer: every corpus view the daemon serves is byte-identical to the
+// CLI's -json answer to the same question — the run listing, the
+// compare verdict, the trend and the report, of both generations — and
+// the run detail, which has no -json flag, to corpus.WriteJSON of the
+// store's own Detail. A second encoder anywhere on either side shows up
+// here, since the latest revision needs HTML escaping switched off.
 func TestServeMatchesCLIBytes(t *testing.T) {
 	run := writeRun(t, 4)
 	corpusDir, id := archiveTwoGens(t, run)
@@ -90,47 +96,43 @@ func TestServeMatchesCLIBytes(t *testing.T) {
 		t.Fatalf("healthz = %q", body)
 	}
 
-	// GET /runs (index-backed) vs `archive -json` (full scan).
-	var cli, errw strings.Builder
-	if code := archiveMain([]string{"-dir", corpusDir, "-json"}, &cli, &errw); code != 0 {
-		t.Fatalf("archive -json exited %d: %s", code, errw.String())
-	}
-	if got := httpGet(t, base+"/runs"); string(got) != cli.String() {
-		t.Errorf("GET /runs != archive -json\nhttp: %s\ncli:  %s", got, cli.String())
-	}
-	cli.Reset()
-	if code := archiveMain([]string{"-dir", corpusDir, "-json", "-algo", "sampled", "-n", "64"}, &cli, &errw); code != 0 {
-		t.Fatal("filtered archive -json failed")
-	}
-	if got := httpGet(t, base+"/runs?algo=sampled&n=64"); string(got) != cli.String() {
-		t.Errorf("filtered GET /runs != archive -json\nhttp: %s\ncli:  %s", got, cli.String())
-	}
-
-	// GET /compare vs `compare -json` (same selectors, same profile).
-	cli.Reset()
-	if code := compareMain([]string{"-dir", corpusDir, "-json", "-profile", "ci", id}, &cli, &errw); code != 0 {
-		t.Fatalf("compare -json exited %d: %s", code, errw.String())
-	}
-	if got := httpGet(t, base+"/compare?id="+id+"&profile=ci"); string(got) != cli.String() {
-		t.Errorf("GET /compare != compare -json\nhttp: %s\ncli:  %s", got, cli.String())
+	for _, c := range []struct {
+		path string
+		main func(args []string, stdout, stderr io.Writer) int
+		args []string
+	}{
+		{"/runs", archiveMain, []string{"-json"}}, // index-backed vs a full scan
+		{"/runs?algo=sampled&n=64", archiveMain, []string{"-json", "-algo", "sampled", "-n", "64"}},
+		{"/compare?id=" + id + "&profile=ci", compareMain, []string{"-json", "-profile", "ci", id}},
+		{"/trend/" + id, trendMain, []string{"-json", id}},
+		{"/runs/" + id + "/report", reportMain, []string{"-json", id}},
+		{"/runs/" + id + "@prev/report", reportMain, []string{"-json", id + "@prev"}},
+	} {
+		var cli, errw strings.Builder
+		if code := c.main(append([]string{"-dir", corpusDir}, c.args...), &cli, &errw); code != 0 {
+			t.Fatalf("%v exited %d: %s", c.args, code, errw.String())
+		}
+		if got := httpGet(t, base+c.path); string(got) != cli.String() {
+			t.Errorf("GET %s != %v\nhttp: %s\ncli:  %s", c.path, c.args, got, cli.String())
+		}
 	}
 
-	// GET /trend/{id} vs `trend -json`.
-	cli.Reset()
-	if code := trendMain([]string{"-dir", corpusDir, "-json", id}, &cli, &errw); code != 0 {
-		t.Fatalf("trend -json exited %d: %s", code, errw.String())
+	store, err := corpus.Open(corpusDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := httpGet(t, base+"/trend/"+id); string(got) != cli.String() {
-		t.Errorf("GET /trend != trend -json\nhttp: %s\ncli:  %s", got, cli.String())
-	}
-
-	// GET /runs/{sel}/report vs `report -json`.
-	cli.Reset()
-	if code := reportMain([]string{"-dir", corpusDir, "-json", id + "@prev"}, &cli, &errw); code != 0 {
-		t.Fatalf("report -json exited %d: %s", code, errw.String())
-	}
-	if got := httpGet(t, base+"/runs/"+id+"@prev/report"); string(got) != cli.String() {
-		t.Errorf("GET /report != report -json\nhttp: %s\ncli:  %s", got, cli.String())
+	for _, sel := range []string{id, id + "@prev"} {
+		d, err := store.Detail(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := corpus.WriteJSON(&want, d); err != nil {
+			t.Fatal(err)
+		}
+		if got := httpGet(t, base+"/runs/"+sel); string(got) != want.String() {
+			t.Errorf("GET /runs/%s != WriteJSON(Detail)\nhttp: %s\nwant: %s", sel, got, want.String())
+		}
 	}
 
 	// The metrics endpoint carries the request counters.

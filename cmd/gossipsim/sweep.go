@@ -143,6 +143,10 @@ func runStreaming(grid runner.Grid, workers int, path string) ([]runner.CellReco
 	return records, nil
 }
 
+// createSink creates the -json file. It is a variable so a test can make
+// the file's Close fail.
+var createSink = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+
 // openJSONSink returns a per-record JSONL emitter for path ("" = none,
 // "-" = stdout) and a close function reporting any write error — a
 // failed flush-on-close included.
@@ -150,11 +154,11 @@ func openJSONSink(path string) (func(runner.CellRecord), func() error, error) {
 	if path == "" {
 		return nil, func() error { return nil }, nil
 	}
-	var f *os.File
+	var f io.WriteCloser
 	sink := io.Writer(os.Stdout)
 	if path != "-" {
 		var err error
-		if f, err = os.Create(path); err != nil {
+		if f, err = createSink(path); err != nil {
 			return nil, nil, err
 		}
 		sink = f

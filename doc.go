@@ -258,67 +258,46 @@
 //
 // # Enforced invariants
 //
-// The guarantees above are enforced mechanically by gossiplint
-// (internal/lint, cmd/gossiplint), the repo's own static analysis
-// suite, run in CI over the whole module and locally via
+// Determinism is enforced statically by gossiplint (internal/lint,
+// cmd/gossiplint), the repo's own analyzer, run in CI over the whole
+// module and locally via
 //
 //	go run ./cmd/gossiplint ./...
 //
 // which prints each finding as file:line:col: analyzer: message and
-// exits 0 clean, 1 on findings, 2 on a usage or load error.
+// exits 0 clean, 1 on findings, 2 on a usage or load error. It runs one
+// analyzer, detlint. Module-wide it flags wall-clock reads
+// (time.Now/Since/Until) and the global math/rand stream, called
+// directly or through function values (t := time.Now; t()). In the
+// deterministic packages (internal/bitset, core, exp, graph, msg, par,
+// phone, runner, stats, sweep, walk, xrand) it also flags calls into
+// in-module helpers that reach either one, multi-case selects
+// (scheduler-order resolution) and order-sensitive work inside
+// range-over-map — collecting values, non-keyed writes, float
+// accumulation, printing, sending — while sanctioning the sorted-keys
+// idiom. The transitive check builds the module's call graph and
+// computes, bottom-up over its strongly-connected components, a fact
+// set per function (readsClock, drawsGlobalRand), so a clock read
+// laundered through helpers in another package is flagged at the
+// deterministic call site with a witness chain ("clockutil.Stamp →
+// clockutil.now → time.Now").
 //
-// Since v2 the checker is interprocedural: every run builds the
-// module's call graph and computes, bottom-up over its
-// strongly-connected components, a summary fact set per function —
-// doesIO, readsClock, drawsGlobalRand, blocks — with a curated table
-// supplying facts for standard-library roots. A violation laundered
-// through helpers is flagged at the disciplined call site with a
-// witness chain ("cluster.call → net.Dial") naming the path to the
-// root effect. Five analyzers, one per load-bearing invariant:
+// The other invariants are tests that exercise them:
 //
-//	detlint   bit-identical determinism. Module-wide it flags
-//	          wall-clock reads (time.Now/Since/Until) and the global
-//	          math/rand stream — called directly, through function
-//	          values (t := time.Now; t()), or (in the deterministic
-//	          packages) transitively through in-module helpers. In the
-//	          deterministic packages (internal/core, phone, runner,
-//	          walk, graph, stats, sweep, xrand) it also flags
-//	          multi-case selects (scheduler-order resolution) and
-//	          order-sensitive work inside range-over-map — collecting
-//	          values, non-keyed writes, float accumulation, printing,
-//	          sending — while sanctioning the sorted-keys idiom:
-//	          extracting keys to a slice for sorting is exactly how
-//	          the rule is satisfied.
-//	lockio    the gossipd locking rule: no mutex held across network
-//	          I/O, time.Sleep, or blocking channel operations —
-//	          directly, via fmt/io formatting into a net.Conn or
-//	          http.ResponseWriter, or transitively through any
-//	          in-module call chain whose summary reaches I/O or a
-//	          block. Snapshot under the lock, communicate outside it;
-//	          selects with a default case are non-blocking and pass.
-//	seedflow  seed lineage in the deterministic packages: every
-//	          explicitly seeded RNG (xrand.New, Reseed, the math/rand
-//	          constructors) must derive its seed from a parameter, a
-//	          struct field, or the xrand.SeedFor / runner.CellSeed
-//	          derivation chain. Literal, constant, package-level, and
-//	          clock-derived seeds — including a clock read hidden
-//	          behind helpers, which the summary facts expose — are
-//	          flagged.
-//	sinkerr   corpus durability: errors from Close/Flush/Sync on
-//	          writers must be checked — a dropped fsync error is a
-//	          silently torn corpus. The disciplined idioms stay legal:
-//	          error-path cleanup next to a checked success-path close,
-//	          defer-close of read-only os.Open files, connection
-//	          teardown.
-//	viewenc   the no-drift guarantee: corpus view types are
-//	          JSON-encoded only through the canonical corpus.WriteJSON
-//	          encoder, so CLI and daemon bytes cannot diverge.
-//
-// Daemon goroutine leaks are caught by tests, not by an analyzer: the
-// leak tests of internal/gossipd and internal/corpusd run every cluster
-// shape and the HTTP server to shutdown and require the goroutine count
-// back at its baseline, which also catches a goroutine parked forever
-// on a channel no one closes.
+//	view bytes    every corpus view corpusd serves equals the CLI's
+//	              -json bytes, or corpus.WriteJSON's for the run detail
+//	              (cmd/gossipsim TestServeMatchesCLIBytes)
+//	seed lineage  every random graph model, algorithm and experiment
+//	              moves with its seed (runner TestSeedSensitivity, exp
+//	              TestExperimentsSeedSensitive)
+//	lock scope    no mutex is held across I/O or a sleep (gossipd's
+//	              TestStalled* and TestStepDelayLeavesNodeUnlocked,
+//	              corpusd's TestStalledMetricsScrapeDoesNotBlockRequests)
+//	durability    a failing fsync or close fails the write (corpus's
+//	              *FailsOnSyncOrCloseError, TestJSONSinkReportsCloseError,
+//	              TestTableWriteCSVCloseError)
+//	leaks         every cluster shape and the HTTP server shut down to
+//	              their goroutine baseline (the NoGoroutineLeak tests)
 //
 // Intentional exceptions are suppressed in place:
 //
@@ -331,9 +310,9 @@
 //
 //	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '//gossiplint:allow [a-z]+ [^<]' .
 //
-// The suite's own tests live in internal/lint with analysistest-style
+// detlint's own tests live in internal/lint with analysistest-style
 // fixtures under internal/lint/testdata/src, one small module each,
 // loaded through the gate's own loader (lint.Load) — so the
-// cross-package fixtures, which only the interprocedural engine can
-// catch, certify the loader CI runs.
+// cross-package fixture, which only the interprocedural engine can
+// catch, certifies the loader CI runs.
 package gossip

@@ -667,7 +667,7 @@ func WriteRun(dir string, m Manifest, records []runner.CellRecord) (*Run, error)
 	if err := writeManifest(tmp, m); err != nil {
 		return nil, err
 	}
-	f, err := os.Create(filepath.Join(tmp, CellsName))
+	f, err := createFile(filepath.Join(tmp, CellsName))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: create cells: %w", err)
 	}
@@ -706,7 +706,7 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("corpus: marshal manifest: %w", err)
 	}
 	b = append(b, '\n')
-	f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return fmt.Errorf("corpus: write manifest: %w", err)
 	}
@@ -722,6 +722,28 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("corpus: close manifest: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// A syncFile is what the corpus needs of a file it writes and then
+// fsyncs: its writes, its fsync and its close.
+type syncFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// durable hands out every file the corpus fsyncs: manifests, cells files
+// and the index. It returns f itself; it is a variable so a test can make
+// a file's Sync or Close fail.
+var durable = func(f *os.File) syncFile { return f }
+
+// createFile creates or truncates name for writing, through durable.
+func createFile(name string) (syncFile, error) {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return durable(f), nil
 }
 
 // syncDir fsyncs a directory so freshly created entries survive power

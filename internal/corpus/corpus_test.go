@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gossip/internal/runner"
@@ -309,5 +311,86 @@ func TestCellsDone(t *testing.T) {
 
 	if n, err := CellsDone(t.TempDir()); err != nil || n != 0 {
 		t.Errorf("CellsDone on empty dir = %d, %v; want 0, nil", n, err)
+	}
+}
+
+var errInjected = errors.New("injected fault")
+
+// faultyFile does the real Sync and Close, then reports the injected
+// fault from the one named by op.
+type faultyFile struct {
+	*os.File
+	op string
+}
+
+func (f faultyFile) Sync() error {
+	if err := f.File.Sync(); err != nil || f.op != "sync" {
+		return err
+	}
+	return errInjected
+}
+
+func (f faultyFile) Close() error {
+	if err := f.File.Close(); err != nil || f.op != "close" {
+		return err
+	}
+	return errInjected
+}
+
+// injectFault makes op ("sync" or "close") fail on every file the corpus
+// fsyncs whose base name starts with prefix, until the test ends.
+func injectFault(t *testing.T, prefix, op string) {
+	saved := durable
+	t.Cleanup(func() { durable = saved })
+	durable = func(f *os.File) syncFile {
+		if !strings.HasPrefix(filepath.Base(f.Name()), prefix) {
+			return f
+		}
+		return faultyFile{f, op}
+	}
+}
+
+// TestArchiveFailsOnSyncOrCloseError: a failing fsync or close of the
+// manifest, the cells file or the index is the filesystem saying the
+// bytes may not be on disk, so Archive must return that error. A fault in
+// the generation's own files must also leave no generation committed.
+func TestArchiveFailsOnSyncOrCloseError(t *testing.T) {
+	g := testGrid(7)
+	results := runGrid(t, g, 2)
+	for _, name := range []string{ManifestName, CellsName, ".tmp-index-"} {
+		for _, op := range []string{"sync", "close"} {
+			t.Run(name+"/"+op, func(t *testing.T) {
+				injectFault(t, name, op)
+				store, err := Open(filepath.Join(t.TempDir(), "corpus"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = store.Archive(g, Provenance{Workers: 2, CreatedAt: "2026-07-26T00:00:00Z", Revision: "revA"}, results)
+				if !errors.Is(err, errInjected) {
+					t.Errorf("Archive returned %v, want the injected fault", err)
+				}
+				if gens, _, _ := store.Generations(NewManifest(g).ID); name != ".tmp-index-" && len(gens) != 0 {
+					t.Errorf("%d generations committed, want 0", len(gens))
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointFailsOnSyncOrCloseError: the same for a checkpointed run.
+// CreateRun writes the manifest and Writer.Close fsyncs and closes the
+// streamed cells file; either fault must fail ExecuteRun.
+func TestCheckpointFailsOnSyncOrCloseError(t *testing.T) {
+	g := testGrid(7)
+	for _, name := range []string{ManifestName, CellsName} {
+		for _, op := range []string{"sync", "close"} {
+			t.Run(name+"/"+op, func(t *testing.T) {
+				injectFault(t, name, op)
+				_, _, err := ExecuteRun(filepath.Join(t.TempDir(), "run"), g, 2, false, nil)
+				if !errors.Is(err, errInjected) {
+					t.Errorf("ExecuteRun returned %v, want the injected fault", err)
+				}
+			})
+		}
 	}
 }

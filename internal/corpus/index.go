@@ -188,15 +188,16 @@ func (s *Store) writeIndex(idx *Index) error {
 		return fmt.Errorf("corpus: write index: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
+	f := durable(tmp)
+	if _, err := f.Write(b); err != nil {
+		f.Close()
 		return fmt.Errorf("corpus: write index: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return fmt.Errorf("corpus: sync index: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("corpus: close index: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), s.IndexPath()); err != nil {

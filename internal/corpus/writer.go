@@ -17,14 +17,14 @@ import (
 // returns.
 type Writer struct {
 	run    *Run
-	f      *os.File
+	f      syncFile
 	ord    *runner.OrderedJSONL
 	prefix []runner.CellRecord
 }
 
 // newWriter assembles a Writer over an open cells file positioned
 // after the done-cell prefix.
-func newWriter(r *Run, f *os.File, prefix []runner.CellRecord) *Writer {
+func newWriter(r *Run, f syncFile, prefix []runner.CellRecord) *Writer {
 	return &Writer{run: r, f: f, prefix: prefix,
 		ord: runner.NewOrderedJSONL(f, len(prefix))}
 }
@@ -45,14 +45,14 @@ func CreateRun(dir string, m Manifest) (*Writer, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, CellsName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createFile(filepath.Join(dir, CellsName))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: create cells: %w", err)
 	}
 	// Persist the cells file's directory entry alongside the manifest's,
 	// so a crash right after create leaves a well-formed empty run.
 	if err := syncDir(dir); err != nil {
-		f.Close() //gossiplint:allow sinkerr error-path cleanup; creation already failed and the empty run dir is abandoned
+		f.Close() // error-path cleanup: creation already failed and the empty run dir is abandoned
 		return nil, err
 	}
 	return newWriter(&Run{Dir: dir, Manifest: m}, f, nil), nil
@@ -86,14 +86,14 @@ func ResumeRun(dir string, g runner.Grid) (*Writer, error) {
 		return nil, fmt.Errorf("corpus: reopen cells: %w", err)
 	}
 	if err := f.Truncate(off); err != nil {
-		f.Close() //gossiplint:allow sinkerr error-path cleanup; resume already failed loudly and nothing was written through f
+		f.Close() // error-path cleanup: resume already failed loudly and nothing was written through f
 		return nil, fmt.Errorf("corpus: truncate torn tail: %w", err)
 	}
 	if _, err := f.Seek(off, 0); err != nil {
-		f.Close() //gossiplint:allow sinkerr error-path cleanup; resume already failed loudly and nothing was written through f
+		f.Close() // error-path cleanup: resume already failed loudly and nothing was written through f
 		return nil, fmt.Errorf("corpus: seek cells: %w", err)
 	}
-	return newWriter(r, f, recs), nil
+	return newWriter(r, durable(f), recs), nil
 }
 
 // recoverTornCreate reports whether dir holds the wreckage of a run

@@ -559,3 +559,51 @@ func TestServeWhileArchiving(t *testing.T) {
 		t.Errorf("detail shows %d generations, want %d", len(d.Generations), extraGens+1)
 	}
 }
+
+// stalledClient is a response writer whose client never reads: its first
+// Write closes entered, and every Write blocks until release is closed.
+type stalledClient struct {
+	header           http.Header
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stalledClient) Header() http.Header { return w.header }
+func (w *stalledClient) WriteHeader(int)     {}
+func (w *stalledClient) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(b), nil
+}
+
+// TestStalledMetricsScrapeDoesNotBlockRequests: a /metrics scraper that
+// stops reading stalls only its own request. Every request takes the
+// metric lock to record its latency, so handleMetrics must render under
+// that lock and write to the client only after releasing it.
+func TestStalledMetricsScrapeDoesNotBlockRequests(t *testing.T) {
+	ts, _, _ := newTestServer(t, nil)
+	w := &stalledClient{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		ts.Config.Handler.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	}()
+	defer func() { close(w.release); <-scraped }()
+	<-w.entered
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("GET /healthz did not finish while a /metrics scrape was stalled")
+	}
+}

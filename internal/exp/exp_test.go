@@ -151,6 +151,27 @@ func TestDeterministicReports(t *testing.T) {
 	}
 }
 
+// TestExperimentsSeedSensitive: every experiment that draws randomness
+// (all but table1, which tabulates formulas) moves with the master seed.
+// A graph or run stream seeded from a constant would render the same
+// bytes at every seed; a clock-derived seed already fails
+// TestDeterministicReports and the figures digest.
+func TestExperimentsSeedSensitive(t *testing.T) {
+	for _, e := range Experiments {
+		if e.ID == "table1" {
+			continue
+		}
+		render := func(seed uint64) string {
+			var b strings.Builder
+			e.Run(Config{Seed: seed, Quick: true, Reps: 2, Sizes: []int{192, 256}, Failures: []int{0, 8}, Workers: 4}).Render(&b)
+			return b.String()
+		}
+		if out := render(7); out == render(8) {
+			t.Errorf("%s renders the same bytes at seeds 7 and 8:\n%s", e.ID, out)
+		}
+	}
+}
+
 func TestMeasure(t *testing.T) {
 	points := []int{30, 10, 20, 40, 50}
 	run := func(workers int) ([]cell, map[int][]int) {

@@ -162,6 +162,9 @@ type cluster struct {
 	stop  chan struct{}
 	wg    sync.WaitGroup
 	srvWg sync.WaitGroup
+	// dial opens node from's channel to addr; a test swaps it to stall
+	// one node's connections.
+	dial func(from int32, addr string) (net.Conn, error)
 
 	dials     atomic.Int64
 	wireBytes atomic.Int64
@@ -177,6 +180,9 @@ func newCluster(cfg Config, nt *phone.Net, set machineSet) (*cluster, error) {
 		nodes: make([]*node, cfg.N),
 		peers: make([]string, cfg.N),
 		stop:  make(chan struct{}),
+		dial: func(_ int32, addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, 2*time.Second)
+		},
 	}
 	for v := 0; v < cfg.N; v++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -435,7 +441,7 @@ func (c *cluster) call(addr string, from int32, push any) ([]byte, error) {
 	if !ok && push != nil {
 		return nil, fmt.Errorf("gossipd: node %d pushes a %T, not []byte", from, push)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	conn, err := c.dial(from, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -76,6 +77,113 @@ func TestCallErrorsCounted(t *testing.T) {
 	if !rep.Completed && rep.Elapsed >= cfg.Timeout {
 		t.Fatalf("run ended on the timeout guard, not on completion or the step cap: %s", rep.Summary())
 	}
+}
+
+// stalledConn is a peer connection that never answers: its reads and
+// writes block until the cluster stops, whatever the deadline says.
+type stalledConn struct {
+	net.Conn // nil: call uses only the methods below
+	stop     <-chan struct{}
+}
+
+func (s stalledConn) Read([]byte) (int, error)    { <-s.stop; return 0, net.ErrClosed }
+func (s stalledConn) Write([]byte) (int, error)   { <-s.stop; return 0, net.ErrClosed }
+func (s stalledConn) SetDeadline(time.Time) error { return nil }
+func (s stalledConn) Close() error                { return nil }
+
+// TestStalledPeerDoesNotStallCluster: node 1's first call stalls for the
+// rest of the run, so its step loop never gets past step 1. A node holds
+// its mutex only around machine callbacks, never across the call, so
+// node 1 still answers every incoming channel, learns the rumor from
+// them, and the broadcast completes well inside the timeout guard. Held
+// across the call, the mutex would lock node 1's handlers out for good.
+func TestStalledPeerDoesNotStallCluster(t *testing.T) {
+	cfg := Config{N: 8, Payload: []byte("rumor"), Seed: 7, MaxSteps: 64 * ceilLog2(8), StepDelay: 50 * time.Microsecond, Timeout: 10 * time.Second}
+	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
+	set := core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload)
+	c, err := newCluster(cfg, nt, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := c.dial
+	c.dial = func(from int32, addr string) (net.Conn, error) {
+		if from == 1 {
+			return stalledConn{stop: c.stop}, nil
+		}
+		return dial(from, addr)
+	}
+	rep := &Report{Stats: c.run(), InformedAt: make([]int32, cfg.N)}
+	for v := range rep.InformedAt {
+		rep.InformedAt[v] = set.InformedAt(int32(v))
+	}
+	if !rep.Completed {
+		t.Fatalf("one stalled connection kept the broadcast from completing: %s", rep.Summary())
+	}
+	if got := c.nodes[1].steps.Load(); got != 1 {
+		t.Fatalf("node 1 ran %d steps, want 1 (its first call stalls)", got)
+	}
+}
+
+// TestStalledCallerDoesNotLockNode: a caller that sends its request and
+// then stops reading stalls only its own channel. handle releases the
+// node's mutex before it writes the response; held across the write, the
+// mutex would keep the node's step loop and every other incoming channel
+// waiting on the stalled caller until the wire deadline.
+func TestStalledCallerDoesNotLockNode(t *testing.T) {
+	cfg := Config{N: 2, Payload: []byte("rumor"), Seed: 7}
+	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
+	c, err := newCluster(cfg, nt, core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.shutdown()
+	nd := c.nodes[0]
+	nd.m.OnStep(1)             // the source answers pulls from its first step on
+	conn, caller := net.Pipe() // unbuffered: a write waits for its reader
+	handled := make(chan struct{})
+	go func() { defer close(handled); c.handle(nd, conn) }()
+	defer func() { caller.Close(); <-handled }()
+	if err := writeRequest(caller, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	var flag [1]byte
+	if _, err := caller.Read(flag[:]); err != nil || flag[0] != 1 {
+		t.Fatalf("response flag %d, %v; want the source's pull response", flag[0], err)
+	}
+	// handle is now stuck writing the rest of the response.
+	for i := 0; !nd.mu.TryLock(); i++ {
+		if i == 100 {
+			t.Fatal("node 0's mutex stays held while its response write is stalled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	nd.mu.Unlock()
+}
+
+// TestStepDelayLeavesNodeUnlocked: a node sleeps out its StepDelay
+// without its mutex, so it answers incoming channels during the delay,
+// not after it.
+func TestStepDelayLeavesNodeUnlocked(t *testing.T) {
+	cfg := Config{N: 2, Payload: []byte("rumor"), Seed: 7, MaxSteps: 1, StepDelay: 500 * time.Millisecond}
+	nt := phone.NewNet(graph.Complete(cfg.N), cfg.Seed)
+	c, err := newCluster(cfg, nt, core.NewBroadcastSet(nt, 0, core.PushAndPull, cfg.Payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.shutdown()
+	c.dial = func(int32, string) (net.Conn, error) { return nil, net.ErrClosed } // calls fail at once
+	nd := c.nodes[0]
+	c.wg.Add(1)
+	go c.stepLoop(nd, func() {})
+	defer c.wg.Wait()
+	for nd.steps.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // step 1's callbacks are done: node 0 sleeps
+	if !nd.mu.TryLock() {
+		t.Fatal("node 0's mutex is held during its step delay")
+	}
+	nd.mu.Unlock()
 }
 
 // TestNoGoroutineLeak runs every cluster shape — a broadcast, an

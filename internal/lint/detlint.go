@@ -24,13 +24,17 @@ import (
 // functions of their seeds. Extend it when a new package joins the
 // deterministic core.
 var DetPackagePaths = []string{
+	"gossip/internal/bitset",
 	"gossip/internal/core",
+	"gossip/internal/exp",
+	"gossip/internal/graph",
+	"gossip/internal/msg",
+	"gossip/internal/par",
 	"gossip/internal/phone",
 	"gossip/internal/runner",
-	"gossip/internal/walk",
-	"gossip/internal/graph",
 	"gossip/internal/stats",
 	"gossip/internal/sweep",
+	"gossip/internal/walk",
 	"gossip/internal/xrand",
 }
 

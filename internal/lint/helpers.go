@@ -31,16 +31,6 @@ func funcPkgPath(f *types.Func) string {
 	return f.Pkg().Path()
 }
 
-// isPkgFunc reports whether f is the package-level (receiver-less)
-// function path.name.
-func isPkgFunc(f *types.Func, path, name string) bool {
-	if f == nil || f.Name() != name || funcPkgPath(f) != path {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // rootExpr peels selectors, indexes, slices, derefs, and parens down
 // to the base expression — for `a.b[i].c`, the identifier `a`.
 func rootExpr(e ast.Expr) ast.Expr {
@@ -72,31 +62,6 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return o
 	}
 	return info.Defs[id]
-}
-
-// namedDeref follows pointers to the named type underneath, if any.
-func namedDeref(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return n
-}
-
-// typePkgPath returns the declaring package path of t's named type
-// (through one pointer), or "".
-func typePkgPath(t types.Type) string {
-	n := namedDeref(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
 }
 
 // isIntegerType reports whether t is an integer kind — the one class

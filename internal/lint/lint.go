@@ -1,13 +1,13 @@
-// Package lint implements gossiplint, the repo's own static analysis
-// suite: a set of analyzers that mechanically enforce the invariants
-// the reproduction's claims rest on — bit-identical determinism in the
-// simulation packages (detlint), no mutex held across I/O in the
-// networked daemon (lockio), sanctioned seed lineage for every RNG
-// (seedflow), no dropped durability errors on writers feeding the
-// corpus (sinkerr), and no JSON encoding of corpus view types outside
-// the one canonical encoder (viewenc). Daemon goroutine leaks are
-// checked dynamically, by the leak tests of internal/gossipd and
-// internal/corpusd, not here.
+// Package lint implements gossiplint, the repo's own static analysis:
+// detlint, the determinism analyzer. Every simulation result must be a
+// bit-exact function of (grid, seed), and detlint flags what breaks
+// that silently — wall-clock reads, the global math/rand stream, and,
+// in the deterministic packages, scheduler-ordered selects and
+// order-sensitive map iteration — including a clock read reached
+// through a helper in another package, which no test of the callers
+// sees. The other invariants (view bytes, seed lineage, lock scope,
+// durability errors, goroutine leaks) are checked by tests that exercise
+// them; the module's package documentation names each one.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
@@ -16,11 +16,10 @@
 // packages (everything outside the standard library) from source in
 // dependency order, and takes only standard-library imports from gc
 // export data — so a call into another package of the module resolves
-// to the function the Module summarised, fixtures included.
-// Since v2 the checker is interprocedural: every CheckModule run
-// builds a module-wide call graph with bottom-up per-function summary
-// facts (see Module), which detlint and lockio use to flag violations
-// reached through call chains, not just direct statements.
+// to the function the Module summarised, fixtures included. Every
+// CheckModule run builds a module-wide call graph with bottom-up
+// per-function summary facts (see Module), which detlint uses to flag
+// violations reached through call chains, not just direct statements.
 //
 // Intentional violations are suppressed — visibly and auditably — with
 // a directive on the offending line or the line directly above it:
@@ -90,7 +89,7 @@ func (d Diagnostic) String() string {
 
 // Suite returns the full gossiplint analyzer suite in report order.
 func Suite() []*Analyzer {
-	return []*Analyzer{DetLint, LockIO, SeedFlow, SinkErr, ViewEnc}
+	return []*Analyzer{DetLint}
 }
 
 // knownAnalyzers is the directive-name universe: a //gossiplint:allow

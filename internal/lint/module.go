@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -10,19 +9,16 @@ import (
 // The interprocedural engine. A Module is every loaded package viewed
 // as one call graph, with a bottom-up summary — a small bitset of
 // effect Facts — computed for every function that has a body. The
-// summaries are what let detlint and lockio flag *transitive*
-// violations (a mutex held across a call chain that reaches
-// net.Conn.Write three frames down; a deterministic package calling a
-// helper that reads the clock) and what seedflow consults to reject a
-// seed laundered through a clock-reading helper.
+// summaries are what let detlint flag *transitive* violations: a
+// deterministic package calling a helper that reads the clock, however
+// many frames and package boundaries down.
 //
 // Facts for out-of-module callees come from a small curated table of
-// standard-library roots (extFuncFacts / extMethodFacts / extPkgFacts);
-// an external function the table does not know contributes nothing, so
+// standard-library roots (extFuncFacts and the math/rand stream); an
+// external function the table does not know contributes nothing, so
 // the engine errs toward silence, never toward invented effects. Calls
 // through interface methods and stored function values likewise
-// contribute nothing — the analyzers that need those cases handle them
-// locally (detlint's function-value bindings).
+// contribute nothing — detlint handles function-value bindings locally.
 //
 // Summaries propagate bottom-up over the SCC condensation of the call
 // graph: Tarjan emits each strongly connected component after all the
@@ -36,19 +32,12 @@ import (
 type Facts uint8
 
 const (
-	// FactIO: the function can reach network or subprocess I/O
-	// (package net, net/http, os/exec).
-	FactIO Facts = 1 << iota
 	// FactClock: the function can read the wall clock
 	// (time.Now/Since/Until).
-	FactClock
+	FactClock Facts = 1 << iota
 	// FactGlobalRand: the function can draw from the global
 	// math/rand stream.
 	FactGlobalRand
-	// FactBlocks: the function can block — time.Sleep, channel send or
-	// receive, blocking select, range over a channel, WaitGroup.Wait,
-	// or anything with FactIO.
-	FactBlocks
 )
 
 // Has reports whether f contains any of the bits in q.
@@ -60,51 +49,25 @@ var extFuncFacts = map[string]Facts{
 	"time.Now":   FactClock,
 	"time.Since": FactClock,
 	"time.Until": FactClock,
-	"time.Sleep": FactBlocks,
 }
 
-// extMethodFacts assigns facts to specific out-of-module methods,
-// keyed by "importpath.Recv.Name" with the pointer stripped.
-var extMethodFacts = map[string]Facts{
-	"sync.WaitGroup.Wait": FactBlocks,
-	"sync.Cond.Wait":      FactBlocks,
-}
-
-// extPkgFacts assigns facts to every function and method of an
-// out-of-module package — the packages whose entire API is the effect.
-var extPkgFacts = map[string]Facts{
-	"net":      FactIO | FactBlocks,
-	"net/http": FactIO | FactBlocks,
-	"os/exec":  FactIO | FactBlocks,
-}
-
-// ExtFacts returns the curated summary for an out-of-module function
-// or method, or 0 for one the table does not know.
+// ExtFacts returns the curated summary for an out-of-module function,
+// or 0 for one the table does not know. Methods have none: the clock
+// and the global stream are package-level functions.
 func ExtFacts(fn *types.Func) Facts {
-	if fn == nil {
-		return 0
-	}
-	path := funcPkgPath(fn)
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+	if !ok || sig.Recv() != nil {
 		return 0
 	}
-	if sig.Recv() == nil {
-		if f, ok := extFuncFacts[path+"."+fn.Name()]; ok {
-			return f
+	switch path := funcPkgPath(fn); path {
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			return FactGlobalRand
 		}
-		if path == "math/rand" || path == "math/rand/v2" {
-			if !randConstructors[fn.Name()] {
-				return FactGlobalRand
-			}
-			return 0
-		}
-	} else if rn := recvTypeName(sig); rn != "" {
-		if f, ok := extMethodFacts[path+"."+rn+"."+fn.Name()]; ok {
-			return f
-		}
+		return 0
+	default:
+		return extFuncFacts[path+"."+fn.Name()]
 	}
-	return extPkgFacts[path]
 }
 
 // recvTypeName returns the bare name of a method's receiver type,
@@ -117,19 +80,15 @@ func recvTypeName(sig *types.Signature) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	switch t := t.(type) {
-	case *types.Named:
-		return t.Obj().Name()
-	case *types.Interface:
-		return ""
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
 	}
 	return ""
 }
 
 // DisplayFunc renders a function for diagnostics and witness chains:
-// "time.Now", "gossipd.Serve", "net.Conn.Write", "cluster.call".
-// Methods show Recv.Name; the package name prefixes out-of-module
-// functions and receiver-less functions.
+// "time.Now", "clockutil.Stamp". Methods show Recv.Name; the package
+// name prefixes receiver-less functions.
 func DisplayFunc(fn *types.Func) string {
 	if fn == nil {
 		return "?"
@@ -146,15 +105,9 @@ func DisplayFunc(fn *types.Func) string {
 	return name
 }
 
-// calleeRef is one static call site inside a function body.
-type calleeRef struct {
-	fn  *types.Func
-	pos token.Pos
-}
-
 // factReason records how a function acquired one fact bit: either
-// directly (root describes the source — an external call, a channel
-// operation) or through an in-module callee (via).
+// directly (root names the external call) or through an in-module
+// callee (via).
 type factReason struct {
 	via  *types.Func
 	root string
@@ -167,7 +120,7 @@ type declInfo struct {
 	decl    *ast.FuncDecl
 	direct  Facts
 	facts   Facts
-	callees []calleeRef
+	callees []*types.Func        // static callees, each once
 	reasons map[Facts]factReason // keyed by single bits
 
 	// Tarjan bookkeeping.
@@ -213,23 +166,14 @@ func NewModule(pkgs []*Package) *Module {
 	return m
 }
 
-// scanFunc records a function's direct facts and static callees.
-// Function literals are descended into only when they execute as part
-// of this function (immediately invoked, or deferred); a literal
-// merely spawned or stored runs elsewhere and contributes nothing.
+// scanFunc records a function's static callees. Function literals are
+// descended into only when they execute as part of this function
+// (immediately invoked, or deferred); a literal merely spawned or stored
+// runs elsewhere and contributes nothing.
 func (m *Module) scanFunc(d *declInfo) {
 	info := d.pkg.Info
 	inline := map[*ast.FuncLit]bool{}
-	selectComms := map[ast.Node]bool{}
 	seen := map[*types.Func]bool{}
-	seed := func(f Facts, root string) {
-		for bit := Facts(1); bit != 0; bit <<= 1 {
-			if f.Has(bit) && !d.direct.Has(bit) {
-				d.direct |= bit
-				d.reasons[bit] = factReason{root: root}
-			}
-		}
-	}
 	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -246,43 +190,7 @@ func (m *Module) scanFunc(d *declInfo) {
 			}
 			if fn := calleeFunc(info, n); fn != nil && !seen[fn] {
 				seen[fn] = true
-				d.callees = append(d.callees, calleeRef{fn, n.Pos()})
-			}
-		case *ast.SendStmt:
-			if !selectComms[n] {
-				seed(FactBlocks, "a channel send")
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !selectComms[n] {
-				seed(FactBlocks, "a channel receive")
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range n.Body.List {
-				cc, ok := c.(*ast.CommClause)
-				if !ok {
-					continue
-				}
-				if cc.Comm == nil {
-					hasDefault = true
-					continue
-				}
-				selectComms[cc.Comm] = true
-				if as, ok := cc.Comm.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-					selectComms[ast.Unparen(as.Rhs[0])] = true
-				}
-				if es, ok := cc.Comm.(*ast.ExprStmt); ok {
-					selectComms[ast.Unparen(es.X)] = true
-				}
-			}
-			if !hasDefault {
-				seed(FactBlocks, "a blocking select")
-			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					seed(FactBlocks, "a range over a channel")
-				}
+				d.callees = append(d.callees, fn)
 			}
 		}
 		return true
@@ -305,7 +213,7 @@ func (m *Module) propagate() {
 		stack = append(stack, d)
 		d.onStack = true
 		for _, c := range d.callees {
-			cd := m.decls[c.fn]
+			cd := m.decls[c]
 			if cd == nil {
 				continue
 			}
@@ -347,18 +255,17 @@ func (m *Module) propagate() {
 		for _, d := range scc {
 			facts |= d.direct
 			for _, c := range d.callees {
-				if cd := m.decls[c.fn]; cd != nil {
+				if cd := m.decls[c]; cd != nil {
 					facts |= cd.facts // final for other SCCs, partial (direct) within — the union below covers the rest
 					facts |= cd.direct
 				} else {
-					f := ExtFacts(c.fn)
+					f := ExtFacts(c)
 					facts |= f
-					// An external call is as direct as a channel op:
-					// record it as this function's own reason.
+					// An external call is this function's own reason.
 					for bit := Facts(1); bit != 0; bit <<= 1 {
 						if f.Has(bit) && !d.direct.Has(bit) {
 							d.direct |= bit
-							d.reasons[bit] = factReason{root: DisplayFunc(c.fn)}
+							d.reasons[bit] = factReason{root: DisplayFunc(c)}
 						}
 					}
 				}
@@ -382,16 +289,16 @@ func (m *Module) propagate() {
 			}
 			var inSCC *types.Func
 			for _, c := range d.callees {
-				cd := m.decls[c.fn]
+				cd := m.decls[c]
 				if cd == nil || !cd.facts.Has(bit) {
 					continue
 				}
 				if cd.scc != d.scc {
-					d.reasons[bit] = factReason{via: c.fn}
+					d.reasons[bit] = factReason{via: c}
 					break
 				}
 				if inSCC == nil {
-					inSCC = c.fn
+					inSCC = c
 				}
 			}
 			if _, ok := d.reasons[bit]; !ok && inSCC != nil {
@@ -415,7 +322,8 @@ func (m *Module) SummaryOf(fn *types.Func) Facts {
 }
 
 // FactChain reconstructs a witness path for one fact bit, from fn down
-// to the root that introduced it: ["cluster.call", "net.Dial"]. The
+// to the root that introduced it: ["clockutil.Stamp", "clockutil.now",
+// "time.Now"]. The
 // chain is for humans; it is one deterministic witness, not the only
 // path.
 func (m *Module) FactChain(fn *types.Func, fact Facts) []string {

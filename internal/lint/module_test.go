@@ -7,49 +7,45 @@ import (
 	"gossip/internal/lint"
 )
 
-// TestModuleSummaries exercises the engine directly over the lockio
+// TestModuleSummaries exercises the engine directly over the detlint
 // fixture: summary facts must propagate bottom-up through the call
-// graph, and witness chains must name the path to the root effect.
+// graph and across the package boundary, and witness chains must name
+// the path to the root effect.
 func TestModuleSummaries(t *testing.T) {
-	pkgs := loadFixture(t, "lockio")
+	pkgs := loadFixture(t, "detlint")
 	m := lint.NewModule(pkgs)
-	var pkg *types.Package
-	for _, p := range pkgs {
-		if p.Path == "lockio" {
-			pkg = p.Types
+	lookup := func(path, name string) *types.Func {
+		t.Helper()
+		for _, p := range pkgs {
+			if p.Path == path {
+				if fn, ok := p.Types.Scope().Lookup(name).(*types.Func); ok {
+					return fn
+				}
+			}
 		}
-	}
-	if pkg == nil {
-		t.Fatal("fixture package lockio not loaded")
+		t.Fatalf("fixture function %s.%s not found", path, name)
+		return nil
 	}
 
-	wait, ok := pkg.Scope().Lookup("wait").(*types.Func)
-	if !ok {
-		t.Fatal("fixture function wait not found")
+	// Stamp reaches the clock two frames down (Stamp → now → time.Now).
+	stamp := lookup("detlint/clockutil", "Stamp")
+	if s := m.SummaryOf(stamp); s != lint.FactClock {
+		t.Errorf("SummaryOf(Stamp) = %#x, want clock only", s)
 	}
-	if s := m.SummaryOf(wait); s != lint.FactBlocks {
-		t.Errorf("SummaryOf(wait) = %#x, want blocks only", s)
-	}
-	if got, want := m.FactChainString(wait, lint.FactBlocks), "lockio.wait → a channel receive"; got != want {
-		t.Errorf("FactChainString(wait, blocks) = %q, want %q", got, want)
+	if got, want := m.FactChainString(stamp, lint.FactClock), "clockutil.Stamp → clockutil.now → time.Now"; got != want {
+		t.Errorf("FactChainString(Stamp, clock) = %q, want %q", got, want)
 	}
 
-	// flush reaches the network two frames down (flush → rawWrite →
-	// Conn.Write); the summary carries both the I/O and the block.
-	srv := pkg.Scope().Lookup("srv").Type()
-	for _, name := range []string{"flush", "rawWrite"} {
-		obj, _, _ := types.LookupFieldOrMethod(srv, true, pkg, name)
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			t.Fatalf("fixture method srv.%s not found", name)
-		}
-		if s := m.SummaryOf(fn); s != lint.FactIO|lint.FactBlocks {
-			t.Errorf("SummaryOf(srv.%s) = %#x, want doesIO|blocks", name, s)
-		}
+	roll := lookup("detlint", "roll")
+	if s := m.SummaryOf(roll); s != lint.FactGlobalRand {
+		t.Errorf("SummaryOf(roll) = %#x, want global rand only", s)
+	}
+	if got, want := m.FactChainString(roll, lint.FactGlobalRand), "detlint.roll → rand.Intn"; got != want {
+		t.Errorf("FactChainString(roll, rand) = %q, want %q", got, want)
 	}
 
-	// A function outside the module falls back to the curated table.
-	if m.HasBody(wait) != true {
-		t.Errorf("HasBody(wait) = false, want true")
+	// A clock-free helper has an empty summary.
+	if mix := lookup("detlint/clockutil", "Mix"); !m.HasBody(mix) || m.SummaryOf(mix) != 0 {
+		t.Errorf("Mix: HasBody %v, SummaryOf %#x; want a body and no facts", m.HasBody(mix), m.SummaryOf(mix))
 	}
 }

@@ -8,7 +8,8 @@
 // helper or caller, polls a fixed number of times, yielding its P at each
 // poll, and then parks: a run of short phases (a synchronous step is five)
 // finds the helpers awake, and a long pause costs no CPU. The bound is a
-// count because nothing in this module reads the clock.
+// count because nothing in this module reads the clock. A call whose
+// chunks do nothing costs 0.5–0.6 µs at n = 4 096 on a 2-core Xeon.
 package par
 
 import (
@@ -50,7 +51,8 @@ func init() { pool.jobs.L, pool.done.L = &pool.mu, &pool.mu }
 // shard by receiving node). For runs fn(0, n) inline when n is small or
 // the pool is serving another For: a concurrent call or one nested in fn.
 // A panic in any chunk is re-raised in the caller once every chunk has
-// returned, and the pool stays usable. The pool drops fn before returning.
+// returned, and the pool stays usable; so it does after a chunk calls
+// runtime.Goexit. The pool drops fn before returning.
 func For(n int, fn func(lo, hi int)) {
 	workers := min(runtime.GOMAXPROCS(0), (n+minChunk-1)/minChunk)
 	if workers <= 1 || !pool.busy.CompareAndSwap(false, true) {
@@ -71,8 +73,14 @@ func For(n int, fn func(lo, hi int)) {
 	pool.word.Store(uint64(gen)<<32 | uint64(chunks)<<16 | 1)
 	pool.jobs.Broadcast()
 	pool.mu.Unlock()
-	run(0)
-	work(gen)
+	run(0, -1)
+	work(gen, -1)
+	release()
+}
+
+// release waits for the job's outstanding chunks, drops fn, frees the pool
+// and re-raises a chunk's panic.
+func release() {
 	wait(&pool.done, func() bool { return pool.pending.Load() == 0 })
 	pool.fn = nil
 	p := pool.panicked.Swap(nil)
@@ -89,7 +97,7 @@ func help(id int, seen uint32) {
 		var w uint64
 		wait(&pool.jobs, func() bool { w = pool.word.Load(); return uint32(w>>32) != seen })
 		if seen = uint32(w >> 32); id < int(w>>16&0xffff)-1 {
-			work(seen)
+			work(seen, id)
 		}
 	}
 }
@@ -110,8 +118,9 @@ func wait(c *sync.Cond, ready func() bool) {
 	pool.mu.Unlock()
 }
 
-// work runs unclaimed chunks of job gen until none is left.
-func work(gen uint32) {
+// work runs unclaimed chunks of job gen until none is left; id is the
+// helper's, or -1 for the caller.
+func work(gen uint32, id int) {
 	for {
 		w := pool.word.Load()
 		i := int(w & 0xffff)
@@ -119,16 +128,27 @@ func work(gen uint32) {
 			return
 		}
 		if pool.word.CompareAndSwap(w, w+1) {
-			run(i)
+			run(i, id)
 		}
 	}
 }
 
-// run runs chunk i, keeps its panic for the caller and counts it done;
-// the chunk that finishes the job wakes a sleeping caller.
-func run(i int) {
+// run runs chunk i for helper id (-1: the caller), keeps its panic for
+// the caller and counts it done; the chunk that finishes the job wakes a
+// sleeping caller. A chunk that calls runtime.Goexit (t.FailNow does) ends
+// its goroutine: the caller's job is then released here, and a helper is
+// replaced.
+func run(i, id int) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		exited := !returned && r == nil // runtime.Goexit
+		if exited && id >= 0 {
+			// Read while this chunk is pending, so the job is still
+			// this one.
+			go help(id, uint32(pool.word.Load()>>32))
+		}
+		if r != nil {
 			p := new(any)
 			*p = r
 			pool.panicked.CompareAndSwap(nil, p)
@@ -138,7 +158,11 @@ func run(i int) {
 			pool.done.Signal()
 			pool.mu.Unlock()
 		}
+		if exited && id < 0 {
+			release()
+		}
 	}()
 	lo := i * pool.width
 	pool.fn(lo, min(lo+pool.width, pool.n))
+	returned = true
 }

@@ -175,3 +175,59 @@ func TestForHelpersBounded(t *testing.T) {
 		t.Errorf("goroutines grew by %d over 10000 calls, want at most GOMAXPROCS-1 = %d", grown, procs-1)
 	}
 }
+
+// TestForAfterGoexit: a chunk that leaves through runtime.Goexit, as
+// t.FailNow does, ends only its own goroutine. Whether that is the caller
+// or a helper, the pool is free once every chunk has returned, and the
+// next call hands a chunk to a helper again.
+func TestForAfterGoexit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, who := range []string{"caller", "helper"} {
+		exiting := 0
+		if who == "helper" {
+			exiting = 4096 / 2
+		}
+		onHelper := false
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			onHelper = helped(func(lo int) {
+				if lo == exiting {
+					runtime.Goexit()
+				}
+			})
+		}()
+		<-exited
+		if who == "helper" && !onHelper {
+			t.Fatal("chunk 1 did not run on a helper")
+		}
+		if pool.busy.Load() {
+			t.Fatalf("the pool is still busy after a chunk on the %s called runtime.Goexit", who)
+		}
+		if !helped(func(int) {}) {
+			t.Errorf("the call after a Goexit on the %s ran inline: no helper took a chunk", who)
+		}
+	}
+}
+
+// helped runs For(4096, …) at GOMAXPROCS 2, so in two chunks, and calls
+// body(lo) in each. Chunk 0, the caller's, first waits up to 5 s for
+// chunk 1 to start; helped reports whether it did, that is, whether a
+// helper runs chunk 1.
+func helped(body func(lo int)) bool {
+	started := make(chan struct{})
+	ok := false
+	For(4096, func(lo, hi int) {
+		if lo == 0 {
+			select { // a For gone inline never starts the other chunk
+			case <-started:
+				ok = true
+			case <-time.After(5 * time.Second):
+			}
+		} else {
+			close(started)
+		}
+		body(lo)
+	})
+	return ok
+}

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -379,6 +380,48 @@ func TestCellSeedDistinct(t *testing.T) {
 				t.Fatalf("seed collision at cell=%d rep=%d", cell, rep)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// TestSeedSensitivity: a cell's seed reaches every stream it feeds. Each
+// random graph model builds different graphs from two seeds, and each
+// algorithm's metrics on one fixed graph, with and without failures, move
+// with the run seed. A stream seeded from a constant would repeat itself
+// at every seed; a clock-derived seed already fails
+// TestRunnerMatchesReferenceRun.
+func TestSeedSensitivity(t *testing.T) {
+	for _, model := range Models() {
+		if model == "complete" {
+			continue // K_n draws nothing
+		}
+		s := Scenario{Model: model, N: 64}
+		a, errA := BuildGraph(s, 1)
+		b, errB := BuildGraph(s, 2)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if reflect.DeepEqual(a, b) {
+			t.Errorf("%s: seeds 1 and 2 build the same graph", model)
+		}
+	}
+	g, err := BuildGraph(Scenario{Model: "er", N: 300}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range algoTable {
+		for _, failures := range []int{0, 60} {
+			if failures > 0 && a.knobs&knobFailures == 0 {
+				continue
+			}
+			s := Scenario{Algo: a.name, Model: "er", N: 300, Failures: failures}
+			first, same := a.run(g, s, 1), true
+			for seed := uint64(2); seed <= 8 && same; seed++ {
+				same = reflect.DeepEqual(a.run(g, s, seed), first)
+			}
+			if same {
+				t.Errorf("%s with %d failures: run seeds 1 to 8 all give %v", a.name, failures, first)
+			}
 		}
 	}
 }

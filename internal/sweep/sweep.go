@@ -86,12 +86,16 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
+// createCSV creates WriteCSV's file. It is a variable so a test can make
+// the file's Close fail.
+var createCSV = func(name string) (io.WriteCloser, error) { return os.Create(name) }
+
 // WriteCSV writes the table as name.csv under dir (creating dir).
 func (t *Table) WriteCSV(dir, name string) (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("sweep: create csv dir: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
+	f, err := createCSV(filepath.Join(dir, name+".csv"))
 	if err != nil {
 		return fmt.Errorf("sweep: create csv: %w", err)
 	}

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,16 +48,35 @@ func TestTableAddRowWiderThanHeader(t *testing.T) {
 	}
 }
 
+// TestTableWriteCSVCloseError: a failed Close is a failed flush to disk,
+// so WriteCSV must report it, as it reports a failed Create.
 func TestTableWriteCSVCloseError(t *testing.T) {
-	// Writing into a directory path fails at Create; the close-error path
-	// needs a file that opens but cannot flush, which portable tests can't
-	// force — so assert the error shape for the create failure and that a
-	// successful write still returns nil (covered in TestTableWriteCSV).
 	tb := Table{Columns: []string{"a"}}
 	tb.AddRow(1)
 	if err := tb.WriteCSV("/dev/null", "out"); err == nil {
 		t.Error("WriteCSV under /dev/null succeeded")
 	}
+	saved := createCSV
+	defer func() { createCSV = saved }()
+	createCSV = func(name string) (io.WriteCloser, error) {
+		f, err := saved(name)
+		return failClose{f}, err
+	}
+	if err := tb.WriteCSV(t.TempDir(), "out"); !errors.Is(err, errClose) {
+		t.Errorf("WriteCSV with a failing Close returned %v, want the close error", err)
+	}
+}
+
+var errClose = errors.New("injected close fault")
+
+// failClose closes the file and then reports errClose.
+type failClose struct{ io.WriteCloser }
+
+func (f failClose) Close() error {
+	if err := f.WriteCloser.Close(); err != nil {
+		return err
+	}
+	return errClose
 }
 
 func TestTableWriteCSV(t *testing.T) {
