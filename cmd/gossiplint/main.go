@@ -1,7 +1,11 @@
 // Command gossiplint runs the repo's determinism analyzer, detlint (see
 // internal/lint), over Go packages and exits nonzero on any finding —
 // the static half of the determinism story whose dynamic half is the
-// zero-tolerance regression gates.
+// zero-tolerance regression gates. Module-wide it flags wall-clock
+// reads and global math/rand draws; a deterministic package
+// (lint.DetPackagePaths) may also import neither the clock nor
+// math/rand, nor any non-standard package outside that list, and its
+// multi-case selects and order-sensitive map ranges are flagged.
 //
 // Usage:
 //
@@ -51,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "gossiplint:", err)
 		return 2
 	}
-	diags := lint.CheckModule(lint.NewModule(pkgs), lint.Suite())
+	diags := lint.Check(pkgs)
 	for _, d := range diags {
 		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(*chdir, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}

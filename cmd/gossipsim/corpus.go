@@ -80,16 +80,18 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	f := corpus.Filter{Algo: *algo, Model: *model, N: *n, Density: *density}
+	// One store scan serves the listing in either form: Summaries
+	// yields the filtered latest generations (completeness from the
+	// cheap line count) and the damaged entries together.
+	sums, damaged, err := store.Summaries(corpus.Filter{Algo: *algo, Model: *model, N: *n, Density: *density})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	if *jsonOut {
 		// The full-scan listing in the corpus's shared JSON shape —
 		// byte-identical to the index-backed GET /runs for the same
 		// filter (the equivalence the index tests pin).
-		sums, damaged, err := store.Summaries(f)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 		for _, d := range damaged {
 			fmt.Fprintf(stderr, "skipping unreadable entry %s: %v\n", d.Dir, d.Err)
 		}
@@ -100,44 +102,18 @@ func archiveMain(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// One store scan serves the whole listing: Runs yields the latest
-	// generations and the damaged entries together, and the filter
-	// applies in-process.
-	all, damaged, err := store.Runs()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var runs []*corpus.Run
-	for _, r := range all {
-		if f.MatchRun(r.Manifest) {
-			runs = append(runs, r)
-		}
-	}
-	if len(runs) == 0 && len(damaged) == 0 {
+	if len(sums) == 0 && len(damaged) == 0 {
 		fmt.Fprintf(stdout, "corpus %s: no matching runs\n", *dir)
 		return 0
 	}
-	fmt.Fprintf(stdout, "corpus %s: %d run(s)\n", *dir, len(runs))
-	for _, r := range runs {
-		m := r.Manifest
-		// Completeness from the cheap line count — listing a corpus of
-		// large runs must not JSON-parse every cell of every run.
-		done, err := corpus.CellsDone(r.Dir)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
+	fmt.Fprintf(stdout, "corpus %s: %d run(s)\n", *dir, len(sums))
+	for _, r := range sums {
 		state := "complete"
-		if done != m.Cells {
-			state = fmt.Sprintf("%d/%d cells", done, m.Cells)
+		if !r.Complete {
+			state = fmt.Sprintf("%d/%d cells", r.CellsDone, r.Cells)
 		}
-		gens, _, err := store.Generations(m.ID)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "  %s  %-14s gens=%-3d seed=%-6d %s\n", m.ID, state, len(gens), m.Grid.Seed, gridSummary(m))
+		fmt.Fprintf(stdout, "  %s  %-14s gens=%-3d seed=%-6d algos=%s models=%s sizes=%v densities=%v reps=%d\n",
+			r.ID, state, r.Generations, r.Seed, strings.Join(r.Algos, ","), strings.Join(r.Models, ","), r.Sizes, r.Densities, r.Reps)
 	}
 	// Damaged entries are listed, not fatal: one torn run must not hide
 	// the rest of the corpus (prune -damaged removes them).
@@ -159,17 +135,6 @@ func provenance(m corpus.Manifest) string {
 		created = "unknown time"
 	}
 	return fmt.Sprintf("rev %s, created %s", rev, created)
-}
-
-// gridSummary renders a manifest's grid compactly for listings.
-func gridSummary(m corpus.Manifest) string {
-	g := m.Grid
-	parts := []string{
-		"algos=" + strings.Join(g.Algos, ","),
-		"models=" + strings.Join(g.Models, ","),
-		fmt.Sprintf("sizes=%v densities=%v reps=%d", g.Sizes, g.Densities, g.Reps),
-	}
-	return strings.Join(parts, " ")
 }
 
 // compareMain runs `gossipsim compare`: it joins two runs on their

@@ -87,19 +87,14 @@ func sweepMain(args []string) {
 		}
 		records = recs
 		fmt.Fprintf(os.Stderr, "run %s: %d cells in %s\n", run.Manifest.ID, len(recs), *out)
-	} else if *jsonOut != "" {
-		// Stream each cell as it completes instead of buffering the
-		// whole sweep: long sweeps become observable line by line.
+	} else {
+		// With -json, stream each cell as it completes instead of
+		// buffering the whole sweep: long sweeps become observable line
+		// by line.
 		records, err = runStreaming(grid, *workers, *jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-	} else {
-		results := (&runner.Runner{Workers: *workers}).RunGrid(grid)
-		records = make([]runner.CellRecord, len(results))
-		for i, r := range results {
-			records[i] = r.Record()
 		}
 	}
 
@@ -117,28 +112,31 @@ func sweepMain(args []string) {
 	}
 }
 
-// runStreaming executes the grid with per-cell JSONL streaming to path
-// ("-" for stdout) and returns the serialized results. The sink is
-// openJSONSink's, the same plumbing the checkpointed path uses, so
-// write, flush and close errors surface exactly once through the close
-// function instead of being dropped on the error path.
+// runStreaming executes the grid, streaming each cell as a JSON line to
+// path ("-" for stdout, "" for no stream), and returns the serialized
+// results. The sink is openJSONSink's, the same plumbing the
+// checkpointed path uses, so write, flush and close errors surface
+// exactly once through the close function instead of being dropped on
+// the error path.
 func runStreaming(grid runner.Grid, workers int, path string) ([]runner.CellRecord, error) {
 	sink, closeSink, err := openJSONSink(path)
 	if err != nil {
 		return nil, err
 	}
-	emit := func(r runner.CellRecord) error {
-		sink(r)
-		return nil
+	r := &runner.Runner{Workers: workers}
+	if sink != nil {
+		r.OnCell = runner.NewOrderedCells(0, func(rec runner.CellRecord) error {
+			sink(rec)
+			return nil
+		}).Add
 	}
-	stream := runner.NewOrderedCells(0, emit)
-	results := (&runner.Runner{Workers: workers, OnCell: stream.Add}).RunGrid(grid)
+	results := r.RunGrid(grid)
 	if err := closeSink(); err != nil {
 		return nil, err
 	}
 	records := make([]runner.CellRecord, len(results))
-	for i, r := range results {
-		records[i] = r.Record()
+	for i, res := range results {
+		records[i] = res.Record()
 	}
 	return records, nil
 }

@@ -268,19 +268,17 @@
 // exits 0 clean, 1 on findings, 2 on a usage or load error. It runs one
 // analyzer, detlint. Module-wide it flags wall-clock reads
 // (time.Now/Since/Until) and the global math/rand stream, called
-// directly or through function values (t := time.Now; t()). In the
-// deterministic packages (internal/bitset, core, exp, graph, msg, par,
-// phone, runner, stats, sweep, walk, xrand) it also flags calls into
-// in-module helpers that reach either one, multi-case selects
-// (scheduler-order resolution) and order-sensitive work inside
-// range-over-map — collecting values, non-keyed writes, float
-// accumulation, printing, sending — while sanctioning the sorted-keys
-// idiom. The transitive check builds the module's call graph and
-// computes, bottom-up over its strongly-connected components, a fact
-// set per function (readsClock, drawsGlobalRand), so a clock read
-// laundered through helpers in another package is flagged at the
-// deterministic call site with a witness chain ("clockutil.Stamp →
-// clockutil.now → time.Now").
+// directly or through function values (t := time.Now; t()). The
+// deterministic packages (internal/asciiplot, bitset, core, exp, graph,
+// msg, par, phone, runner, stats, sweep, walk, xrand) are held to an
+// import rule: none may import time, math/rand or math/rand/v2, nor any
+// non-standard package outside that list, so a clock read in a helper
+// package cannot reach a deterministic result, however many frames
+// down it sits; the finding lands on the import line. In those packages
+// detlint also flags multi-case selects (scheduler-order resolution)
+// and order-sensitive work inside range-over-map — collecting values,
+// non-keyed writes, float accumulation, printing, sending — while
+// sanctioning the sorted-keys idiom.
 //
 // The other invariants are tests that exercise them:
 //
@@ -312,7 +310,7 @@
 //
 // detlint's own tests live in internal/lint with analysistest-style
 // fixtures under internal/lint/testdata/src, one small module each,
-// loaded through the gate's own loader (lint.Load) — so the
-// cross-package fixture, which only the interprocedural engine can
-// catch, certifies the loader CI runs.
+// loaded through the gate's own loader (lint.Load) — so the fixture's
+// imports of its own helper packages, flagged or silent by the import
+// rule, certify the loader CI runs.
 package gossip

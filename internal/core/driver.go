@@ -53,15 +53,17 @@ func (d *Driver) Run() int {
 	return steps
 }
 
-// roundTracker is the tracker surface the exchange machines need; both
-// msg.Full and msg.Sampled implement it. A receiver's Transfer calls and
-// its Settle, after the last of them in a step, come from the goroutine
-// that delivers to it; EndRound settles any row left pending.
+// roundTracker is the tracker surface the push–pull loop and its
+// exchange machines need; both msg.Full and msg.Sampled implement it. A
+// receiver's Transfer calls and its Settle, after the last of them in a
+// step, come from the goroutine that delivers to it; EndRound settles
+// any row left pending.
 type roundTracker interface {
 	BeginRound()
 	EndRound()
 	Transfer(src, dst int32) int
 	Settle(v int32)
+	Complete() bool
 }
 
 // marker is the push/response payload of tracker-backed machines: the

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"gossip/internal/graph"
+	"gossip/internal/msg"
+	"gossip/internal/phone"
+	"gossip/internal/xrand"
 )
 
 func TestMedianCounterCompletesAndQuiesces(t *testing.T) {
@@ -174,8 +177,37 @@ func TestPushPullSampledLowerBound(t *testing.T) {
 	if exact.Steps-est.Steps > 4 {
 		t.Errorf("estimator gap %d rounds too large", exact.Steps-est.Steps)
 	}
-	if est.K != 32 || est.N != n {
+	if est.N != n {
 		t.Error("metadata wrong")
+	}
+}
+
+// TestPushPullSampledMetersCrashes: the meter comes from the transport's
+// tally, not from the tracker, so with crashed nodes the exact and the
+// k-sampled tracker meter one seed's run identically — both to the cap,
+// the crashed callees' lone pushes included.
+func TestPushPullSampledMetersCrashes(t *testing.T) {
+	const n, seed, maxSteps = 256, 12, 40
+	g := testGraph(n, 80)
+	crashed := func() *phone.Net {
+		nt := phone.NewNet(g, seed)
+		for _, v := range xrand.New(3).SampleK(n, 8) {
+			nt.Failed[v] = true
+		}
+		return nt
+	}
+	exact, _ := PushPullOver(crashed(), maxSteps, SyncTransport)
+	est := pushPull(crashed(), maxSteps, SyncTransport, msg.NewSampled(n, 32, seed))
+	for _, r := range []*Result{exact, est} {
+		if r.Completed || r.Steps != maxSteps {
+			t.Fatalf("run with crashed nodes: completed %v after %d steps, want the cap %d", r.Completed, r.Steps, maxSteps)
+		}
+	}
+	if exact.Meter != est.Meter {
+		t.Errorf("meters differ: exact %+v, sampled %+v", exact.Meter, est.Meter)
+	}
+	if m := est.Meter; m.Packets >= 2*m.Transmissions {
+		t.Errorf("no lone push metered: %+v", m)
 	}
 }
 

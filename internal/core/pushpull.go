@@ -30,11 +30,18 @@ func PushPull(g *graph.Graph, seed uint64, maxSteps int) *Result {
 // one opening; a channel whose callee answered is one exchange; a channel
 // whose callee crashed carries a lone push.
 func PushPullOver(nt *phone.Net, maxSteps int, tf TransportFactory) (*Result, *msg.Full) {
+	tr := msg.NewFull(nt.G.N())
+	return pushPull(nt, maxSteps, tf, tr), tr
+}
+
+// pushPull is the one push–pull loop; tr (msg.Full or msg.Sampled)
+// observes the exchanges and decides completion. The meter comes from
+// the transport's tally, so it is the same whichever tracker observes.
+func pushPull(nt *phone.Net, maxSteps int, tf TransportFactory, tr roundTracker) *Result {
 	n := nt.G.N()
 	if maxSteps <= 0 {
 		maxSteps = 64 * ceil(Logn(n))
 	}
-	tr := msg.NewFull(n)
 	t := tf(exchangeMachines(nt, tr))
 	defer t.Close()
 	res := &Result{Algorithm: "push-pull", N: n, Leader: -1}
@@ -55,7 +62,7 @@ func PushPullOver(nt *phone.Net, maxSteps int, tf TransportFactory) (*Result, *m
 
 	res.Completed = tr.Complete()
 	res.addPhase("push-pull", m)
-	return res, tr
+	return res
 }
 
 // exchangeTally maps a push–pull step's transport tally onto the meter:

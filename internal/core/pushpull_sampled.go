@@ -7,64 +7,21 @@ import (
 	"gossip/internal/xrand"
 )
 
-// SampledResult reports an estimator run of the push–pull baseline.
-type SampledResult struct {
-	N, K int
-	// Steps is the number of rounds until every node knew every SAMPLED
-	// message (a lower bound on full completion; the gap is additive O(1)
-	// on the graphs of the study — see msg.Sampled).
-	Steps     int
-	Completed bool
-	Meter     phone.Meter
-}
-
-// TransmissionsPerNode is the Figure 1 metric for the estimator.
-func (r *SampledResult) TransmissionsPerNode() float64 {
-	return phone.PerNode(r.Meter.Transmissions, r.N)
-}
-
 // PushPullSampled runs the push–pull baseline dynamics while tracking only
 // k sampled messages exactly, lifting the n² memory wall of the exact
-// tracker (Θ(n·k) bits instead). The channel dynamics are identical to
-// PushPull under the same seed; only the completion observation is
-// sampled.
-func PushPullSampled(g *graph.Graph, seed uint64, k, maxSteps int) *SampledResult {
+// tracker (Θ(n·k) bits instead). The channel dynamics and the per-step
+// meter are identical to PushPull under the same seed; only the
+// completion observation is sampled, so Steps is the number of rounds
+// until every node knew every SAMPLED message (a lower bound on full
+// completion; the gap is additive O(1) on the graphs of the study — see
+// msg.Sampled).
+func PushPullSampled(g *graph.Graph, seed uint64, k, maxSteps int) *Result {
 	return PushPullSampledOver(g, seed, k, maxSteps, SyncTransport)
 }
 
 // PushPullSampledOver runs the estimator's node machines on the given
-// transport. The estimator's meter is coarser than the exact baseline's:
-// every opened channel is charged as a full exchange (the sampled tracker
-// cannot observe which callees crashed, and the estimator targets
-// failure-free sweeps).
-func PushPullSampledOver(g *graph.Graph, seed uint64, k, maxSteps int, tf TransportFactory) *SampledResult {
-	n := g.N()
-	if maxSteps <= 0 {
-		maxSteps = 64 * ceil(Logn(n))
-	}
-	nt := phone.NewNet(g, seed)
-	tr := msg.NewSampled(n, k, xrand.SeedFor(seed, 0x5a3b1e))
-	t := tf(exchangeMachines(nt, tr))
-	defer t.Close()
-	res := &SampledResult{N: n, K: tr.K()}
-	var m phone.Meter
-
-	d := &Driver{
-		T:          t,
-		MaxSteps:   maxSteps,
-		Done:       tr.Complete,
-		BeforeStep: func(int32) { tr.BeginRound() },
-		AfterStep: func(_ int32, tl phone.StepTally) {
-			tr.EndRound()
-			m.Open(tl.Opened)
-			m.Exchange(tl.Opened)
-			m.Step()
-		},
-	}
-	d.Run()
-
-	res.Steps = m.Steps
-	res.Completed = tr.Complete()
-	res.Meter = m
-	return res
+// transport: PushPullOver's loop observed through a msg.Sampled tracker.
+func PushPullSampledOver(g *graph.Graph, seed uint64, k, maxSteps int, tf TransportFactory) *Result {
+	tr := msg.NewSampled(g.N(), k, xrand.SeedFor(seed, 0x5a3b1e))
+	return pushPull(phone.NewNet(g, seed), maxSteps, tf, tr)
 }

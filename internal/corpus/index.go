@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -241,13 +242,13 @@ func (e *IndexEntry) Match(f Filter) bool {
 	if len(e.Generations) == 0 {
 		return false
 	}
-	if f.Algo != "" && !containsStr(e.Algos, f.Algo) {
+	if f.Algo != "" && !slices.Contains(e.Algos, f.Algo) {
 		return false
 	}
-	if f.Model != "" && !containsStr(e.Models, f.Model) {
+	if f.Model != "" && !slices.Contains(e.Models, f.Model) {
 		return false
 	}
-	if f.N != 0 && !containsInt(e.Sizes, f.N) {
+	if f.N != 0 && !slices.Contains(e.Sizes, f.N) {
 		return false
 	}
 	if f.Density != 0 {
@@ -322,22 +323,4 @@ func (idx *Index) DamagedCount() int {
 		n += len(e.Damaged)
 	}
 	return n
-}
-
-func containsStr(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strconv"
 )
 
 // detlint enforces the determinism invariant: every simulation result
@@ -13,17 +15,20 @@ import (
 // silently: wall-clock reads, the global math/rand stream, and Go's
 // randomized scheduling/iteration orders.
 //
-// The wall-clock and global-rand checks run module-wide — a stray
-// time.Now anywhere can leak into a manifest or a metric. The
-// scheduler-order checks (multi-case select, order-sensitive range
-// over a map) run only in the deterministic packages listed in
-// DetPackagePaths, where "the scheduler picked differently" means "the
-// result changed".
+// The wall-clock and global-rand call checks run module-wide — a stray
+// time.Now anywhere can leak into a manifest or a metric. The packages
+// listed in DetPackagePaths, where "the scheduler picked differently"
+// means "the result changed", are held to more: they may not import
+// time, math/rand or math/rand/v2, nor any non-standard package outside
+// the list, so a clock read cannot reach them through a helper; and
+// their multi-case selects and order-sensitive ranges over maps are
+// flagged.
 
 // DetPackagePaths lists the packages whose results must be bit-exact
 // functions of their seeds. Extend it when a new package joins the
 // deterministic core.
 var DetPackagePaths = []string{
+	"gossip/internal/asciiplot",
 	"gossip/internal/bitset",
 	"gossip/internal/core",
 	"gossip/internal/exp",
@@ -39,14 +44,9 @@ var DetPackagePaths = []string{
 }
 
 // IsDeterministicPackage reports whether path is held to the full
-// determinism contract (scheduler-order checks included).
+// determinism contract (import rule and scheduler-order checks).
 func IsDeterministicPackage(path string) bool {
-	for _, p := range DetPackagePaths {
-		if path == p {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(DetPackagePaths, path)
 }
 
 // randConstructors are the math/rand functions that build an
@@ -58,29 +58,34 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// DetLint is the determinism analyzer.
-var DetLint = &Analyzer{
-	Name: "detlint",
-	Run:  runDetLint,
-}
+const (
+	clockAdvice = "results must be functions of (grid, seed) — derive timestamps from provenance or annotate //gossiplint:allow detlint <why>"
+	randAdvice  = "use internal/xrand with an explicit seed"
+)
 
-func runDetLint(p *Pass) {
-	det := IsDeterministicPackage(p.Pkg.Path())
+func runDetLint(p *pass) {
 	for _, f := range p.Files {
+		if p.det {
+			checkImports(p, f)
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkFuncValueBindings(p, n.Body, det)
+					checkFuncValueBindings(p, n.Body)
 				}
 			case *ast.CallExpr:
-				checkDetCall(p, n, det)
+				if fn := calleeFunc(p.Info, n); fn != nil {
+					if effect, advice := nondet(fn); effect != "" {
+						p.Reportf(n.Pos(), "%s.%s %s; %s", fn.Pkg().Path(), fn.Name(), effect, advice)
+					}
+				}
 			case *ast.SelectStmt:
-				if det {
+				if p.det {
 					checkSelect(p, n)
 				}
 			case *ast.RangeStmt:
-				if det {
+				if p.det {
 					checkMapRange(p, n)
 				}
 			}
@@ -89,49 +94,51 @@ func runDetLint(p *Pass) {
 	}
 }
 
-func checkDetCall(p *Pass, call *ast.CallExpr, det bool) {
-	fn := calleeFunc(p.Info, call)
-	if fn == nil {
-		return
-	}
-	switch path := funcPkgPath(fn); path {
-	case "time":
-		if name := fn.Name(); name == "Now" || name == "Since" || name == "Until" {
-			p.Reportf(call.Pos(), "time.%s reads the wall clock; results must be functions of (grid, seed) — derive timestamps from provenance or annotate //gossiplint:allow detlint <why>", name)
+// checkImports applies the import rule to one file of a deterministic
+// package. A finding lands on the import line, where a directive can
+// allow it.
+func checkImports(p *pass, f *ast.File) {
+	for _, spec := range f.Imports {
+		path, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			continue
 		}
-	case "math/rand", "math/rand/v2":
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() != nil || randConstructors[fn.Name()] {
-			return
-		}
-		p.Reportf(call.Pos(), "%s.%s draws from the global math/rand stream, which is shared and seed-free; use internal/xrand with an explicit seed", path, fn.Name())
-	default:
-		// The interprocedural half: in a deterministic package, calling
-		// an in-module function whose summary says it reaches the clock
-		// or the global rand stream is the same violation laundered
-		// through a helper — even when the helper's own site carries an
-		// allow directive for its legitimate use.
-		if !det || !p.Mod.HasBody(fn) {
-			return
-		}
-		s := p.Mod.SummaryOf(fn)
-		if s.Has(FactClock) {
-			p.Reportf(call.Pos(), "call to %s transitively reads the wall clock (%s); results must be functions of (grid, seed)",
-				DisplayFunc(fn), p.Mod.FactChainString(fn, FactClock))
-		}
-		if s.Has(FactGlobalRand) {
-			p.Reportf(call.Pos(), "call to %s transitively draws from the global math/rand stream (%s); use internal/xrand with an explicit seed",
-				DisplayFunc(fn), p.Mod.FactChainString(fn, FactGlobalRand))
+		switch {
+		case path == "time":
+			p.Reportf(spec.Path.Pos(), "deterministic package imports %q, the wall clock; %s", path, clockAdvice)
+		case path == "math/rand" || path == "math/rand/v2":
+			p.Reportf(spec.Path.Pos(), "deterministic package imports %q, the global random stream; %s", path, randAdvice)
+		case !p.std[path] && !IsDeterministicPackage(path):
+			p.Reportf(spec.Path.Pos(), "deterministic package imports %q, which is not in DetPackagePaths; import only the standard library and deterministic packages", path)
 		}
 	}
 }
 
+// nondet reports what a call to fn does to a deterministic result —
+// reads the wall clock or draws from the global math/rand stream — and
+// the advice that goes with it; effect is "" when fn does neither.
+func nondet(fn *types.Func) (effect, advice string) {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() != nil {
+		return "", ""
+	}
+	switch funcPkgPath(fn) {
+	case "time":
+		if name := fn.Name(); name == "Now" || name == "Since" || name == "Until" {
+			return "reads the wall clock", clockAdvice
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			return "draws from the global math/rand stream", randAdvice
+		}
+	}
+	return "", ""
+}
+
 // checkFuncValueBindings catches nondeterminism laundered through
 // function values: t := time.Now; t(). A local bound to a wall-clock
-// or global-rand function (directly, or — in deterministic packages —
-// to an in-module function whose summary reaches one) is flagged at
-// every call through it.
-func checkFuncValueBindings(p *Pass, body *ast.BlockStmt, det bool) {
+// or global-rand function is flagged at every call through it.
+func checkFuncValueBindings(p *pass, body *ast.BlockStmt) {
 	bound := map[types.Object]*types.Func{}
 	record := func(lhs, rhs ast.Expr) {
 		id, ok := lhs.(*ast.Ident)
@@ -155,14 +162,7 @@ func checkFuncValueBindings(p *Pass, body *ast.BlockStmt, det bool) {
 		if fn == nil {
 			return
 		}
-		facts := ExtFacts(fn)
-		if p.Mod.HasBody(fn) {
-			if !det {
-				return // in-module laundering is a deterministic-package concern
-			}
-			facts = p.Mod.SummaryOf(fn)
-		}
-		if facts.Has(FactClock | FactGlobalRand) {
+		if effect, _ := nondet(fn); effect != "" {
 			bound[obj] = fn
 		}
 	}
@@ -195,22 +195,15 @@ func checkFuncValueBindings(p *Pass, body *ast.BlockStmt, det bool) {
 		if !ok {
 			return true
 		}
-		fn := bound[p.Info.Uses[id]]
-		if fn == nil {
-			return true
-		}
-		facts := p.Mod.SummaryOf(fn)
-		switch {
-		case facts.Has(FactClock):
-			p.Reportf(call.Pos(), "call through %s reaches %s, which reads the wall clock; results must be functions of (grid, seed)", id.Name, DisplayFunc(fn))
-		case facts.Has(FactGlobalRand):
-			p.Reportf(call.Pos(), "call through %s reaches %s, which draws from the global math/rand stream; use internal/xrand with an explicit seed", id.Name, DisplayFunc(fn))
+		if fn := bound[p.Info.Uses[id]]; fn != nil {
+			effect, advice := nondet(fn)
+			p.Reportf(call.Pos(), "call through %s reaches %s.%s, which %s; %s", id.Name, fn.Pkg().Path(), fn.Name(), effect, advice)
 		}
 		return true
 	})
 }
 
-func checkSelect(p *Pass, sel *ast.SelectStmt) {
+func checkSelect(p *pass, sel *ast.SelectStmt) {
 	comm := 0
 	for _, c := range sel.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
@@ -230,7 +223,7 @@ func checkSelect(p *Pass, sel *ast.SelectStmt) {
 // Exactly-commutative integer accumulation (n++, n += v) is also fine;
 // float and string accumulation is not, because the result bits depend
 // on the order.
-func checkMapRange(p *Pass, rng *ast.RangeStmt) {
+func checkMapRange(p *pass, rng *ast.RangeStmt) {
 	t := p.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -291,7 +284,7 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	})
 }
 
-func checkMapRangeAssign(p *Pass, as *ast.AssignStmt, keyObj types.Object, local, bodyLocal func(types.Object) bool) {
+func checkMapRangeAssign(p *pass, as *ast.AssignStmt, keyObj types.Object, local, bodyLocal func(types.Object) bool) {
 	if as.Tok == token.DEFINE {
 		return
 	}
@@ -338,7 +331,7 @@ func checkMapRangeAssign(p *Pass, as *ast.AssignStmt, keyObj types.Object, local
 // dst is the assigned variable and every appended value depends only
 // on the loop key (or loop-local state) — the first half of the
 // sorted-keys idiom.
-func isKeyExtraction(p *Pass, rhs ast.Expr, dst, keyObj types.Object, local func(types.Object) bool) bool {
+func isKeyExtraction(p *pass, rhs ast.Expr, dst, keyObj types.Object, local func(types.Object) bool) bool {
 	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 	if !ok || len(call.Args) < 2 {
 		return false
@@ -381,7 +374,7 @@ var fmtPrinters = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 }
 
-func checkMapRangeSink(p *Pass, call *ast.CallExpr, local func(types.Object) bool) {
+func checkMapRangeSink(p *pass, call *ast.CallExpr, local func(types.Object) bool) {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil {
 		return

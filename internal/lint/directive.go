@@ -10,53 +10,34 @@ import (
 //
 //	//gossiplint:allow <analyzer> <reason...>
 //
-// suppresses that analyzer's diagnostics on the directive's own line
-// and on the line immediately below it (so it works both trailing a
-// statement and standing alone above one). The reason is mandatory:
-// every suppression in the tree must say why the invariant does not
-// apply, which is what makes the exceptions auditable with a grep.
+// names the analyzer it silences (detlint, the only one) and
+// suppresses its diagnostics on the directive's own line and on the
+// line immediately below it (so it works both trailing a statement and
+// standing alone above one). The reason is mandatory: every
+// suppression in the tree must say why the invariant does not apply,
+// which is what makes the exceptions auditable with a grep.
 const directivePrefix = "//gossiplint:"
 
-// allowSet indexes directives by file and line.
-type allowSet map[string]map[int]map[string]bool // file → line → analyzer
+// allowSet holds the file lines that carry a well-formed directive.
+type allowSet map[allowLine]bool
 
-func (s allowSet) add(file string, line int, analyzer string) {
-	byLine := s[file]
-	if byLine == nil {
-		byLine = make(map[int]map[string]bool)
-		s[file] = byLine
-	}
-	byAnalyzer := byLine[line]
-	if byAnalyzer == nil {
-		byAnalyzer = make(map[string]bool)
-		byLine[line] = byAnalyzer
-	}
-	byAnalyzer[analyzer] = true
+type allowLine struct {
+	file string
+	line int
 }
 
 // matches reports whether d is suppressed by a directive on its line
 // or the line above.
 func (s allowSet) matches(d Diagnostic) bool {
-	byLine := s[d.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
-		if byLine[line][d.Analyzer] {
-			return true
-		}
-	}
-	return false
+	return s[allowLine{d.Pos.Filename, d.Pos.Line}] || s[allowLine{d.Pos.Filename, d.Pos.Line - 1}]
 }
 
 // parseDirectives scans the package's comments for gossiplint
-// directives. Well-formed allows land in the returned set; malformed
-// ones — wrong verb, unknown analyzer, missing reason — come back as
-// diagnostics attributed to the "gossiplint" pseudo-analyzer, which no
-// directive can suppress.
-func parseDirectives(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnostic) {
-	known := knownAnalyzers()
-	allows := make(allowSet)
+// directives. Well-formed allows land in allows; malformed ones — wrong
+// verb, unknown analyzer, missing reason — come back as diagnostics
+// attributed to the "gossiplint" pseudo-analyzer, which no directive
+// can suppress.
+func parseDirectives(fset *token.FileSet, files []*ast.File, allows allowSet) []Diagnostic {
 	var bad []Diagnostic
 	report := func(pos token.Pos, msg string) {
 		bad = append(bad, Diagnostic{Pos: fset.Position(pos), Analyzer: "gossiplint", Message: msg})
@@ -78,7 +59,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (allowSet, []Diagno
 					continue
 				}
 				analyzer := fields[1]
-				if !known[analyzer] {
+				if analyzer != detlintName {
 					report(c.Pos(), "gossiplint:allow names unknown analyzer "+analyzer)
 					continue
 				}
@@ -87,9 +68,9 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (allowSet, []Diagno
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				allows.add(pos.Filename, pos.Line, analyzer)
+				allows[allowLine{pos.Filename, pos.Line}] = true
 			}
 		}
 	}
-	return allows, bad
+	return bad
 }

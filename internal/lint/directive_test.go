@@ -10,12 +10,12 @@ import (
 // TestMalformedDirectives checks the badallow fixture programmatically:
 // the malformed-directive diagnostics land on the comment lines
 // themselves, where a want comment cannot sit, so we assert on the
-// CheckModule output directly. Every broken directive must surface as a
+// Check output directly. Every broken directive must surface as a
 // "gossiplint" finding, and — because a broken directive suppresses
 // nothing — every time.Now beneath one must still be flagged.
 func TestMalformedDirectives(t *testing.T) {
 	pkgs := loadFixture(t, "badallow")
-	diags := lint.CheckModule(lint.NewModule(pkgs), []*lint.Analyzer{lint.DetLint})
+	diags := lint.Check(pkgs)
 
 	wantDirective := []string{
 		"needs an analyzer name and a reason", // //gossiplint:allow

@@ -4,9 +4,9 @@ package lint_test
 // golang.org/x/tools/go/analysis/analysistest. A fixture is a module
 // under testdata/src/<fixture> (its go.mod names the module after the
 // directory, so subpackages import as "<fixture>/sub"), loaded with
-// lint.Load exactly as the gossiplint gate loads the real tree and
-// analyzed as one Module, so summaries flow across fixture packages as
-// they do across the repo's. Diagnostics are matched 1:1 against
+// lint.Load exactly as the gossiplint gate loads the real tree, so a
+// fixture package imports its siblings through the same export data
+// the repo's packages do. Diagnostics are matched 1:1 against
 // expectation comments of the form
 //
 //	code() // want "regexp" "second regexp"
@@ -35,12 +35,12 @@ func loadFixture(t *testing.T, fixture string) []*lint.Package {
 	return pkgs
 }
 
-// runFixture analyzes the fixture module with the given analyzers and
-// matches the diagnostics against its want comments.
-func runFixture(t *testing.T, fixture string, analyzers ...*lint.Analyzer) {
+// runFixture checks the fixture module and matches the diagnostics
+// against its want comments.
+func runFixture(t *testing.T, fixture string) {
 	t.Helper()
 	pkgs := loadFixture(t, fixture)
-	checkWants(t, pkgs, lint.CheckModule(lint.NewModule(pkgs), analyzers))
+	checkWants(t, pkgs, lint.Check(pkgs))
 }
 
 // wantRe matches one quoted expectation in a want comment — either an

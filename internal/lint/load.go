@@ -20,12 +20,10 @@ import (
 // golang.org/x/tools/go/packages. `go list -deps -export -json` both
 // enumerates the target packages and compiles export data for every
 // dependency (the build cache makes this cheap after the first run).
-// Every non-standard package it lists is then parsed from source —
-// analyzers need syntax and comments — and type-checked in the order
-// go list prints them, dependencies first. An import of a package
-// already checked from source resolves to that package, so a call
-// across a package boundary names the same *types.Func the Module
-// summarised; only the standard library comes from gc export data.
+// Each non-standard target is then parsed from source — detlint needs
+// syntax and comments — and type-checked against one gc export-data
+// importer, which serves every import, so all of a target's paths to a
+// package name one *types.Package.
 
 // A Package is one loaded, type-checked target.
 type Package struct {
@@ -34,6 +32,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	std map[string]bool // the listed standard-library paths
 }
 
 // listPackage is the subset of `go list -json` output the loader uses.
@@ -50,9 +50,6 @@ type listPackage struct {
 // returns the matched packages parsed and type-checked. Test files are
 // not loaded: the invariants gossiplint enforces are about shipped
 // code, and tests legitimately use wall clocks and scratch writers.
-// Non-standard dependencies the patterns do not match are checked from
-// source too, so every path names one *types.Package, but are not
-// returned.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -62,26 +59,25 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	exports := make(map[string]string)
+	std := make(map[string]bool)
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		std[p.ImportPath] = p.Standard
 	}
 
 	fset := token.NewFileSet()
-	imp := &sourceImporter{
-		source: make(map[string]*types.Package),
-		gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("lint: no export data for %q", path)
-			}
-			return os.Open(file)
-		}),
-	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	var pkgs []*Package
 	for _, p := range listed {
-		if p.Standard || len(p.GoFiles) == 0 {
+		if p.Standard || p.DepOnly || len(p.GoFiles) == 0 {
 			continue
 		}
 		var files []*ast.File
@@ -96,16 +92,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		imp.source[p.ImportPath] = pkg.Types
-		if !p.DepOnly {
-			pkgs = append(pkgs, pkg)
-		}
+		pkg.std = std
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
 // typeCheck type-checks one package's parsed files and wraps the
-// result as a lint.Package with the Info maps the analyzers use.
+// result as a lint.Package with the Info maps detlint uses.
 func typeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -124,20 +118,6 @@ func typeCheck(path string, fset *token.FileSet, files []*ast.File, imp types.Im
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
 	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// sourceImporter resolves an import to the package Load already
-// type-checked from source, falling back to gc export data.
-type sourceImporter struct {
-	source map[string]*types.Package
-	gc     types.Importer
-}
-
-func (i *sourceImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := i.source[path]; ok {
-		return pkg, nil
-	}
-	return i.gc.Import(path) // also maps "unsafe" to types.Unsafe
 }
 
 // goList runs `go list -deps -export -json` over patterns in dir and

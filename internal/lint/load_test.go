@@ -50,10 +50,11 @@ func TestLoadSyntaxError(t *testing.T) {
 }
 
 // TestLoadSubsetSharesTypes: with targets a and c, a reaches c's type
-// both directly and through the unmatched b. b is checked from source
-// too, so both paths name one c.T. If b came from export data, a would
-// fail to type-check with "cannot use *c.T as *c.T". b is not returned.
-// c imports "unsafe", which only the gc importer resolves.
+// both directly and through the unmatched b. One export-data importer
+// serves every import, so both paths name one c.T; if they named two, a
+// would fail to type-check with "cannot use *c.T as *c.T". b is not
+// returned. c imports "unsafe", which the gc importer maps to
+// types.Unsafe.
 func TestLoadSubsetSharesTypes(t *testing.T) {
 	dir := writeModule(t, "package broken\n")
 	for name, src := range map[string]string{

@@ -1,17 +1,17 @@
 // The detlint fixture: wall-clock reads, global math/rand draws,
-// multi-case selects, and order-sensitive map iteration are flagged;
-// the sanctioned patterns (sorted-key extraction, keyed map writes,
-// integer accumulation, seeded rand constructors, select with a
-// default) stay silent. The test registers this package path as a
-// deterministic package.
+// imports of either, multi-case selects, and order-sensitive map
+// iteration are flagged; the sanctioned patterns (sorted-key
+// extraction, keyed map writes, integer accumulation, seeded rand
+// constructors, select with a default) stay silent. The test registers
+// this package path as a deterministic package.
 package detlint
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand" // want `deterministic package imports "math/rand", the global random stream`
 	"os"
 	"sort"
-	"time"
+	"time" // want `deterministic package imports "time", the wall clock`
 )
 
 func wallClock() time.Duration {

@@ -1,14 +1,15 @@
-// The interprocedural and function-value halves of the detlint
-// fixture: aliased imports, method values, and violations laundered
-// through helpers — in this package and two frames down in the
-// clockutil subpackage — are flagged at the deterministic call site.
+// The function-value and import halves of the detlint fixture: aliased
+// imports and method values are flagged at the call, and an import of
+// the clock, of math/rand or of a package outside DetPackagePaths is
+// flagged on its own line. clockutil reads the clock two frames down,
+// so importing it is the finding; the calls through it are not.
 package detlint
 
 import (
-	"math/rand"
-	chrono "time"
+	"math/rand"   // want `deterministic package imports "math/rand", the global random stream`
+	chrono "time" // want `deterministic package imports "time", the wall clock`
 
-	"detlint/clockutil"
+	"detlint/clockutil" // want `deterministic package imports "detlint/clockutil", which is not in DetPackagePaths`
 )
 
 // Aliasing the import does not hide the clock: resolution is by type
@@ -27,35 +28,8 @@ func roll() int {
 	return rand.Intn(6) // want `draws from the global math/rand stream`
 }
 
-// The transitive check: roll's summary says it draws from the global
-// stream, so calling it in a deterministic package is the same
-// violation one frame removed.
-func useRoll() int {
-	return roll() // want `call to detlint.roll transitively draws from the global math/rand stream \(detlint.roll → rand.Intn\)`
-}
-
-// Two frames removed, across a package boundary: Stamp → now →
-// time.Now. Only the module engine can see this.
+// The clock read behind Stamp is caught at the import above, however
+// many frames down it sits.
 func launderedStamp() uint64 {
-	return clockutil.Stamp() // want `call to clockutil.Stamp transitively reads the wall clock \(clockutil.Stamp → clockutil.now → time.Now\)`
-}
-
-// Binding an in-module clock-reaching function is caught at the call
-// through the binding.
-func boundStamp() uint64 {
-	f := clockutil.Stamp
-	return f() // want `call through f reaches clockutil.Stamp, which reads the wall clock`
-}
-
-// Clock-free helpers stay silent, bound or called directly.
-func mixed(a, b uint64) uint64 {
-	g := clockutil.Mix
-	return g(a, clockutil.Mix(b, 1))
-}
-
-// A suppressed transitive call: the directive names the analyzer and a
-// reason, so the finding is allowed — visibly.
-func allowedStamp() uint64 {
-	//gossiplint:allow detlint fixture: provenance stamp, excluded from result bytes
 	return clockutil.Stamp()
 }

@@ -1,13 +1,13 @@
 // Package clockutil is the cross-package half of the detlint fixture:
 // a helper package whose exported API launders a wall-clock read
 // through two call frames. Its own time.Now site is flagged by the
-// module-wide clock check; the interprocedural check must additionally
-// flag the *callers* in the deterministic fixture package.
+// module-wide clock check; the import rule flags the deterministic
+// fixture package's import of it.
 package clockutil
 
 import "time"
 
-// Stamp is what a deterministic package must not call: it reads the
+// Stamp is what a deterministic package must not reach: it reads the
 // clock two frames down.
 func Stamp() uint64 {
 	return uint64(now())
@@ -15,9 +15,4 @@ func Stamp() uint64 {
 
 func now() int64 {
 	return time.Now().UnixNano() // want `time.Now reads the wall clock`
-}
-
-// Mix is clock-free; calling it from a deterministic package is fine.
-func Mix(a, b uint64) uint64 {
-	return a*0x9e3779b97f4a7c15 ^ b
 }
