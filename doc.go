@@ -51,7 +51,9 @@
 //
 // A sweep is one process: parallel over -workers, crash-safe with -out
 // and -resume (a killed run continues from its completed prefix), and
-// byte-identical for any worker count.
+// byte-identical for any worker count. A cell releases its graph
+// (internal/graph's Graph.Release) once its algorithm returns, so the next
+// build writes its CSR there and a worker holds one graph at a time.
 //
 // # The sweep corpus
 //

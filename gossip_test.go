@@ -61,7 +61,7 @@ func TestPublicBroadcastAndLeader(t *testing.T) {
 	if !bc.Completed {
 		t.Error("broadcast did not complete")
 	}
-	le := core.ElectLeader(g, DefaultLeaderParams(n), 7)
+	le := core.ElectLeaderOver(g, DefaultLeaderParams(n), 7, core.SyncTransport)
 	if !le.Unique {
 		t.Error("election not unique")
 	}
@@ -126,7 +126,7 @@ func TestPublicSampledEstimator(t *testing.T) {
 	n := 1024
 	g := NewPaperGraph(n, 24)
 	exact := RunPushPull(g, 25, 0)
-	est := core.PushPullSampled(g, 25, 64, 0)
+	est := core.PushPullSampledOver(g, 25, 64, 0, core.SyncTransport)
 	if !est.Completed {
 		t.Fatal("estimator incomplete")
 	}

@@ -7,11 +7,7 @@
 // instead of rescanning n² bits per round.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const wordBits = 64
 
@@ -41,11 +37,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Remove clears bit i.
-func (s *Set) Remove(i int) {
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Contains reports whether bit i is set.
 func (s *Set) Contains(i int) bool {
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
@@ -68,8 +59,8 @@ func (s *Set) Fill() {
 	s.trimTail()
 }
 
-// trimTail zeroes the unused high bits of the final word so Count and Equal
-// stay exact.
+// trimTail zeroes the unused high bits of the final word so Count stays
+// exact.
 func (s *Set) trimTail() {
 	if s.n%wordBits != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << (uint(s.n) % wordBits)) - 1
@@ -98,44 +89,4 @@ func (s *Set) UnionBoth(o *Set) int {
 		added += bits.OnesCount64(nw &^ old)
 	}
 	return added
-}
-
-// Equal reports whether s and o have the same width and the same bits.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach calls fn for every set bit in increasing order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*wordBits + b)
-			w &= w - 1
-		}
-	}
-}
-
-// String renders the set as {i, j, ...}; intended for tests and debugging.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%d", i)
-	})
-	b.WriteByte('}')
-	return b.String()
 }

@@ -72,8 +72,8 @@ func TestUnionBoth(t *testing.T) {
 		t.Errorf("UnionBoth added = %d, want 1", added)
 	}
 	want := fromIndices(130, 10, 70, 129)
-	if !a.Equal(want) || !b.Equal(want) {
-		t.Errorf("UnionBoth left %v and %v, want both %v", a, b, want)
+	if !equal(a, want) || !equal(b, want) {
+		t.Errorf("UnionBoth left %v and %v, want both %v", members(a), members(b), members(want))
 	}
 }
 
@@ -93,7 +93,7 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 		want := clone(m.Row(1))
 		wantAdded := unionWith(want, m.Row(0))
 		gotAdded := m.UnionRow(1, m, 0)
-		return gotAdded == wantAdded && m.Row(1).Equal(want)
+		return gotAdded == wantAdded && equal(m.Row(1), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -132,7 +132,7 @@ func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
 				srcs[i] = a.Row(j)
 				wantAdded += want.UnionRow(0, a, j)
 			}
-			if got := b.SetRowUnion(dst, base, srcs...); got != wantAdded || !b.Row(dst).Equal(want.Row(0)) {
+			if got := b.SetRowUnion(dst, base, srcs...); got != wantAdded || !equal(b.Row(dst), want.Row(0)) {
 				return false
 			}
 		}

@@ -29,24 +29,19 @@ type LeaderResult struct {
 	Meter phone.Meter
 }
 
-// ElectLeader runs Algorithm 3 on g: each node becomes a possible leader
-// with probability log²n/n, candidate IDs spread by open-avoid pushes for
-// PushSteps steps (receivers activate and forward the smallest ID seen),
-// then every node performs PullSteps open-avoid pulls; the candidate whose
-// ID equals its own final minimum becomes the leader.
-func ElectLeader(g *graph.Graph, p LeaderParams, seed uint64) *LeaderResult {
-	return electLeaderOver(phone.NewNet(g, seed), p, SyncTransport)
-}
-
-// ElectLeaderOver is ElectLeader with the protocol executed as node state
-// machines over the given transport.
+// ElectLeaderOver runs Algorithm 3 on g as node state machines over the
+// given transport: each node becomes a possible leader with probability
+// log²n/n, candidate IDs spread by open-avoid pushes for PushSteps steps
+// (receivers activate and forward the smallest ID seen), then every node
+// performs PullSteps open-avoid pulls; the candidate whose ID equals its
+// own final minimum becomes the leader.
 func ElectLeaderOver(g *graph.Graph, p LeaderParams, seed uint64, tf TransportFactory) *LeaderResult {
 	return electLeaderOver(phone.NewNet(g, seed), p, tf)
 }
 
 // LeaderSet is Algorithm 3 as a set of per-node phone.Machine state
-// machines over a shared substrate. Most callers want ElectLeader or
-// ElectLeaderOver, which build the set and drive it to its fixed schedule;
+// machines over a shared substrate. Most callers want ElectLeaderOver,
+// which builds the set and drives it to its fixed schedule;
 // the set is exported for drivers with their own step loops — internal/
 // gossipd runs the same machines over loopback TCP and polls Complete to
 // keep pulling past the schedule until every healthy node knows the leader.

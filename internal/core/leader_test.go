@@ -10,7 +10,7 @@ import (
 func TestElectLeaderBasics(t *testing.T) {
 	for _, n := range []int{256, 1024} {
 		g := testGraph(n, uint64(n)+40)
-		res := ElectLeader(g, DefaultLeaderParams(n), 1)
+		res := ElectLeaderOver(g, DefaultLeaderParams(n), 1, SyncTransport)
 		if !res.Unique {
 			t.Fatalf("n=%d: winners != 1: %+v", n, res)
 		}
@@ -34,7 +34,7 @@ func TestElectLeaderIsMinimumCandidate(t *testing.T) {
 	g := testGraph(n, 44)
 	seed := uint64(9)
 	p := DefaultLeaderParams(n)
-	res := ElectLeader(g, p, seed)
+	res := ElectLeaderOver(g, p, seed, SyncTransport)
 
 	minCand := int32(-1)
 	for v := 0; v < n; v++ {
@@ -56,7 +56,7 @@ func TestElectLeaderTransmissionBound(t *testing.T) {
 	// Lemma 18: O(n·loglog n) transmissions. Generous constant check.
 	n := 4096
 	g := testGraph(n, 45)
-	res := ElectLeader(g, DefaultLeaderParams(n), 2)
+	res := ElectLeaderOver(g, DefaultLeaderParams(n), 2, SyncTransport)
 	if !res.Unique {
 		t.Fatal("election failed")
 	}
@@ -69,8 +69,8 @@ func TestElectLeaderTransmissionBound(t *testing.T) {
 func TestElectLeaderDeterministic(t *testing.T) {
 	g := testGraph(512, 46)
 	p := DefaultLeaderParams(512)
-	a := ElectLeader(g, p, 7)
-	b := ElectLeader(g, p, 7)
+	a := ElectLeaderOver(g, p, 7, SyncTransport)
+	b := ElectLeaderOver(g, p, 7, SyncTransport)
 	if a.Leader != b.Leader || a.Meter != b.Meter {
 		t.Error("same seed produced different elections")
 	}
@@ -106,12 +106,12 @@ func TestElectLeaderTinyGraphFallback(t *testing.T) {
 	// On tiny graphs the candidate coin may miss; the fallback must still
 	// elect someone rather than hang.
 	g := testGraph(16, 48)
-	res := ElectLeader(g, LeaderParams{
+	res := ElectLeaderOver(g, LeaderParams{
 		CandidateProb: 0, // force the fallback path
 		PushSteps:     8,
 		PullSteps:     4,
 		AvoidLast:     3,
-	}, 4)
+	}, 4, SyncTransport)
 	if !res.Unique || res.Leader != 0 {
 		t.Errorf("fallback election wrong: %+v", res)
 	}
@@ -122,7 +122,7 @@ func TestElectLeaderAvoidLastValidation(t *testing.T) {
 	g := testGraph(128, 49)
 	p := DefaultLeaderParams(128)
 	p.AvoidLast = 99
-	res := ElectLeader(g, p, 5)
+	res := ElectLeaderOver(g, p, 5, SyncTransport)
 	if !res.Unique {
 		t.Error("election failed with clamped AvoidLast")
 	}

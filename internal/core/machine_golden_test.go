@@ -144,7 +144,7 @@ func TestElectLeaderGolden(t *testing.T) {
 		{7, 7, 71, 7705},
 	}
 	for _, w := range want {
-		le := ElectLeader(g256, DefaultLeaderParams(256), w.seed)
+		le := ElectLeaderOver(g256, DefaultLeaderParams(256), w.seed, SyncTransport)
 		if le.Leader != w.leader || le.Candidates != w.candidates || !le.Unique ||
 			le.AwareCount != 256 || le.Steps != 32 {
 			t.Errorf("seed %d: got %+v", w.seed, le)

@@ -151,7 +151,7 @@ func TestPushPullSampledTracksExact(t *testing.T) {
 	n := 512
 	g := testGraph(n, 77)
 	exact := PushPull(g, 9, 0)
-	est := PushPullSampled(g, 9, n, 0)
+	est := PushPullSampledOver(g, 9, n, 0, SyncTransport)
 	if !est.Completed {
 		t.Fatal("estimator did not complete")
 	}
@@ -165,7 +165,7 @@ func TestPushPullSampledLowerBound(t *testing.T) {
 	n := 1024
 	g := testGraph(n, 78)
 	exact := PushPull(g, 10, 0)
-	est := PushPullSampled(g, 10, 32, 0)
+	est := PushPullSampledOver(g, 10, 32, 0, SyncTransport)
 	if !est.Completed {
 		t.Fatal("estimator did not complete")
 	}
@@ -218,7 +218,7 @@ func TestPushPullSampledScalesBeyondExact(t *testing.T) {
 	}
 	n := 65536
 	g := testGraph(n, 79)
-	est := PushPullSampled(g, 11, 16, 0)
+	est := PushPullSampledOver(g, 11, 16, 0, SyncTransport)
 	if !est.Completed {
 		t.Errorf("estimator incomplete at n=%d", n)
 	}

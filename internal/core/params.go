@@ -5,7 +5,7 @@
 //     graphs (Algorithm 1, §3),
 //   - MemoryGossip: the leader-based memory-model algorithm that remembers
 //     up to four links per node (Algorithm 2, §4),
-//   - ElectLeader: the leader-election protocol (Algorithm 3, §4.1),
+//   - ElectLeaderOver: the leader-election protocol (Algorithm 3, §4.1),
 //
 // plus the single-message broadcast baselines (push / pull / push–pull)
 // that form the paper's context ([34], [19]), and the crash-failure model

@@ -74,13 +74,14 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) *Graph {
 	if p == 1 {
 		return Complete(n)
 	}
-	off := make([]int64, n+1)
 	if p == 0 || n < 2 {
-		return &Graph{n: n, off: off, adj: []int32{}}
+		off, adj, _ := storage(n, 0)
+		return &Graph{n: n, off: off, adj: adj}
 	}
 	mean := p * float64(n) * float64(n-1) / 2
 	// Final capacity, both directions, with 8σ of room; append copes beyond.
-	adj := make([]int32, 0, 2*(int(mean+8*math.Sqrt(mean*(1-p)))+16))
+	off, adj, _ := storage(n, 2*(int(mean+8*math.Sqrt(mean*(1-p)))+16))
+	adj = adj[:0]
 	up := make([]int32, n) // u's upper degree
 	// A block holds the expected draws left at (u, v), p per pair ahead plus
 	// one overshoot per row, and a margin, so that small graphs and the last
@@ -178,7 +179,7 @@ func ConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 		panic("graph: the configuration model needs n, d >= 0 and n*d even")
 	}
 	stubs := make([]int32, n*d)
-	off := make([]int64, n+1) // off[v+1] is v's cursor, from v·d up to (v+1)·d
+	off, adj, reused := storage(n, n*d) // off[v+1] is v's cursor, from v·d up to (v+1)·d
 	for v := range n {
 		off[v+1] = int64(v * d)
 		for k := v * d; k < v*d+d; k++ {
@@ -189,13 +190,15 @@ func ConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 		j := rng.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	adj := make([]int32, len(stubs))
 	for i := 0; i < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
 		adj[off[u+1]] = v
 		off[u+1]++
 		adj[off[v+1]] = u
 		off[v+1]++
+	}
+	if reused { // where graphs are released, stubs live on until Release replaces them:
+		swap(nil, stubs) // dropped here, a cell's end held them or not as the collector ran
 	}
 	return &Graph{n: n, off: off, adj: adj}
 }
@@ -207,12 +210,12 @@ func ConfigurationModel(n, d int, rng *xrand.RNG) *Graph {
 // sorted weights via bounded geometric skipping.
 func ChungLu(weights []float64, rng *xrand.RNG) *Graph {
 	n := len(weights)
-	var s float64
+	var s, s2 float64
 	for _, w := range weights {
 		if w < 0 {
 			panic("graph: negative Chung-Lu weight")
 		}
-		s += w
+		s, s2 = s+w, s2+w*w
 	}
 	// Sort node ids by descending weight so that within a row the edge
 	// probability is non-increasing and skip sampling with a running upper
@@ -226,6 +229,8 @@ func ChungLu(weights []float64, rng *xrand.RNG) *Graph {
 	})
 	var edges []Edge
 	if s > 0 {
+		mean := max(0, s-s2/s) / 2 // Σ_{u<v} w_u·w_v/S ≥ the edge count's mean and variance
+		edges = make([]Edge, 0, min(n*(n-1)/2, int(mean+8*math.Sqrt(mean))+16))
 		for i := 0; i < n-1; i++ {
 			wu := weights[order[i]]
 			if wu == 0 {

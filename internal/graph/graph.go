@@ -18,11 +18,18 @@
 // rng.Shuffle(n·d) of the stubs, scatters the pairs straight into CSR and
 // keeps the pairing whole: loops and parallel edges stay, every degree is
 // exactly d (a loop counts 2), and the defects are not counted.
+//
+// Storage passes from one graph to the next: Release puts a graph's CSR
+// in a single spare slot, and every generator empties the slot when it
+// starts, building in the spare when it is big enough (Complete drops it).
+// So a sweep worker that releases each cell's graph (runner.Execute)
+// holds one graph, not two. A released graph's accessors panic.
 package graph
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"gossip/internal/xrand"
 )
@@ -47,10 +54,51 @@ type Graph struct {
 // U <= V for determinism.
 type Edge struct{ U, V int32 }
 
+// spare is the storage of the last released graph, or a build's stubs,
+// kept for the next build: one slot, so it never outlives that build.
+var spare struct {
+	sync.Mutex
+	off []int64
+	adj []int32
+}
+
+// Release hands g's storage to the next graph a generator builds and
+// poisons g: n is 0 and off empty, so Degree, Neighbor, Neighbors and
+// RandomNeighbor panic and Validate fails. Call it once, when nothing
+// reads g or a slice of it any more.
+func (g *Graph) Release() {
+	swap(g.off, g.adj)
+	*g = Graph{off: []int64{}}
+}
+
+// swap puts off and adj in the spare slot and returns what it held.
+func swap(off []int64, adj []int32) ([]int64, []int32) {
+	spare.Lock()
+	defer spare.Unlock()
+	spare.off, off, spare.adj, adj = off, spare.off, adj, spare.adj
+	return off, adj
+}
+
+// storage returns n+1 zero offsets and an adjacency of length m, in the
+// spare's storage where its capacity suffices; a spare too small is
+// dropped. reused says whether adj is the spare's. The adjacency is not
+// cleared: the caller writes every entry.
+func storage(n, m int) (off []int64, adj []int32, reused bool) {
+	off, adj = swap(nil, nil)
+	if cap(off) <= n {
+		off = make([]int64, n+1)
+	}
+	if reused = adj != nil && cap(adj) >= m; !reused { // an empty graph's adj is non-nil too
+		adj = make([]int32, m)
+	}
+	clear(off[:n+1])
+	return off[:n+1], adj[:m], reused
+}
+
 // FromEdges builds a Graph on n nodes from an edge list. Duplicate edges
 // produce parallel adjacency entries (multigraph semantics).
 func FromEdges(n int, edges []Edge) *Graph {
-	off := make([]int64, n+1) // v's degree, then its row's end, then its start
+	off, adj, _ := storage(n, 2*len(edges)) // off: v's degree, then its row's end, then its start
 	for _, e := range edges {
 		off[e.U]++
 		off[e.V]++
@@ -58,7 +106,6 @@ func FromEdges(n int, edges []Edge) *Graph {
 	for v := 1; v <= n; v++ {
 		off[v] += off[v-1]
 	}
-	adj := make([]int32, off[n])
 	for i := len(edges) - 1; i >= 0; i-- { // rows fill from the back, so edges in reverse
 		e := edges[i]
 		off[e.V]--
@@ -79,11 +126,17 @@ func Complete(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative n")
 	}
-	ring := make([]int32, max(2*n-1, 0))
-	for i := range ring {
-		ring[i] = int32(i % n)
+	swap(nil, nil) // K_n keeps no CSR, so the spare is dropped
+	return &Graph{n: n, adj: ring(n)}
+}
+
+// ring returns K_n's adjacency: 0, 1, …, n-1, 0, 1, …, n-2.
+func ring(n int) []int32 {
+	r := make([]int32, max(2*n-1, 0))
+	for i := range r {
+		r[i] = int32(i % n)
 	}
-	return &Graph{n: n, adj: ring}
+	return r
 }
 
 // N returns the number of nodes.
@@ -188,7 +241,7 @@ func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int3
 // intended for tests. On K_n it checks the ring, all that is stored.
 func (g *Graph) Validate() error {
 	if g.off == nil {
-		if !slices.Equal(g.adj, Complete(g.n).adj) {
+		if !slices.Equal(g.adj, ring(g.n)) {
 			return fmt.Errorf("graph: K_%d ring corrupt", g.n)
 		}
 		return nil

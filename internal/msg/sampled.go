@@ -50,9 +50,6 @@ func NewSampled(n, k int, seed uint64) *Sampled {
 	return s
 }
 
-// K returns the number of tracked messages.
-func (s *Sampled) K() int { return len(s.ids) }
-
 // BeginRound snapshots the whole state; rows are a word or two, so it is cheap.
 func (s *Sampled) BeginRound() {
 	if s.inRound {

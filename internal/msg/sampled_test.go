@@ -32,8 +32,8 @@ func sampledInformedOf(s *Sampled, id int32) int {
 
 func TestSampledInitialState(t *testing.T) {
 	s := NewSampled(100, 10, 1)
-	if s.K() != 10 {
-		t.Fatalf("K = %d", s.K())
+	if len(s.ids) != 10 {
+		t.Fatalf("K = %d", len(s.ids))
 	}
 	if s.total != 10 {
 		t.Errorf("TotalKnown = %d", s.total)
@@ -60,8 +60,8 @@ func TestSampledIDsSortedDistinct(t *testing.T) {
 
 func TestSampledClampsK(t *testing.T) {
 	s := NewSampled(5, 99, 3)
-	if s.K() != 5 {
-		t.Errorf("K = %d, want clamp to 5", s.K())
+	if len(s.ids) != 5 {
+		t.Errorf("K = %d, want clamp to 5", len(s.ids))
 	}
 }
 

@@ -38,7 +38,7 @@ var algoTable = []algo{
 	// The push–pull baseline observed through the Θ(n·k) sampled
 	// tracker, for sizes beyond the exact tracker's n² memory wall.
 	{"sampled", knobSampleK, func(g *graph.Graph, s Scenario, seed uint64) Metrics {
-		res := core.PushPullSampled(g, seed, sampleK(s.SampleK), 0)
+		res := core.PushPullSampledOver(g, seed, sampleK(s.SampleK), 0, core.SyncTransport)
 		return accounting(res.TransmissionsPerNode(), res.Steps, res.Completed)
 	}},
 	{"fast", knobWalkProb, fastGossip(core.TunedFastGossipParams)},

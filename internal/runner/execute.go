@@ -68,7 +68,8 @@ func BuildGraph(s Scenario, seed uint64) (*graph.Graph, error) {
 
 // Execute is the standard ExecFunc: it builds the scenario's graph and
 // runs its algorithm, both from streams split off the per-(cell, rep)
-// seed, and reports the common accounting metrics. Unknown algorithm or
+// seed, and reports the common accounting metrics. It then releases the
+// graph, so the next build takes its storage. Unknown algorithm or
 // model names panic — Validate a Grid's dimensions up front (the sweep
 // command does) to reject them before any work runs.
 func Execute(s Scenario, rep int, seed uint64) Metrics {
@@ -80,6 +81,7 @@ func Execute(s Scenario, rep int, seed uint64) Metrics {
 	if !ok {
 		panic(fmt.Errorf("runner: unknown algo %q (known: %v)", s.Algo, Algos()))
 	}
+	defer g.Release() // once the algorithm returns, the next build reuses g's storage
 	return a.run(g, s, xrand.SeedFor(seed, tagRun))
 }
 

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gossip/internal/xrand"
 )
 
 func TestMapOrderAndCoverage(t *testing.T) {
@@ -329,6 +331,39 @@ func TestBuildGraphCompleteIsImplicit(t *testing.T) {
 	}
 	if g.M() != n*(n-1)/2 || g.Degree(n-1) != n-1 || g.Validate() != nil {
 		t.Fatalf("K_%d: m = %d, degree %d, Validate %v", n, g.M(), g.Degree(n-1), g.Validate())
+	}
+}
+
+// TestExecuteReleaseMatchesFreshGraphs runs er and regular cells on two
+// workers, each releasing its graphs for whichever build comes next, and
+// requires the records of an ExecFunc that never releases. It is small
+// enough for CI's race run, which checks the hand-off of the storage.
+func TestExecuteReleaseMatchesFreshGraphs(t *testing.T) {
+	g := Grid{
+		Algos:     []string{"sampled", "broadcast-push", "memory"},
+		Models:    []string{"er", "regular"},
+		Sizes:     []int{256, 512},
+		Densities: []float64{0.5, 2},
+		Reps:      2,
+		Seed:      3,
+	}
+	fresh := func(s Scenario, _ int, seed uint64) Metrics {
+		gr, err := BuildGraph(s, xrand.SeedFor(seed, tagGraph))
+		if err != nil {
+			panic(err)
+		}
+		a, _ := lookupAlgo(s.Algo)
+		return a.run(gr, s, xrand.SeedFor(seed, tagRun))
+	}
+	var got, want strings.Builder
+	if err := WriteJSONL(&got, (&Runner{Workers: 2}).RunGrid(g)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&want, (&Runner{Workers: 2, Exec: fresh}).RunGrid(g)); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("records with released graphs differ from fresh builds:\n%s\nwant\n%s", got.String(), want.String())
 	}
 }
 
