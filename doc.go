@@ -200,13 +200,12 @@
 // state machines (NodeMachine) driven by a pluggable step executor
 // (GossipTransport). A machine sees only local events:
 //
-//	OnStep(step)     decide this step's dial target and optional push
+//	OnStep(step)     decide this step's dial target, optional push
 //	                 payload (NoDial opens nothing; DialUniform asks the
-//	                 transport for a uniform neighbor).
-//	OnOpen(from)     answer a pull through a channel someone opened to
-//	                 this node. Read-only: transports may run it
-//	                 concurrently with other nodes' OnOpen calls.
-//	OnReceive(from, payload)  absorb a delivered push or pull response.
+//	                 transport for a uniform neighbor) and answer: the
+//	                 step-start payload sent back through every channel
+//	                 opened to this node, whoever the caller.
+//	OnReceive(from, payload)  absorb a delivered push or answer.
 //	OnStepEnd(step)  apply deferred transitions once its exchange is done.
 //
 // Three transports execute the same machines:
@@ -216,10 +215,11 @@
 //	                   phases split by receiving node, results
 //	                   bit-identical to the historic substrate loops
 //	                   at any GOMAXPROCS.
-//	NewAsyncTransport  one goroutine per node with channel-based
-//	                   delivery, two phases a logical step (dial; then
-//	                   exchange and OnStepEnd) — the concurrency shape
-//	                   of a real deployment with logical steps.
+//	NewAsyncTransport  one goroutine per node, two phases a logical
+//	                   step (dial onto the callee's lock-free caller
+//	                   list; then exchange and OnStepEnd), delivery in
+//	                   scheduling order — the concurrency shape of a
+//	                   real deployment with logical steps.
 //	cmd/gossipd serve  the same machines behind per-node loopback TCP
 //	                   listeners with a static peer table and no global
 //	                   step barrier at all (internal/gossipd; cmd/gossipd

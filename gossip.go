@@ -130,12 +130,12 @@ func RunMemoryRobustness(g *Graph, p MemoryParams, seed uint64, failures int) Ro
 // per-node state machines (NodeMachine) stepped by a MachineDriver over a
 // GossipTransport. The Run* functions above use the synchronous-round
 // transport; NewAsyncTransport runs the same machines one goroutine per
-// node with channel delivery, and cmd/gossipd runs them over loopback
-// TCP. See doc.go, "The transport seam and node state machines".
+// node, and cmd/gossipd runs them over loopback TCP. See doc.go, "The
+// transport seam and node state machines".
 type (
-	// NodeMachine is one node's protocol logic: dial and push on OnStep,
-	// answer pulls in OnOpen (read-only), absorb deliveries in OnReceive,
-	// transition in OnStepEnd.
+	// NodeMachine is one node's protocol logic: dial, push and fix the
+	// step's answer to every caller on OnStep, absorb deliveries in
+	// OnReceive, transition in OnStepEnd.
 	NodeMachine = phone.Machine
 	// GossipTransport executes one logical step of a machine set.
 	GossipTransport = phone.Transport

@@ -66,7 +66,7 @@ func (r *BroadcastResult) TransmissionsPerNode() float64 {
 // step; an informed node pushes the rumor (push modes) and answers
 // incoming channels with it (pull modes). "Informed" uses the snapshot
 // rule informedAt < step, so receipt handling stays order-independent
-// within a step and OnOpen needs no state freeze.
+// within a step.
 type broadcastMachine struct {
 	set        *BroadcastSet
 	id         int32
@@ -136,28 +136,25 @@ func (b *broadcastMachine) informedBefore(step int32) bool {
 	return b.informedAt >= 0 && b.informedAt < step
 }
 
-func (b *broadcastMachine) OnStep(step int32) (int32, any) {
+func (b *broadcastMachine) OnStep(step int32) (int32, any, any) {
 	b.step = step
 	if b.set.nt.Failed[b.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
-	var push any
-	if (b.set.mode == PushOnly || b.set.mode == PushAndPull) && b.informedBefore(step) {
+	if !b.informedBefore(step) {
+		return phone.DialUniform, nil, nil
+	}
+	var push, answer any
+	if b.set.mode == PushOnly || b.set.mode == PushAndPull {
 		push = b.rumor
 	}
-	return phone.DialUniform, push
+	if b.set.mode == PullOnly || b.set.mode == PushAndPull {
+		answer = b.rumor
+	}
+	return phone.DialUniform, push, answer
 }
 
 func (b *broadcastMachine) Net() *phone.Net { return b.set.nt }
-
-func (b *broadcastMachine) OnOpen(from int32) any {
-	if b.set.mode == PullOnly || b.set.mode == PushAndPull {
-		if !b.set.nt.Failed[b.id] && b.informedBefore(b.step) {
-			return b.rumor
-		}
-	}
-	return nil
-}
 
 func (b *broadcastMachine) OnReceive(from int32, payload any) {
 	if b.set.nt.Failed[b.id] {

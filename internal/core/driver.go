@@ -95,21 +95,14 @@ func exchangeMachines(nt *phone.Net, tr roundTracker) []phone.Machine {
 	return ms
 }
 
-func (m *exchangeMachine) OnStep(step int32) (int32, any) {
+func (m *exchangeMachine) OnStep(step int32) (int32, any, any) {
 	if m.nt.Failed[m.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
-	return phone.DialUniform, markerPayload
+	return phone.DialUniform, markerPayload, markerPayload
 }
 
 func (m *exchangeMachine) Net() *phone.Net { return m.nt }
-
-func (m *exchangeMachine) OnOpen(from int32) any {
-	if m.nt.Failed[m.id] {
-		return nil
-	}
-	return markerPayload
-}
 
 func (m *exchangeMachine) OnReceive(from int32, payload any) {
 	if m.nt.Failed[m.id] {

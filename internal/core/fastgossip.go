@@ -61,46 +61,41 @@ type fgMachine struct {
 	gotPush bool // an activation push arrived this step
 }
 
-func (m *fgMachine) OnStep(step int32) (int32, any) {
+func (m *fgMachine) OnStep(step int32) (int32, any, any) {
 	sh := m.sh
 	if sh.nt.Failed[m.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
 	switch sh.mode {
-	case fgDistribute, fgPushPull:
-		return phone.DialUniform, markerPayload
+	case fgDistribute:
+		return phone.DialUniform, markerPayload, nil
+	case fgPushPull:
+		// Only Phase III pulls; the push-shaped phases answer nothing.
+		return phone.DialUniform, markerPayload, markerPayload
 	case fgCoinflip:
 		if !sh.nt.RNG(m.id).Bernoulli(sh.p.WalkProb) {
-			return phone.NoDial, nil
+			return phone.NoDial, nil, nil
 		}
 		tok := m.pool.Get()
 		tok.Payload.CopyFrom(sh.tr.Row(m.id))
 		tok.Moves = 1
-		return phone.DialUniform, tok
+		return phone.DialUniform, tok, nil
 	case fgForward:
 		if m.queue.Empty() {
-			return phone.NoDial, nil
+			return phone.NoDial, nil, nil
 		}
 		tok := m.queue.Pop()
 		tok.Moves++
-		return phone.DialUniform, tok
+		return phone.DialUniform, tok, nil
 	case fgActivate:
 		if m.active {
-			return phone.DialUniform, markerPayload
+			return phone.DialUniform, markerPayload, nil
 		}
 	}
-	return phone.NoDial, nil
+	return phone.NoDial, nil, nil
 }
 
 func (m *fgMachine) Net() *phone.Net { return m.sh.nt }
-
-func (m *fgMachine) OnOpen(from int32) any {
-	// Only Phase III pulls; the push-shaped phases answer nothing.
-	if m.sh.mode == fgPushPull && !m.sh.nt.Failed[m.id] {
-		return markerPayload
-	}
-	return nil
-}
 
 func (m *fgMachine) OnReceive(from int32, payload any) {
 	sh := m.sh

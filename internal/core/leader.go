@@ -61,16 +61,15 @@ type LeaderSet struct {
 }
 
 // leaderMachine holds one node's election state. cur is the smallest ID
-// known at step start (what OnOpen answers and the push stage forwards);
-// next is the running minimum over everything received; the two meet in
-// OnStepEnd. curWire is cur pre-encoded as a 4-byte big-endian payload,
-// boxed once per change so that no push or answer boxes it again — a
-// fresh slice on every change, so a networked transport can hold a
-// reference across steps safely.
+// known at step start (what the pull stage answers and the push stage
+// forwards); next is the running minimum over everything received; the
+// two meet in OnStepEnd. curWire is cur pre-encoded as a 4-byte
+// big-endian payload, boxed once per change so that no push or answer
+// boxes it again — a fresh slice on every change, so a networked
+// transport can hold a reference across steps safely.
 type leaderMachine struct {
 	set       *LeaderSet
 	id        int32
-	step      int32
 	candidate bool
 	active    bool
 	cur, next int32
@@ -166,34 +165,28 @@ func (s *LeaderSet) PushSteps() int { return int(s.pushSteps) }
 // Safe to poll between steps from any goroutine.
 func (s *LeaderSet) Complete() bool { return s.aware.Load() >= s.healthy }
 
-func (m *leaderMachine) OnStep(step int32) (int32, any) {
-	m.step = step
+func (m *leaderMachine) OnStep(step int32) (int32, any, any) {
 	s := m.set
 	if s.nt.Failed[m.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
 	if step <= s.pushSteps {
 		// Push stage: active nodes that already knew an ID at step start
 		// forward their minimum (nodes activated mid-step have cur == noID
-		// until OnStepEnd, so they start pushing next step).
+		// until OnStepEnd, so they start pushing next step); push-stage
+		// channels only carry the caller's push.
 		if !m.active || m.cur == noID {
-			return phone.NoDial, nil
+			return phone.NoDial, nil, nil
 		}
-		return s.nt.OpenAvoid(m.id), m.curWire // NoDial drops the push
+		return s.nt.OpenAvoid(m.id), m.curWire, nil // NoDial drops the push
 	}
-	// Pull stage: every node opens a channel; the channel itself pulls.
-	return s.nt.OpenAvoid(m.id), nil
-}
-
-func (m *leaderMachine) OnOpen(from int32) any {
-	s := m.set
-	if m.step <= s.pushSteps {
-		return nil // push-stage channels only carry the caller's push
+	// Pull stage: every node opens a channel; the channel itself pulls,
+	// and a node that knows an ID answers with it.
+	var answer any
+	if m.cur != noID {
+		answer = m.curWire
 	}
-	if s.nt.Failed[m.id] || m.cur == noID {
-		return nil
-	}
-	return m.curWire // cur is step-start state: only OnStepEnd moves it
+	return s.nt.OpenAvoid(m.id), nil, answer
 }
 
 func (m *leaderMachine) OnReceive(from int32, payload any) {

@@ -94,7 +94,7 @@ type mcPayload struct {
 }
 
 // mcMachine is one median-counter player. State transitions run in
-// OnStepEnd, so OnOpen and OnReceive observe round-start state without
+// OnStepEnd, so the answer and OnReceive observe round-start state without
 // explicit snapshots; the per-round vote tallies live on the machine and
 // reset at the end of its own transition.
 type mcMachine struct {
@@ -118,26 +118,19 @@ type mcMachine struct {
 
 func (m *mcMachine) transmitting() bool { return m.state == mcB || m.state == mcC }
 
-func (m *mcMachine) OnStep(step int32) (int32, any) {
+func (m *mcMachine) OnStep(step int32) (int32, any, any) {
 	m.pl = mcPayload{state: m.state, ctr: m.ctr}
 	if m.sh.nt.Failed[m.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
-	var push any
+	var pl any
 	if m.transmitting() {
-		push = &m.pl
+		pl = &m.pl
 	}
-	return phone.DialUniform, push
+	return phone.DialUniform, pl, pl
 }
 
 func (m *mcMachine) Net() *phone.Net { return m.sh.nt }
-
-func (m *mcMachine) OnOpen(from int32) any {
-	if m.transmitting() && !m.sh.nt.Failed[m.id] {
-		return &m.pl
-	}
-	return nil
-}
 
 func (m *mcMachine) OnReceive(from int32, payload any) {
 	if m.sh.nt.Failed[m.id] {

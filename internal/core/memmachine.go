@@ -44,7 +44,7 @@ type treeSet struct {
 type treeMachine struct {
 	set     *treeSet
 	id      int32
-	step    int32 // current step, stashed in OnStep for OnOpen/OnReceive
+	step    int32 // current step, stashed in OnStep for OnReceive
 	pending []GatherEdge
 }
 
@@ -73,39 +73,25 @@ func (m *treeMachine) active(step int32) bool {
 	return at >= 4*(ls-1)+1 && at <= 4*ls
 }
 
-func (m *treeMachine) OnStep(step int32) (int32, any) {
+func (m *treeMachine) OnStep(step int32) (int32, any, any) {
 	m.step = step
 	s := m.set
 	if s.nt.Failed[m.id] {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, nil
 	}
 	if step <= s.pushExec {
+		// Push-stage channels only carry the caller's push.
 		if !m.active(step) {
-			return phone.NoDial, nil
+			return phone.NoDial, nil, nil
 		}
-		return s.nt.OpenAvoid(m.id), treeToken // the fresh channel carries the token; NoDial drops it
+		return s.nt.OpenAvoid(m.id), treeToken, nil // the fresh channel carries the token; NoDial drops it
 	}
-	// Pull stage: only uninformed nodes dial; the channel itself pulls.
+	// Pull stage: only uninformed nodes dial; the channel itself pulls,
+	// and a node informed before this step answers with the token.
 	if s.tree.InformedAt[m.id] >= 0 {
-		return phone.NoDial, nil
+		return phone.NoDial, nil, treeToken
 	}
-	return s.nt.OpenAvoid(m.id), nil
-}
-
-func (m *treeMachine) OnOpen(from int32) any {
-	s := m.set
-	if m.step <= s.pushExec {
-		return nil // push-stage channels only carry the caller's push
-	}
-	if s.nt.Failed[m.id] {
-		return nil
-	}
-	// Snapshot predicate: answer only if informed strictly before this
-	// step, so informs landing this step never leak into responses.
-	if at := s.tree.InformedAt[m.id]; at >= 0 && at < m.step {
-		return treeToken
-	}
-	return nil
+	return s.nt.OpenAvoid(m.id), nil, nil
 }
 
 func (m *treeMachine) OnReceive(from int32, payload any) {

@@ -148,15 +148,15 @@ func TestPushPullOnRandomRegular(t *testing.T) {
 	}
 }
 
-// Crashed nodes keep their channel closed: the uniform dial's failure
-// check lives in the machine, not in phone.Net.
+// Crashed nodes keep their channel closed and answer nothing: the
+// uniform dial's failure check lives in the machine, not in phone.Net.
 func TestFailedMachinesDoNotDial(t *testing.T) {
 	nt := phone.NewNet(testGraph(64, 5), 2)
 	nt.Failed[3] = true
 	for v, m := range exchangeMachines(nt, nil) {
-		dial, push := m.OnStep(1)
-		if failed := v == 3; failed != (dial == phone.NoDial) || failed != (push == nil) {
-			t.Errorf("node %d (failed=%v) dialed %d with push %v", v, failed, dial, push)
+		dial, push, answer := m.OnStep(1)
+		if failed := v == 3; failed != (dial == phone.NoDial) || failed != (push == nil) || failed != (answer == nil) {
+			t.Errorf("node %d (failed=%v) dialed %d with push %v and answer %v", v, failed, dial, push, answer)
 		}
 	}
 	if a, b := nt.RNG(3).Uint64(), phone.NewNet(nt.G, 2).RNG(3).Uint64(); a != b {

@@ -132,11 +132,13 @@ func (r *ElectionReport) Summary() string {
 
 // node is one cluster member: a machine behind a listener, stepped by its
 // own loop. The mutex serializes machine callbacks between the step loop
-// and the listener's request handlers.
+// and the listener's request handlers, and guards answer: what the
+// machine's latest OnStep answers every incoming channel with.
 type node struct {
 	id      int32
 	m       phone.Machine
 	mu      sync.Mutex
+	answer  any
 	ln      net.Listener
 	steps   atomic.Int32
 	stopped atomic.Bool
@@ -362,8 +364,9 @@ func (c *cluster) stepLoop(nd *node, stepping func()) {
 		}
 		nd.steps.Store(step)
 		nd.mu.Lock()
-		dial, push := nd.m.OnStep(step)
+		dial, push, answer := nd.m.OnStep(step)
 		dial = c.nt.Resolve(nd.id, dial)
+		nd.answer = answer
 		nd.mu.Unlock()
 		stepping()
 		if dial >= 0 {
@@ -411,8 +414,8 @@ func (c *cluster) serveNode(nd *node) {
 	}
 }
 
-// handle serves one incoming channel: deliver the caller's push, answer
-// with this node's pull response.
+// handle serves one incoming channel: deliver the caller's push, then
+// send the answer of the node's latest OnStep.
 func (c *cluster) handle(nd *node, conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(2 * time.Second)) //gossiplint:allow detlint wire deadline against stuck peers, not simulation state
@@ -424,7 +427,7 @@ func (c *cluster) handle(nd *node, conn net.Conn) {
 	if push != nil {
 		nd.m.OnReceive(from, push)
 	}
-	resp := nd.m.OnOpen(from)
+	resp := nd.answer
 	nd.mu.Unlock()
 	respBytes, ok := resp.([]byte)
 	if !ok && resp != nil {
@@ -455,9 +458,12 @@ func (c *cluster) call(addr string, from int32, push any) ([]byte, error) {
 }
 
 // Wire format. Request: u32 caller id, u8 has-push, [u32 len, bytes].
-// Response: u8 has-resp, [u32 len, bytes]. All big-endian; payloads are
+// Response: u8 has-resp, [u32 len, bytes]. All big-endian; a flag is 0
+// or 1, so every frame that decodes has one encoding; payloads are
 // capped defensively (the rumor is application data, not a stream).
 const maxPayload = 1 << 20
+
+var errFlag = errors.New("gossipd: payload flag not 0 or 1")
 
 func writeRequest(w io.Writer, from int32, push []byte) error {
 	var hdr [5]byte
@@ -480,8 +486,12 @@ func readRequest(r io.Reader) (from int32, push []byte, err error) {
 		return 0, nil, err
 	}
 	from = int32(binary.BigEndian.Uint32(hdr[:4]))
-	if hdr[4] == 0 {
+	switch hdr[4] {
+	case 0:
 		return from, nil, nil
+	case 1:
+	default:
+		return 0, nil, errFlag
 	}
 	push, err = readChunk(r)
 	return from, push, err
@@ -506,10 +516,13 @@ func readResponse(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, flag[:]); err != nil {
 		return nil, err
 	}
-	if flag[0] == 0 {
+	switch flag[0] {
+	case 0:
 		return nil, nil
+	case 1:
+		return readChunk(r)
 	}
-	return readChunk(r)
+	return nil, errFlag
 }
 
 func writeChunk(w io.Writer, b []byte) error {

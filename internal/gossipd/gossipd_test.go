@@ -138,8 +138,8 @@ func TestStalledCallerDoesNotLockNode(t *testing.T) {
 	}
 	defer c.shutdown()
 	nd := c.nodes[0]
-	nd.m.OnStep(1)             // the source answers pulls from its first step on
-	conn, caller := net.Pipe() // unbuffered: a write waits for its reader
+	_, _, nd.answer = nd.m.OnStep(1) // the source answers pulls from its first step on
+	conn, caller := net.Pipe()       // unbuffered: a write waits for its reader
 	handled := make(chan struct{})
 	go func() { defer close(handled); c.handle(nd, conn) }()
 	defer func() { caller.Close(); <-handled }()
@@ -216,7 +216,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // foreignSet is a two-node cluster whose payloads have no wire form:
-// node 0 pushes an int to node 1, and answers node 1's calls with one.
+// node 0 pushes an int to node 1, and both answer every call with one.
 type foreignSet struct{}
 
 type foreignMachine struct{ id int32 }
@@ -224,13 +224,12 @@ type foreignMachine struct{ id int32 }
 func (foreignSet) Machine(v int32) phone.Machine { return foreignMachine{id: v} }
 func (foreignSet) Complete() bool                { return false }
 
-func (m foreignMachine) OnStep(int32) (int32, any) {
+func (m foreignMachine) OnStep(int32) (int32, any, any) {
 	if m.id == 0 {
-		return 1, 42
+		return 1, 42, 42
 	}
-	return 0, nil
+	return 0, nil, 42
 }
-func (m foreignMachine) OnOpen(int32) any   { return 42 }
 func (foreignMachine) OnReceive(int32, any) {}
 func (foreignMachine) OnStepEnd(int32)      {}
 
@@ -339,4 +338,60 @@ func TestWireRejectsOversized(t *testing.T) {
 	if _, err := readResponse(&buf); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
+}
+
+// wireSeeds adds TestWireRoundTrip's frames, written by write, and
+// TestWireRejectsOversized's header to f's corpus.
+func wireSeeds(f *testing.F, write func(w *bytes.Buffer, payload []byte) error) {
+	for _, p := range [][]byte{[]byte("push!"), []byte("resp"), nil, {}} {
+		var buf bytes.Buffer
+		if err := write(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	var sz [4]byte
+	binary.BigEndian.PutUint32(sz[:], maxPayload+1)
+	f.Add(append([]byte{1}, sz[:]...))
+	f.Add(append([]byte{0, 0, 0, 7, 1}, sz[:]...))
+}
+
+// FuzzReadRequest: decoding any bytes never panics, and a request that
+// decodes re-encodes through writeRequest to exactly the bytes it read.
+func FuzzReadRequest(f *testing.F) {
+	wireSeeds(f, func(w *bytes.Buffer, p []byte) error { return writeRequest(w, 42, p) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		from, push, err := readRequest(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := writeRequest(&buf, from, push); err != nil {
+			t.Fatal(err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("request %x decoded to (%d, %q), which encodes as %x", read, from, push, buf.Bytes())
+		}
+	})
+}
+
+// FuzzReadResponse: decoding any bytes never panics, and a response that
+// decodes re-encodes through writeResponse to exactly the bytes it read.
+func FuzzReadResponse(f *testing.F) {
+	wireSeeds(f, func(w *bytes.Buffer, p []byte) error { return writeResponse(w, p) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		resp, err := readResponse(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := writeResponse(&buf, resp); err != nil {
+			t.Fatal(err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("response %x decoded to %q, which encodes as %x", read, resp, buf.Bytes())
+		}
+	})
 }

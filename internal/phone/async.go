@@ -3,36 +3,31 @@ package phone
 import "sync/atomic"
 
 // Async is an asynchronous in-process transport: one persistent goroutine
-// per node, with payloads delivered through per-node channels, so delivery
-// order within a receiver is scheduling-dependent. A step has two phases:
-// every node dials (drawing a DialUniform itself); then each calls out,
-// serves exactly its incoming channels, collects its own response and
+// per node, so delivery order within a receiver is scheduling-dependent.
+// A step has two phases. In the dial phase every node steps (drawing a
+// DialUniform itself) and pushes itself onto its callee's caller list, a
+// lock-free stack in CAS order. In the exchange phase each node walks its
+// own list, receiving every caller's push, reads its callee's answer and
 // runs its OnStepEnd without waiting for the others. The coordinator
 // releases a phase by closing one gate; the last worker done counts an
-// atomic down to zero and wakes it. Inboxes are reused, growing only past
-// their largest in-degree yet. With commutative receipt handling (all of
-// internal/core's machines) delivered state equals Sync's; walk-forwarding
-// machines may route walks otherwise with the same completion semantics.
-// A machine runs on its own goroutine.
+// atomic down to zero and wakes it. With commutative receipt handling
+// (all of internal/core's machines) delivered state equals Sync's;
+// walk-forwarding machines may route walks otherwise with the same
+// completion semantics. A machine runs on its own goroutine.
 type Async struct {
 	ms      []Machine
-	nt      *Net // the machines' Net, which DialUniform draws on
-	round   *Round
-	push    []any
-	inbox   []chan envelope // reused; capacity >= the step's in-degree
-	reply   []chan any      // capacity 1: the pull response to node v's call
-	respGot []bool          // set by worker v when its call pulled a response
+	nt      *Net           // the machines' Net, which DialUniform draws on
+	out     []int32        // by caller: its callee or NoDial
+	push    []any          // by caller
+	answer  []any          // by callee
+	head    []atomic.Int32 // by callee: its last caller to arrive, or -1
+	next    []int32        // by caller: the caller that arrived before it, or -1
 	step    int32
 	phase   asyncPhase    // with gate, written only while no worker reads them
 	gate    chan struct{} // closed to release the workers into phase
 	pending atomic.Int32  // workers still in the released phase
 	done    chan struct{} // capacity 1: sent by the last of them
 	closed  bool
-}
-
-type envelope struct {
-	from    int32
-	payload any
 }
 
 type asyncPhase uint8
@@ -48,18 +43,18 @@ const (
 func NewAsync(ms []Machine) *Async {
 	n := len(ms)
 	a := &Async{
-		ms:      ms,
-		nt:      netOf(ms),
-		round:   NewRound(n),
-		push:    make([]any, n),
-		inbox:   make([]chan envelope, n),
-		reply:   make([]chan any, n),
-		respGot: make([]bool, n),
-		gate:    make(chan struct{}),
-		done:    make(chan struct{}, 1),
+		ms:     ms,
+		nt:     netOf(ms),
+		out:    make([]int32, n),
+		push:   make([]any, n),
+		answer: make([]any, n),
+		head:   make([]atomic.Int32, n),
+		next:   make([]int32, n),
+		gate:   make(chan struct{}),
+		done:   make(chan struct{}, 1),
 	}
 	for v := 0; v < n; v++ {
-		a.reply[v] = make(chan any, 1)
+		a.head[v].Store(-1)
 		go a.worker(int32(v), a.gate)
 	}
 	return a
@@ -76,30 +71,29 @@ func (a *Async) worker(v int32, gate chan struct{}) {
 		gate = a.gate
 		switch ph {
 		case phaseDial:
-			dial, push := m.OnStep(a.step)
-			a.round.Out[v] = a.nt.Resolve(v, dial)
-			a.push[v] = push
-		case phaseExchange:
-			// Call out (a nil push still requests a response); inboxes
-			// hold the step's in-degree, so sends never block.
-			u := a.round.Out[v]
+			dial, push, answer := m.OnStep(a.step)
+			u := a.nt.Resolve(v, dial)
+			a.out[v], a.push[v], a.answer[v] = u, push, answer
 			if u >= 0 {
-				a.inbox[u] <- envelope{from: v, payload: a.push[v]}
-			}
-			// Serve exactly the incoming channels of this step.
-			for i := a.round.InDegree(v); i > 0; i-- {
-				e := <-a.inbox[v]
-				if e.payload != nil {
-					m.OnReceive(e.from, e.payload)
+				for h := a.head[u].Load(); ; h = a.head[u].Load() {
+					a.next[v] = h
+					if a.head[u].CompareAndSwap(h, v) {
+						break
+					}
 				}
-				a.reply[e.from] <- m.OnOpen(e.from)
 			}
-			// Collect the response to the node's own call; after it no
-			// callback of v runs this step, so v's transition is due.
-			a.respGot[v] = false
-			if u >= 0 {
-				if r := <-a.reply[v]; r != nil {
-					a.respGot[v] = true
+		case phaseExchange:
+			// Only v reads its list in this phase; the next dial phase,
+			// which pushes onto it again, starts after every worker is done.
+			for c := a.head[v].Swap(-1); c >= 0; c = a.next[c] {
+				if p := a.push[c]; p != nil {
+					m.OnReceive(c, p)
+				}
+			}
+			// After the callee's answer no callback of v runs this step,
+			// so v's transition is due.
+			if u := a.out[v]; u >= 0 {
+				if r := a.answer[u]; r != nil {
 					m.OnReceive(u, r)
 				}
 			}
@@ -132,26 +126,19 @@ func (a *Async) Step(step int32) StepTally {
 		panic("phone: Step on a closed Async")
 	}
 	a.step = step
-	a.round.Reset()
 	a.release(phaseDial)
-	a.round.BuildIncoming()
-	for v, in := range a.inbox {
-		if d := a.round.InDegree(int32(v)); d > cap(in) {
-			a.inbox[v] = make(chan envelope, d)
-		}
-	}
 	a.release(phaseExchange)
 
 	var t StepTally
-	for v, u := range a.round.Out {
+	for v, u := range a.out {
 		if u >= 0 {
 			t.Opened++
 			if a.push[v] != nil {
 				t.Pushes++
 			}
-		}
-		if a.respGot[v] {
-			t.Responses++
+			if a.answer[u] != nil {
+				t.Responses++
+			}
 		}
 	}
 	return t

@@ -16,22 +16,21 @@ type uniformMachine struct {
 	nt *Net
 }
 
-func (m uniformMachine) OnStep(step int32) (int32, any) {
+func (m uniformMachine) OnStep(step int32) (int32, any, any) {
 	switch (m.id + step) % 7 {
 	case 3:
-		return NoDial, nil
+		return NoDial, nil, nil
 	case 5:
-		return (m.id + 1) % int32(m.nt.G.N()), nil
+		return (m.id + 1) % int32(m.nt.G.N()), nil, nil
 	}
-	return DialUniform, nil
+	return DialUniform, nil, nil
 }
 
-func (uniformMachine) OnOpen(int32) any     { return nil }
 func (uniformMachine) OnReceive(int32, any) {}
 func (uniformMachine) OnStepEnd(int32)      {}
 func (m uniformMachine) Net() *Net          { return m.nt }
 func (m uniformMachine) want(step int32) int32 { // the dial, drawn as the machines once drew it
-	dial, _ := m.OnStep(step)
+	dial, _, _ := m.OnStep(step)
 	if dial == DialUniform {
 		return m.nt.G.RandomNeighbor(m.id, m.nt.RNG(m.id))
 	}
@@ -97,8 +96,8 @@ func TestDialUniformMatchesRandomNeighbor(t *testing.T) {
 			async.Step(step)
 			for v := int32(0); int(v) < n; v++ {
 				want := uniformMachine{id: v, nt: ref}.want(step)
-				dial, _ := uniformMachine{id: v, nt: resolved}.OnStep(step)
-				got := [...]int32{chunked.round.Out[v], stepped.round.Out[v], async.round.Out[v], resolved.Resolve(v, dial)}
+				dial, _, _ := uniformMachine{id: v, nt: resolved}.OnStep(step)
+				got := [...]int32{chunked.round.Out[v], stepped.round.Out[v], async.out[v], resolved.Resolve(v, dial)}
 				for i, name := range [...]string{"Sync chunked", "Sync.Step", "Async", "Resolve"} {
 					if got[i] != want {
 						t.Fatalf("%s, step %d, node %d: %s dialed %d, RandomNeighbor %d", tc.name, step, v, name, got[i], want)

@@ -7,11 +7,13 @@
 // algorithm is a set of per-node protocol state machines (Machine)
 // executed by a pluggable Transport — Sync, the canonical in-memory
 // implementation whose delivery order defines the reference results, and
-// Async, a goroutine-per-node transport with channel-based delivery that
+// Async, a goroutine-per-node transport whose scheduling-ordered delivery
 // proves the protocol code is transport-independent, stepping in two
 // phases released by closing one gate. internal/gossipd drives the same
-// machines over loopback TCP. Sync draws DialUniform in two passes over a
-// chunk of nodes, every draw and then every load; Async and gossipd per node.
+// machines over loopback TCP. A node fixes its answer to every caller in
+// OnStep, so no transport calls into a callee to serve a channel. Sync
+// draws DialUniform in two passes over a chunk of nodes, every draw and
+// then every load; Async and gossipd per node.
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link
@@ -106,14 +108,6 @@ func (r *Round) Incoming(v int32) []int32 {
 		panic("phone: Incoming before BuildIncoming")
 	}
 	return r.inFlat[r.inOff[v]:r.inOff[v+1]]
-}
-
-// InDegree returns the number of incoming channels at v this step.
-func (r *Round) InDegree(v int32) int {
-	if !r.built {
-		panic("phone: InDegree before BuildIncoming")
-	}
-	return int(r.inOff[v+1] - r.inOff[v])
 }
 
 // Net bundles the graph with per-node RNG streams and the per-node link

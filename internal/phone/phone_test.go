@@ -28,8 +28,8 @@ func TestRoundIncomingIndex(t *testing.T) {
 	if len(r.Incoming(0)) != 0 {
 		t.Error("Incoming(0) should be empty")
 	}
-	if r.InDegree(4) != 1 {
-		t.Errorf("InDegree(4) = %d", r.InDegree(4))
+	if len(r.Incoming(4)) != 1 {
+		t.Errorf("len(Incoming(4)) = %d", len(r.Incoming(4)))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestNetDeterministicAcrossInstances(t *testing.T) {
 			if ra.Out[v] != rb.Out[v] {
 				t.Fatalf("step %d node %d: dials differ", step, v)
 			}
-			if ra.InDegree(v) != rb.InDegree(v) {
+			if len(ra.Incoming(v)) != len(rb.Incoming(v)) {
 				t.Fatalf("step %d node %d: incoming indexes differ", step, v)
 			}
 		}

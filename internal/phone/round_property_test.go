@@ -38,7 +38,7 @@ func TestQuickIncomingPartitionsDialers(t *testing.T) {
 	}
 }
 
-// TestQuickInDegreeSumsToDials: Σ InDegree == number of open channels.
+// TestQuickInDegreeSumsToDials: Σ len(Incoming) == number of open channels.
 func TestQuickInDegreeSumsToDials(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -54,7 +54,7 @@ func TestQuickInDegreeSumsToDials(t *testing.T) {
 		r.BuildIncoming()
 		sum := 0
 		for u := int32(0); int(u) < n; u++ {
-			sum += r.InDegree(u)
+			sum += len(r.Incoming(u))
 		}
 		return sum == dials
 	}
@@ -69,16 +69,16 @@ func TestRoundReuseAcrossSteps(t *testing.T) {
 	r.Out[1] = 2
 	r.Out[3] = 2
 	r.BuildIncoming()
-	if r.InDegree(2) != 2 {
+	if len(r.Incoming(2)) != 2 {
 		t.Fatal("setup wrong")
 	}
 	r.Reset()
 	r.Out[4] = 5
 	r.BuildIncoming()
-	if r.InDegree(2) != 0 {
+	if len(r.Incoming(2)) != 0 {
 		t.Error("stale incoming survived Reset")
 	}
-	if r.InDegree(5) != 1 || r.Incoming(5)[0] != 4 {
+	if len(r.Incoming(5)) != 1 || r.Incoming(5)[0] != 4 {
 		t.Error("rebuild wrong")
 	}
 }

@@ -6,29 +6,31 @@ import "gossip/internal/par"
 // model. A Transport executes the same logical step for every machine:
 //
 //  1. OnStep: the node decides which neighbor to dial (NoDial keeps its
-//     channel closed) and which payload, if any, to push through the
-//     channel it opens. All per-step randomness is drawn from the node's
-//     private stream, here or, for DialUniform (which a machine with a
-//     Net() *Net method may return), by the transport right after OnStep,
-//     so the dial phase parallelizes without changing results.
+//     channel closed), which payload, if any, to push through the channel
+//     it opens, and its answer: the payload it sends back through every
+//     channel opened to it this step (the pull direction; nil sends
+//     nothing). All per-step randomness is drawn from the node's private
+//     stream, here or, for DialUniform (which a machine with a Net() *Net
+//     method may return), by the transport right after OnStep, so the
+//     dial phase parallelizes without changing results.
 //  2. OnReceive (push direction): the node receives every payload pushed
 //     through an incoming channel, callers in increasing id order.
-//  3. OnOpen: for every incoming channel, the node may answer with a
-//     response payload (the pull direction); nil sends nothing. OnOpen
-//     must be read-only — transports may invoke it concurrently with
-//     other nodes' OnOpen and must see round-start state, so protocols
-//     defer state changes to OnStepEnd or use snapshot predicates.
-//  4. OnReceive (pull direction): the caller receives the response.
-//  5. OnStepEnd: the transition once the node's own exchange is done (in
+//  3. OnReceive (pull direction): the caller receives its callee's answer.
+//  4. OnStepEnd: the transition once the node's own exchange is done (in
 //     Sync after every exchange; in Async and gossipd while others may
 //     still exchange), so it writes only node-owned state, node-partitioned
 //     state (msg tracker rows) and atomics, never a payload it sent.
 //
+// As in the random phone call model, the answer is a step-start value
+// that does not depend on the caller: no transport calls into a callee's
+// machine to answer a channel, and a payload returned from OnStep must
+// stay as it is until the node's next OnStep.
+//
 // A node may dial itself: a configuration-model graph keeps its loops,
 // each an edge like any other in the uniform dial. Such a call costs what
-// any call costs, one opened channel with its push and response metered
-// like any other, and the node plays both ends: it receives its own push,
-// answers itself in OnOpen and receives the response.
+// any call costs, one opened channel with its push and answer metered
+// like any other, and the node plays both ends: it receives its own push
+// and its own answer.
 //
 // A machine is only ever mutated through its own callbacks; machines
 // communicate exclusively via payloads and explicitly-shared state that
@@ -36,16 +38,14 @@ import "gossip/internal/par"
 // receiver-partitioned trackers of internal/msg).
 type Machine interface {
 	// OnStep opens the node's channel for this step: the callee id, NoDial
-	// or DialUniform, and the payload pushed through the channel (nil
-	// pushes nothing; the channel still opens and may pull a response; a
-	// push with NoDial is dropped). Its randomness is drawn here, and
-	// DialUniform's right after it.
-	OnStep(step int32) (dial int32, push any)
-	// OnOpen answers an incoming channel from the given caller with a
-	// response payload, or nil. It must not mutate machine state.
-	OnOpen(from int32) any
-	// OnReceive delivers a payload: a push from a caller, or a response
-	// from the node's own callee.
+	// or DialUniform, the payload pushed through the channel (nil pushes
+	// nothing; the channel still opens and may pull an answer; a push with
+	// NoDial is dropped), and the answer to every channel opened to the
+	// node this step (nil answers nothing). Its randomness is drawn here,
+	// and DialUniform's right after it.
+	OnStep(step int32) (dial int32, push, answer any)
+	// OnReceive delivers a payload: a push from a caller, or the answer
+	// of the node's own callee.
 	OnReceive(from int32, payload any)
 	// OnStepEnd runs the node's end-of-step transition, once its own
 	// exchange of the step is done.
@@ -72,22 +72,22 @@ type Transport interface {
 }
 
 // Sync is the canonical in-memory transport: a synchronous shared-memory
-// round built on Round's dial table. Its delivery order is the fixed
-// order the pre-seam simulator loops used — pushes delivered to receivers
-// in increasing receiver id with callers in increasing caller id, then
-// responses computed and delivered in increasing caller id — so any
-// protocol whose per-node randomness comes from Net's private streams
-// produces bit-identical results to those loops.
+// round built on Round's dial table. Each node receives the pushes of its
+// callers in increasing caller id, then its callee's answer, and every
+// node's OnStepEnd runs once all of that is delivered — the order the
+// pre-seam simulator loops used per node — so any protocol whose per-node
+// randomness comes from Net's private streams produces bit-identical
+// results to those loops.
 type Sync struct {
 	ms    []Machine
 	nt    *Net // the machines' Net, which DialUniform draws on
 	round *Round
-	push  []any
-	resp  []any
+	push  []any // by caller
+	resp  []any // by callee: the answer to every channel opened to it
 	step  int32
 	// The phases' par.For bodies, bound once so Step allocates nothing: a
 	// closure built per call would escape to par's pool, one per phase.
-	dialFn, pushFn, openFn, replyFn, endFn func(lo, hi int)
+	dialFn, deliverFn, endFn func(lo, hi int)
 }
 
 // NewSync returns a synchronous in-memory transport over the machines.
@@ -100,16 +100,15 @@ func NewSync(ms []Machine) *Sync {
 		push:  make([]any, n),
 		resp:  make([]any, n),
 	}
-	s.dialFn, s.pushFn, s.openFn, s.replyFn, s.endFn = s.dial, s.deliverPushes, s.open, s.deliverReplies, s.end
+	s.dialFn, s.deliverFn, s.endFn = s.dial, s.deliver, s.end
 	return s
 }
 
 // N returns the number of nodes.
 func (s *Sync) N() int { return len(s.ms) }
 
-// Step runs one synchronous step: parallel dial, push delivery split by
-// receiver, read-only response computation, response delivery split by
-// caller, then end-of-step transitions. The phases are separated so no
+// Step runs one synchronous step: parallel dial, delivery split by
+// receiver, then end-of-step transitions. The phases are separated so no
 // machine is ever read and written concurrently.
 func (s *Sync) Step(step int32) StepTally {
 	n := len(s.ms)
@@ -119,6 +118,7 @@ func (s *Sync) Step(step int32) StepTally {
 	s.round.BuildIncoming()
 
 	var t StepTally
+	in := s.round.inOff
 	for v, u := range s.round.Out {
 		if u >= 0 {
 			t.Opened++
@@ -126,18 +126,11 @@ func (s *Sync) Step(step int32) StepTally {
 				t.Pushes++
 			}
 		}
-	}
-	par.For(n, s.pushFn)
-	// Pull direction: compute every response first (OnOpen is read-only,
-	// so concurrent calls into one callee are safe), then deliver split
-	// by caller.
-	par.For(n, s.openFn)
-	for _, r := range s.resp {
-		if r != nil {
-			t.Responses++
+		if s.resp[v] != nil { // answered on each of v's incoming channels
+			t.Responses += int64(in[v+1] - in[v])
 		}
 	}
-	par.For(n, s.replyFn)
+	par.For(n, s.deliverFn)
 	par.For(n, s.endFn)
 	return t
 }
@@ -150,7 +143,7 @@ func (s *Sync) Step(step int32) StepTally {
 func (s *Sync) dial(lo, hi int) {
 	out, idx := s.round.Out, s.round.cursor
 	for v := lo; v < hi; v++ {
-		dial, push := s.ms[v].OnStep(s.step)
+		dial, push, answer := s.ms[v].OnStep(s.step)
 		if dial == DialUniform {
 			if s.nt == nil {
 				panic(noNet)
@@ -163,6 +156,7 @@ func (s *Sync) dial(lo, hi int) {
 		}
 		out[v] = dial
 		s.push[v] = push
+		s.resp[v] = answer
 	}
 	for v := lo; v < hi; v++ {
 		if out[v] == DialUniform {
@@ -171,33 +165,20 @@ func (s *Sync) dial(lo, hi int) {
 	}
 }
 
-// deliverPushes delivers the pushes to the receivers [lo, hi).
-func (s *Sync) deliverPushes(lo, hi int) {
+// deliver delivers to the nodes [lo, hi) the pushes of their callers,
+// then their callees' answers.
+func (s *Sync) deliver(lo, hi int) {
 	for v := lo; v < hi; v++ {
+		m := s.ms[v]
 		for _, u := range s.round.Incoming(int32(v)) {
 			if p := s.push[u]; p != nil {
-				s.ms[v].OnReceive(u, p)
+				m.OnReceive(u, p)
 			}
 		}
-	}
-}
-
-// open computes the responses to the calls of the callers [lo, hi); resp
-// is all nil until then, as deliverReplies leaves it.
-func (s *Sync) open(lo, hi int) {
-	for v := lo; v < hi; v++ {
 		if u := s.round.Out[v]; u >= 0 {
-			s.resp[v] = s.ms[u].OnOpen(int32(v))
-		}
-	}
-}
-
-// deliverReplies delivers the responses to the callers [lo, hi).
-func (s *Sync) deliverReplies(lo, hi int) {
-	for v := lo; v < hi; v++ {
-		if r := s.resp[v]; r != nil {
-			s.ms[v].OnReceive(s.round.Out[v], r)
-			s.resp[v] = nil
+			if r := s.resp[u]; r != nil {
+				m.OnReceive(u, r)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package phone
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -34,9 +35,9 @@ type scriptMachine struct {
 	id   int32
 	n    int32
 	dial func(id, step int32) int32
-	// push and open payloads; nil funcs send nothing.
-	push func(id, step int32) any
-	open func(id, from int32) any
+	// push and answer payloads; nil funcs send nothing.
+	push   func(id, step int32) any
+	answer func(id, step int32) any
 
 	recvFrom []int32
 	recvSum  int64
@@ -44,21 +45,17 @@ type scriptMachine struct {
 	ends     []int32
 }
 
-func (m *scriptMachine) OnStep(step int32) (int32, any) {
+func (m *scriptMachine) OnStep(step int32) (int32, any, any) {
 	m.steps = append(m.steps, step)
 	d := m.dial(m.id, step)
-	var p any
+	var p, a any
 	if m.push != nil {
 		p = m.push(m.id, step)
 	}
-	return d, p
-}
-
-func (m *scriptMachine) OnOpen(from int32) any {
-	if m.open == nil {
-		return nil
+	if m.answer != nil {
+		a = m.answer(m.id, step)
 	}
-	return m.open(m.id, from)
+	return d, p, a
 }
 
 func (m *scriptMachine) OnReceive(from int32, payload any) {
@@ -68,11 +65,11 @@ func (m *scriptMachine) OnReceive(from int32, payload any) {
 
 func (m *scriptMachine) OnStepEnd(step int32) { m.ends = append(m.ends, step) }
 
-func scriptMachines(n int, dial func(id, step int32) int32, push func(id, step int32) any, open func(id, from int32) any) ([]Machine, []*scriptMachine) {
+func scriptMachines(n int, dial func(id, step int32) int32, push, answer func(id, step int32) any) ([]Machine, []*scriptMachine) {
 	ms := make([]Machine, n)
 	sms := make([]*scriptMachine, n)
 	for v := 0; v < n; v++ {
-		sms[v] = &scriptMachine{id: int32(v), n: int32(n), dial: dial, push: push, open: open}
+		sms[v] = &scriptMachine{id: int32(v), n: int32(n), dial: dial, push: push, answer: answer}
 		ms[v] = sms[v]
 	}
 	return ms, sms
@@ -85,8 +82,8 @@ func TestSyncStepPhases(t *testing.T) {
 	const n = 8
 	dial := func(id, step int32) int32 { return (id + 1) % n }
 	push := func(id, step int32) any { return int(1) }
-	open := func(id, from int32) any { return int(100) }
-	ms, sms := scriptMachines(n, dial, push, open)
+	answer := func(id, step int32) any { return int(100) }
+	ms, sms := scriptMachines(n, dial, push, answer)
 	tr := NewSync(ms)
 	defer tr.Close()
 
@@ -146,8 +143,8 @@ func TestSyncNoDialNoPayload(t *testing.T) {
 		}
 		return NoDial
 	}
-	open := func(id, from int32) any { return int(7) }
-	ms, sms := scriptMachines(n, dial, nil, open)
+	answer := func(id, step int32) any { return int(7) }
+	ms, sms := scriptMachines(n, dial, nil, answer)
 	tr := NewSync(ms)
 	defer tr.Close()
 
@@ -171,10 +168,10 @@ func TestAsyncMatchesSyncScripted(t *testing.T) {
 	const steps = 5
 	dial := func(id, step int32) int32 { return (id*7 + step*3) % n }
 	push := func(id, step int32) any { return int(id + 1000*step) }
-	open := func(id, from int32) any { return int(-(id + 1)) }
+	answer := func(id, step int32) any { return int(-(id + 1)) }
 
 	run := func(mk func([]Machine) Transport) ([]StepTally, []*scriptMachine) {
-		ms, sms := scriptMachines(n, dial, push, open)
+		ms, sms := scriptMachines(n, dial, push, answer)
 		tr := mk(ms)
 		defer tr.Close()
 		var tallies []StepTally
@@ -262,15 +259,18 @@ func TestTransportsOverNet(t *testing.T) {
 	}
 }
 
-// funcMachine adapts a bare OnStep closure to the Machine interface.
+// funcMachine adapts a bare dial-and-push closure to the Machine
+// interface; it answers nothing.
 type funcMachine struct {
 	onStep func(step int32) (int32, any)
 }
 
-func (m *funcMachine) OnStep(step int32) (int32, any) { return m.onStep(step) }
-func (m *funcMachine) OnOpen(from int32) any          { return nil }
-func (m *funcMachine) OnReceive(from int32, p any)    {}
-func (m *funcMachine) OnStepEnd(step int32)           {}
+func (m *funcMachine) OnStep(step int32) (int32, any, any) {
+	d, p := m.onStep(step)
+	return d, p, nil
+}
+func (m *funcMachine) OnReceive(from int32, p any) {}
+func (m *funcMachine) OnStepEnd(step int32)        {}
 
 // TestAsyncZeroMachines checks a transport over no nodes steps without
 // waiting for workers that do not exist.
@@ -333,37 +333,31 @@ type orderMachine struct {
 	id, n  int32
 	dial   func(id, step int32) int32
 	dialed []atomic.Int32 // shared: dialed[s] counts returned OnStep(s) calls
-	cur    int32
 	log    []orderEvent
 	early  int // receipts seen before every node had dialed their step
 }
 
 type orderEvent struct {
-	kind byte // 's' OnStep, 'r' OnReceive, 'o' OnOpen, 'e' OnStepEnd
+	kind byte // 's' OnStep, 'r' OnReceive, 'e' OnStepEnd
 	step int32
 }
 
-func (m *orderMachine) OnStep(step int32) (int32, any) {
-	m.cur = step
+// orderPushes and orderAnswers script which nodes send in a step.
+func orderPushes(id, step int32) bool  { return (id+step)%3 != 0 }
+func orderAnswers(id, step int32) bool { return (id+step)%4 != 0 }
+
+func (m *orderMachine) OnStep(step int32) (int32, any, any) {
 	m.log = append(m.log, orderEvent{'s', step})
-	var push any
-	if (m.id+step)%3 != 0 {
+	var push, answer any
+	if orderPushes(m.id, step) {
 		push = int(step)
+	}
+	if orderAnswers(m.id, step) {
+		answer = int(step)
 	}
 	d := m.dial(m.id, step)
 	m.dialed[step].Add(1)
-	return d, push
-}
-
-func (m *orderMachine) OnOpen(from int32) any {
-	m.log = append(m.log, orderEvent{'o', m.cur})
-	if m.dialed[m.cur].Load() != m.n {
-		m.early++
-	}
-	if (m.id+from)%4 == 0 {
-		return nil
-	}
-	return int(m.cur)
+	return d, push, answer
 }
 
 func (m *orderMachine) OnReceive(from int32, payload any) {
@@ -378,9 +372,9 @@ func (m *orderMachine) OnStepEnd(step int32) { m.log = append(m.log, orderEvent{
 
 // TestAsyncOrderingContract pins the per-node order Async keeps while a
 // node's OnStepEnd runs as soon as its own exchange is done: every
-// OnReceive and OnOpen of step s precedes the node's OnStepEnd(s), which
-// precedes its OnStep(s+1), and no payload of step s is received before
-// every node's OnStep(s) has returned.
+// OnReceive of step s precedes the node's OnStepEnd(s), which precedes
+// its OnStep(s+1), and no payload of step s is received before every
+// node's OnStep(s) has returned.
 func TestAsyncOrderingContract(t *testing.T) {
 	const n, steps = 64, 6
 	// Nodes 16… crowd onto few of the nodes below 16 (squares mod 16), and
@@ -405,10 +399,10 @@ func TestAsyncOrderingContract(t *testing.T) {
 				continue
 			}
 			opens[s][u]++
-			if (v+s)%3 != 0 {
+			if orderPushes(v, s) {
 				recvs[s][u]++
 			}
-			if (u+v)%4 != 0 {
+			if orderAnswers(u, s) {
 				recvs[s][v]++
 			}
 		}
@@ -444,13 +438,11 @@ func TestAsyncOrderingContract(t *testing.T) {
 					t.Fatalf("node %d: want OnStep(%d) at event %d, log %v", v, s, i, m.log)
 				}
 				i++
-				o, r := 0, 0
+				r := 0
 				for ; i < len(m.log) && m.log[i].kind != 'e'; i++ {
 					switch e := m.log[i]; {
 					case e.step != s:
 						t.Fatalf("node %d: step-%d event %c inside step %d, log %v", v, e.step, e.kind, s, m.log)
-					case e.kind == 'o':
-						o++
 					case e.kind == 'r':
 						r++
 					default:
@@ -461,9 +453,8 @@ func TestAsyncOrderingContract(t *testing.T) {
 					t.Fatalf("node %d: want OnStepEnd(%d) at event %d, log %v", v, s, i, m.log)
 				}
 				i++
-				if o != opens[s][v] || r != recvs[s][v] {
-					t.Fatalf("node %d step %d: %d opens and %d receipts before OnStepEnd, want %d and %d",
-						v, s, o, r, opens[s][v], recvs[s][v])
+				if r != recvs[s][v] {
+					t.Fatalf("node %d step %d: %d receipts before OnStepEnd, want %d", v, s, r, recvs[s][v])
 				}
 			}
 			if i != len(m.log) {
@@ -475,51 +466,196 @@ func TestAsyncOrderingContract(t *testing.T) {
 
 // quietMachine dials on a fixed script and sends only nil or zero-size
 // payloads, so a step through it allocates only what the transport does.
-type quietMachine struct{ id, n int32 }
+// At step crowd every node dials node 0.
+type quietMachine struct{ id, n, crowd int32 }
 
-func (m quietMachine) OnStep(step int32) (int32, any) {
-	switch (m.id + step) % 4 {
-	case 0:
-		return NoDial, nil
-	case 1:
-		return (m.id + 1) % m.n, nil
-	default:
-		return (m.id*3 + step) % m.n, struct{}{}
+func (m quietMachine) dial(step int32) int32 {
+	switch {
+	case step == m.crowd:
+		return 0
+	case (m.id+step)%4 == 0:
+		return NoDial
+	case (m.id+step)%4 == 1:
+		return (m.id + 1) % m.n
 	}
+	return (m.id*3 + step) % m.n
 }
 
-func (m quietMachine) OnOpen(from int32) any {
-	if from%2 == 0 {
-		return struct{}{}
+func (m quietMachine) OnStep(step int32) (int32, any, any) {
+	var push, answer any
+	if (m.id+step)%4 > 1 {
+		push = struct{}{}
 	}
-	return nil
+	if (m.id+step)%2 == 0 {
+		answer = struct{}{}
+	}
+	return m.dial(step), push, answer
 }
 
 func (quietMachine) OnReceive(int32, any) {}
 func (quietMachine) OnStepEnd(int32)      {}
 
-// TestAsyncStepAllocs pins the inbox reuse and the allocation-free
-// barrier: a steady-state step allocates a small constant, the same at
-// every n.
+// TestAsyncStepAllocs pins the allocation-free exchange: a step
+// allocates only its two gate channels, at every n, from the second step
+// on (testing.AllocsPerRun's warm-up call is the first, whose workers
+// park on a channel for the first time), and also at a step whose
+// largest in-degree exceeds every earlier one.
 func TestAsyncStepAllocs(t *testing.T) {
-	const maxAllocs = 4
+	const steps, maxAllocs = 60, 2
+	const crowd = steps + 2 // the measured run of the second AllocsPerRun
 	for _, n := range []int{64, 1024} {
 		ms := make([]Machine, n)
 		for v := range ms {
-			ms[v] = quietMachine{id: int32(v), n: int32(n)}
+			ms[v] = quietMachine{id: int32(v), n: int32(n), crowd: crowd}
+		}
+		maxIn := 0
+		for s := int32(0); s < crowd; s++ {
+			in := make([]int, n)
+			for _, m := range ms {
+				if u := m.(quietMachine).dial(s); u >= 0 {
+					in[u]++
+				}
+			}
+			maxIn = max(maxIn, slices.Max(in))
+		}
+		if maxIn >= n {
+			t.Fatalf("n = %d: an in-degree of %d before step %d, want the crowd's %d to exceed it", n, maxIn, crowd, n)
 		}
 		tr := NewAsync(ms)
 		step := int32(0)
-		for ; step < 8; step++ { // every inbox reaches its largest in-degree
-			tr.Step(step)
-		}
-		allocs := testing.AllocsPerRun(60, func() {
+		next := func() {
 			tr.Step(step)
 			step++
-		})
+		}
+		allocs := testing.AllocsPerRun(steps, next)
+		crowded := testing.AllocsPerRun(1, next)
 		tr.Close()
-		if allocs > maxAllocs {
-			t.Errorf("n = %d: Async.Step allocated %v times per step, want at most %d", n, allocs, maxAllocs)
+		if step != crowd+1 {
+			t.Fatalf("n = %d: ran %d steps, want the last to be step %d", n, step, crowd)
+		}
+		if allocs > maxAllocs || crowded > maxAllocs {
+			t.Errorf("n = %d: Async.Step allocated %v times per step and %v at the crowded step, want at most %d",
+				n, allocs, crowded, maxAllocs)
+		}
+	}
+}
+
+// stepStartMachine answers (id, step) and pushes (id, step) in another
+// type. Its OnReceive clobbers the step an answer is made from, so an
+// answer computed after any receipt would carry the wrong step.
+type stepStartMachine struct {
+	id, n int32
+	step  int32
+	log   []stepReceipt
+}
+
+type (
+	pushOf   [2]int32 // the pusher's id and step
+	answerOf [2]int32 // the answering callee's id and step
+)
+
+type stepReceipt struct {
+	from    int32
+	payload any
+}
+
+// stepStartDial has nodes ≡ 0 mod 5 dial themselves, keeps a few
+// channels closed and crowds the rest onto a third of the nodes.
+func stepStartDial(id, step, n int32) int32 {
+	switch {
+	case id%5 == 0:
+		return id
+	case (id+step)%7 == 0:
+		return NoDial
+	}
+	return (id*7 + step*3) % (n / 3)
+}
+
+// stepStartAnswers: nodes with (id + step) ≡ 0 mod 3 answer nothing.
+func stepStartAnswers(id, step int32) bool { return (id+step)%3 != 0 }
+
+func (m *stepStartMachine) OnStep(step int32) (int32, any, any) {
+	m.step = step
+	var answer any
+	if stepStartAnswers(m.id, step) {
+		answer = answerOf{m.id, m.step}
+	}
+	return stepStartDial(m.id, step, m.n), pushOf{m.id, step}, answer
+}
+
+func (m *stepStartMachine) OnReceive(from int32, payload any) {
+	m.log = append(m.log, stepReceipt{from, payload})
+	m.step = -1
+}
+
+func (m *stepStartMachine) OnStepEnd(step int32) {}
+
+// TestAnswerIsStepStart: on Sync and on Async, every caller of step s
+// receives exactly its callee's step-s answer (nothing when the callee
+// answers nil), a node that dials itself receives its own push and its
+// own answer, and the tally counts one response per answered caller.
+func TestAnswerIsStepStart(t *testing.T) {
+	const n, steps = 60, 5
+	for name, mk := range map[string]func([]Machine) Transport{
+		"Sync":  func(ms []Machine) Transport { return NewSync(ms) },
+		"Async": func(ms []Machine) Transport { return NewAsync(ms) },
+	} {
+		ms := make([]Machine, n)
+		sms := make([]*stepStartMachine, n)
+		for v := range ms {
+			sms[v] = &stepStartMachine{id: int32(v), n: n}
+			ms[v] = sms[v]
+		}
+		tr := mk(ms)
+		selfAnswered := 0
+		for s := int32(1); s <= steps; s++ {
+			for _, m := range sms {
+				m.log = m.log[:0]
+			}
+			tl := tr.Step(s)
+			var responses int64
+			pushes, in := make([]int, n), make([]int, n)
+			for v := int32(0); v < n; v++ {
+				u := stepStartDial(v, s, n)
+				if u >= 0 {
+					in[u]++
+				}
+				var answers []stepReceipt
+				for _, r := range sms[v].log {
+					switch p := r.payload.(type) {
+					case pushOf:
+						if p != (pushOf{r.from, s}) {
+							t.Fatalf("%s step %d: node %d received push %v from %d", name, s, v, p, r.from)
+						}
+						pushes[v]++
+					case answerOf:
+						answers = append(answers, r)
+					}
+				}
+				switch {
+				case u < 0 || !stepStartAnswers(u, s):
+					if len(answers) != 0 {
+						t.Fatalf("%s step %d: node %d (callee %d) received answers %v, want none", name, s, v, u, answers)
+					}
+				case len(answers) != 1 || answers[0].from != u || answers[0].payload != (answerOf{u, s}):
+					t.Fatalf("%s step %d: node %d received answers %v, want only %v from %d", name, s, v, answers, answerOf{u, s}, u)
+				default:
+					responses++
+					if u == v {
+						selfAnswered++
+					}
+				}
+			}
+			if !slices.Equal(pushes, in) {
+				t.Fatalf("%s step %d: pushes received per node %v, want the in-degrees %v", name, s, pushes, in)
+			}
+			if tl.Responses != responses {
+				t.Fatalf("%s step %d: tally counts %d responses, want %d", name, s, tl.Responses, responses)
+			}
+		}
+		tr.Close()
+		if selfAnswered == 0 {
+			t.Fatalf("%s: no node answered its own call", name)
 		}
 	}
 }
