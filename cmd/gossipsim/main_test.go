@@ -386,7 +386,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.jsonl")
-	recs, err := runStreaming(grid, 2, path)
+	recs, err := runSweep(grid, 2, path, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestRunStreamingThroughJSONSink(t *testing.T) {
 	}
 
 	// Sink open errors surface immediately; nothing runs.
-	if _, err := runStreaming(grid, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl")); err == nil {
+	if _, err := runSweep(grid, 2, filepath.Join(t.TempDir(), "no", "such", "dir.jsonl"), "", false); err == nil {
 		t.Error("unwritable sink path accepted")
 	}
 }
@@ -436,7 +436,7 @@ func TestJSONSinkReportsCloseError(t *testing.T) {
 		f, err := saved(path)
 		return failClose{f}, err
 	}
-	if _, err := runStreaming(grid, 2, filepath.Join(t.TempDir(), "out.jsonl")); !errors.Is(err, errClose) {
-		t.Errorf("runStreaming with a failing Close returned %v, want the close error", err)
+	if _, err := runSweep(grid, 2, filepath.Join(t.TempDir(), "out.jsonl"), "", false); !errors.Is(err, errClose) {
+		t.Errorf("runSweep with a failing Close returned %v, want the close error", err)
 	}
 }

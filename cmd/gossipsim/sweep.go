@@ -1,6 +1,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,46 +58,17 @@ func sweepMain(args []string) {
 	}
 
 	grid, err := parseGrid(gf)
+	if err == nil && *resume && *out == "" {
+		err = errors.New("gossipsim sweep: -resume requires -out")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *resume && *out == "" {
-		fmt.Fprintln(os.Stderr, "gossipsim sweep: -resume requires -out")
-		os.Exit(2)
-	}
-
-	var records []runner.CellRecord
-	if *out != "" {
-		// -json alongside -out tees the checkpoint stream: each cell
-		// goes to the JSON sink in cell order as it completes (a
-		// resumed run replays its loaded prefix first), same as the
-		// standalone -json path.
-		sink, closeSink, err := openJSONSink(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		run, recs, err := corpus.ExecuteRun(*out, grid, *workers, *resume, sink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := closeSink(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		records = recs
-		fmt.Fprintf(os.Stderr, "run %s: %d cells in %s\n", run.Manifest.ID, len(recs), *out)
-	} else {
-		// With -json, stream each cell as it completes instead of
-		// buffering the whole sweep: long sweeps become observable line
-		// by line.
-		records, err = runStreaming(grid, *workers, *jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	records, err := runSweep(grid, *workers, *jsonOut, *out, *resume)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	title := fmt.Sprintf("sweep: %d cells × %d reps, seed %d", len(records), gf.reps, gf.seed)
@@ -112,33 +85,39 @@ func sweepMain(args []string) {
 	}
 }
 
-// runStreaming executes the grid, streaming each cell as a JSON line to
-// path ("-" for stdout, "" for no stream), and returns the serialized
-// results. The sink is openJSONSink's, the same plumbing the
-// checkpointed path uses, so write, flush and close errors surface
-// exactly once through the close function instead of being dropped on
-// the error path.
-func runStreaming(grid runner.Grid, workers int, path string) ([]runner.CellRecord, error) {
+// runSweep executes the grid, checkpointed to the run directory out when
+// it is set (resuming its completed prefix with resume), and returns the
+// records. Each cell goes to the JSON stream at path ("-" for stdout, ""
+// for none) in cell order as it completes, a resumed run's loaded prefix
+// first, so long sweeps are observable line by line. Write, flush and
+// close errors of the stream surface once, through openJSONSink's close
+// function.
+func runSweep(grid runner.Grid, workers int, path, out string, resume bool) ([]runner.CellRecord, error) {
 	sink, closeSink, err := openJSONSink(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &runner.Runner{Workers: workers}
-	if sink != nil {
-		r.OnCell = runner.NewOrderedCells(0, func(rec runner.CellRecord) error {
-			sink(rec)
-			return nil
-		}).Add
+	var records []runner.CellRecord
+	if out != "" {
+		run, recs, err := corpus.ExecuteRun(out, grid, workers, resume, sink)
+		if err != nil {
+			return nil, errors.Join(err, closeSink())
+		}
+		records = recs
+		fmt.Fprintf(os.Stderr, "run %s: %d cells in %s\n", run.Manifest.ID, len(recs), out)
+	} else {
+		r := &runner.Runner{Workers: workers}
+		if sink != nil {
+			r.OnCell = runner.NewOrderedCells(0, func(rec runner.CellRecord) error {
+				sink(rec)
+				return nil
+			}).Add
+		}
+		for _, res := range r.RunGrid(grid) {
+			records = append(records, res.Record())
+		}
 	}
-	results := r.RunGrid(grid)
-	if err := closeSink(); err != nil {
-		return nil, err
-	}
-	records := make([]runner.CellRecord, len(results))
-	for i, res := range results {
-		records[i] = res.Record()
-	}
-	return records, nil
+	return records, closeSink()
 }
 
 // createSink creates the -json file. It is a variable so a test can make
@@ -181,31 +160,15 @@ func openJSONSink(path string) (func(runner.CellRecord), func() error, error) {
 // parseGrid assembles and validates a sweep grid from the flag values.
 func parseGrid(gf gridFlags) (runner.Grid, error) {
 	ns, err := parseSizes(gf.sizes)
-	if err != nil {
-		return runner.Grid{}, err
+	ds, dErr := parseList(gf.densities, "float", parseFloat)
+	if dErr == nil && len(ds) == 0 {
+		dErr = fmt.Errorf("empty float list %q", gf.densities)
 	}
-	ds, err := parseFloats(gf.densities)
-	if err != nil {
-		return runner.Grid{}, err
-	}
-	var fs []runner.FailureSpec
-	for _, part := range splitList(gf.failures) {
-		f, err := runner.ParseFailureSpec(part)
-		if err != nil {
-			return runner.Grid{}, err
-		}
-		fs = append(fs, f)
-	}
-	trees, err := parseInts(gf.trees)
-	if err != nil {
-		return runner.Grid{}, err
-	}
-	memslots, err := parseInts(gf.memslots)
-	if err != nil {
-		return runner.Grid{}, err
-	}
-	walkprobs, err := parseFloatList(gf.walkprobs)
-	if err != nil {
+	fs, fErr := parseList(gf.failures, "failure count", runner.ParseFailureSpec)
+	trees, tErr := parseList(gf.trees, "int", strconv.Atoi)
+	memslots, mErr := parseList(gf.memslots, "int", strconv.Atoi)
+	walkprobs, wErr := parseList(gf.walkprobs, "float", parseFloat)
+	if err := cmp.Or(err, dErr, fErr, tErr, mErr, wErr); err != nil {
 		return runner.Grid{}, err
 	}
 	grid := runner.Grid{
@@ -268,39 +231,18 @@ func parseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseFloats parses a comma-separated float list; empty input errors.
-func parseFloats(s string) ([]float64, error) {
-	out, err := parseFloatList(s)
-	if err == nil && len(out) == 0 {
-		return nil, fmt.Errorf("empty float list %q", s)
-	}
-	return out, err
-}
-
-// parseFloatList parses a comma-separated float list; empty input is an
-// empty (defaulted) axis.
-func parseFloatList(s string) ([]float64, error) {
-	var out []float64
+// parseList parses a comma-separated list of what with parse; empty input
+// is an empty (defaulted) axis.
+func parseList[T any](s, what string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
+		v, err := parse(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad float %q in %q", part, s)
+			return nil, fmt.Errorf("bad %s %q in %q", what, part, s)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-// parseInts parses a comma-separated int list; empty input is an empty
-// (defaulted) axis.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad int %q in %q", part, s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

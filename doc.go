@@ -52,8 +52,9 @@
 // A sweep is one process: parallel over -workers, crash-safe with -out
 // and -resume (a killed run continues from its completed prefix), and
 // byte-identical for any worker count. A cell releases its graph
-// (internal/graph's Graph.Release) once its algorithm returns, so the next
-// build writes its CSR there and a worker holds one graph at a time.
+// (internal/graph's Graph.Release) once its algorithm returns, and an
+// exact pushpull or fast cell its tracker (msg.Full.Release), so the next
+// cell builds in their storage and a worker holds one of each at a time.
 //
 // # The sweep corpus
 //

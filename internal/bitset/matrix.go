@@ -12,18 +12,27 @@ type Matrix struct {
 	width int
 }
 
-// NewMatrix allocates a rows×width all-zero bit matrix.
-func NewMatrix(rows, width int) *Matrix {
+// NewMatrix returns a rows×width all-zero bit matrix. It clears and uses
+// storage (an earlier matrix's Storage) where its capacity suffices, and
+// allocates otherwise; nil storage means allocate.
+func NewMatrix(rows, width int, storage []uint64) *Matrix {
 	if rows < 0 || width < 0 {
 		panic("bitset: negative matrix dimension")
 	}
 	wpr := wordsFor(width)
-	return &Matrix{
-		words: make([]uint64, rows*wpr),
-		wpr:   wpr,
-		width: width,
+	var words []uint64
+	if cap(storage) < rows*wpr {
+		words = make([]uint64, rows*wpr)
+	} else {
+		words = storage[:rows*wpr]
+		clear(words)
 	}
+	return &Matrix{words: words, wpr: wpr, width: width}
 }
+
+// Storage returns m's words, capacity whole, for a later NewMatrix. m
+// must not be used once they are handed on.
+func (m *Matrix) Storage() []uint64 { return m.words }
 
 // Row returns a Set view of row i. Mutating the view mutates the matrix.
 func (m *Matrix) Row(i int) *Set {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMatrixRowViews(t *testing.T) {
-	m := NewMatrix(4, 100)
+	m := NewMatrix(4, 100, nil)
 	m.Row(2).Add(17)
 	if !m.Row(2).Contains(17) {
 		t.Error("row view lost a bit")
@@ -21,7 +21,7 @@ func TestMatrixRowViews(t *testing.T) {
 }
 
 func TestMatrixUnionRow(t *testing.T) {
-	m := NewMatrix(3, 128)
+	m := NewMatrix(3, 128, nil)
 	m.Row(0).Add(1)
 	m.Row(0).Add(64)
 	m.Row(1).Add(64)
@@ -39,8 +39,8 @@ func TestMatrixUnionRow(t *testing.T) {
 }
 
 func TestMatrixUnionRowAcrossMatrices(t *testing.T) {
-	a := NewMatrix(2, 90)
-	b := NewMatrix(2, 90)
+	a := NewMatrix(2, 90, nil)
+	b := NewMatrix(2, 90, nil)
 	a.Row(0).Add(3)
 	b.Row(1).Add(89)
 	if added := b.UnionRow(1, a, 0); added != 1 {
@@ -52,11 +52,11 @@ func TestMatrixUnionRowAcrossMatrices(t *testing.T) {
 }
 
 func TestMatrixCopyRows(t *testing.T) {
-	a := NewMatrix(4, 100)
+	a := NewMatrix(4, 100, nil)
 	for i := 0; i < 4; i++ {
 		a.Row(i).Add(i)
 	}
-	b := NewMatrix(4, 100)
+	b := NewMatrix(4, 100, nil)
 	b.CopyRowsFrom(a, 1, 3)
 	if b.Row(0).Count() != 0 || b.Row(3).Count() != 0 {
 		t.Error("CopyRowsFrom copied rows outside range")
@@ -81,7 +81,7 @@ func TestQuickMatrixUnionRowMatchesSetUnion(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		width := 1 + r.Intn(200)
-		m := NewMatrix(2, width)
+		m := NewMatrix(2, width, nil)
 		for j := 0; j < width; j++ {
 			if r.Intn(3) == 0 {
 				m.Row(0).Add(j)
@@ -108,7 +108,7 @@ func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		width := 1 + r.Intn(200)
-		a, b := NewMatrix(8, width), NewMatrix(8, width)
+		a, b := NewMatrix(8, width, nil), NewMatrix(8, width, nil)
 		for i := 0; i < 8; i++ {
 			for j := 0; j < width; j++ {
 				if r.Intn(4) == 0 {
@@ -119,7 +119,7 @@ func TestQuickMatrixSetRowUnionMatchesCopyThenUnion(t *testing.T) {
 		}
 		for k := 1; k <= 6; k++ {
 			dst, base := r.Intn(8), a.Row(r.Intn(8))
-			want := NewMatrix(1, width)
+			want := NewMatrix(1, width, nil)
 			want.Row(0).CopyFrom(base)
 			if k%2 == 0 { // the destination row is the base
 				b.Row(dst).CopyFrom(base)

@@ -11,9 +11,11 @@ import (
 // §3): Phase I pushes every message for a short distribution stage,
 // Phase II collects and re-spreads messages with message-carrying random
 // walks over several rounds, and Phase III finishes with push–pull until
-// every node knows every message.
+// every node knows every message. The tracker is released for the next
+// one (msg.Full.Release); use FastGossipOver to inspect it.
 func FastGossip(g *graph.Graph, p FastGossipParams, seed uint64) *Result {
-	res, _ := FastGossipOver(phone.NewNet(g, seed), p, SyncTransport)
+	res, tr := FastGossipOver(phone.NewNet(g, seed), p, SyncTransport)
+	tr.Release()
 	return res
 }
 

@@ -12,10 +12,11 @@ import (
 // open channels, until every node knows every message.
 //
 // maxSteps caps the run (0 means 64·log n, far beyond completion on the
-// connected graphs of the study). The returned tracker state is discarded;
-// use PushPullOver to inspect it.
+// connected graphs of the study). The tracker is released for the next
+// one (msg.Full.Release); use PushPullOver to inspect it.
 func PushPull(g *graph.Graph, seed uint64, maxSteps int) *Result {
-	res, _ := PushPullOver(phone.NewNet(g, seed), maxSteps, SyncTransport)
+	res, tr := PushPullOver(phone.NewNet(g, seed), maxSteps, SyncTransport)
+	tr.Release()
 	return res
 }
 

@@ -13,6 +13,8 @@
 package msg
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"gossip/internal/bitset"
@@ -25,7 +27,11 @@ const (
 
 // Full is the exact message tracker. Memory is 2·n²/8 bytes plus ≈ 26 per
 // row; the experiment harness documents the resulting practical bound on n
-// (exp.Figure1).
+// (exp.Figure1). The two n²/8-byte matrices outlive the tracker: Release
+// puts their storage on a spare list of at most GOMAXPROCS pairs (one per
+// concurrently running cell), and NewFull takes the last pair released,
+// clearing it, when it holds n×n bits, and drops it otherwise. The
+// per-row slices are allocated afresh. A released tracker panics on use.
 //
 // Row v lives in mat[live[v]]; its slot in the other matrix is scratch.
 // Transfer(src, dst) reads no row: it appends src to dst's pending slots,
@@ -56,11 +62,24 @@ type Full struct {
 	inRound bool
 }
 
+// spares holds the matrix storage of released trackers, the last released last.
+var spares struct {
+	sync.Mutex
+	pairs [][2][]uint64
+}
+
 // NewFull returns a tracker where node v knows exactly its own message v.
 func NewFull(n int) *Full {
+	var s [2][]uint64
+	spares.Lock()
+	if k := len(spares.pairs) - 1; k >= 0 {
+		s, spares.pairs[k] = spares.pairs[k], s // the slot must not keep a pair NewMatrix drops
+		spares.pairs = spares.pairs[:k]
+	}
+	spares.Unlock()
 	f := &Full{
 		n:     n,
-		mat:   [2]*bitset.Matrix{bitset.NewMatrix(n, n), bitset.NewMatrix(n, n)},
+		mat:   [2]*bitset.Matrix{bitset.NewMatrix(n, n, s[0]), bitset.NewMatrix(n, n, s[1])},
 		live:  make([]uint8, n),
 		have:  make([]int32, n),
 		now:   make([]int32, n),
@@ -75,11 +94,24 @@ func NewFull(n int) *Full {
 	return f
 }
 
+// Release puts f's matrix storage on the spare list for a later NewFull,
+// or drops it when the list is full, and poisons f: every method panics.
+// Call it once, when nothing reads f or a row of it any more.
+func (f *Full) Release() {
+	s := [2][]uint64{f.mat[0].Storage(), f.mat[1].Storage()}
+	*f = Full{}
+	spares.Lock()
+	defer spares.Unlock()
+	if len(spares.pairs) < runtime.GOMAXPROCS(0) {
+		spares.pairs = append(spares.pairs, s)
+	}
+}
+
 // BeginRound opens a round: subsequent Transfer calls read round-start sets
 // and write the next state. Rounds must not nest.
 func (f *Full) BeginRound() {
-	if f.inRound {
-		panic("msg: BeginRound while a round is open")
+	if f.inRound || f.live == nil {
+		panic("msg: BeginRound while a round is open, or after Release")
 	}
 	f.inRound = true
 }
@@ -179,4 +211,9 @@ func (f *Full) Meet(tok *bitset.Set, v int32) int {
 func (f *Full) Row(v int32) *bitset.Set { return f.mat[f.live[v]].Row(int(v)) }
 
 // Complete reports whether every node knows every message.
-func (f *Full) Complete() bool { return f.total.Load() == int64(f.n)*int64(f.n) }
+func (f *Full) Complete() bool {
+	if f.live == nil {
+		panic("msg: Complete after Release")
+	}
+	return f.total.Load() == int64(f.n)*int64(f.n)
+}

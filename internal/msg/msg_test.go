@@ -215,7 +215,7 @@ type refFull struct {
 }
 
 func newRefFull(n int) *refFull {
-	f := &refFull{n: n, cur: bitset.NewMatrix(n, n), next: bitset.NewMatrix(n, n), total: int64(n)}
+	f := &refFull{n: n, cur: bitset.NewMatrix(n, n, nil), next: bitset.NewMatrix(n, n, nil), total: int64(n)}
 	for v := 0; v < n; v++ {
 		f.cur.Row(v).Add(v)
 	}

@@ -39,8 +39,8 @@ func NewSampled(n, k int, seed uint64) *Sampled {
 	s := &Sampled{
 		n:     n,
 		ids:   ids,
-		cur:   bitset.NewMatrix(n, k),
-		next:  bitset.NewMatrix(n, k),
+		cur:   bitset.NewMatrix(n, k, nil),
+		next:  bitset.NewMatrix(n, k, nil),
 		total: int64(k),
 	}
 	for c, id := range ids {

@@ -99,14 +99,18 @@ func (f FailureSpec) Resolve(n int) int {
 	return f.Count
 }
 
+// String prints a percentage with 15 significant digits, which drops the
+// float noise of Frac·100 (0.23% is not 0.22999999999999998%).
 func (f FailureSpec) String() string {
 	if f.Frac > 0 {
-		return fmt.Sprintf("%g%%", f.Frac*100)
+		return strconv.FormatFloat(f.Frac*100, 'g', 15, 64) + "%"
 	}
 	return strconv.Itoa(f.Count)
 }
 
-// ParseFailureSpec parses "5000" (absolute) or "2.5%" (fraction of n).
+// ParseFailureSpec parses "5000" (absolute) or "2.5%" (fraction of n). A
+// percentage is rounded to the 15 significant digits String prints, so a
+// spec and its String's parse resolve alike at every n.
 func ParseFailureSpec(s string) (FailureSpec, error) {
 	s = strings.TrimSpace(s)
 	if frac, ok := strings.CutSuffix(s, "%"); ok {
@@ -114,6 +118,7 @@ func ParseFailureSpec(s string) (FailureSpec, error) {
 		if err != nil || !(v >= 0 && v <= 100) { // negated: NaN fails it too
 			return FailureSpec{}, fmt.Errorf("runner: bad failure percentage %q", s)
 		}
+		v, _ = strconv.ParseFloat(strconv.FormatFloat(v, 'g', 15, 64), 64)
 		return FailureSpec{Frac: v / 100}, nil
 	}
 	v, err := strconv.Atoi(s)

@@ -1,6 +1,9 @@
 package runner
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // TestScenariosPreallocation: the capacity hint accounts for every
 // axis (trees/memslots/walkprob included) and their per-algorithm
@@ -26,6 +29,49 @@ func TestScenariosPreallocation(t *testing.T) {
 			t.Errorf("grid %+v: len %d != cap %d", g, len(s), cap(s))
 		}
 	}
+}
+
+// TestFailureSpecStringHasNoFloatNoise: every percentage 0.01 %–100 % in
+// steps of 0.01 prints as it was written (0.23% once printed as
+// 0.22999999999999998%, and so did 1 006 others).
+func TestFailureSpecStringHasNoFloatNoise(t *testing.T) {
+	for i := 1; i <= 10000; i++ {
+		in := strconv.FormatFloat(float64(i)/100, 'f', -1, 64) + "%"
+		f, err := ParseFailureSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.String() != in {
+			t.Fatalf("ParseFailureSpec(%q).String() = %q", in, f.String())
+		}
+	}
+}
+
+// FuzzParseFailureSpec: parsing never panics, and an accepted spec's
+// String parses back to a spec with the same String that resolves alike
+// at every n the property checks.
+func FuzzParseFailureSpec(f *testing.F) {
+	for _, s := range []string{"0", "5000", "0%", "0.23%", "2.5%", "100%", " 7% ", "1e-5%", "-1", "101%", "NaN%", "%", "0x1p-3%"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFailureSpec(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseFailureSpec(spec.String())
+		if err != nil {
+			t.Fatalf("%q printed as %q, which does not parse: %v", s, spec.String(), err)
+		}
+		if back.String() != spec.String() {
+			t.Fatalf("%q printed as %q, which prints as %q", s, spec.String(), back.String())
+		}
+		for _, n := range []int{1, 7, 300, 1 << 16} {
+			if back.Resolve(n) != spec.Resolve(n) {
+				t.Fatalf("%q resolves to %d at n=%d, its String %q to %d", s, spec.Resolve(n), n, spec.String(), back.Resolve(n))
+			}
+		}
+	})
 }
 
 // TestFailureSpecResolveRounding: Frac·n rounds to nearest — awkward

@@ -367,6 +367,32 @@ func TestExecuteReleaseMatchesFreshGraphs(t *testing.T) {
 	}
 }
 
+// TestExecuteReleasedTrackersMatchOneWorker runs exact pushpull and fast
+// cells of mixed sizes on two workers, each cell releasing its tracker for
+// whichever cell comes next, and requires the records of a one-worker
+// run. It is small enough for CI's race run, which checks the spare list
+// under concurrent NewFull and Release.
+func TestExecuteReleasedTrackersMatchOneWorker(t *testing.T) {
+	g := Grid{
+		Algos:     []string{"pushpull", "fast"},
+		Models:    []string{"er"},
+		Sizes:     []int{256, 128, 512},
+		Densities: []float64{1, 2},
+		Reps:      2,
+		Seed:      5,
+	}
+	var got, want strings.Builder
+	if err := WriteJSONL(&got, (&Runner{Workers: 2}).RunGrid(g)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&want, (&Runner{Workers: 1}).RunGrid(g)); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("records on two workers differ from one worker's:\n%s\nwant\n%s", got.String(), want.String())
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	g := Grid{Algos: []string{"pushpull"}, Sizes: []int{128}, Reps: 2, Seed: 1}
 	results := (&Runner{}).RunGrid(g)
