@@ -211,20 +211,20 @@
 //
 // Three transports execute the same machines:
 //
-//	phone.Sync         the simulator's canonical executor, under every
-//	                   Run* entry point: synchronous rounds, parallel
-//	                   phases split by receiving node, results
-//	                   bit-identical to the historic substrate loops
-//	                   at any GOMAXPROCS.
-//	NewAsyncTransport  one goroutine per node, two phases a logical
-//	                   step (dial onto the callee's lock-free caller
-//	                   list; then exchange and OnStepEnd), delivery in
-//	                   scheduling order — the concurrency shape of a
-//	                   real deployment with logical steps.
-//	cmd/gossipd serve  the same machines behind per-node loopback TCP
-//	                   listeners with a static peer table and no global
-//	                   step barrier at all (internal/gossipd; cmd/gossipd
-//	                   elect runs the leader election the same way).
+//	phone.Sync          the simulator's canonical executor, under every
+//	                    Run* entry point: synchronous rounds, parallel
+//	                    phases split by receiving node, results
+//	                    bit-identical to the historic substrate loops
+//	                    at any GOMAXPROCS.
+//	NewSeededTransport  phone.Sync on a seeded schedule: nodes, and each
+//	                    node's callers, deliver in orders drawn from
+//	                    (seed, step), and a node's OnStepEnd runs while
+//	                    others still receive — orders a deployment
+//	                    without a step barrier may take, replayable.
+//	cmd/gossipd serve   the one truly concurrent transport: per-node
+//	                    loopback TCP listeners, a static peer table and no
+//	                    step barrier at all (internal/gossipd; cmd/gossipd
+//	                    elect runs the leader election the same way).
 //
 // All seven algorithms run on the seam: the push–pull baseline, the
 // sampled estimator, single-rumor broadcast (NewBroadcastMachines), the
@@ -253,7 +253,7 @@
 // (idempotent informs, minimum folds) and the results are identical
 // under every transport; the conformance suite in internal/core pins
 // exact equality for each such protocol. Fast-gossiping's walk routing
-// is order-sensitive, so under the async transport only its completion
+// is order-sensitive, so on a seeded schedule only its completion
 // semantics are preserved.
 //
 // All entry points take explicit seeds and produce bit-identical results

@@ -1,6 +1,6 @@
-// Asyncbroadcast: eight in-process nodes, each its own goroutine behind
-// the asynchronous transport, push–pull broadcast a real payload until
-// everyone holds it — the transport seam in 50 lines.
+// Asyncbroadcast: eight in-process nodes push–pull broadcast a real
+// payload until everyone holds it, in delivery orders drawn from a
+// schedule seed that replays the run — the transport seam in 50 lines.
 //
 //	go run ./examples/asyncbroadcast
 package main
@@ -20,10 +20,10 @@ func main() {
 	g := gossip.NewComplete(n)
 	set := gossip.NewBroadcastMachines(g, 0, gossip.PushAndPull, payload, seed)
 
-	// The async transport runs one goroutine per node; Step delivers one
-	// logical step's pushes and pulls through per-node channels.
-	t := gossip.NewAsyncTransport(set.Machines())
-	defer t.Close()
+	// The schedule seed draws each step's node and caller orders.
+	const schedule = 3
+	t := gossip.NewSeededTransport(set.Machines(), schedule)
+	fmt.Printf("schedule seed %d\n", schedule)
 
 	d := &gossip.MachineDriver{
 		T:    t,

@@ -129,9 +129,9 @@ func RunMemoryRobustness(g *Graph, p MemoryParams, seed uint64, failures int) Ro
 // The transport seam (internal/phone, internal/core): algorithms are
 // per-node state machines (NodeMachine) stepped by a MachineDriver over a
 // GossipTransport. The Run* functions above use the synchronous-round
-// transport; NewAsyncTransport runs the same machines one goroutine per
-// node, and cmd/gossipd runs them over loopback TCP. See doc.go, "The
-// transport seam and node state machines".
+// transport; NewSeededTransport runs the same machines on a seeded
+// schedule of it, and cmd/gossipd runs them over loopback TCP. See doc.go,
+// "The transport seam and node state machines".
 type (
 	// NodeMachine is one node's protocol logic: dial, push and fix the
 	// step's answer to every caller on OnStep, absorb deliveries in
@@ -150,9 +150,11 @@ type (
 	BroadcastMachines = core.BroadcastSet
 )
 
-// NewAsyncTransport builds the goroutine-per-node transport over ms
-// (Close it when done — it owns goroutines).
-func NewAsyncTransport(ms []NodeMachine) GossipTransport { return phone.NewAsync(ms) }
+// NewSeededTransport builds the synchronous-round transport over ms on
+// a seeded schedule (see doc.go); the same seed replays the same run.
+func NewSeededTransport(ms []NodeMachine, seed uint64) GossipTransport {
+	return phone.NewSeeded(ms, seed)
+}
 
 // NewBroadcastMachines builds the machine set disseminating payload from
 // src on g under the given transmission rule. A nil payload broadcasts a

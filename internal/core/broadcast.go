@@ -77,7 +77,7 @@ type broadcastMachine struct {
 
 // BroadcastSet is a single-message broadcast as a set of per-node
 // machines sharing one atomic informed count — the machine form of
-// Broadcast, exposed so external drivers (the async transport example,
+// Broadcast, exposed so external drivers (the seeded transport example,
 // internal/gossipd's loopback TCP nodes) can run the protocol with a
 // real payload. Each machine is only mutated through its own callbacks;
 // the shared count is atomic, so any Transport phasing is race-free.
@@ -186,7 +186,6 @@ func BroadcastOver(g *graph.Graph, src int32, mode BroadcastMode, seed uint64, m
 	}
 	set := NewBroadcastSet(phone.NewNet(g, seed), src, mode, nil)
 	t := tf(set.Machines())
-	defer t.Close()
 	res := &BroadcastResult{Mode: mode, N: n}
 
 	d := &Driver{

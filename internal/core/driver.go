@@ -5,15 +5,17 @@ import "gossip/internal/phone"
 // TransportFactory builds the Transport a machine-driven run executes on.
 // The *Over variants of the algorithms take one, so the same protocol
 // code runs on the synchronous in-memory transport (bit-identical to the
-// pre-seam loops), the asynchronous goroutine-per-node transport, or any
+// pre-seam loops), a seeded schedule of it (phone.NewSeeded), or any
 // future networked transport.
 type TransportFactory func(ms []phone.Machine) phone.Transport
 
 // SyncTransport is the canonical in-memory transport (phone.Sync).
 func SyncTransport(ms []phone.Machine) phone.Transport { return phone.NewSync(ms) }
 
-// AsyncTransport is the goroutine-per-node channel transport (phone.Async).
-func AsyncTransport(ms []phone.Machine) phone.Transport { return phone.NewAsync(ms) }
+// AsyncTransport is phone.Sync's seeded schedule at a fixed seed. It kept
+// the name of the goroutine-per-node transport it replaced only because
+// the benchmark's transports workload calls it.
+func AsyncTransport(ms []phone.Machine) phone.Transport { return phone.NewSeeded(ms, 1) }
 
 // Driver runs machine steps over a Transport until a protocol-level stop
 // condition or a step cap. Steps are numbered from 1; Done is evaluated
@@ -78,8 +80,8 @@ var markerPayload any = marker{}
 // step and every open channel carries a bidirectional exchange, recorded in
 // a shared round tracker (partitioned by receiver, so any Transport phasing
 // that delivers to one node from one goroutine at a time is race-free). A
-// node settles its own row at step end: in Sync's OnStepEnd par.For, or on
-// its Async goroutine once its own exchange is done.
+// node settles its own row at step end: in Sync's OnStepEnd par.For, or,
+// on a seeded schedule, once its own exchange is done.
 type exchangeMachine struct {
 	id int32
 	nt *phone.Net

@@ -133,9 +133,9 @@ func (m *fgMachine) OnStepEnd(step int32) { m.sh.tr.Settle(m.id) }
 // the historic substrate loops: walk tokens pushed in a step are merged
 // into their hosts within that step (receivers in increasing id, senders
 // in increasing id within a receiver), which is exactly when the old
-// loop's start-of-next-step delivery pass observed them. Under Async the
-// walks may interleave differently but the completion semantics are
-// unchanged.
+// loop's start-of-next-step delivery pass observed them. On a seeded
+// schedule the walks may interleave differently but the completion
+// semantics are unchanged.
 func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Result, *msg.Full) {
 	n := nt.G.N()
 	tr := msg.NewFull(n)
@@ -147,7 +147,6 @@ func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Re
 		ms[v] = fms[v]
 	}
 	t := tf(ms)
-	defer t.Close()
 	res := &Result{Algorithm: "fast-gossiping", N: n, Leader: -1}
 
 	step := int32(0)

@@ -246,7 +246,6 @@ func (s *LeaderSet) Resolve() *LeaderResult {
 func electLeaderOver(nt *phone.Net, p LeaderParams, tf TransportFactory) *LeaderResult {
 	set := NewLeaderSet(nt, p)
 	t := tf(set.ms)
-	defer t.Close()
 
 	var m phone.Meter
 	d := &Driver{

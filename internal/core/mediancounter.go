@@ -222,7 +222,6 @@ func MedianCounterOver(g *graph.Graph, src int32, p MedianCounterParams, seed ui
 	sh.transmitting.Store(1)
 
 	t := tf(ms)
-	defer t.Close()
 	res := &MedianCounterResult{N: n}
 
 	d := &Driver{

@@ -88,7 +88,6 @@ func buildTree(nt *phone.Net, root int32, p MemoryParams, final bool, tf Transpo
 	pushExec := pushSteps / 4 * 4
 	set := newTreeSet(nt, tree, pushExec, !final)
 	t := tf(set.ms)
-	defer t.Close()
 
 	var m phone.Meter
 	healthy := n - nt.FailCount()

@@ -44,7 +44,6 @@ func pushPull(nt *phone.Net, maxSteps int, tf TransportFactory, tr roundTracker)
 		maxSteps = 64 * ceil(Logn(n))
 	}
 	t := tf(exchangeMachines(nt, tr))
-	defer t.Close()
 	res := &Result{Algorithm: "push-pull", N: n, Leader: -1}
 	var m phone.Meter
 

@@ -294,6 +294,15 @@ func Open(dir string) (*Store, error) {
 // store.
 func (s *Store) Path(id string) string { return filepath.Join(s.Dir, id) }
 
+// ErrBadID marks a run ID GridID cannot have produced.
+var ErrBadID = errors.New("not a run ID (16 lowercase hex digits)")
+
+// validID reports whether id has GridID's form: 16 lowercase hex digits.
+func validID(id string) bool {
+	_, err := hex.DecodeString(id)
+	return len(id) == 16 && err == nil && strings.ToLower(id) == id
+}
+
 // Damaged reports one store entry that could not be opened: a torn
 // manifest, a tampered grid, a corrupt cell file. Listing skips over
 // damaged entries instead of failing the whole store — and keeps them
@@ -380,17 +389,18 @@ func pickGenName(id string, names []string, sel string) (int, error) {
 	return 0, fmt.Errorf("corpus: run %s has no generation %q (have %s)", id, sel, strings.Join(names, ", "))
 }
 
-// containsTmp reports whether a store entry name is uncommitted
-// staging (a ".tmp-" sibling every listing skips).
-func containsTmp(name string) bool { return strings.Contains(name, ".tmp-") }
-
 // Generations opens every readable generation of the identified run,
 // oldest first, along with the generation directories that failed to
 // open. A directory still in the pre-generational flat layout —
 // manifest.json directly under the ID — is not read: the whole entry is
 // reported as damaged, so listings flag it and Prune can clear it. A run
-// ID with no directory at all errors (os.ErrNotExist).
+// ID with no directory at all errors (os.ErrNotExist); one validID
+// rejects errors (ErrBadID) before it becomes a path, so every read and
+// write of a run stays inside the store.
 func (s *Store) Generations(id string) ([]*Run, []Damaged, error) {
+	if !validID(id) {
+		return nil, nil, fmt.Errorf("corpus: run %q: %w", id, ErrBadID)
+	}
 	dir := s.Path(id)
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
 		return nil, []Damaged{{Dir: dir, Err: errors.New("pre-generational flat run; clear it with `prune -damaged` and re-archive the run with `archive -add`")}}, nil
@@ -433,10 +443,11 @@ func (s *Store) Generations(id string) ([]*Run, []Damaged, error) {
 }
 
 // Runs opens the latest readable generation of every run in the store,
-// sorted by ID. Entries without any manifest are skipped (the store
-// owns only what it can identify); entries that hold a manifest but
-// fail to open are skipped too and reported as damaged, so one torn
-// run no longer bricks listing, selection, or pruning of the rest.
+// sorted by ID. Entries not named by a run ID or without any manifest
+// are skipped (the store owns only what it can identify); entries that
+// hold a manifest but fail to open are skipped too and reported as
+// damaged, so one torn run no longer bricks listing, selection, or
+// pruning of the rest.
 func (s *Store) Runs() ([]*Run, []Damaged, error) {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
@@ -447,7 +458,7 @@ func (s *Store) Runs() ([]*Run, []Damaged, error) {
 		damaged []Damaged
 	)
 	for _, e := range entries {
-		if !e.IsDir() || strings.Contains(e.Name(), ".tmp-") {
+		if !e.IsDir() || !validID(e.Name()) {
 			continue
 		}
 		gens, bad, gerr := s.Generations(e.Name())

@@ -72,6 +72,9 @@ func (s *Store) Prune(o PruneOptions) (*PrunePlan, error) {
 			}
 			continue
 		}
+		if !validID(e.Name()) {
+			continue // not the store's: no run ID names it
+		}
 		gens, damaged, gerr := s.Generations(e.Name())
 		if gerr != nil {
 			if o.Damaged {

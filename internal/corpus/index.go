@@ -125,7 +125,7 @@ func (s *Store) RebuildIndex() (*Index, error) {
 	}
 	idx := &Index{Version: IndexVersion, Entries: map[string]*IndexEntry{}}
 	for _, e := range entries {
-		if !e.IsDir() || containsTmp(e.Name()) {
+		if !e.IsDir() || !validID(e.Name()) {
 			continue
 		}
 		ent, err := s.buildIndexEntry(e.Name())

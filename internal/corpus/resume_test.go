@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -391,4 +392,48 @@ func TestExecuteRunSurfacesProbeError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "probe checkpoint") {
 		t.Errorf("probe failure not surfaced: %v", err)
 	}
+}
+
+// FuzzScanCells feeds scanCells arbitrary cells.jsonl bytes, seeded with
+// the reference run and the torn tail the resume gate cuts from it (the
+// first half of its bytes). Scanning must never panic, the prefix it
+// accepts must end on a line break, and its records must come back
+// unchanged through WriteRecordJSONL and a second scan.
+func FuzzScanCells(f *testing.F) {
+	ref, err := os.ReadFile(filepath.Join("..", "..", "testdata", "reference-run", CellsName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{ref, ref[:len(ref)/2], nil, []byte("{\"index\":0}\n{\"index\":2}\n"), []byte("{\"index\":0}\n{torn\n")} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.jsonl")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, off, err := scanCells(in)
+		if err != nil {
+			return
+		}
+		if off > int64(len(data)) || off > 0 && data[off-1] != '\n' {
+			t.Fatalf("prefix ends at byte %d of %d, not after a line break", off, len(data))
+		}
+		var buf bytes.Buffer
+		if err := runner.WriteRecordJSONL(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "out.jsonl")
+		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, backOff, err := scanCells(out)
+		if err != nil {
+			t.Fatalf("rescan of %d written records: %v", len(recs), err)
+		}
+		if backOff != int64(buf.Len()) || !reflect.DeepEqual(back, recs) {
+			t.Fatalf("%d records came back as %d (prefix %d of %d bytes)", len(recs), len(back), backOff, buf.Len())
+		}
+	})
 }

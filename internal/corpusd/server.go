@@ -175,10 +175,14 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-// notFoundCode maps a resolve error to its status: a selector that
-// names nothing is the client's 404; anything else is the store's 500.
+// notFoundCode maps a resolve error to its status: a selector that is
+// no run ID is the client's 400, one that names nothing the client's
+// 404; anything else is the store's 500.
 func notFoundCode(err error) int {
-	if errors.Is(err, os.ErrNotExist) || strings.Contains(err.Error(), "no generation") {
+	switch {
+	case errors.Is(err, corpus.ErrBadID):
+		return http.StatusBadRequest
+	case errors.Is(err, os.ErrNotExist) || strings.Contains(err.Error(), "no generation"):
 		return http.StatusNotFound
 	}
 	return http.StatusInternalServerError

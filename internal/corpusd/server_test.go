@@ -397,6 +397,39 @@ func TestHealthzMetricsDashboard(t *testing.T) {
 	get(t, ts, "/nope", http.StatusNotFound)
 }
 
+// TestSelectorsStayInsideStore: a run ID becomes a path only when GridID
+// could have produced it. A sibling of the store holds a manifest.json
+// that is a symlink loop, so any probe of it would fail with ELOOP, a
+// 500; every selector that climbs out of the store is a 400 instead, and
+// an ID of the right form naming nothing is a 404.
+func TestSelectorsStayInsideStore(t *testing.T) {
+	ts, store, _ := newTestServer(t, nil)
+	secret := filepath.Join(filepath.Dir(store.Dir), "secret")
+	if err := os.MkdirAll(secret, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(corpus.ManifestName, filepath.Join(secret, corpus.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		"/runs/..%2Fsecret",
+		"/runs/..%2Fsecret/cells",
+		"/runs/..%2Fsecret/report",
+		"/trend/..%2Fsecret",
+		"/compare?ref=../secret@0&new=../secret@0",
+		"/compare?id=..%2Fsecret",
+		"/runs/..%2F..%2F..%2Fetc",
+		"/runs/DEADBEEF00000000",
+		"/runs/deadbeef0000000",
+	} {
+		if body := string(get(t, ts, path, http.StatusBadRequest)); !strings.Contains(body, corpus.ErrBadID.Error()) {
+			t.Errorf("GET %s: body %q does not name the bad ID", path, body)
+		}
+	}
+	get(t, ts, "/runs/deadbeef00000000", http.StatusNotFound)
+	get(t, ts, "/trend/deadbeef00000000", http.StatusNotFound)
+}
+
 // TestUnreadableRunFlaggedNotFatal: a run directory whose manifest.json
 // is a symlink loop fails to open with ELOOP (as root too). The index
 // rebuild must flag it as damage, as the full scan does, so a store

@@ -455,10 +455,11 @@ func TestFillKeepsTailClear(t *testing.T) {
 }
 
 // TestConcurrentRoundMatchesReference splits each round's transfers by
-// receiver over goroutines, the way par.For workers and phone.Async call
-// the tracker, with each worker settling some of its rows mid-round and
-// at its end, and EndRound the rest. Between rounds every worker meets a
-// walk token at one of its rows. Run it under -race.
+// receiver over goroutines, the way Sync's par.For workers call the
+// tracker, with each worker settling some of its rows mid-round (as a
+// seeded schedule's OnStepEnd does) and at its end, and EndRound the
+// rest. Between rounds every worker meets a walk token at one of its
+// rows. Run it under -race.
 func TestConcurrentRoundMatchesReference(t *testing.T) {
 	const n, workers = 200, 4
 	rng := xrand.New(7)

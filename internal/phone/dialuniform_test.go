@@ -49,7 +49,7 @@ func uniformMachines(nt *Net) []Machine {
 // to dial what a per-node Graph.RandomNeighbor draw dials, and to leave
 // every node's stream where those draws leave it: Sync at its own par.For
 // chunks and at chunk bounds that split the nodes unevenly (an empty chunk
-// and one-node chunks included), Async, and Net.Resolve. The graphs are a
+// and one-node chunks included), a seeded schedule, and Net.Resolve. The graphs are a
 // CSR G(n,p), the implicit K_n, a graph with isolated and degree-1 nodes,
 // and a configuration-model multigraph with loops.
 func TestDialUniformMatchesRandomNeighbor(t *testing.T) {
@@ -83,7 +83,7 @@ func TestDialUniformMatchesRandomNeighbor(t *testing.T) {
 		ref := NewNet(tc.g, seed)
 		chunked := NewSync(uniformMachines(NewNet(tc.g, seed)))
 		stepped := NewSync(uniformMachines(NewNet(tc.g, seed)))
-		async := NewAsync(uniformMachines(NewNet(tc.g, seed)))
+		seeded := NewSeeded(uniformMachines(NewNet(tc.g, seed)), seed)
 		resolved := NewNet(tc.g, seed)
 		for step := int32(1); step <= 9; step++ {
 			chunked.step = step
@@ -93,21 +93,20 @@ func TestDialUniformMatchesRandomNeighbor(t *testing.T) {
 				chunked.dial(b[i], b[i+1])
 			}
 			stepped.Step(step)
-			async.Step(step)
+			seeded.Step(step)
 			for v := int32(0); int(v) < n; v++ {
 				want := uniformMachine{id: v, nt: ref}.want(step)
 				dial, _, _ := uniformMachine{id: v, nt: resolved}.OnStep(step)
-				got := [...]int32{chunked.round.Out[v], stepped.round.Out[v], async.out[v], resolved.Resolve(v, dial)}
-				for i, name := range [...]string{"Sync chunked", "Sync.Step", "Async", "Resolve"} {
+				got := [...]int32{chunked.round.Out[v], stepped.round.Out[v], seeded.round.Out[v], resolved.Resolve(v, dial)}
+				for i, name := range [...]string{"Sync chunked", "Sync.Step", "seeded", "Resolve"} {
 					if got[i] != want {
 						t.Fatalf("%s, step %d, node %d: %s dialed %d, RandomNeighbor %d", tc.name, step, v, name, got[i], want)
 					}
 				}
 			}
 		}
-		async.Close()
 		for v := int32(0); int(v) < n; v++ {
-			for i, nt := range []*Net{chunked.nt, stepped.nt, async.nt, resolved} {
+			for i, nt := range []*Net{chunked.nt, stepped.nt, seeded.nt, resolved} {
 				if *nt.RNG(v) != *ref.RNG(v) {
 					t.Fatalf("%s: node %d's stream differs from the reference's (transport %d)", tc.name, v, i)
 				}

@@ -6,14 +6,15 @@
 // avoiding a short list of remembered links (the §4 memory model). Every
 // algorithm is a set of per-node protocol state machines (Machine)
 // executed by a pluggable Transport — Sync, the canonical in-memory
-// implementation whose delivery order defines the reference results, and
-// Async, a goroutine-per-node transport whose scheduling-ordered delivery
-// proves the protocol code is transport-independent, stepping in two
-// phases released by closing one gate. internal/gossipd drives the same
-// machines over loopback TCP. A node fixes its answer to every caller in
-// OnStep, so no transport calls into a callee to serve a channel. Sync
-// draws DialUniform in two passes over a chunk of nodes, every draw and
-// then every load; Async and gossipd per node.
+// implementation whose delivery order defines the reference results; on
+// a seeded schedule (NewSeeded) nodes and callers deliver in seeded
+// orders, showing that protocol code does not depend on delivery order,
+// with a failing order replayable from its seed. internal/gossipd, the
+// one truly concurrent transport, drives the same machines over loopback
+// TCP. A node fixes its answer to every caller in OnStep, so no transport
+// calls into a callee to serve a channel. Sync draws DialUniform in two
+// passes over a chunk of nodes, every draw and then every load; gossipd
+// per node.
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link

@@ -1,6 +1,9 @@
 package phone
 
-import "gossip/internal/par"
+import (
+	"gossip/internal/par"
+	"gossip/internal/xrand"
+)
 
 // Machine is a per-node protocol state machine in the random phone call
 // model. A Transport executes the same logical step for every machine:
@@ -14,12 +17,14 @@ import "gossip/internal/par"
 //     method may return), by the transport right after OnStep, so the
 //     dial phase parallelizes without changing results.
 //  2. OnReceive (push direction): the node receives every payload pushed
-//     through an incoming channel, callers in increasing id order.
+//     through an incoming channel, callers in increasing id order (in a
+//     seeded order on a seeded schedule).
 //  3. OnReceive (pull direction): the caller receives its callee's answer.
 //  4. OnStepEnd: the transition once the node's own exchange is done (in
-//     Sync after every exchange; in Async and gossipd while others may
-//     still exchange), so it writes only node-owned state, node-partitioned
-//     state (msg tracker rows) and atomics, never a payload it sent.
+//     Sync after every exchange; on a seeded schedule and in gossipd while
+//     others may still exchange), so it writes only node-owned state,
+//     node-partitioned state (msg tracker rows) and atomics, never a
+//     payload it sent.
 //
 // As in the random phone call model, the answer is a step-start value
 // that does not depend on the caller: no transport calls into a callee's
@@ -62,13 +67,11 @@ type StepTally struct {
 }
 
 // Transport executes machine steps. Step runs one full logical step for
-// all machines and reports its tally; Close releases transport resources
-// (goroutines, listeners). Transports are not safe for concurrent Step
-// calls.
+// all machines and reports its tally. Transports are not safe for
+// concurrent Step calls.
 type Transport interface {
 	N() int
 	Step(step int32) StepTally
-	Close() error
 }
 
 // Sync is the canonical in-memory transport: a synchronous shared-memory
@@ -77,7 +80,7 @@ type Transport interface {
 // node's OnStepEnd runs once all of that is delivered — the order the
 // pre-seam simulator loops used per node — so any protocol whose per-node
 // randomness comes from Net's private streams produces bit-identical
-// results to those loops.
+// results to those loops. NewSeeded builds one on a seeded schedule.
 type Sync struct {
 	ms    []Machine
 	nt    *Net // the machines' Net, which DialUniform draws on
@@ -85,9 +88,11 @@ type Sync struct {
 	push  []any // by caller
 	resp  []any // by callee: the answer to every channel opened to it
 	step  int32
+	seed  uint64
+	order []int32 // the step's seeded node order; nil on the canonical schedule
 	// The phases' par.For bodies, bound once so Step allocates nothing: a
 	// closure built per call would escape to par's pool, one per phase.
-	dialFn, deliverFn, endFn func(lo, hi int)
+	dialFn, deliverFn, endFn, scheduleFn func(lo, hi int)
 }
 
 // NewSync returns a synchronous in-memory transport over the machines.
@@ -100,7 +105,20 @@ func NewSync(ms []Machine) *Sync {
 		push:  make([]any, n),
 		resp:  make([]any, n),
 	}
-	s.dialFn, s.deliverFn, s.endFn = s.dial, s.deliver, s.end
+	s.dialFn, s.deliverFn, s.endFn, s.scheduleFn = s.dial, s.deliver, s.end, s.schedule
+	return s
+}
+
+// NewSeeded returns a Sync on a seeded schedule, one of the orders a
+// transport without a step barrier may deliver in: after Sync's dial, one
+// parallel phase walks the nodes in a seeded order, and each receives its
+// callers' pushes in a seeded order, then its callee's answer, then runs
+// OnStepEnd while others may still receive. Both orders depend on (seed,
+// step) alone, so a schedule replays at any GOMAXPROCS.
+func NewSeeded(ms []Machine, seed uint64) *Sync {
+	s := NewSync(ms)
+	s.seed = seed
+	s.order = make([]int32, len(ms))
 	return s
 }
 
@@ -108,12 +126,11 @@ func NewSync(ms []Machine) *Sync {
 func (s *Sync) N() int { return len(s.ms) }
 
 // Step runs one synchronous step: parallel dial, delivery split by
-// receiver, then end-of-step transitions. The phases are separated so no
-// machine is ever read and written concurrently.
+// receiver, then end-of-step transitions (on a seeded schedule, one phase
+// in the step's node order). No machine is read and written concurrently.
 func (s *Sync) Step(step int32) StepTally {
 	n := len(s.ms)
 	s.step = step
-	s.round.Reset()
 	par.For(n, s.dialFn)
 	s.round.BuildIncoming()
 
@@ -130,8 +147,17 @@ func (s *Sync) Step(step int32) StepTally {
 			t.Responses += int64(in[v+1] - in[v])
 		}
 	}
-	par.For(n, s.deliverFn)
-	par.For(n, s.endFn)
+	if s.order == nil {
+		par.For(n, s.deliverFn)
+		par.For(n, s.endFn)
+		return t
+	}
+	rng := xrand.New(xrand.SeedFor(s.seed, uint64(step)))
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
+	rng.Shuffle(n, func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
+	par.For(n, s.scheduleFn)
 	return t
 }
 
@@ -189,5 +215,16 @@ func (s *Sync) end(lo, hi int) {
 	}
 }
 
-// Close is a no-op for the in-memory transport.
-func (s *Sync) Close() error { return nil }
+// schedule runs the positions [lo, hi) of the step's node order: each
+// node's callers, in an order drawn for (seed, step, node), deliver their
+// pushes, then its callee answers, then it runs its OnStepEnd.
+func (s *Sync) schedule(lo, hi int) {
+	var rng xrand.RNG
+	for _, v := range s.order[lo:hi] {
+		callers := s.round.Incoming(v)
+		rng.Reseed(xrand.SeedFor(s.seed, uint64(s.step), uint64(v)))
+		rng.Shuffle(len(callers), func(i, j int) { callers[i], callers[j] = callers[j], callers[i] })
+		s.deliver(int(v), int(v)+1)
+		s.ms[v].OnStepEnd(s.step)
+	}
+}
