@@ -85,7 +85,7 @@ type BroadcastSet struct {
 	nt       *phone.Net
 	mode     BroadcastMode
 	informed atomic.Int64
-	nodes    []*broadcastMachine
+	nodes    []broadcastMachine
 	ms       []phone.Machine
 }
 
@@ -99,11 +99,11 @@ func NewBroadcastSet(nt *phone.Net, src int32, mode BroadcastMode, payload any) 
 	}
 	n := nt.G.N()
 	s := &BroadcastSet{nt: nt, mode: mode}
-	s.nodes = make([]*broadcastMachine, n)
+	s.nodes = make([]broadcastMachine, n)
 	s.ms = make([]phone.Machine, n)
-	for v := 0; v < n; v++ {
-		s.nodes[v] = &broadcastMachine{set: s, id: int32(v), informedAt: -1}
-		s.ms[v] = s.nodes[v]
+	for v := range s.nodes {
+		s.nodes[v] = broadcastMachine{set: s, id: int32(v), informedAt: -1}
+		s.ms[v] = &s.nodes[v]
 	}
 	s.nodes[src].informedAt = 0
 	s.nodes[src].rumor = payload
@@ -115,7 +115,7 @@ func NewBroadcastSet(nt *phone.Net, src int32, mode BroadcastMode, payload any) 
 func (s *BroadcastSet) Machines() []phone.Machine { return s.ms }
 
 // Machine returns node v's machine.
-func (s *BroadcastSet) Machine(v int32) phone.Machine { return s.nodes[v] }
+func (s *BroadcastSet) Machine(v int32) phone.Machine { return &s.nodes[v] }
 
 // InformedCount returns the number of informed nodes (atomic; safe to
 // poll while a transport is running).

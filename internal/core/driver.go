@@ -90,9 +90,11 @@ type exchangeMachine struct {
 
 func exchangeMachines(nt *phone.Net, tr roundTracker) []phone.Machine {
 	n := nt.G.N()
+	slab := make([]exchangeMachine, n)
 	ms := make([]phone.Machine, n)
-	for v := 0; v < n; v++ {
-		ms[v] = &exchangeMachine{id: int32(v), nt: nt, tr: tr}
+	for v := range slab {
+		slab[v] = exchangeMachine{id: int32(v), nt: nt, tr: tr}
+		ms[v] = &slab[v]
 	}
 	return ms
 }

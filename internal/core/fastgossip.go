@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+
+	"gossip/internal/bitset"
 	"gossip/internal/graph"
 	"gossip/internal/msg"
 	"gossip/internal/phone"
@@ -43,21 +46,41 @@ const (
 	fgPushPull
 )
 
+// fgShared is the state all fast-gossiping machines share. tokens is the
+// run's walk-token slab, and next its cursor, reset before each coin-flip
+// step: a node starts at most one walk a round and every token is dead
+// once the round's queues are reset, so n slots serve every round. Which
+// slot a node gets depends on scheduling; no meter or set can tell.
 type fgShared struct {
-	nt   *phone.Net
-	tr   *msg.Full
-	p    FastGossipParams
-	mode fgMode
+	nt     *phone.Net
+	tr     *msg.Full
+	p      FastGossipParams
+	mode   fgMode
+	tokens []*walk.Token
+	next   atomic.Int32
+}
+
+// token returns the slab's next token, allocated on first use, rewritten
+// whole as a copy of src with one move; a token is as wide as src.
+func (sh *fgShared) token(src *bitset.Set) *walk.Token {
+	i := sh.next.Add(1) - 1
+	tok := sh.tokens[i]
+	if tok == nil {
+		tok = &walk.Token{Payload: bitset.New(src.Len())}
+		sh.tokens[i] = tok
+	}
+	tok.Payload.CopyFrom(src)
+	tok.Moves = 1
+	return tok
 }
 
 // fgMachine is one fast-gossiping node. Walk tokens travel as transport
-// payloads; each machine recycles tokens through its own pool, so the
-// parallel dial and delivery phases never contend on an allocator. A
-// token pushed from an isolated node (DialUniform is NoDial) is dropped.
+// payloads; a token that stops, reaches a failed node, or is pushed from
+// an isolated node (DialUniform is NoDial) is dropped and waits in the
+// slab for the next round.
 type fgMachine struct {
 	sh      *fgShared
 	id      int32
-	pool    *walk.Pool
 	queue   walk.Queue
 	active  bool
 	gotPush bool // an activation push arrived this step
@@ -78,10 +101,7 @@ func (m *fgMachine) OnStep(step int32) (int32, any, any) {
 		if !sh.nt.RNG(m.id).Bernoulli(sh.p.WalkProb) {
 			return phone.NoDial, nil, nil
 		}
-		tok := m.pool.Get()
-		tok.Payload.CopyFrom(sh.tr.Row(m.id))
-		tok.Moves = 1
-		return phone.DialUniform, tok, nil
+		return phone.DialUniform, sh.token(sh.tr.Row(m.id)), nil
 	case fgForward:
 		if m.queue.Empty() {
 			return phone.NoDial, nil, nil
@@ -111,20 +131,30 @@ func (m *fgMachine) OnReceive(from int32, payload any) {
 		}
 		sh.tr.Transfer(from, m.id)
 	case fgCoinflip, fgForward:
+		// Failed nodes store nothing, and a stopped walk is not enqueued.
 		tok := payload.(*walk.Token)
-		switch {
-		case sh.nt.Failed[m.id]:
-			m.pool.Put(tok) // failed nodes store nothing
-		case tok.Moves <= sh.p.MaxMoves:
+		if !sh.nt.Failed[m.id] && tok.Moves <= sh.p.MaxMoves {
 			sh.tr.Meet(tok.Payload, m.id) // m' ← m' ∪ m_v, m_v ← m_v ∪ m'
 			m.queue.Add(tok)
-		default:
-			m.pool.Put(tok) // walk is stopped, not enqueued
 		}
 	}
 }
 
 func (m *fgMachine) OnStepEnd(step int32) { m.sh.tr.Settle(m.id) }
+
+// newFgMachines builds Algorithm 1's machine set over tr: the shared
+// state, the machines in one slab, and the slab as phone.Machines.
+func newFgMachines(nt *phone.Net, tr *msg.Full, p FastGossipParams) (*fgShared, []fgMachine, []phone.Machine) {
+	n := nt.G.N()
+	sh := &fgShared{nt: nt, tr: tr, p: p, tokens: make([]*walk.Token, n)}
+	fms := make([]fgMachine, n)
+	ms := make([]phone.Machine, n)
+	for v := range fms {
+		fms[v] = fgMachine{sh: sh, id: int32(v)}
+		ms[v] = &fms[v]
+	}
+	return sh, fms, ms
+}
 
 // FastGossipOver runs Algorithm 1's node machines on the given transport,
 // over a prepared substrate so callers can inject crash failures
@@ -139,13 +169,7 @@ func (m *fgMachine) OnStepEnd(step int32) { m.sh.tr.Settle(m.id) }
 func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Result, *msg.Full) {
 	n := nt.G.N()
 	tr := msg.NewFull(n)
-	sh := &fgShared{nt: nt, tr: tr, p: p}
-	fms := make([]*fgMachine, n)
-	ms := make([]phone.Machine, n)
-	for v := 0; v < n; v++ {
-		fms[v] = &fgMachine{sh: sh, id: int32(v), pool: walk.NewPool(n)}
-		ms[v] = fms[v]
-	}
+	sh, fms, ms := newFgMachines(nt, tr, p)
 	t := tf(ms)
 	res := &Result{Algorithm: "fast-gossiping", N: n, Leader: -1}
 
@@ -189,32 +213,29 @@ func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Re
 	// receivers activate too, then everyone deactivates.
 	var mWalk phone.Meter
 	for r := 0; r < p.Rounds; r++ {
+		sh.next.Store(0)
 		walkStep(fgCoinflip, &mWalk)
 		for i := 0; i < p.WalkSteps; i++ {
 			walkStep(fgForward, &mWalk)
 		}
 		// Walks pushed in the final step have arrived; nodes holding
-		// walks become active and the remaining walks are discarded.
-		for _, fm := range fms {
-			if !fm.queue.Empty() {
-				if !nt.Failed[fm.id] {
-					fm.active = true
-				}
-				fm.pool.PutAll(fm.queue.Drain())
-			}
+		// walks become active, all others inactive (only activation
+		// steps read active, so this is the last round's deactivation
+		// too), and the remaining walks are discarded.
+		for v := range fms {
+			fm := &fms[v]
+			fm.active = !fm.queue.Empty() && !nt.Failed[fm.id]
+			fm.queue.Reset()
 		}
 		for i := 0; i < p.BroadcastSteps; i++ {
 			trackedStep(fgActivate, &mWalk)
-			for _, fm := range fms {
+			for v := range fms {
+				fm := &fms[v]
 				if fm.gotPush && !nt.Failed[fm.id] {
 					fm.active = true
 				}
 				fm.gotPush = false
 			}
-		}
-		// All nodes become inactive.
-		for _, fm := range fms {
-			fm.active = false
 		}
 	}
 	res.addPhase("random-walks", mWalk)

@@ -51,7 +51,7 @@ func ElectLeaderOver(g *graph.Graph, p LeaderParams, seed uint64, tf TransportFa
 // completes, which tests verify directly.
 type LeaderSet struct {
 	nt        *phone.Net
-	nodes     []*leaderMachine
+	nodes     []leaderMachine
 	ms        []phone.Machine
 	pushSteps int32
 	minCand   int32
@@ -63,23 +63,19 @@ type LeaderSet struct {
 // leaderMachine holds one node's election state. cur is the smallest ID
 // known at step start (what the pull stage answers and the push stage
 // forwards); next is the running minimum over everything received; the
-// two meet in OnStepEnd. curWire is cur pre-encoded as a 4-byte
-// big-endian payload, boxed once per change so that no push or answer
-// boxes it again — a fresh slice on every change, so a networked
-// transport can hold a reference across steps safely.
+// two meet in OnStepEnd. A candidate's wire is its ID as a 4-byte
+// big-endian payload, boxed once in NewLeaderSet; curWire is the wire of
+// candidate cur, so no push, answer or change boxes an ID again. Wires
+// are never written after NewLeaderSet, so a networked transport can
+// hold one across steps safely.
 type leaderMachine struct {
 	set       *LeaderSet
 	id        int32
 	candidate bool
 	active    bool
 	cur, next int32
-	curWire   any // a []byte
-}
-
-func encodeID(v int32) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, uint32(v))
-	return b
+	wire      any // a []byte, candidates only
+	curWire   any // nodes[cur].wire
 }
 
 // DecodeLeaderID parses the 4-byte candidate-ID payload of the election
@@ -103,7 +99,7 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 
 	s := &LeaderSet{
 		nt:        nt,
-		nodes:     make([]*leaderMachine, n),
+		nodes:     make([]leaderMachine, n),
 		ms:        make([]phone.Machine, n),
 		pushSteps: int32(p.PushSteps),
 		minCand:   noID,
@@ -112,9 +108,9 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 	if s.pushSteps < 1 {
 		s.pushSteps = 1 // the candidates' initial pushes always form a step
 	}
-	for v := 0; v < n; v++ {
-		s.nodes[v] = &leaderMachine{set: s, id: int32(v), cur: noID, next: noID}
-		s.ms[v] = s.nodes[v]
+	for v := range s.nodes {
+		s.nodes[v] = leaderMachine{set: s, id: int32(v), cur: noID, next: noID}
+		s.ms[v] = &s.nodes[v]
 	}
 	for v := int32(0); int(v) < n; v++ {
 		if nt.Failed[v] {
@@ -138,11 +134,12 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 		}
 	}
 	for v := int32(0); int(v) < n; v++ {
-		nd := s.nodes[v]
+		nd := &s.nodes[v]
 		if nd.candidate {
 			nd.cur, nd.next = v, v
 			nd.active = true
-			nd.curWire = encodeID(v)
+			nd.wire = binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(v))
+			nd.curWire = nd.wire
 			if v < s.minCand {
 				s.minCand = v
 			}
@@ -155,7 +152,7 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 }
 
 // Machine returns node v's machine.
-func (s *LeaderSet) Machine(v int32) phone.Machine { return s.nodes[v] }
+func (s *LeaderSet) Machine(v int32) phone.Machine { return &s.nodes[v] }
 
 // PushSteps returns the length of the ID push stage in steps.
 func (s *LeaderSet) PushSteps() int { return int(s.pushSteps) }
@@ -195,7 +192,7 @@ func (m *leaderMachine) OnReceive(from int32, payload any) {
 	}
 	b, _ := payload.([]byte)
 	id, ok := DecodeLeaderID(b)
-	if !ok {
+	if !ok || id < 0 || int(id) >= len(m.set.nodes) || !m.set.nodes[id].candidate {
 		return // not a candidate ID: dropped
 	}
 	if id < m.next {
@@ -215,7 +212,7 @@ func (m *leaderMachine) OnStepEnd(step int32) {
 		s.aware.Add(1)
 	}
 	m.cur = m.next
-	m.curWire = encodeID(m.cur)
+	m.curWire = s.nodes[m.cur].wire
 }
 
 // Resolve computes the election outcome from the machines' final state:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"gossip/internal/graph"
 	"gossip/internal/phone"
 	"gossip/internal/xrand"
 )
@@ -163,15 +165,78 @@ func TestLeaderStepAllocs(t *testing.T) {
 }
 
 // TestLeaderDropsForeignPayload: a payload that is not a 4-byte candidate
-// ID is dropped, not asserted on.
+// ID is dropped, not asserted on: neither a foreign type nor the ID of a
+// node out of range or of one that is no candidate (a gossipd peer can
+// send any bytes).
 func TestLeaderDropsForeignPayload(t *testing.T) {
 	set := NewLeaderSet(phone.NewNet(testGraph(64, 51), 1), DefaultLeaderParams(64))
-	m := set.nodes[5]
+	nonCand := int32(-1)
+	for v := range set.nodes {
+		if !set.nodes[v].candidate {
+			nonCand = int32(v)
+			break
+		}
+	}
+	if nonCand < 0 {
+		t.Fatal("every node is a candidate")
+	}
+	m := &set.nodes[5]
 	before := *m
-	for _, payload := range []any{42, "id", []byte{1, 2}, &mcPayload{}} {
+	id := func(v int32) []byte { return binary.BigEndian.AppendUint32(nil, uint32(v)) }
+	for _, payload := range []any{42, "id", []byte{1, 2}, &mcPayload{}, id(-1), id(64), id(noID), id(nonCand)} {
 		m.OnReceive(0, payload)
 	}
 	if m.next != before.next || m.active != before.active {
 		t.Errorf("a foreign payload changed node 5: next %d → %d, active %v → %v", before.next, m.next, before.active, m.active)
 	}
+}
+
+// TestLeaderFoldIsMinimum: whatever order a node receives candidate IDs
+// in within a step, it ends the step knowing the minimum of its
+// step-start ID and every ID it received, and answers with that ID's
+// wire.
+func TestLeaderFoldIsMinimum(t *testing.T) {
+	const n = 64
+	p := DefaultLeaderParams(n)
+	p.CandidateProb = 1 // every node is a candidate, so every ID has a wire
+	set := NewLeaderSet(phone.NewNet(graph.Complete(n), 1), p)
+	m := &set.nodes[40]
+	ids := []int32{9, 3, 7, 12}
+	step := int32(1)
+	for _, start := range []int32{noID, 40, 5, 2} {
+		want := start
+		for _, id := range ids {
+			want = min(want, id)
+		}
+		for _, order := range permutations(ids) {
+			m.cur, m.next, m.curWire = start, start, nil
+			if start != noID {
+				m.curWire = set.nodes[start].wire
+			}
+			for _, id := range order {
+				m.OnReceive(id, set.nodes[id].wire)
+			}
+			m.OnStepEnd(step)
+			step++
+			got, _ := DecodeLeaderID(m.curWire.([]byte))
+			if m.cur != want || got != want {
+				t.Errorf("start %d, receipts %v: cur %d, wire %d, want %d", start, order, m.cur, got, want)
+			}
+		}
+	}
+}
+
+// permutations returns every order of xs.
+func permutations(xs []int32) [][]int32 {
+	if len(xs) <= 1 {
+		return [][]int32{append([]int32(nil), xs...)}
+	}
+	var out [][]int32
+	for i := range xs {
+		rest := append(append([]int32(nil), xs[:i]...), xs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]int32{xs[i]}, p...))
+		}
+	}
+	return out
 }

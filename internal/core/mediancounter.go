@@ -198,6 +198,24 @@ func MedianCounterBroadcast(g *graph.Graph, src int32, p MedianCounterParams, se
 	return MedianCounterOver(g, src, p, seed, SyncTransport)
 }
 
+// newMcMachines builds the players in one slab, src informed in B.
+func newMcMachines(nt *phone.Net, src int32, p MedianCounterParams) (*mcShared, []phone.Machine) {
+	sh := &mcShared{nt: nt, p: p}
+	slab := make([]mcMachine, nt.G.N())
+	ms := make([]phone.Machine, len(slab))
+	for v := range slab {
+		slab[v] = mcMachine{sh: sh, id: int32(v), informedAt: -1}
+		ms[v] = &slab[v]
+	}
+	m := &slab[src]
+	m.state = mcB
+	m.ctr = 1
+	m.informedAt = 0
+	sh.informed.Store(1)
+	sh.transmitting.Store(1)
+	return sh, ms
+}
+
 // MedianCounterOver runs the protocol's node machines on the given
 // transport; under SyncTransport results are bit-identical to the
 // historic substrate loop.
@@ -209,18 +227,7 @@ func MedianCounterOver(g *graph.Graph, src int32, p MedianCounterParams, seed ui
 	if p.CtrMax <= 0 {
 		p.CtrMax = DefaultMedianCounterParams(n).CtrMax
 	}
-	sh := &mcShared{nt: phone.NewNet(g, seed), p: p}
-	ms := make([]phone.Machine, n)
-	for v := 0; v < n; v++ {
-		ms[v] = &mcMachine{sh: sh, id: int32(v), informedAt: -1}
-	}
-	m := ms[src].(*mcMachine)
-	m.state = mcB
-	m.ctr = 1
-	m.informedAt = 0
-	sh.informed.Store(1)
-	sh.transmitting.Store(1)
-
+	sh, ms := newMcMachines(phone.NewNet(g, seed), src, p)
 	t := tf(ms)
 	res := &MedianCounterResult{N: n}
 

@@ -34,7 +34,7 @@ var treeToken any = treeTokenT{}
 type treeSet struct {
 	nt       *phone.Net
 	tree     *Tree
-	nodes    []*treeMachine
+	nodes    []treeMachine
 	ms       []phone.Machine
 	pushExec int32 // executed push-stage steps (longSteps · 4)
 	record   bool
@@ -51,11 +51,11 @@ type treeMachine struct {
 func newTreeSet(nt *phone.Net, tree *Tree, pushExec int, record bool) *treeSet {
 	n := tree.N
 	s := &treeSet{nt: nt, tree: tree, pushExec: int32(pushExec), record: record}
-	s.nodes = make([]*treeMachine, n)
+	s.nodes = make([]treeMachine, n)
 	s.ms = make([]phone.Machine, n)
-	for v := 0; v < n; v++ {
-		s.nodes[v] = &treeMachine{set: s, id: int32(v)}
-		s.ms[v] = s.nodes[v]
+	for v := range s.nodes {
+		s.nodes[v] = treeMachine{set: s, id: int32(v)}
+		s.ms[v] = &s.nodes[v]
 	}
 	s.informed.Store(1) // the root (counted even when failed, as the loop did)
 	return s
@@ -128,7 +128,8 @@ func (m *treeMachine) OnStepEnd(step int32) {}
 // list order, but every consumer is order-insensitive inside a step
 // (gather groups edges by equal T with snapshot semantics).
 func (s *treeSet) drainEdges() {
-	for _, nd := range s.nodes {
+	for v := range s.nodes {
+		nd := &s.nodes[v] // a range copy would leave pending full
 		if len(nd.pending) > 0 {
 			s.tree.Edges = append(s.tree.Edges, nd.pending...)
 			nd.pending = nd.pending[:0]

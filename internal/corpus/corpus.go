@@ -354,8 +354,12 @@ func pickGen(id string, gens []*Run, sel string) (*Run, error) {
 }
 
 // pickGenName resolves "", "latest", "prev", an ordinal, or a unique
-// name fragment against an ordered (oldest first) name list.
+// name fragment against an ordered (oldest first) name list. An empty
+// list has nothing to resolve.
 func pickGenName(id string, names []string, sel string) (int, error) {
+	if len(names) == 0 {
+		return 0, fmt.Errorf("corpus: run %s has no generations", id)
+	}
 	switch sel {
 	case "", "latest":
 		return len(names) - 1, nil

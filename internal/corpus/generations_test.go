@@ -459,3 +459,30 @@ func TestTrendAcrossGenerations(t *testing.T) {
 		t.Error("trend accepted generations of two different runs")
 	}
 }
+
+// FuzzPickGenName resolves any selector against any name list, the
+// names given as one newline-separated string (so never an empty list).
+// It must not panic, an accepted index must be in range, and the empty
+// list must be an error whatever the selector.
+func FuzzPickGenName(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"20240101T000000Z-aaa111\n20240102T000000Z-bbb222", ""},
+		{"20240101T000000Z-aaa111\n20240102T000000Z-bbb222", "prev"},
+		{"a\nb\nc", "1"},
+		{"a\nb\nc", "-1"},
+		{"only", "prev"},
+		{"x1\nx2", "x"},
+		{"123\n456", "99"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, joined, sel string) {
+		names := strings.Split(joined, "\n")
+		if i, err := pickGenName("run", names, sel); err == nil && (i < 0 || i >= len(names)) {
+			t.Fatalf("selector %q picked index %d of %d names", sel, i, len(names))
+		}
+		if i, err := pickGenName("run", nil, sel); err == nil {
+			t.Fatalf("selector %q picked index %d of no names", sel, i)
+		}
+	})
+}

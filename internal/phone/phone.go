@@ -117,7 +117,7 @@ func (r *Round) Incoming(v int32) []int32 {
 type Net struct {
 	G      *graph.Graph
 	rngs   []xrand.RNG
-	Memory []LinkMemory // per-node remembered links (used by open-avoid)
+	Memory []LinkMemory // per-node remembered links (used by open-avoid); nil until InitMemory
 	Failed []bool       // crash-failure mask; failed nodes never dial or send
 }
 
@@ -128,7 +128,6 @@ func NewNet(g *graph.Graph, seed uint64) *Net {
 	nt := &Net{
 		G:      g,
 		rngs:   make([]xrand.RNG, n),
-		Memory: make([]LinkMemory, n),
 		Failed: make([]bool, n),
 	}
 	for v := 0; v < n; v++ {
@@ -147,7 +146,7 @@ func (nt *Net) RNG(v int32) *xrand.RNG { return &nt.rngs[v] }
 // draw happens before the verdict). This is the seam-level dial the
 // memory-model and leader-election machines use from OnStep: each node
 // only ever touches its own stream and its own memory, so the dial phase
-// parallelizes without changing results.
+// parallelizes without changing results. InitMemory must have run.
 func (nt *Net) OpenAvoid(v int32) int32 {
 	if nt.Failed[v] {
 		return NoDial
@@ -183,9 +182,14 @@ func netOf(ms []Machine) *Net {
 }
 
 // InitMemory resets every node's link memory to an empty memory of c
-// slots. The §4 algorithms start each phase with fresh memories, so a
-// machine set built over a shared Net calls this before its first step.
+// slots, allocating the memories on first use: only the open-avoid
+// algorithms (§4) pay for them. They start each phase with fresh
+// memories, so a machine set built over a shared Net calls this before
+// its first step.
 func (nt *Net) InitMemory(c int) {
+	if nt.Memory == nil {
+		nt.Memory = make([]LinkMemory, nt.G.N())
+	}
 	for i := range nt.Memory {
 		nt.Memory[i] = NewLinkMemory(c)
 	}

@@ -112,6 +112,7 @@ func TestNetDeterministicAcrossInstances(t *testing.T) {
 // consuming its stream or its memory.
 func TestFailedNodesDoNotDial(t *testing.T) {
 	nt := NewNet(ring(10), 2)
+	nt.InitMemory(MemorySlots)
 	nt.Failed[3] = true
 	nt.Failed[7] = true
 	for _, v := range []int32{3, 7} {
@@ -135,6 +136,7 @@ func TestDialAvoidRespectsMemory(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 0, V: 5}}
 	g := graph.FromEdges(6, edges)
 	nt := NewNet(g, 3)
+	nt.InitMemory(MemorySlots)
 	for i := 0; i < 50; i++ {
 		nt.Memory[0] = LinkMemory{}
 		for _, u := range []int32{1, 2, 3, 4} {

@@ -1,9 +1,9 @@
 // Package walk implements the random-walk machinery of Algorithm 1
-// Phase II: message-carrying tokens with move counters, per-node FIFO
+// Phase II: message-carrying tokens with move counters, and per-node FIFO
 // queues ("to ensure that no random walk is lost, each node collects all
 // incoming messages … and stores them in a queue to send them out one by
-// one"), and a payload pool so a simulation round allocates no bitsets in
-// steady state.
+// one"). Tokens are owned by the caller: internal/core draws them from
+// one per-run slab, so a round reuses the tokens of the round before.
 package walk
 
 import "gossip/internal/bitset"
@@ -33,11 +33,10 @@ func (q *Queue) Pop() *Token {
 		panic("walk: Pop from empty queue")
 	}
 	t := q.items[q.head]
-	q.items[q.head] = nil // release for GC / pool hygiene
+	q.items[q.head] = nil
 	q.head++
 	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
+		q.Reset()
 	}
 	return t
 }
@@ -45,53 +44,11 @@ func (q *Queue) Pop() *Token {
 // Empty reports whether the queue holds no tokens.
 func (q *Queue) Empty() bool { return q.head == len(q.items) }
 
-// Len returns the number of queued tokens.
-func (q *Queue) Len() int { return len(q.items) - q.head }
-
-// Drain removes and returns all queued tokens (end-of-round cleanup; the
-// paper's rounds discard walks that are still queued after activating
-// their hosts).
-func (q *Queue) Drain() []*Token {
-	out := make([]*Token, 0, q.Len())
-	for !q.Empty() {
-		out = append(out, q.Pop())
-	}
-	return out
-}
-
-// Pool recycles token payloads of a fixed width.
-type Pool struct {
-	width int
-	free  []*Token
-}
-
-// NewPool returns a pool of tokens with width-bit payloads.
-func NewPool(width int) *Pool { return &Pool{width: width} }
-
-// Get returns a token with zero move count. A recycled token still carries
-// its last payload: the contents are unspecified until the caller writes
-// every word (Payload.CopyFrom).
-func (p *Pool) Get() *Token {
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		t.Moves = 0
-		return t
-	}
-	return &Token{Payload: bitset.New(p.width)}
-}
-
-// Put returns a token to the pool. The caller must not use it afterwards.
-func (p *Pool) Put(t *Token) {
-	if t == nil {
-		return
-	}
-	p.free = append(p.free, t)
-}
-
-// PutAll returns a batch of tokens to the pool.
-func (p *Pool) PutAll(ts []*Token) {
-	for _, t := range ts {
-		p.Put(t)
-	}
+// Reset discards every queued token, keeping the storage (end-of-round
+// cleanup; the paper's rounds discard walks that are still queued after
+// activating their hosts).
+func (q *Queue) Reset() {
+	clear(q.items[q.head:])
+	q.items = q.items[:0]
+	q.head = 0
 }

@@ -6,16 +6,13 @@ import (
 
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
-	if !q.Empty() || q.Len() != 0 {
+	if !q.Empty() {
 		t.Error("zero Queue should be empty")
 	}
 	a := &Token{Moves: 1}
 	b := &Token{Moves: 2}
 	q.Add(a)
 	q.Add(b)
-	if q.Len() != 2 {
-		t.Errorf("Len = %d", q.Len())
-	}
 	if got := q.Pop(); got != a {
 		t.Error("Pop order wrong")
 	}
@@ -59,49 +56,23 @@ func TestQueueReuseAfterDrainToEmpty(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
+func TestReset(t *testing.T) {
 	var q Queue
 	for i := 0; i < 5; i++ {
 		q.Add(&Token{Moves: int32(i)})
 	}
 	q.Pop()
-	got := q.Drain()
-	if len(got) != 4 {
-		t.Fatalf("Drain len = %d", len(got))
+	q.Reset()
+	if !q.Empty() {
+		t.Fatalf("queue holds %d tokens after Reset", len(q.items)-q.head)
 	}
-	for i, tok := range got {
-		if tok.Moves != int32(i+1) {
-			t.Errorf("Drain[%d].Moves = %d", i, tok.Moves)
+	for i, tok := range q.items[:cap(q.items)] {
+		if tok != nil {
+			t.Errorf("Reset kept a reference to a token in slot %d", i)
 		}
 	}
-	if !q.Empty() {
-		t.Error("queue not empty after Drain")
-	}
-}
-
-func TestPoolRecycles(t *testing.T) {
-	p := NewPool(64)
-	a := p.Get()
-	if a.Payload.Len() != 64 {
-		t.Fatalf("payload width = %d", a.Payload.Len())
-	}
-	a.Payload.Add(3)
-	a.Moves = 9
-	p.Put(a)
-	b := p.Get()
-	if b != a {
-		t.Error("pool did not recycle")
-	}
-	if b.Moves != 0 || b.Payload.Len() != 64 {
-		t.Error("recycled token: moves not reset or payload width changed")
-	}
-}
-
-func TestPoolPutAllAndNil(t *testing.T) {
-	p := NewPool(8)
-	a, b := p.Get(), p.Get()
-	p.PutAll([]*Token{a, nil, b})
-	if len(p.free) != 2 {
-		t.Errorf("pool holds %d tokens", len(p.free))
+	q.Add(&Token{Moves: 7})
+	if q.Pop().Moves != 7 || !q.Empty() {
+		t.Error("queue not reusable after Reset")
 	}
 }
