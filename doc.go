@@ -245,11 +245,11 @@
 // table is the only declaration: `gossipsim sweep -algos`, grid
 // validation, the collapse of knob axes the algorithm ignores, and
 // corpus join keys all follow from the entry. A machine dials through
-// its own node's state only — phone.DialUniform, which the transport
-// draws from the node's private stream after OnStep (the machine's Net()
-// names the Net), or the memory model's open-avoid dial (a random
-// neighbor from N(v) \ l_v, remembered on success) — so no transport
-// needs extra coordination. Keep receipt handling commutative
+// its own node's state only — phone.DialUniform, or phone.DialAvoid, the
+// memory model's open-avoid dial (a random neighbor from N(v) \ l_v,
+// remembered on success), which the transport draws from the node's
+// private stream and memory after OnStep (the machine's Net() names the
+// Net) — so no transport needs extra coordination. Keep receipt handling commutative
 // (idempotent informs, minimum folds) and the results are identical
 // under every transport; the conformance suite in internal/core pins
 // exact equality for each such protocol. Fast-gossiping's walk routing

@@ -70,3 +70,29 @@ func TestFastGossipTokenBytesFlatInRounds(t *testing.T) {
 		t.Errorf("rounds 1 → 4 added %d bytes, want < %d (one round's tokens)", four-one, round)
 	}
 }
+
+// TestFastGossipMallocsBounded: a walk queue is linked through the
+// tokens it holds, so a whole FastGossip run allocates the run's fixed
+// state plus three objects (token, set, words) per slab slot it fills,
+// and it fills about as many as the busiest round starts walks, WalkProb·n
+// in expectation. Allowing a quarter more slots, the run at n = 4 096 must
+// stay within that at Rounds 1 and at 4. Queues that grew their own
+// slices made about one allocation per node a walk visited: 2 660 at
+// Rounds 1 and 5 001 at 4.
+func TestFastGossipMallocsBounded(t *testing.T) {
+	const n = 4096
+	g := testGraph(n, 61)
+	p := TunedFastGossipParams(n)
+	bound := 64 + 3*uint64(1.25*p.WalkProb*n)
+	FastGossip(g, p, 7) // leaves a released tracker for the runs below
+	for _, rounds := range []int{1, 4} {
+		p.Rounds = rounds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		FastGossip(g, p, 7)
+		runtime.ReadMemStats(&after)
+		if mallocs := after.Mallocs - before.Mallocs; mallocs > bound {
+			t.Errorf("Rounds %d: the run made %d allocations, want ≤ %d", rounds, mallocs, bound)
+		}
+	}
+}

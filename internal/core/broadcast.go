@@ -97,14 +97,8 @@ func NewBroadcastSet(nt *phone.Net, src int32, mode BroadcastMode, payload any) 
 	if payload == nil {
 		payload = markerPayload
 	}
-	n := nt.G.N()
 	s := &BroadcastSet{nt: nt, mode: mode}
-	s.nodes = make([]broadcastMachine, n)
-	s.ms = make([]phone.Machine, n)
-	for v := range s.nodes {
-		s.nodes[v] = broadcastMachine{set: s, id: int32(v), informedAt: -1}
-		s.ms[v] = &s.nodes[v]
-	}
+	s.nodes, s.ms = slab(nt.G.N(), func(v int32) broadcastMachine { return broadcastMachine{set: s, id: v, informedAt: -1} })
 	s.nodes[src].informedAt = 0
 	s.nodes[src].rumor = payload
 	s.informed.Store(1)
@@ -132,16 +126,12 @@ func (s *BroadcastSet) InformedAt(v int32) int32 { return s.nodes[v].informedAt 
 // marker payload when the set was built without one).
 func (s *BroadcastSet) PayloadAt(v int32) any { return s.nodes[v].rumor }
 
-func (b *broadcastMachine) informedBefore(step int32) bool {
-	return b.informedAt >= 0 && b.informedAt < step
-}
-
 func (b *broadcastMachine) OnStep(step int32) (int32, any, any) {
 	b.step = step
 	if b.set.nt.Failed[b.id] {
 		return phone.NoDial, nil, nil
 	}
-	if !b.informedBefore(step) {
+	if b.informedAt < 0 || b.informedAt >= step { // not informed before this step
 		return phone.DialUniform, nil, nil
 	}
 	var push, answer any

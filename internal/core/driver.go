@@ -89,14 +89,22 @@ type exchangeMachine struct {
 }
 
 func exchangeMachines(nt *phone.Net, tr roundTracker) []phone.Machine {
-	n := nt.G.N()
-	slab := make([]exchangeMachine, n)
-	ms := make([]phone.Machine, n)
-	for v := range slab {
-		slab[v] = exchangeMachine{id: int32(v), nt: nt, tr: tr}
-		ms[v] = &slab[v]
-	}
+	_, ms := slab(nt.G.N(), func(v int32) exchangeMachine { return exchangeMachine{id: v, nt: nt, tr: tr} })
 	return ms
+}
+
+// slab makes a machine set's n machines in one slice, mk(v) at index v,
+// and returns it with the same machines as phone.Machines.
+func slab[T any, PT interface {
+	*T
+	phone.Machine
+}](n int, mk func(v int32) T) ([]T, []phone.Machine) {
+	nodes, ms := make([]T, n), make([]phone.Machine, n)
+	for v := range nodes {
+		nodes[v] = mk(int32(v))
+		ms[v] = PT(&nodes[v])
+	}
+	return nodes, ms
 }
 
 func (m *exchangeMachine) OnStep(step int32) (int32, any, any) {

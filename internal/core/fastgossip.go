@@ -147,12 +147,7 @@ func (m *fgMachine) OnStepEnd(step int32) { m.sh.tr.Settle(m.id) }
 func newFgMachines(nt *phone.Net, tr *msg.Full, p FastGossipParams) (*fgShared, []fgMachine, []phone.Machine) {
 	n := nt.G.N()
 	sh := &fgShared{nt: nt, tr: tr, p: p, tokens: make([]*walk.Token, n)}
-	fms := make([]fgMachine, n)
-	ms := make([]phone.Machine, n)
-	for v := range fms {
-		fms[v] = fgMachine{sh: sh, id: int32(v)}
-		ms[v] = &fms[v]
-	}
+	fms, ms := slab(n, func(v int32) fgMachine { return fgMachine{sh: sh, id: v} })
 	return sh, fms, ms
 }
 
@@ -174,16 +169,13 @@ func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Re
 	res := &Result{Algorithm: "fast-gossiping", N: n, Leader: -1}
 
 	step := int32(0)
-	// trackedStep runs one push-delivery step under the tracker's
-	// round snapshot; walkStep runs one token step outside it (walk
-	// arrivals merge immediately, through Meet).
-	trackedStep := func(mode fgMode, m *phone.Meter) {
+	// walkStep runs one token step outside the tracker's round snapshot
+	// (walk arrivals merge immediately, through Meet); trackedStep runs
+	// one push-delivery step under it.
+	walkStep := func(mode fgMode, m *phone.Meter) {
 		sh.mode = mode
 		step++
-		tr.BeginRound()
-		tl := t.Step(step)
-		tr.EndRound()
-		if mode == fgPushPull {
+		if tl := t.Step(step); mode == fgPushPull {
 			exchangeTally(m, tl)
 		} else {
 			m.Open(tl.Opened)
@@ -191,13 +183,10 @@ func FastGossipOver(nt *phone.Net, p FastGossipParams, tf TransportFactory) (*Re
 		}
 		m.Step()
 	}
-	walkStep := func(mode fgMode, m *phone.Meter) {
-		sh.mode = mode
-		step++
-		tl := t.Step(step)
-		m.Open(tl.Opened)
-		m.Push(tl.Pushes)
-		m.Step()
+	trackedStep := func(mode fgMode, m *phone.Meter) {
+		tr.BeginRound()
+		walkStep(mode, m)
+		tr.EndRound()
 	}
 
 	// Phase I: distribution.

@@ -97,58 +97,37 @@ func NewLeaderSet(nt *phone.Net, p LeaderParams) *LeaderSet {
 	}
 	nt.InitMemory(avoid)
 
-	s := &LeaderSet{
-		nt:        nt,
-		nodes:     make([]leaderMachine, n),
-		ms:        make([]phone.Machine, n),
-		pushSteps: int32(p.PushSteps),
-		minCand:   noID,
-		healthy:   int64(n - nt.FailCount()),
-	}
-	if s.pushSteps < 1 {
-		s.pushSteps = 1 // the candidates' initial pushes always form a step
-	}
-	for v := range s.nodes {
-		s.nodes[v] = leaderMachine{set: s, id: int32(v), cur: noID, next: noID}
-		s.ms[v] = &s.nodes[v]
-	}
+	// At least one push step: the candidates' initial pushes always form one.
+	s := &LeaderSet{nt: nt, pushSteps: int32(max(p.PushSteps, 1)), minCand: noID, healthy: int64(n - nt.FailCount())}
+	s.nodes, s.ms = slab(n, func(v int32) leaderMachine { return leaderMachine{set: s, id: v, cur: noID, next: noID} })
 	for v := int32(0); int(v) < n; v++ {
-		if nt.Failed[v] {
-			continue
-		}
-		if nt.RNG(v).Bernoulli(p.CandidateProb) {
-			s.nodes[v].candidate = true
-			s.nCand++
+		if !nt.Failed[v] && nt.RNG(v).Bernoulli(p.CandidateProb) {
+			s.candidate(v)
 		}
 	}
-	if s.nCand == 0 {
-		// The paper's regime has Θ(log²n) candidates w.h.p.; on tiny inputs
-		// the coin can miss, in which case the minimum-index node steps up
-		// so the protocol still terminates (documented deviation).
-		for v := int32(0); int(v) < n; v++ {
-			if !nt.Failed[v] {
-				s.nodes[v].candidate = true
-				s.nCand = 1
-				break
-			}
+	// The paper's regime has Θ(log²n) candidates w.h.p.; on tiny inputs
+	// the coin can miss, in which case the minimum-index node steps up so
+	// the protocol still terminates (documented deviation).
+	for v := int32(0); s.nCand == 0 && int(v) < n; v++ {
+		if !nt.Failed[v] {
+			s.candidate(v)
 		}
 	}
-	for v := int32(0); int(v) < n; v++ {
-		nd := &s.nodes[v]
-		if nd.candidate {
-			nd.cur, nd.next = v, v
-			nd.active = true
-			nd.wire = binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(v))
-			nd.curWire = nd.wire
-			if v < s.minCand {
-				s.minCand = v
-			}
-		}
-	}
-	if s.minCand != noID && !nt.Failed[s.minCand] {
+	if s.minCand != noID {
 		s.aware.Store(1) // the eventual winner already knows itself
 	}
 	return s
+}
+
+// candidate makes the healthy node v a candidate, which knows and pushes
+// its own ID, and boxes its wire.
+func (s *LeaderSet) candidate(v int32) {
+	nd := &s.nodes[v]
+	nd.candidate, nd.active, nd.cur, nd.next = true, true, v, v
+	nd.wire = binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(v))
+	nd.curWire = nd.wire
+	s.nCand++
+	s.minCand = min(s.minCand, v)
 }
 
 // Machine returns node v's machine.
@@ -175,7 +154,7 @@ func (m *leaderMachine) OnStep(step int32) (int32, any, any) {
 		if !m.active || m.cur == noID {
 			return phone.NoDial, nil, nil
 		}
-		return s.nt.OpenAvoid(m.id), m.curWire, nil // NoDial drops the push
+		return phone.DialAvoid, m.curWire, nil // NoDial drops the push
 	}
 	// Pull stage: every node opens a channel; the channel itself pulls,
 	// and a node that knows an ID answers with it.
@@ -183,8 +162,10 @@ func (m *leaderMachine) OnStep(step int32) (int32, any, any) {
 	if m.cur != noID {
 		answer = m.curWire
 	}
-	return s.nt.OpenAvoid(m.id), nil, answer
+	return phone.DialAvoid, nil, answer
 }
+
+func (m *leaderMachine) Net() *phone.Net { return m.set.nt }
 
 func (m *leaderMachine) OnReceive(from int32, payload any) {
 	if m.set.nt.Failed[m.id] {

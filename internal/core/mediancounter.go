@@ -201,13 +201,8 @@ func MedianCounterBroadcast(g *graph.Graph, src int32, p MedianCounterParams, se
 // newMcMachines builds the players in one slab, src informed in B.
 func newMcMachines(nt *phone.Net, src int32, p MedianCounterParams) (*mcShared, []phone.Machine) {
 	sh := &mcShared{nt: nt, p: p}
-	slab := make([]mcMachine, nt.G.N())
-	ms := make([]phone.Machine, len(slab))
-	for v := range slab {
-		slab[v] = mcMachine{sh: sh, id: int32(v), informedAt: -1}
-		ms[v] = &slab[v]
-	}
-	m := &slab[src]
+	nodes, ms := slab(nt.G.N(), func(v int32) mcMachine { return mcMachine{sh: sh, id: v, informedAt: -1} })
+	m := &nodes[src]
 	m.state = mcB
 	m.ctr = 1
 	m.informedAt = 0

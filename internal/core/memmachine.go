@@ -49,14 +49,8 @@ type treeMachine struct {
 }
 
 func newTreeSet(nt *phone.Net, tree *Tree, pushExec int, record bool) *treeSet {
-	n := tree.N
 	s := &treeSet{nt: nt, tree: tree, pushExec: int32(pushExec), record: record}
-	s.nodes = make([]treeMachine, n)
-	s.ms = make([]phone.Machine, n)
-	for v := range s.nodes {
-		s.nodes[v] = treeMachine{set: s, id: int32(v)}
-		s.ms[v] = &s.nodes[v]
-	}
+	s.nodes, s.ms = slab(tree.N, func(v int32) treeMachine { return treeMachine{set: s, id: v} })
 	s.informed.Store(1) // the root (counted even when failed, as the loop did)
 	return s
 }
@@ -84,15 +78,17 @@ func (m *treeMachine) OnStep(step int32) (int32, any, any) {
 		if !m.active(step) {
 			return phone.NoDial, nil, nil
 		}
-		return s.nt.OpenAvoid(m.id), treeToken, nil // the fresh channel carries the token; NoDial drops it
+		return phone.DialAvoid, treeToken, nil // the fresh channel carries the token; NoDial drops it
 	}
 	// Pull stage: only uninformed nodes dial; the channel itself pulls,
 	// and a node informed before this step answers with the token.
 	if s.tree.InformedAt[m.id] >= 0 {
 		return phone.NoDial, nil, treeToken
 	}
-	return s.nt.OpenAvoid(m.id), nil, nil
+	return phone.DialAvoid, nil, nil
 }
+
+func (m *treeMachine) Net() *phone.Net { return m.set.nt }
 
 func (m *treeMachine) OnReceive(from int32, payload any) {
 	s := m.set

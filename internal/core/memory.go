@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"gossip/internal/graph"
 	"gossip/internal/phone"
@@ -72,14 +73,7 @@ func buildTree(nt *phone.Net, root int32, p MemoryParams, final bool, tf Transpo
 		pushSteps = p.Phase3PushSteps
 	}
 	n := nt.G.N()
-	tree := &Tree{
-		Root:       root,
-		N:          n,
-		InformedAt: make([]int32, n),
-	}
-	for i := range tree.InformedAt {
-		tree.InformedAt[i] = -1
-	}
+	tree := &Tree{Root: root, N: n, InformedAt: slices.Repeat([]int32{-1}, n)}
 	tree.InformedAt[root] = 0
 	nt.InitMemory(p.MemSlots) // each phase starts with fresh link memories
 
@@ -200,10 +194,7 @@ func gatherStructural(tree *Tree, failed []bool) *GatherPlan {
 	n := tree.N
 
 	const inf = math.MaxInt32
-	gval := make([]int32, n)
-	for i := range gval {
-		gval[i] = -1
-	}
+	gval := slices.Repeat([]int32{-1}, n)
 	gval[tree.Root] = inf
 
 	for i := len(realized) - 1; i >= 0; i-- { // descending gather step

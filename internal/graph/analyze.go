@@ -1,14 +1,15 @@
 package graph
 
-import "gossip/internal/stats"
+import (
+	"slices"
+
+	"gossip/internal/stats"
+)
 
 // BFS returns the hop distance from src to every node (-1 for unreachable).
 // It stops once every node is reached, so K_n costs O(n), not O(n²).
 func BFS(g *Graph, src int32) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
+	dist := slices.Repeat([]int32{-1}, g.N())
 	dist[src] = 0
 	queue := make([]int32, 0, g.N())
 	queue = append(queue, src)

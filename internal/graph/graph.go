@@ -193,24 +193,21 @@ func (g *Graph) RandomNeighbor(v int32, rng *xrand.RNG) int32 {
 	return g.Neighbor(v, int(rng.Uint64n(uint64(d))))
 }
 
-// RandomNeighborAvoid returns a uniformly random neighbor of v that is not
-// in avoid (the open-avoid primitive of the memory model, §4 of the paper:
-// "calling on a neighbor chosen uniformly at random from N(v) \ l_v").
-// If every neighbor is in avoid, or v is isolated, it returns -1.
+// AvoidAfter completes the open-avoid draw of the memory model (§4 of the
+// paper: "calling on a neighbor chosen uniformly at random from
+// N(v) \ l_v") for a non-isolated v whose first uniform draw hit avoid:
+// a uniformly random neighbor of v not in avoid, or -1 if every neighbor
+// is. phone.Sync makes many first draws before it loads a row.
 //
 // Implementation: rejection sampling (avoid has at most a handful of
 // entries, so rejection is cheap on the Ω(log²⁺ᵉ n)-degree graphs the model
 // assumes), with an exact fallback scan to stay correct on adversarially
 // small test graphs.
-func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int32 {
+func (g *Graph) AvoidAfter(v int32, rng *xrand.RNG, avoid []int32) int32 {
 	d := g.Degree(v)
-	if d == 0 {
-		return -1
-	}
-	const maxAttempts = 32
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		u := g.Neighbor(v, int(rng.Uint64n(uint64(d))))
-		if !slices.Contains(avoid, u) {
+	const maxAttempts = 32 // counting the caller's first draw
+	for range maxAttempts - 1 {
+		if u := g.Neighbor(v, int(rng.Uint64n(uint64(d)))); !slices.Contains(avoid, u) {
 			return u
 		}
 	}
@@ -233,7 +230,7 @@ func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int3
 			i--
 		}
 	}
-	panic("graph: unreachable in RandomNeighborAvoid")
+	panic("graph: unreachable in AvoidAfter")
 }
 
 // Validate checks CSR structural invariants (offsets monotone, endpoints in

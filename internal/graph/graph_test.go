@@ -82,6 +82,20 @@ func TestRandomNeighborIsolated(t *testing.T) {
 	}
 }
 
+// RandomNeighborAvoid is the whole open-avoid draw, as a node makes it:
+// the first uniform draw, then, if it hit avoid, AvoidAfter; -1 on an
+// isolated v.
+func (g *Graph) RandomNeighborAvoid(v int32, rng *xrand.RNG, avoid []int32) int32 {
+	d := g.Degree(v)
+	if d == 0 {
+		return -1
+	}
+	if u := g.Neighbor(v, int(rng.Uint64n(uint64(d)))); !slices.Contains(avoid, u) {
+		return u
+	}
+	return g.AvoidAfter(v, rng, avoid)
+}
+
 func TestRandomNeighborAvoid(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	rng := xrand.New(2)

@@ -12,9 +12,10 @@
 // with a failing order replayable from its seed. internal/gossipd, the
 // one truly concurrent transport, drives the same machines over loopback
 // TCP. A node fixes its answer to every caller in OnStep, so no transport
-// calls into a callee to serve a channel. Sync draws DialUniform in two
-// passes over a chunk of nodes, every draw and then every load; gossipd
-// per node.
+// calls into a callee to serve a channel. Sync draws DialUniform and
+// DialAvoid in two passes over a chunk of nodes, every first draw and
+// then every load, gossipd per node (Net.Resolve); a step few nodes dial
+// costs Sync what its dialers do.
 //
 // What the machines and transports share lives here too: the per-node
 // RNG streams, failure mask and open-avoid dial (Net), the bounded link
@@ -26,6 +27,8 @@
 package phone
 
 import (
+	"slices"
+
 	"gossip/internal/graph"
 	"gossip/internal/xrand"
 )
@@ -33,13 +36,14 @@ import (
 // NoDial marks a node that keeps its channel closed in a step.
 const NoDial int32 = -1
 
-// DialUniform, returned from OnStep, dials a uniformly random neighbour:
-// right after OnStep the transport makes Graph.RandomNeighbor's draw on
-// the node's stream in the Net its machines name (see Machine). On an
-// isolated node it is NoDial, and the push returned with it is dropped.
-const DialUniform int32 = -2
+// DialUniform and DialAvoid, returned from OnStep, dial a neighbour the
+// transport draws right after OnStep on the node's stream in the Net its
+// machines name (see Machine): uniformly, as Graph.RandomNeighbor, or by
+// the §4 open-avoid rule, as Net.OpenAvoid. Where nothing can be drawn
+// the dial is NoDial, and the push returned with it is dropped.
+const DialUniform, DialAvoid int32 = -2, -3
 
-const noNet = "phone: a machine dialed DialUniform on a transport none of whose machines has a Net() *phone.Net"
+const noNet = "phone: a machine dialed DialUniform or DialAvoid on a transport none of whose machines has a Net() *phone.Net"
 
 // Round is the dial table of one synchronous step plus its inverted index.
 // Out[v] is the callee of v (or NoDial). After BuildIncoming, Incoming(v)
@@ -49,7 +53,7 @@ type Round struct {
 	Out    []int32
 	inOff  []int32 // len n+1 after BuildIncoming
 	inFlat []int32
-	cursor []int32 // counting-sort scratch, reused across steps
+	next   []int32 // Sync's scratch: a drawn row index, or where a chunk ends
 	built  bool
 }
 
@@ -59,11 +63,9 @@ func NewRound(n int) *Round {
 		Out:    make([]int32, n),
 		inOff:  make([]int32, n+1),
 		inFlat: make([]int32, n),
-		cursor: make([]int32, n),
+		next:   make([]int32, n),
 	}
-	for i := range r.Out {
-		r.Out[i] = NoDial
-	}
+	r.Reset()
 	return r
 }
 
@@ -77,27 +79,22 @@ func (r *Round) Reset() {
 
 // BuildIncoming constructs the caller index with a counting sort over the
 // dial table. O(n), deterministic (callers of v are listed in increasing
-// caller id).
+// caller id): inOff[u] counts u's callers, then holds where they end, and
+// the scatter, in decreasing caller id, leaves it where they start.
 func (r *Round) BuildIncoming() {
-	n := len(r.Out)
-	for i := range r.inOff {
-		r.inOff[i] = 0
-	}
+	clear(r.inOff)
 	for _, u := range r.Out {
 		if u >= 0 {
-			r.inOff[u+1]++
+			r.inOff[u]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		r.inOff[i+1] += r.inOff[i]
+	for i := 1; i < len(r.inOff); i++ {
+		r.inOff[i] += r.inOff[i-1]
 	}
-	for i := range r.cursor {
-		r.cursor[i] = 0
-	}
-	for v, u := range r.Out {
-		if u >= 0 {
-			r.inFlat[r.inOff[u]+r.cursor[u]] = int32(v)
-			r.cursor[u]++
+	for v := len(r.Out) - 1; v >= 0; v-- {
+		if u := r.Out[v]; u >= 0 {
+			r.inOff[u]--
+			r.inFlat[r.inOff[u]] = int32(v)
 		}
 	}
 	r.built = true
@@ -143,35 +140,58 @@ func (nt *Net) RNG(v int32) *xrand.RNG { return &nt.rngs[v] }
 // the §4 memory-model primitive — and records the chosen link in v's
 // memory. It returns NoDial for failed nodes and when every neighbor is
 // remembered (the RNG stream is still consumed in the latter case, as the
-// draw happens before the verdict). This is the seam-level dial the
-// memory-model and leader-election machines use from OnStep: each node
-// only ever touches its own stream and its own memory, so the dial phase
-// parallelizes without changing results. InitMemory must have run.
-func (nt *Net) OpenAvoid(v int32) int32 {
-	if nt.Failed[v] {
-		return NoDial
-	}
-	u := nt.G.RandomNeighborAvoid(v, &nt.rngs[v], nt.Memory[v].Links())
-	if u >= 0 {
-		nt.Memory[v].Remember(u)
-	}
-	return u
-}
+// draw happens before the verdict). InitMemory must have run. Machines
+// return DialAvoid instead, which their transport resolves the same way.
+func (nt *Net) OpenAvoid(v int32) int32 { return nt.Resolve(v, DialAvoid) }
 
-// Resolve returns dial, or v's uniform draw if dial is DialUniform; a nil
-// nt panics then.
+// Resolve returns dial, or v's draw if dial is DialUniform or DialAvoid;
+// a nil nt panics then.
 func (nt *Net) Resolve(v, dial int32) int32 {
-	if dial == DialUniform {
-		if nt == nil {
-			panic(noNet)
-		}
-		return nt.G.RandomNeighbor(v, &nt.rngs[v])
+	var k int32
+	if drawn(dial) {
+		dial, k = nt.draw(v, dial)
+	}
+	switch dial {
+	case DialUniform:
+		return nt.G.Neighbor(v, int(k))
+	case DialAvoid:
+		return nt.avoid(v, k)
 	}
 	return dial
 }
 
+func drawn(dial int32) bool { return dial == DialUniform || dial == DialAvoid }
+
+// draw makes the first draw of v's DialUniform or DialAvoid, a row index
+// k; the dial becomes NoDial, drawing nothing, on an isolated node and
+// for DialAvoid on a failed one.
+func (nt *Net) draw(v, dial int32) (int32, int32) {
+	if nt == nil {
+		panic(noNet)
+	}
+	d := nt.G.Degree(v)
+	if d == 0 || dial == DialAvoid && nt.Failed[v] {
+		return NoDial, 0
+	}
+	return dial, int32(nt.rngs[v].Uint64n(uint64(d)))
+}
+
+// avoid completes v's DialAvoid from its first draw k: k's neighbour
+// unless remembered, else Graph.AvoidAfter's callee; v remembers it.
+func (nt *Net) avoid(v, k int32) int32 {
+	m := &nt.Memory[v]
+	u := nt.G.Neighbor(v, int(k))
+	if slices.Contains(m.Links(), u) {
+		u = nt.G.AvoidAfter(v, &nt.rngs[v], m.Links())
+	}
+	if u >= 0 {
+		m.Remember(u)
+	}
+	return u
+}
+
 // netOf returns the Net of the first machine with a Net() *Net method,
-// or nil: the Net a transport resolves DialUniform on.
+// or nil: the Net a transport draws DialUniform and DialAvoid on.
 func netOf(ms []Machine) *Net {
 	for _, m := range ms {
 		if h, ok := m.(interface{ Net() *Net }); ok {
@@ -229,18 +249,14 @@ func NewLinkMemory(c int) LinkMemory {
 	return LinkMemory{cap8: int8(c)}
 }
 
-func (lm *LinkMemory) capacity() int8 {
-	if lm.cap8 == 0 {
-		return MemorySlots
-	}
-	return lm.cap8
-}
-
 // Remember records u, evicting the oldest entry when full.
 func (lm *LinkMemory) Remember(u int32) {
-	c := lm.capacity()
-	if lm.size < c {
-		lm.slots[(lm.head+lm.size)%c] = u
+	c := lm.cap8
+	if c == 0 {
+		c = MemorySlots
+	}
+	if lm.size < c { // head moves only once the memory is full
+		lm.slots[lm.size] = u
 		lm.size++
 		return
 	}
@@ -252,12 +268,7 @@ func (lm *LinkMemory) Remember(u int32) {
 // all open-avoid needs). The slice aliases an internal buffer valid until
 // the next Remember. The head index only moves once the memory is full, so
 // slots[:size] always holds exactly the live entries.
-func (lm *LinkMemory) Links() []int32 {
-	if lm.size == 0 {
-		return nil
-	}
-	return lm.slots[:lm.size]
-}
+func (lm *LinkMemory) Links() []int32 { return lm.slots[:lm.size] }
 
 // Meter counts the communication complexity of a run under the conventions
 // of Berenbrink et al. [5], which the paper adopts:

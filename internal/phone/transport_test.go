@@ -10,7 +10,7 @@ import (
 )
 
 // TestBuildIncomingZeroAlloc pins the Round doc promise: a reused Round
-// allocates nothing per step (the counting-sort cursor lives on the
+// allocates nothing per step (the counting sort's scratch lives on the
 // Round).
 func TestBuildIncomingZeroAlloc(t *testing.T) {
 	const n = 1024

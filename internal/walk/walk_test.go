@@ -63,16 +63,29 @@ func TestReset(t *testing.T) {
 	}
 	q.Pop()
 	q.Reset()
-	if !q.Empty() {
-		t.Fatalf("queue holds %d tokens after Reset", len(q.items)-q.head)
-	}
-	for i, tok := range q.items[:cap(q.items)] {
-		if tok != nil {
-			t.Errorf("Reset kept a reference to a token in slot %d", i)
-		}
+	if !q.Empty() || q.tail != nil {
+		t.Fatal("the queue still holds a token after Reset")
 	}
 	q.Add(&Token{Moves: 7})
 	if q.Pop().Moves != 7 || !q.Empty() {
 		t.Error("queue not reusable after Reset")
+	}
+}
+
+// TestTokenMovesBetweenQueues: a queue is linked through its tokens, so a
+// token popped from one queue and added to another must leave both in
+// order, also when it was not the last in the queue it left.
+func TestTokenMovesBetweenQueues(t *testing.T) {
+	var p, q Queue
+	a, b, c := &Token{Moves: 1}, &Token{Moves: 2}, &Token{Moves: 3}
+	p.Add(a)
+	p.Add(b)
+	q.Add(c)
+	q.Add(p.Pop())
+	if got := p.Pop(); got != b || !p.Empty() {
+		t.Fatal("the queue a token left lost its order")
+	}
+	if q.Pop() != c || q.Pop() != a || !q.Empty() {
+		t.Fatal("the queue a token joined lost its order")
 	}
 }
